@@ -2,6 +2,7 @@ package hpc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/memuse"
@@ -216,23 +217,96 @@ func TestShadowComputation(t *testing.T) {
 	// Three running jobs ending at t=10,20,30 with 2 nodes each; 1 free
 	// node now; head needs 4: the head can start when the second job ends
 	// (1+2+2 >= 4) with 1 node spare.
-	run := runHeap{
-		&running{endS: 30, job: &Job{Nodes: 2}},
-		&running{endS: 10, job: &Job{Nodes: 2}},
-		&running{endS: 20, job: &Job{Nodes: 2}},
-	}
-	var sbuf []*running
-	shadowT, extra := shadow(run, &sbuf, 1, 4)
+	run := []running{{endS: 10, nodes: 2}, {endS: 20, nodes: 2}, {endS: 30, nodes: 2}}
+	shadowT, extra := shadow(run, 1, 4)
 	if shadowT != 20 || extra != 1 {
 		t.Errorf("shadow = (%v, %v), want (20, 1)", shadowT, extra)
 	}
 	// Already fits: shadow is immediate.
-	if st, _ := shadow(run, &sbuf, 4, 4); st != 0 {
+	if st, _ := shadow(run, 4, 4); st != 0 {
 		t.Errorf("shadow with enough free = %v, want 0", st)
 	}
 	// Can never fit: far future.
-	if st, _ := shadow(run, &sbuf, 0, 100); st < 1e17 {
+	if st, _ := shadow(run, 0, 100); st < 1e17 {
 		t.Errorf("unsatisfiable shadow = %v", st)
+	}
+}
+
+// TestEqualEndTimesInStartOrder pins the tie rule: jobs that end at the
+// same instant complete, and count toward the backfill shadow, in the
+// order they started.
+func TestEqualEndTimesInStartOrder(t *testing.T) {
+	type want struct {
+		waitS     float64
+		minMargin int
+	}
+	cases := []struct {
+		name    string
+		cluster *Cluster
+		model   SpeedupModel
+		jobs    []Job
+		want    map[int]want
+	}{{
+		// Jobs 1 and 2 both end at t=100, job 1 on the 800 group and job 2
+		// on the 600 group. Job 1 completes first, so queue head 3 takes
+		// the 800 group and job 4 the 600 group.
+		name:    "completion",
+		cluster: NewCluster(map[int]int{800: 2, 600: 2}),
+		model:   HeteroDMRModel(2, 1.25),
+		jobs: []Job{
+			{ID: 1, SubmitS: 0, Nodes: 2, BaseS: 200, Bucket: memuse.BucketUnder25},
+			{ID: 2, SubmitS: 0, Nodes: 2, BaseS: 125, Bucket: memuse.BucketUnder25},
+			{ID: 3, SubmitS: 1, Nodes: 2, BaseS: 10, Bucket: memuse.BucketUnder25},
+			{ID: 4, SubmitS: 2, Nodes: 2, BaseS: 10, Bucket: memuse.BucketUnder25},
+		},
+		want: map[int]want{3: {99, 800}, 4: {98, 600}},
+	}, {
+		// Jobs 1 (1 node) and 2 (4 nodes) both end at t=100 with 1 node
+		// free; head 3 needs 3. In start order the shadow crosses at job 2
+		// with 3 nodes to spare, which leaves room for job 4 to backfill
+		// at once; counting job 2 first would leave none.
+		name:    "shadow",
+		cluster: UniformCluster(6, 0),
+		model:   ConventionalModel,
+		jobs: []Job{
+			{ID: 1, SubmitS: 0, Nodes: 1, BaseS: 100, Bucket: memuse.BucketOver50},
+			{ID: 2, SubmitS: 0, Nodes: 4, BaseS: 100, Bucket: memuse.BucketOver50},
+			{ID: 3, SubmitS: 1, Nodes: 3, BaseS: 10, Bucket: memuse.BucketOver50},
+			{ID: 4, SubmitS: 2, Nodes: 1, BaseS: 1000, Bucket: memuse.BucketOver50},
+		},
+		want: map[int]want{3: {99, 0}, 4: {0, 0}},
+	}}
+	for _, tc := range cases {
+		tr := &Trace{Jobs: tc.jobs, TotalNodes: tc.cluster.Nodes(), PeriodS: 1e6}
+		res := Simulate(tr, tc.cluster, PolicyMarginAware, tc.model, 1)
+		if len(res.Jobs) != len(tc.jobs) {
+			t.Fatalf("%s: completed %d of %d jobs", tc.name, len(res.Jobs), len(tc.jobs))
+		}
+		for _, j := range res.Jobs {
+			w, ok := tc.want[j.JobID]
+			if ok && (j.WaitS != w.waitS || j.MinMargin != w.minMargin) {
+				t.Errorf("%s: job %d wait %v margin %d, want wait %v margin %d",
+					tc.name, j.JobID, j.WaitS, j.MinMargin, w.waitS, w.minMargin)
+			}
+		}
+	}
+}
+
+func TestSimulateRejectsImpossibleJobs(t *testing.T) {
+	for name, nodes := range map[string]int{"no-nodes": 0, "negative-nodes": -1, "more-than-cluster": 11} {
+		t.Run(name, func(t *testing.T) {
+			tr := &Trace{TotalNodes: 10, PeriodS: 1e6, Jobs: []Job{
+				{ID: 1, SubmitS: 0, Nodes: 1, BaseS: 10},
+				{ID: 7, SubmitS: 1, Nodes: nodes, BaseS: 10},
+			}}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "job 7") {
+					t.Errorf("panic %q, want one naming job 7", msg)
+				}
+			}()
+			Simulate(tr, UniformCluster(10, 0), PolicyDefault, ConventionalModel, 1)
+		})
 	}
 }
 
@@ -240,7 +314,6 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	// A large head job queues behind a long runner; small jobs backfill.
 	// The head's start time with backfill must equal its start time
 	// without any backfill candidates (EASY's invariant).
-	frac := testFrac
 	base := &Trace{TotalNodes: 10, PeriodS: 1e6}
 	base.Jobs = []Job{
 		{ID: 1, SubmitS: 0, Nodes: 8, BaseS: 1000, Bucket: memuse.BucketOver50},
@@ -270,7 +343,6 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 			t.Errorf("small job did not backfill: wait %v", j.WaitS)
 		}
 	}
-	_ = frac
 }
 
 func TestWaitPercentiles(t *testing.T) {

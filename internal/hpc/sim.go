@@ -1,7 +1,6 @@
 package hpc
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -14,13 +13,19 @@ import (
 // within a group are interchangeable.
 type Cluster struct {
 	margins []int // distinct margins, descending
-	total   map[int]int
+	total   []int // node count per group, indexed like margins
 }
 
 // NewCluster builds a cluster from margin -> node-count.
 func NewCluster(counts map[int]int) *Cluster {
-	c := &Cluster{total: make(map[int]int)}
-	for m, n := range counts {
+	var margins []int
+	for m := range counts {
+		margins = append(margins, m)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(margins)))
+	c := &Cluster{}
+	for _, m := range margins {
+		n := counts[m]
 		if n < 0 {
 			panic(fmt.Sprintf("hpc: negative node count for margin %d", m))
 		}
@@ -28,12 +33,11 @@ func NewCluster(counts map[int]int) *Cluster {
 			continue
 		}
 		c.margins = append(c.margins, m)
-		c.total[m] = n
+		c.total = append(c.total, n)
 	}
 	if len(c.margins) == 0 {
 		panic("hpc: empty cluster")
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(c.margins)))
 	return c
 }
 
@@ -101,31 +105,19 @@ func (r *Result) finalize() {
 	r.P95WaitS = stats.Percentile(waits, 95)
 }
 
-// running is the completion min-heap.
+// running is one started job in the end-ordered running list. It holds
+// no pointers, so shifting the list with copy costs no write barriers.
 type running struct {
 	endS  float64
-	alloc map[int]int // margin -> node count
-	job   *Job
-	min   int
-}
-
-type runHeap []*running
-
-func (h runHeap) Len() int            { return len(h) }
-func (h runHeap) Less(i, j int) bool  { return h[i].endS < h[j].endS }
-func (h runHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x interface{}) { *h = append(*h, x.(*running)) }
-func (h *runHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	nodes int
+	slot  int // trace index; the job's group counts are allocs[slot*groups:]
 }
 
 // Simulate runs the trace through the scheduler and returns per-job
 // metrics. The cluster, policy, and speedup model together define the
 // system (conventional = uniform margin-0 cluster + ConventionalModel).
+// Jobs with equal end times complete, and count toward the backfill
+// shadow, in the order they started.
 func Simulate(tr *Trace, cluster *Cluster, policy Policy, model SpeedupModel, seed uint64) *Result {
 	res, _ := SimulateObserved(tr, cluster, policy, model, seed, nil, "")
 	return res
@@ -136,10 +128,17 @@ func Simulate(tr *Trace, cluster *Cluster, policy Policy, model SpeedupModel, se
 // returned violations report the run's conservation checks — every
 // submitted job completes exactly once, the queue drains, all nodes
 // return to the free pool, and no job has negative wait or non-positive
-// execution time. Instrumentation never changes the Result.
+// execution time. Instrumentation never changes the Result. A job that
+// requests no nodes, or more than the cluster has, panics.
 func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupModel, seed uint64, reg *obs.Registry, scope string) (*Result, []obs.Violation) {
 	if tr == nil || cluster == nil || model == nil {
 		panic("hpc: nil simulation inputs")
+	}
+	nodes := cluster.Nodes()
+	for i := range tr.Jobs {
+		if n := tr.Jobs[i].Nodes; n <= 0 || n > nodes {
+			panic(fmt.Sprintf("hpc: job %d requests %d nodes of a %d-node cluster", tr.Jobs[i].ID, n, nodes))
+		}
 	}
 	if scope == "" {
 		scope = "hpc"
@@ -147,28 +146,31 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	queueHist := reg.Histogram(scope+"/sched/queue_depth",
 		[]int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	rng := xrand.New(seed)
-	free := make(map[int]int, len(cluster.total))
-	for m, n := range cluster.total {
-		free[m] = n
-	}
-	freeTotal := cluster.Nodes()
+	groups := len(cluster.margins)
+	free := append([]int(nil), cluster.total...)
+	freeTotal := nodes
+	allocs := make([]int, len(tr.Jobs)*groups) // each job's group counts, by trace index
 
-	var run runHeap
-	heap.Init(&run)
-	var shadowBuf []*running // reused by every backfill shadow computation
-	res := &Result{}
-	queue := []*Job{} // FCFS
-	next := 0         // next arrival index
+	var run []running // started jobs by end time, equal ends in start order
+	res := &Result{Jobs: make([]JobMetrics, 0, len(tr.Jobs))}
+	var queue []int // FCFS, trace indices
+	next := 0       // next arrival index
 	now := 0.0
 
-	start := func(j *Job, t float64) {
-		alloc, min := allocate(cluster, free, j.Nodes, policy, rng)
-		for m, n := range alloc {
-			free[m] -= n
+	start := func(slot int, t float64) {
+		j := &tr.Jobs[slot]
+		alloc := allocs[slot*groups : (slot+1)*groups]
+		min := allocate(cluster, free, alloc, j.Nodes, policy, rng)
+		for g, n := range alloc {
+			free[g] -= n
 		}
 		freeTotal -= j.Nodes
 		exec := j.BaseS / model(min, j.Bucket)
-		heap.Push(&run, &running{endS: t + exec, alloc: alloc, job: j, min: min})
+		end := t + exec
+		i := sort.Search(len(run), func(k int) bool { return run[k].endS > end })
+		run = append(run, running{})
+		copy(run[i+1:], run[i:])
+		run[i] = running{endS: end, nodes: j.Nodes, slot: slot}
 		res.Jobs = append(res.Jobs, JobMetrics{
 			JobID: j.ID, WaitS: t - j.SubmitS, ExecS: exec,
 			TurnaroundS: t - j.SubmitS + exec, MinMargin: min,
@@ -177,20 +179,24 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 
 	schedule := func() {
 		// FCFS: start queue heads while they fit.
-		for len(queue) > 0 && queue[0].Nodes <= freeTotal {
-			start(queue[0], now)
-			queue = queue[1:]
+		n := 0
+		for n < len(queue) && tr.Jobs[queue[n]].Nodes <= freeTotal {
+			start(queue[n], now)
+			n++
+		}
+		if n > 0 {
+			queue = append(queue[:0], queue[n:]...)
 		}
 		if len(queue) == 0 {
 			return
 		}
 		// EASY backfill: reserve for the head, let later jobs jump ahead
 		// if they do not delay it (runtimes are known exactly here).
-		head := queue[0]
-		shadowT, freedAtShadow := shadow(run, &shadowBuf, freeTotal, head.Nodes)
-		extra := freeTotal + freedAtShadow - head.Nodes
+		need := tr.Jobs[queue[0]].Nodes
+		shadowT, freedAtShadow := shadow(run, freeTotal, need)
+		extra := freeTotal + freedAtShadow - need
 		for i := 1; i < len(queue) && freeTotal > 0; i++ {
-			j := queue[i]
+			j := &tr.Jobs[queue[i]]
 			if j.Nodes > freeTotal {
 				continue
 			}
@@ -199,7 +205,7 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 			// (this is what keeps real queues from being backfilled flat).
 			estimate := 2 * j.BaseS
 			if now+estimate <= shadowT || j.Nodes <= extra {
-				start(j, now)
+				start(queue[i], now)
 				if j.Nodes > extra {
 					extra = 0
 				} else if now+estimate > shadowT {
@@ -211,26 +217,27 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 		}
 	}
 
-	for next < len(tr.Jobs) || run.Len() > 0 {
+	for next < len(tr.Jobs) || len(run) > 0 {
 		// Next event: arrival or completion.
 		var tArr, tEnd float64 = -1, -1
 		if next < len(tr.Jobs) {
 			tArr = tr.Jobs[next].SubmitS
 		}
-		if run.Len() > 0 {
+		if len(run) > 0 {
 			tEnd = run[0].endS
 		}
 		if tArr >= 0 && (tEnd < 0 || tArr <= tEnd) {
 			now = tArr
-			queue = append(queue, &tr.Jobs[next])
+			queue = append(queue, next)
 			next++
 		} else {
 			now = tEnd
-			done := heap.Pop(&run).(*running)
-			for m, n := range done.alloc {
-				free[m] += n
+			done := run[0]
+			run = run[1:]
+			for g, n := range allocs[done.slot*groups : (done.slot+1)*groups] {
+				free[g] += n
 			}
-			freeTotal += done.job.Nodes
+			freeTotal += done.nodes
 		}
 		queueHist.Observe(int64(len(queue)))
 		schedule()
@@ -243,10 +250,10 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	ck := obs.NewChecker(scope)
 	ck.CheckEq(int64(len(res.Jobs)), int64(len(tr.Jobs)), "jobs-completed==jobs-submitted")
 	ck.CheckEq(int64(len(queue)), 0, "queue-drained")
-	ck.CheckEq(int64(freeTotal), int64(cluster.Nodes()), "free-nodes-restored")
-	for _, m := range cluster.margins {
-		ck.Check(free[m] == cluster.total[m], fmt.Sprintf("group-%d-restored", m),
-			"%d free, %d total", free[m], cluster.total[m])
+	ck.CheckEq(int64(freeTotal), int64(nodes), "free-nodes-restored")
+	for g, m := range cluster.margins {
+		ck.Check(free[g] == cluster.total[g], fmt.Sprintf("group-%d-restored", m),
+			"%d free, %d total", free[g], cluster.total[g])
 	}
 	badWait, badExec := 0, 0
 	for i := range res.Jobs {
@@ -262,22 +269,17 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	return res, ck.Violations()
 }
 
-// shadow computes when the queue head could start (jobs finish in end
-// order until enough nodes are free) and how many nodes will be free then
-// beyond the head's need. buf is caller-owned scratch reused across
-// calls; shadow runs once per scheduling event, so copying and sorting
-// the running set into a fresh slice each time dominated the scheduler's
-// allocations.
-func shadow(run runHeap, buf *[]*running, freeNow, need int) (shadowT float64, freedAtShadow int) {
+// shadow computes when the queue head could start (running jobs finish in
+// list order until enough nodes are free) and how many nodes will be free
+// then beyond the head's need. run is end-ordered, so this walks only the
+// prefix that frees the head's nodes.
+func shadow(run []running, freeNow, need int) (shadowT float64, freedAtShadow int) {
 	if freeNow >= need {
 		return 0, 0
 	}
-	ends := append((*buf)[:0], run...)
-	*buf = ends
-	sort.Slice(ends, func(i, j int) bool { return ends[i].endS < ends[j].endS })
 	acc := freeNow
-	for _, r := range ends {
-		acc += r.job.Nodes
+	for _, r := range run {
+		acc += r.nodes
 		if acc >= need {
 			return r.endS, acc - need
 		}
@@ -285,37 +287,27 @@ func shadow(run runHeap, buf *[]*running, freeNow, need int) (shadowT float64, f
 	return 1e18, 0
 }
 
-// allocate picks nodes for a job and returns the per-group allocation and
-// the minimum margin among them (the job's effective speed, §III-D3).
-func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.Rand) (map[int]int, int) {
-	alloc := make(map[int]int)
-	min := -1
-	take := func(m, n int) {
-		if n <= 0 {
-			return
-		}
-		alloc[m] += n
-		if min < 0 || m < min {
-			min = m
-		}
-	}
+// allocate picks nodes for a job without touching free: it writes the
+// job's per-group counts into alloc (zeroed, indexed like c.margins) and
+// returns the minimum margin among them (the job's effective speed,
+// §III-D3).
+func allocate(c *Cluster, free, alloc []int, need int, policy Policy, rng *xrand.Rand) (min int) {
 	switch policy {
 	case PolicyMarginAware:
 		// Fastest single group that fits...
-		for _, m := range c.margins {
-			if free[m] >= need {
-				take(m, need)
-				return alloc, min
+		for g, n := range free {
+			if n >= need {
+				alloc[g] = need
+				return c.margins[g]
 			}
 		}
 		// ...else the fastest `need` free nodes across groups.
 		left := need
-		for _, m := range c.margins {
-			n := free[m]
+		for g, n := range free {
 			if n > left {
 				n = left
 			}
-			take(m, n)
+			alloc[g] = n
 			left -= n
 			if left == 0 {
 				break
@@ -324,21 +316,20 @@ func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.
 		if left > 0 {
 			panic("hpc: allocate called without enough free nodes")
 		}
-		return alloc, min
 	default:
 		// Margin-oblivious: draw nodes uniformly from the free pool.
 		left := need
 		for left > 0 {
 			freeTotal := 0
-			for _, m := range c.margins {
-				freeTotal += free[m] - alloc[m]
+			for g, n := range free {
+				freeTotal += n - alloc[g]
 			}
 			if freeTotal < left {
 				panic("hpc: allocate called without enough free nodes")
 			}
 			pick := int(rng.Uint64n(uint64(freeTotal)))
-			for _, m := range c.margins {
-				avail := free[m] - alloc[m]
+			for g, n := range free {
+				avail := n - alloc[g]
 				if pick < avail {
 					// Take a contiguous chunk from this group to keep the
 					// loop near O(groups).
@@ -346,13 +337,18 @@ func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.
 					if chunk > left {
 						chunk = left
 					}
-					take(m, chunk)
+					alloc[g] += chunk
 					left -= chunk
 					break
 				}
 				pick -= avail
 			}
 		}
-		return alloc, min
 	}
+	// Margins descend, so the slowest group taken is the last non-empty one.
+	g := len(alloc) - 1
+	for alloc[g] == 0 {
+		g--
+	}
+	return c.margins[g]
 }

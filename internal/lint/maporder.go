@@ -39,15 +39,16 @@ the output depend on it. Iterate a sorted key slice instead.`,
 // scratch state and scheduling indexes feed the byte-identical
 // simulation outputs (memctrl, node, cache, heterodmr, dram, rs — e.g.
 // the controller's pending-write block index must never be iterated, and
-// the event-driven scheduler's indexes must stay order-free), plus the
-// analyzer's own fixture package so
+// the event-driven scheduler's indexes must stay order-free), the Fig 17
+// cluster scheduler (hpc, whose simulation loop must never depend on map
+// order), plus the analyzer's own fixture package so
 // `cmd/analyze ./internal/lint/testdata/src/maporder` exercises it
 // without extra flags.
 var mapOrderPkgs string
 
 func init() {
 	MapOrder.Flags.StringVar(&mapOrderPkgs, "pkgs",
-		"report,experiments,montecarlo,obs,memctrl,node,cache,heterodmr,dram,rs,maporder",
+		"report,experiments,montecarlo,obs,memctrl,node,cache,heterodmr,dram,rs,hpc,maporder",
 		"comma-separated package names the map-iteration check applies to")
 }
 
