@@ -59,7 +59,8 @@ fuzz:
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the
-# Grizzly-scale cluster scheduler and the full-suite BenchmarkRunAllSeq.
+# Grizzly-scale cluster scheduler, the node front end's record and replay
+# halves, and the full-suite BenchmarkRunAllSeq.
 # Reference numbers live in BENCH_hotpath.json (allocation pass) and
 # BENCH_eventskip.json (event-driven scheduling pass).
 bench:
@@ -68,6 +69,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkHeteroDMRReadMode -benchmem ./internal/heterodmr
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench BenchmarkSimulateGrizzly -benchmem ./internal/hpc
+	$(GO) test -run '^$$' -bench 'BenchmarkNode(Record|Replay)$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 
 # bench-compare pits each optimized path against its in-tree legacy twin

@@ -5,6 +5,9 @@
 package repro
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"strings"
 	"testing"
@@ -79,4 +82,47 @@ func TestExperimentsFileFresh(t *testing.T) {
 			t.Errorf("snapshot missing %q", want)
 		}
 	}
+}
+
+// TestQuickSuiteBytesMatchGolden pins the rendered bytes of the quick
+// suite at seed 1: the tables exactly as `heterodmr -all -quick` prints
+// them (each table's String plus a newline) must hash to the `quick 1`
+// digest the benchmark's golden file records. The file is read, never
+// written.
+func TestQuickSuiteBytesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick suite")
+	}
+	want := goldenDigest(t, "quick 1")
+	var out strings.Builder
+	for _, tab := range experiments.New(experiments.Options{Seed: 1, Quick: true}).RunAll() {
+		out.WriteString(tab.String())
+		out.WriteString("\n")
+	}
+	sum := sha256.Sum256([]byte(out.String()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("quick suite seed 1 renders digest %s, golden says %s", got, want)
+	}
+}
+
+// goldenDigest returns the digest bench/testdata/golden.txt records for
+// a "<mode> <seed>" label.
+func goldenDigest(t *testing.T, label string) string {
+	t.Helper()
+	f, err := os.Open("bench/testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), label+" "); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("no %q line in bench/testdata/golden.txt", label)
+	return ""
 }

@@ -25,6 +25,10 @@ import (
 // compare tags alone with no validity test.
 const invalidTag = uint64(1) << 63
 
+// fastmodLimit bounds the set-index hashes the exact 32-bit Lemire
+// reduction covers; larger hashes (addresses beyond 256GB) fall back to %.
+const fastmodLimit = uint64(1) << 32
+
 const (
 	flagDirty uint8 = 1 << iota
 	flagPrefetched
@@ -41,11 +45,14 @@ type Config struct {
 // Cache is one level of set-associative write-back cache.
 // It is not safe for concurrent use.
 type Cache struct {
-	cfg     Config
-	nsets   int
-	ways    int
-	setMask int // nsets-1 when nsets is a power of two, else -1
-	tick    uint64
+	cfg        Config
+	nsets      int
+	ways       int
+	setMask    int    // nsets-1 when nsets is a power of two, else -1
+	fastM      uint64 // Lemire reciprocal of nsets when it is not a power of two
+	hashShift  uint   // bits.Len(nsets): how far the index hash folds the upper bits
+	blockShift uint   // log2(BlockBytes)
+	tick       uint64
 
 	// Flat per-line state, indexed by position p = set*ways + way.
 	tags    []uint64 // block address, or invalidTag
@@ -138,8 +145,9 @@ func New(cfg Config) *Cache { return NewIn(nil, cfg) }
 // like New). Arena-backed caches cost no steady-state allocation when the
 // arena is recycled across hierarchies.
 func NewIn(arena *Arena, cfg Config) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 {
-		// BlockBytes >= 2 keeps block addresses below invalidTag.
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
+		// BlockBytes >= 2 keeps block addresses below invalidTag; a power
+		// of two lets Block shift instead of divide.
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	blocks := cfg.SizeBytes / cfg.BlockBytes
@@ -150,7 +158,13 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 	if nsets == 0 {
 		panic("cache: zero sets")
 	}
-	c := &Cache{cfg: cfg, nsets: nsets, ways: cfg.Ways}
+	c := &Cache{
+		cfg:        cfg,
+		nsets:      nsets,
+		ways:       cfg.Ways,
+		hashShift:  uint(bits.Len(uint(nsets))),
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+	}
 	if arena != nil {
 		c.tags = arena.u64.alloc(blocks)
 		c.lastUse = arena.u64.alloc(blocks)
@@ -175,6 +189,8 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 	c.setMask = -1
 	if nsets&(nsets-1) == 0 {
 		c.setMask = nsets - 1
+	} else {
+		c.fastM = ^uint64(0)/uint64(nsets) + 1
 	}
 	return c
 }
@@ -205,15 +221,25 @@ func (c *Cache) index(block uint64) int {
 	// of two (the paper's 28MB/22MB L3 sizes are not), so index by modulo
 	// — with a mask fast path when they are (identical result, and the
 	// L1/L2 levels on the access-critical path are always powers of two).
-	h := block ^ (block >> uint(bits.Len(uint(c.nsets))))
+	h := block ^ (block >> c.hashShift)
 	if c.setMask >= 0 {
 		return int(h) & c.setMask
+	}
+	if h < fastmodLimit {
+		return int(fastmod32(h, c.fastM, uint64(c.nsets)))
 	}
 	return int(h % uint64(c.nsets))
 }
 
+// fastmod32 is Lemire's exact remainder a % d for a, d < 2^32, given
+// m = ^uint64(0)/d + 1: one multiply-high replaces the divide.
+func fastmod32(a, m, d uint64) uint64 {
+	hi, _ := bits.Mul64(m*a, d)
+	return hi
+}
+
 // Block converts an address to its block address.
-func (c *Cache) Block(addr uint64) uint64 { return addr / uint64(c.cfg.BlockBytes) }
+func (c *Cache) Block(addr uint64) uint64 { return addr >> c.blockShift }
 
 // Lookup probes the cache without changing replacement or dirty state.
 func (c *Cache) Lookup(addr uint64) bool {
@@ -264,22 +290,10 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 	block := c.Block(addr)
 	base := c.index(block) * c.ways
 	tags := c.tags[base : base+c.ways]
-	// One pass over the set: bail out if the block is already present
-	// (e.g. a racing prefetch) while tracking the victim for the miss
-	// case — the first invalid way, else the least-recently-used one.
-	// The incumbent's validity/recency live in locals so the loop does
-	// not re-index per comparison (this is the hottest loop in the cache
-	// hierarchy).
+	// Probe the tags alone: bail out if the block is already present
+	// (e.g. a racing prefetch), noting the first invalid way on the way.
 	vi := -1
-	viValid := false
-	var viLast uint64
 	for i, t := range tags {
-		if t == invalidTag {
-			if vi < 0 || viValid {
-				vi, viValid = i, false
-			}
-			continue
-		}
 		if t == block {
 			p := base + i
 			if write && c.flags[p]&flagDirty == 0 {
@@ -289,8 +303,21 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 			c.lastUse[p] = c.tick
 			return 0, false
 		}
-		if vi < 0 || (viValid && c.lastUse[base+i] < viLast) {
-			vi, viValid, viLast = i, true, c.lastUse[base+i]
+		if t == invalidTag && vi < 0 {
+			vi = i
+		}
+	}
+	// The victim is the first invalid way, else — only on a full set —
+	// the least-recently-used one.
+	viValid := vi < 0
+	if viValid {
+		lu := c.lastUse[base : base+c.ways]
+		vi = 0
+		oldest := lu[0]
+		for i := 1; i < len(lu); i++ {
+			if lu[i] < oldest {
+				vi, oldest = i, lu[i]
+			}
 		}
 	}
 	vp := base + vi
@@ -322,9 +349,31 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 	}
 	if viValid && vDirty {
 		c.Writebacks++
-		return vTag * uint64(c.cfg.BlockBytes), true
+		return vTag << c.blockShift, true
 	}
 	return 0, false
+}
+
+// CopyFrom makes c an exact copy of src: every line's tag, recency and
+// flags, the dirty index, the LRU clock and the statistics, so c behaves
+// bit for bit as src would from here on. Both must share one Config. The
+// experiment engine uses it to hand each memory design its own copy of a
+// prefilled LLC.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))
+	}
+	c.tick = src.tick
+	copy(c.tags, src.tags)
+	copy(c.lastUse, src.lastUse)
+	copy(c.flags, src.flags)
+	copy(c.dirtyPos, src.dirtyPos)
+	c.dirtyList = append(c.dirtyList[:0], src.dirtyList...)
+	c.Hits, c.Misses = src.Hits, src.Misses
+	c.Writebacks = src.Writebacks
+	c.PrefetchFills, c.PrefetchUseful = src.PrefetchFills, src.PrefetchUseful
+	c.Cleans, c.Fills = src.Cleans, src.Fills
+	c.Evictions, c.Invalidations = src.Evictions, src.Invalidations
 }
 
 // Invalidate drops a block if present, returning whether it was dirty.
@@ -422,7 +471,7 @@ func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint
 	// the cleaned set and its order are independent of enumeration order.
 	cands := c.cleanCands[:0]
 	for _, p := range c.dirtyList {
-		if match != nil && !match(c.tags[p]*uint64(c.cfg.BlockBytes)) {
+		if match != nil && !match(c.tags[p]<<c.blockShift) {
 			continue
 		}
 		cands = append(cands, cleanCand{p, c.lastUse[p]})
@@ -453,7 +502,7 @@ func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint
 		p := int(cd.pos)
 		c.flags[p] &^= flagDirty
 		c.markClean(p)
-		out = append(out, c.tags[p]*uint64(c.cfg.BlockBytes))
+		out = append(out, c.tags[p]<<c.blockShift)
 	}
 	c.cleanOut = out
 	c.Cleans += uint64(len(out))

@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func small() *Cache {
@@ -15,6 +19,7 @@ func TestNewValidation(t *testing.T) {
 		{SizeBytes: 8192, Ways: 0, BlockBytes: 64},
 		{SizeBytes: 8192, Ways: 3, BlockBytes: 64}, // 128 blocks / 3 ways
 		{SizeBytes: 32, Ways: 1, BlockBytes: 64},   // zero sets
+		{SizeBytes: 6144, Ways: 4, BlockBytes: 48}, // block size not a power of two
 	}
 	for i, cfg := range bad {
 		func() {
@@ -285,4 +290,116 @@ func TestNextLinePanicsOnZeroWindow(t *testing.T) {
 		}
 	}()
 	NewNextLinePrefetcher(0, 0.5)
+}
+
+// TestFastmodMatchesModulo pins the Lemire set-index reduction to %: for
+// the LLC set counts both hierarchies use (28MB and 22MB, 16-way, 64B
+// blocks, at every scale shift the node model accepts), the index of
+// edge-case and random hashes must equal the plain modulo.
+func TestFastmodMatchesModulo(t *testing.T) {
+	rng := xrand.New(7)
+	for _, total := range []int{28 << 20, 22 << 20} {
+		for shift := uint(0); shift <= 10; shift++ {
+			c := New(Config{SizeBytes: total >> shift, Ways: 16, BlockBytes: 64})
+			if c.setMask >= 0 {
+				continue // power-of-two set count: the mask path
+			}
+			d := uint64(c.nsets)
+			hashes := []uint64{0, 1, d - 1, d, d + 1, 1<<32 - 1, 1<<32 - d, 1 << 31}
+			for i := 0; i < 20000; i++ {
+				hashes = append(hashes, rng.Uint64()>>32)
+			}
+			for _, h := range hashes {
+				if got, want := fastmod32(h, c.fastM, d), h%d; got != want {
+					t.Fatalf("nsets %d: fastmod32(%d) = %d, want %d", d, h, got, want)
+				}
+			}
+			// End to end through index, including hashes past 2^32 that
+			// take the % fallback.
+			for i := 0; i < 20000; i++ {
+				block := rng.Uint64() >> (20 + rng.Intn(24))
+				h := block ^ (block >> uint(bits.Len(uint(c.nsets))))
+				if got, want := c.index(block), int(h%d); got != want {
+					t.Fatalf("nsets %d: index(%d) = %d, want %d", d, block, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCopyFromIsExact drives a cache through fills, accesses, cleaning
+// and invalidation, copies it, then applies one identical operation
+// sequence to both: every return value and the final state must agree.
+func TestCopyFromIsExact(t *testing.T) {
+	cfg := Config{SizeBytes: 64 * 16 * 7, Ways: 16, BlockBytes: 64} // 7 sets: fastmod path
+	var arena Arena
+	src := New(cfg)
+	ops := func(c *Cache, rng *xrand.Rand, n int) []uint64 {
+		var out []uint64
+		for i := 0; i < n; i++ {
+			addr := rng.Uint64n(1<<16) &^ 63
+			switch rng.Intn(5) {
+			case 0, 1:
+				v, d := c.Fill(addr, rng.Bool(0.3), rng.Bool(0.2))
+				if d {
+					out = append(out, v)
+				}
+			case 2:
+				if c.Access(addr, rng.Bool(0.3)) {
+					out = append(out, 1)
+				}
+			case 3:
+				out = append(out, c.CleanDirty(rng.Intn(4))...)
+			case 4:
+				if c.Invalidate(addr) {
+					out = append(out, 2)
+				}
+			}
+		}
+		return out
+	}
+	ops(src, xrand.New(1), 3000)
+	dst := NewIn(&arena, cfg)
+	dst.Fill(0x40, true, false) // stale state CopyFrom must overwrite
+	dst.CopyFrom(src)
+	a, b := ops(src, xrand.New(2), 3000), ops(dst, xrand.New(2), 3000)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("copy diverged from its source under identical operations")
+	}
+	// Compare every field except the cleaning scratch buffers.
+	strip := func(c *Cache) Cache {
+		x := *c
+		x.cleanCands, x.cleanOut = nil, nil
+		x.dirtyList = append([]int32{}, x.dirtyList...)
+		return x
+	}
+	if !reflect.DeepEqual(strip(src), strip(dst)) {
+		t.Error("copy state differs from source")
+	}
+	if vs := dst.CheckConservation("copy"); len(vs) != 0 {
+		t.Errorf("copy violates conservation: %v", vs)
+	}
+}
+
+func TestCopyFromRejectsOtherConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom across configs accepted")
+		}
+	}()
+	small().CopyFrom(New(Config{SizeBytes: 16384, Ways: 4, BlockBytes: 64}))
+}
+
+// TestStridePrefetcherGrowsStreams covers the slice-indexed stream table:
+// a high stream id observed first, then a low one, each tracked apart.
+func TestStridePrefetcherGrowsStreams(t *testing.T) {
+	p := NewStridePrefetcher(1)
+	var g9, g0 []uint64
+	for i := uint64(0); i < 4; i++ {
+		g9 = p.Observe(9, 50+i*3)
+		g0 = p.Observe(0, 7+i)
+	}
+	if len(g9) != 1 || g9[0] != 62 || len(g0) != 1 || g0[0] != 11 {
+		t.Errorf("predictions: stream 9 %v, stream 0 %v", g9, g0)
+	}
 }

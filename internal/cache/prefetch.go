@@ -10,10 +10,11 @@ package cache
 // blocks ahead once a stride repeats.
 type StridePrefetcher struct {
 	degree  int
-	streams map[int]*strideState
+	streams []strideState // indexed by stream id, grown on first use
 }
 
 type strideState struct {
+	seen       bool // the stream has been observed at least once
 	last       uint64
 	stride     int64
 	confidence int
@@ -25,7 +26,7 @@ func NewStridePrefetcher(degree int) *StridePrefetcher {
 	if degree <= 0 {
 		panic("cache: non-positive prefetch degree")
 	}
-	return &StridePrefetcher{degree: degree, streams: make(map[int]*strideState)}
+	return &StridePrefetcher{degree: degree}
 }
 
 // Observe records a demand block address on a stream and returns the block
@@ -36,11 +37,19 @@ func (p *StridePrefetcher) Observe(stream int, block uint64) []uint64 {
 }
 
 // AppendObserve is Observe appending its predictions to dst, so a caller
-// reusing one scratch buffer observes without allocating.
+// reusing one scratch buffer observes without allocating. Stream ids are
+// small non-negative integers (the workload numbers its sequential
+// streams from 1); a negative id panics.
 func (p *StridePrefetcher) AppendObserve(dst []uint64, stream int, block uint64) []uint64 {
-	st, ok := p.streams[stream]
-	if !ok {
-		p.streams[stream] = &strideState{last: block}
+	if stream < 0 {
+		panic("cache: negative prefetch stream id")
+	}
+	if stream >= len(p.streams) {
+		p.streams = append(p.streams, make([]strideState, stream+1-len(p.streams))...)
+	}
+	st := &p.streams[stream]
+	if !st.seen {
+		*st = strideState{seen: true, last: block}
 		return dst
 	}
 	stride := int64(block) - int64(st.last)

@@ -67,58 +67,67 @@ type Stats struct {
 	RetiredMemReads uint64
 }
 
-// Core executes one benchmark event stream.
+// Core is the shared-state half of a simulated core: the LLC and memory
+// side of its accesses, the MLP window and the clock. It replays the
+// Records a Recorder produced for its private front end (Replay), or, for
+// unit tests, records and replays one event at a time (Step).
 type Core struct {
 	ID int
 
-	l1, l2 *cache.Cache
-	l3     *cache.Cache // shared
-	mem    Memory
+	l3  *cache.Cache // shared
+	mem Memory
 
-	strideL1 *cache.StridePrefetcher
-	nextL1   *cache.NextLinePrefetcher
-	strideL2 *cache.StridePrefetcher
+	l2LatencyPS int64
+	l3LatencyPS int64
 
 	mlp         int
 	outstanding []*memctrl.Request
-	nlIssued    map[uint64]bool // next-line predictions awaiting usefulness feedback
-	predBuf     []uint64        // prefetch-prediction scratch, reused every miss
 
 	t     int64 // core virtual time, ps
 	stats Stats
+
+	// Step's private front end; nil on replay-only cores.
+	rec  *Recorder
+	step Trace
 }
 
 // Config wires a core.
 type Config struct {
-	ID  int
-	L1  *cache.Cache
-	L2  *cache.Cache
-	L3  *cache.Cache
-	Mem Memory
-	MLP int
+	ID int
+	// L1 and L2 are the core's private levels. Only Step needs them: a
+	// replay-only core leaves both nil and sets L2LatencyPS instead.
+	L1, L2      *cache.Cache
+	L2LatencyPS int64
+	L3          *cache.Cache
+	Mem         Memory
+	MLP         int
 }
 
 // New builds a core. It panics on missing pieces (construction-time
 // programmer errors).
 func New(cfg Config) *Core {
-	if cfg.L1 == nil || cfg.L2 == nil || cfg.L3 == nil || cfg.Mem == nil {
+	if cfg.L3 == nil || cfg.Mem == nil || (cfg.L1 == nil) != (cfg.L2 == nil) {
 		panic("cpu: incomplete core config")
 	}
 	if cfg.MLP <= 0 {
 		panic("cpu: non-positive MLP")
 	}
-	return &Core{
-		ID:       cfg.ID,
-		l1:       cfg.L1,
-		l2:       cfg.L2,
-		l3:       cfg.L3,
-		mem:      cfg.Mem,
-		strideL1: cache.NewStridePrefetcher(2),
-		nextL1:   cache.NewNextLinePrefetcher(256, 0.25),
-		strideL2: cache.NewStridePrefetcher(4),
-		mlp:      cfg.MLP,
-		nlIssued: make(map[uint64]bool),
+	c := &Core{
+		ID:          cfg.ID,
+		l3:          cfg.L3,
+		mem:         cfg.Mem,
+		l2LatencyPS: cfg.L2LatencyPS,
+		l3LatencyPS: cfg.L3.Config().LatencyPS,
+		mlp:         cfg.MLP,
 	}
+	if cfg.L2 != nil {
+		c.l2LatencyPS = cfg.L2.Config().LatencyPS
+		c.rec = NewRecorder(cfg.L1, cfg.L2)
+	}
+	if c.l2LatencyPS <= 0 {
+		panic("cpu: non-positive L2 latency")
+	}
+	return c
 }
 
 // Now returns the core's current virtual time.
@@ -127,25 +136,123 @@ func (c *Core) Now() int64 { return c.t }
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Step consumes one trace event and advances the core's clock.
+// Step consumes one trace event and advances the core's clock: it records
+// the event through the core's private levels, then replays the record.
 func (c *Core) Step(ev workload.Event) {
-	switch ev.Kind {
+	if c.rec == nil {
+		panic("cpu: Step on a replay-only core")
+	}
+	c.step.Reset()
+	c.rec.Record(ev, &c.step)
+	c.Replay(c.step.recs[0], c.step.ops)
+}
+
+// Replay plays one recorded event: its shared-state ops in recorded
+// order, then its timing. ops must be the ops recorded with rec.
+func (c *Core) Replay(rec Record, ops []uint32) {
+	switch workload.EventKind(rec.kind) {
 	case workload.Compute:
 		// Instructions retire IssueWidth per cycle; multiply before the
 		// divide so partial issue groups round exactly as they always have.
-		d := CyclesToPS(ev.Instr) / IssueWidth
+		n := int64(rec.val)
+		d := CyclesToPS(n) / IssueWidth
 		c.t += d
 		c.stats.ComputePS += d
-		c.stats.Instructions += ev.Instr
+		c.stats.Instructions += n
 	case workload.Comm:
-		c.t += ev.DurationPS
-		c.stats.CommPS += ev.DurationPS
+		d := int64(rec.val)
+		c.t += d
+		c.stats.CommPS += d
 	case workload.Read:
 		c.stats.DemandReads++
-		c.read(ev.Addr, ev.Stream, ev.Dependent)
+		c.access(rec, ops, false)
 	case workload.Write:
 		c.stats.DemandWrites++
-		c.write(ev.Addr, ev.Stream)
+		c.access(rec, ops, true)
+	}
+}
+
+// access replays a demand load or store that missed L1.
+func (c *Core) access(rec Record, ops []uint32, write bool) {
+	level := rec.flags & levelMask
+	if level == levelL1 {
+		return // L1 hits are pipelined
+	}
+	c.stats.L1Misses++
+	if level == levelLLC {
+		c.stats.L2Misses++
+	}
+	var miss *memctrl.Request // the demand's memory read, if the LLC missed
+	for _, op := range ops {
+		addr := uint64(op>>opKindBits) * 64
+		switch op & opKindMask {
+		case opPrefetch:
+			if !c.l3.Lookup(addr) {
+				// Fire-and-forget: release the handle right away; the
+				// channel recycles it once the read retires.
+				c.mem.Release(c.mem.SubmitRead(addr, c.t))
+				c.stats.IssuedMemReads++
+				c.stats.Prefetches++
+				c.fillL3(addr, false)
+			}
+		case opWriteback:
+			if !c.l3.Access(addr, true) {
+				c.fillL3(addr, true)
+			}
+		case opDemand:
+			if !c.l3.Access(addr, write) {
+				c.stats.L3Misses++
+				// A store's fetch-for-write is posted and retires via the
+				// store buffer, through the same MLP window as a load.
+				miss = c.mem.SubmitRead(addr, c.t)
+				c.stats.IssuedMemReads++
+				c.fillL3(addr, write)
+			}
+		}
+	}
+	dependent := rec.flags&flagDependent != 0
+	switch {
+	case level == levelL2:
+		if dependent {
+			c.stall(c.l2LatencyPS)
+		}
+	case miss == nil: // LLC hit
+		if write {
+			return
+		}
+		if dependent {
+			c.stall(c.l3LatencyPS)
+		} else {
+			// OoO hides most, but a shared-LLC round trip is not free.
+			c.stall(c.l3LatencyPS / 8)
+		}
+	case dependent:
+		c.retire(miss) // the stall covers the full remaining latency
+	default:
+		c.outstanding = append(c.outstanding, miss)
+		if len(c.outstanding) >= c.mlp {
+			oldest := c.outstanding[0]
+			c.outstanding = c.outstanding[1:]
+			c.retire(oldest)
+		}
+	}
+}
+
+// fillL3 inserts a block into the LLC; a dirty victim goes to DRAM.
+func (c *Core) fillL3(addr uint64, write bool) {
+	if victim, dirty := c.l3.Fill(addr, write, false); dirty {
+		c.mem.SubmitWrite(victim, c.t)
+	}
+}
+
+// retire waits for an outstanding read and charges any remaining latency.
+func (c *Core) retire(r *memctrl.Request) {
+	done := c.mem.WaitFor(r)
+	c.mem.Release(r)
+	c.stats.RetiredMemReads++
+	if done > c.t {
+		c.stats.MemStallPS += done - c.t
+		c.t = done
 	}
 }
 
@@ -153,84 +260,9 @@ func (c *Core) Step(ev workload.Event) {
 // the end of the measured region.
 func (c *Core) Finish() {
 	for _, r := range c.outstanding {
-		done := c.mem.WaitFor(r)
-		c.mem.Release(r)
-		c.stats.RetiredMemReads++
-		if done > c.t {
-			c.stats.MemStallPS += done - c.t
-			c.t = done
-		}
+		c.retire(r)
 	}
 	c.outstanding = c.outstanding[:0]
-}
-
-// creditNextLine feeds usefulness back to the next-line prefetcher when a
-// demand touches a block it predicted.
-func (c *Core) creditNextLine(addr uint64) {
-	block := addr / 64
-	if c.nlIssued[block] {
-		delete(c.nlIssued, block)
-		c.nextL1.CreditUseful()
-	}
-}
-
-// read services a demand load through the hierarchy.
-func (c *Core) read(addr uint64, stream int, dependent bool) {
-	c.creditNextLine(addr)
-	if c.l1.Access(addr, false) {
-		return // L1 hits are pipelined
-	}
-	c.stats.L1Misses++
-	c.prefetchL1(addr, stream)
-	if c.l2.Access(addr, false) {
-		c.fill(c.l1, addr, false)
-		if dependent {
-			c.stall(c.l2.Config().LatencyPS)
-		}
-		return
-	}
-	c.stats.L2Misses++
-	c.prefetchL2(addr, stream)
-	if c.l3.Access(addr, false) {
-		c.fill(c.l2, addr, false)
-		c.fill(c.l1, addr, false)
-		lat := c.l3.Config().LatencyPS
-		if dependent {
-			c.stall(lat)
-		} else {
-			// OoO hides most, but a shared-LLC round trip is not free.
-			c.stall(lat / 8)
-		}
-		return
-	}
-	c.stats.L3Misses++
-	req := c.mem.SubmitRead(addr, c.t)
-	c.stats.IssuedMemReads++
-	c.fill(c.l3, addr, false)
-	c.fill(c.l2, addr, false)
-	c.fill(c.l1, addr, false)
-	if dependent {
-		done := c.mem.WaitFor(req)
-		c.mem.Release(req)
-		c.stats.RetiredMemReads++
-		c.stall(done - c.t + 0) // stall covers the full remaining latency
-		if done > c.t {
-			c.t = done
-		}
-		return
-	}
-	c.outstanding = append(c.outstanding, req)
-	if len(c.outstanding) >= c.mlp {
-		oldest := c.outstanding[0]
-		c.outstanding = c.outstanding[1:]
-		done := c.mem.WaitFor(oldest)
-		c.mem.Release(oldest)
-		c.stats.RetiredMemReads++
-		if done > c.t {
-			c.stats.MemStallPS += done - c.t
-			c.t = done
-		}
-	}
 }
 
 // stall charges a dependent-load stall.
@@ -240,125 +272,6 @@ func (c *Core) stall(d int64) {
 	}
 	c.t += d
 	c.stats.MemStallPS += d
-}
-
-// write services a store (write-allocate: a miss fetches the block, the
-// line becomes dirty, and dirtiness flows down on eviction).
-func (c *Core) write(addr uint64, stream int) {
-	c.creditNextLine(addr)
-	if c.l1.Access(addr, true) {
-		return
-	}
-	c.stats.L1Misses++
-	if c.l2.Access(addr, true) {
-		c.fill(c.l1, addr, true)
-		return
-	}
-	c.stats.L2Misses++
-	if c.l3.Access(addr, true) {
-		c.fill(c.l2, addr, true)
-		c.fill(c.l1, addr, true)
-		return
-	}
-	c.stats.L3Misses++
-	// Fetch-for-write: posted, retires via the store buffer.
-	req := c.mem.SubmitRead(addr, c.t)
-	c.stats.IssuedMemReads++
-	c.fill(c.l3, addr, true)
-	c.fill(c.l2, addr, true)
-	c.fill(c.l1, addr, true)
-	c.outstanding = append(c.outstanding, req)
-	if len(c.outstanding) >= c.mlp {
-		oldest := c.outstanding[0]
-		c.outstanding = c.outstanding[1:]
-		done := c.mem.WaitFor(oldest)
-		c.mem.Release(oldest)
-		c.stats.RetiredMemReads++
-		if done > c.t {
-			c.stats.MemStallPS += done - c.t
-			c.t = done
-		}
-	}
-	_ = stream
-}
-
-// fill inserts a block into a level and propagates dirty evictions toward
-// memory.
-func (c *Core) fill(level *cache.Cache, addr uint64, write bool) {
-	victim, dirty := level.Fill(addr, write, false)
-	if !dirty {
-		return
-	}
-	switch level {
-	case c.l1:
-		// Dirty L1 victim folds into L2.
-		if !c.l2.Access(victim, true) {
-			c.fill(c.l2, victim, true)
-		}
-	case c.l2:
-		if !c.l3.Access(victim, true) {
-			c.fill(c.l3, victim, true)
-		}
-	default: // L3 victim goes to DRAM
-		c.mem.SubmitWrite(victim, c.t)
-	}
-}
-
-// prefetchL1 runs the L1 prefetchers (stride degree 2 plus next-line with
-// auto turn-off) on an L1 demand miss, filling into L1.
-func (c *Core) prefetchL1(addr uint64, stream int) {
-	block := addr / 64
-	preds := c.predBuf[:0]
-	if stream != 0 {
-		preds = c.strideL1.AppendObserve(preds, stream, block)
-	}
-	preds = c.nextL1.AppendObserve(preds, block)
-	c.predBuf = preds
-	for _, pb := range preds {
-		pa := pb * 64
-		if c.l1.Lookup(pa) {
-			continue
-		}
-		// Prefetch into L1; pull from lower levels silently (latency
-		// hidden, traffic charged when it reaches memory).
-		if !c.l2.Lookup(pa) && !c.l3.Lookup(pa) {
-			// Fire-and-forget: release the handle right away; the channel
-			// recycles it once the read retires.
-			c.mem.Release(c.mem.SubmitRead(pa, c.t))
-			c.stats.IssuedMemReads++
-			c.stats.Prefetches++
-			c.fill(c.l3, pa, false)
-		}
-		c.fill(c.l1, pa, false)
-		if pb == block+1 && c.nextL1.Enabled() {
-			if len(c.nlIssued) < 4096 {
-				c.nlIssued[pb] = true
-			}
-		}
-	}
-}
-
-// prefetchL2 runs the L2 stride prefetcher (degree 4) on an L2 miss,
-// filling into L2/L3 and charging memory traffic for L3 misses.
-func (c *Core) prefetchL2(addr uint64, stream int) {
-	if stream == 0 {
-		return
-	}
-	block := addr / 64
-	c.predBuf = c.strideL2.AppendObserve(c.predBuf[:0], stream, block)
-	for _, pb := range c.predBuf {
-		pa := pb * 64
-		if c.l2.Lookup(pa) {
-			continue
-		}
-		if !c.l3.Lookup(pa) {
-			c.mem.Release(c.mem.SubmitRead(pa, c.t))
-			c.stats.IssuedMemReads++
-			c.stats.Prefetches++
-			c.fill(c.l3, pa, false)
-		}
-		c.fill(c.l2, pa, false)
-	}
 }
 
 // CheckConservation verifies the core's memory-access accounting. Call it

@@ -2,11 +2,13 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/dramspec"
 	"repro/internal/memctrl"
 	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 func testMem() *memctrl.Channel {
@@ -163,5 +165,128 @@ func TestPrefetchingReducesStalls(t *testing.T) {
 	without := run(0) // anonymous accesses: next-line only
 	if withPF >= without {
 		t.Errorf("stride prefetching did not help: with=%d without=%d", withPF, without)
+	}
+}
+
+func TestRecordIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 8 {
+		t.Errorf("Record is %d bytes, want 8", n)
+	}
+}
+
+// TestNLSetMatchesMap drives the open-addressing next-line set and a map
+// with the same bounded add/remove sequence: membership, the size bound
+// and every remove verdict must agree.
+func TestNLSetMatchesMap(t *testing.T) {
+	rng := xrand.New(3)
+	var s nlSet
+	m := map[uint64]bool{}
+	for i := 0; i < 200000; i++ {
+		// A narrow key range forces long probe runs, collisions and
+		// deletions inside runs; a few wide keys cover the hash spread.
+		block := rng.Uint64n(6000)
+		if rng.Bool(0.01) {
+			block = rng.Uint64() >> 8
+		}
+		if rng.Bool(0.55) {
+			s.add(block)
+			if len(m) < nlIssuedMax {
+				m[block] = true
+			}
+		} else if got, want := s.remove(block), m[block]; got != want {
+			t.Fatalf("op %d: remove(%d) = %v, want %v", i, block, got, want)
+		} else {
+			delete(m, block)
+		}
+		if s.n != len(m) {
+			t.Fatalf("op %d: set holds %d, map %d", i, s.n, len(m))
+		}
+	}
+	for k := range m {
+		if !s.remove(k) {
+			t.Fatalf("block %d lost", k)
+		}
+	}
+	if s.n != 0 {
+		t.Errorf("%d entries left after removing all", s.n)
+	}
+}
+
+// TestReplayMatchesStep records whole event streams once and replays
+// them on fresh cores: clock and statistics must equal the same events
+// fed through Step, which records and replays one event at a time.
+func TestReplayMatchesStep(t *testing.T) {
+	for _, name := range []string{"hpcg", "graph500", "lulesh"} {
+		prof := workload.ByName(name)
+		prof.FootprintBytes >>= 6
+		stepped, _ := testCore(t)
+		l1 := cache.New(cache.Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64, LatencyPS: 3 * ClockPS})
+		l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 12 * ClockPS})
+		rec := NewRecorder(l1, l2)
+		var tr Trace
+		stream := prof.NewStream(9, 60_000)
+		for {
+			ev, ok := stream.Next()
+			if !ok {
+				break
+			}
+			stepped.Step(ev)
+			rec.Record(ev, &tr)
+		}
+		l3 := cache.New(cache.Config{SizeBytes: 256 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 22 * dramspec.Nanosecond})
+		replayed := New(Config{L2LatencyPS: 12 * ClockPS, L3: l3, Mem: &singleChannel{testMem()}, MLP: 4})
+		rd := tr.Reader()
+		n := 0
+		for {
+			r, ops, ok := rd.Next()
+			if !ok {
+				break
+			}
+			replayed.Replay(r, ops)
+			n++
+		}
+		if n != len(tr.recs) {
+			t.Fatalf("%s: reader yielded %d of %d records", name, n, len(tr.recs))
+		}
+		stepped.Finish()
+		replayed.Finish()
+		if stepped.Now() != replayed.Now() || stepped.Stats() != replayed.Stats() {
+			t.Errorf("%s: replay diverged from Step:\nstep:   %d %+v\nreplay: %d %+v",
+				name, stepped.Now(), stepped.Stats(), replayed.Now(), replayed.Stats())
+		}
+		if replayed.Stats().L3Misses == 0 || replayed.Stats().Prefetches == 0 {
+			t.Errorf("%s: degenerate replay %+v", name, replayed.Stats())
+		}
+	}
+}
+
+func TestStepPanicsOnReplayOnlyCore(t *testing.T) {
+	l3 := cache.New(cache.Config{SizeBytes: 256 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 1000})
+	c := New(Config{L2LatencyPS: 12 * ClockPS, L3: l3, Mem: &singleChannel{testMem()}, MLP: 4})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step ran without private levels")
+		}
+	}()
+	c.Step(workload.Event{Kind: workload.Read, Addr: 0x40})
+}
+
+func TestRecordRangesPanic(t *testing.T) {
+	for name, ev := range map[string]workload.Event{
+		"address": {Kind: workload.Read, Addr: opBlockLimit * 64},
+		"compute": {Kind: workload.Compute, Instr: 1 << 32},
+		"comm":    {Kind: workload.Comm, DurationPS: -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s out of range recorded", name)
+				}
+			}()
+			l1 := cache.New(cache.Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64})
+			l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64})
+			var tr Trace
+			NewRecorder(l1, l2).Record(ev, &tr)
+		}()
 	}
 }

@@ -399,6 +399,13 @@ func (s *Suite) nodeConfig(h node.Hierarchy, d design, seed uint64) node.Config 
 // hash the identical identity to land on the same cache entry.
 
 func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed uint64) node.Result {
+	return s.runCell(h, d, prof, seed, nil)
+}
+
+// runCell is runSeed with an optional shared front end: when frontEnd is
+// non-nil and the cell has to be simulated, the simulation replays the
+// front end it returns instead of recording its own (node.FrontEnd).
+func (s *Suite) runCell(h node.Hierarchy, d design, prof workload.Profile, seed uint64, frontEnd func() *node.FrontEnd) node.Result {
 	key := runKey{hier: h.Name, d: d, bench: prof.Name, seed: seed}
 	return s.runs.get(key, func() any {
 		// Material is hashed only on the persistent path, where the run
@@ -408,7 +415,12 @@ func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed 
 		cfg := s.nodeConfig(h, d, seed)
 		cfg.Check = s.opt.Check
 		cfg.Obs = s.opt.Obs
-		res := node.MustRun(cfg, prof)
+		var res node.Result
+		if frontEnd != nil {
+			res = frontEnd().MustRun(cfg)
+		} else {
+			res = node.MustRun(cfg, prof)
+		}
 		s.addViolations(res.Violations)
 		return res
 	})
@@ -444,15 +456,55 @@ func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profil
 // keep their sequential, paper-ordered rendering while the expensive
 // simulation matrix saturates the machine. Requests that race with other
 // drivers' identical runs coalesce in the singleflight cache.
+//
+// Requests are grouped by (hierarchy, benchmark, seed): every memory
+// design of a group shares one recorded front end (node.FrontEnd), built
+// lazily by the group's first cell that actually simulates and dropped
+// when the group is done. A group whose cells are all cached records
+// nothing.
 func (s *Suite) prewarm(reqs []runReq) {
 	if s.sharded() {
 		s.prewarmSharded(reqs)
 		return
 	}
-	parallel.ForEach(s.opt.Workers, len(reqs), func(i int) {
-		r := reqs[i]
-		s.runSeed(r.h, r.d, r.prof, r.seed)
+	groups := frontEndGroups(reqs)
+	parallel.ForEach(s.opt.Workers, len(groups), func(i int) {
+		g := groups[i]
+		var fe *node.FrontEnd
+		frontEnd := func() *node.FrontEnd {
+			if fe == nil {
+				cfg := s.nodeConfig(g[0].h, g[0].d, g[0].seed)
+				cfg.Check = s.opt.Check
+				fe = node.MustRecord(cfg, g[0].prof)
+			}
+			return fe
+		}
+		for _, r := range g {
+			s.runCell(r.h, r.d, r.prof, r.seed, frontEnd)
+		}
 	})
+}
+
+// frontEndGroups partitions reqs by (hierarchy, benchmark, seed), the
+// inputs a node front end depends on, keeping first-appearance order.
+func frontEndGroups(reqs []runReq) [][]runReq {
+	type groupKey struct {
+		hier, bench string
+		seed        uint64
+	}
+	index := map[groupKey]int{}
+	var groups [][]runReq
+	for _, r := range reqs {
+		k := groupKey{r.h.Name, r.prof.Name, r.seed}
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	return groups
 }
 
 // suiteAverage averages a per-benchmark metric with the paper's

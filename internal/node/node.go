@@ -227,11 +227,11 @@ func (cc *channelCleaner) CleanDirty(max int) []uint64 {
 	return cc.l3.CleanDirtyMatching(max, cc.match)
 }
 
-// runScratch is the per-run working state Run reuses across simulations.
-// The experiment engine's prewarm cache executes thousands of node runs
-// back to back; without reuse, rebuilding the cache hierarchies' line
-// arrays and the scheduler's bookkeeping slices for every run dominated
-// the engine's allocation profile. Everything here is either fully
+// runScratch is the per-replay working state Run reuses across
+// simulations. The experiment engine's prewarm cache executes thousands of
+// node runs back to back; without reuse, rebuilding the LLC's line arrays
+// and the scheduler's bookkeeping slices for every run dominated the
+// engine's allocation profile. Everything here is either fully
 // overwritten (the object slices) or explicitly zeroed (the arena, the
 // bool slices) before reuse, so a pooled run is state-identical to a
 // fresh one and simulation output is unchanged.
@@ -239,14 +239,25 @@ type runScratch struct {
 	arena    cache.Arena
 	chans    []*memctrl.Channel
 	cores    []*cpu.Core
-	streams  []*workload.Stream
-	l1s, l2s []*cache.Cache
+	readers  []cpu.Reader
 	coreHeap []int32
 	warmed   []bool
 	warmCore []cpu.Stats
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// recordScratch is the per-recording working state: the arena the
+// private L1/L2 of each core are carved from (they are dropped once the
+// core is recorded), the recorder itself, and the trace each core records
+// into before it is copied out at its exact size.
+type recordScratch struct {
+	arena cache.Arena
+	rec   cpu.Recorder
+	tr    cpu.Trace
+}
+
+var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
 
 // boolScratch returns s resized to n with every element false.
 func boolScratch(s []bool, n int) []bool {
@@ -295,11 +306,11 @@ func objScratch[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Run executes one benchmark on one machine+design and returns the
-// measurements. It returns an error on invalid configuration.
-func Run(cfg Config, prof workload.Profile) (Result, error) {
+// withDefaults validates cfg and fills its zero run-length, scale and
+// seed fields with the defaults.
+func withDefaults(cfg Config) (Config, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
-		return Result{}, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
+		return cfg, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
 	}
 	if cfg.InstructionsPerCore <= 0 {
 		cfg.InstructionsPerCore = DefaultInstructions
@@ -313,6 +324,66 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	return cfg, nil
+}
+
+// l1Config, l2Config and l3Config size the cache levels of one core and
+// the shared LLC (Table IV), with L2/L3 shrunk by the scale shift.
+func l1Config() cache.Config {
+	return cache.Config{
+		SizeBytes:  64 << 10, // 64KB split D/I modelled as one (Table IV)
+		Ways:       8,
+		BlockBytes: 64,
+		LatencyPS:  3 * cpu.ClockPS,
+	}
+}
+
+func l2Config(h Hierarchy, shift uint) cache.Config {
+	return cache.Config{
+		SizeBytes:  h.L2PerCoreBytes >> shift,
+		Ways:       16,
+		BlockBytes: 64,
+		LatencyPS:  12 * cpu.ClockPS,
+	}
+}
+
+func l3Config(h Hierarchy, shift uint) cache.Config {
+	return cache.Config{
+		SizeBytes:  h.L3TotalBytes >> shift,
+		Ways:       16,
+		BlockBytes: 64,
+		LatencyPS:  22 * dramspec.Nanosecond, // Table IV: 22ns L3
+	}
+}
+
+// FrontEnd is the memory-design-independent half of a node simulation:
+// the prefilled LLC and every core's recorded private front end (see
+// cpu.Recorder). It is a pure function of the hierarchy, the profile, the
+// seed, the run lengths and the scale shift, so one recording serves
+// every memory design of that cell: FrontEnd.Run replays it against a
+// fresh copy of the LLC and the design's own memory channels, and Run is
+// exactly Record followed by that replay. A FrontEnd is read-only once
+// recorded and safe for concurrent Runs.
+type FrontEnd struct {
+	h             Hierarchy
+	prof          workload.Profile // footprints already scaled
+	seed          uint64
+	instr, warmup int64
+	shift         uint
+	llc           *cache.Cache
+	traces        []cpu.Trace
+	l1s, l2s      []*cache.Cache // retained only when recorded with Check
+}
+
+// Record simulates the design-independent front end of cfg's machine
+// running prof. Only cfg's hierarchy, seed, run lengths, scale shift and
+// Check flag matter; with Check set the private caches are kept so every
+// replay can run their conservation checks.
+func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	scale := uint64(1) << cfg.ScaleShift
 	prof.FootprintBytes /= scale
 	if prof.FootprintBytes < 1<<20 {
@@ -320,10 +391,122 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 	}
 	prof.WarmSetBytes /= scale
 
+	fe := &FrontEnd{
+		h:      cfg.H,
+		prof:   prof,
+		seed:   cfg.Seed,
+		instr:  cfg.InstructionsPerCore,
+		warmup: cfg.WarmupInstructions,
+		shift:  cfg.ScaleShift,
+		traces: make([]cpu.Trace, cfg.H.Cores),
+	}
+	// Prefill the shared LLC to steady-state occupancy so dirty evictions
+	// reach DRAM during the measured region (a cold LLC of this size would
+	// otherwise absorb every writeback).
+	fe.llc = cache.New(l3Config(cfg.H, cfg.ScaleShift))
+	prefillL3(fe.llc, prof.FootprintBytes, cfg.Seed)
+
+	scr := recordPool.Get().(*recordScratch)
+	defer func() {
+		// The arena-backed L1/L2 never leave this function.
+		scr.arena.Reset()
+		recordPool.Put(scr)
+	}()
+	instr := cfg.WarmupInstructions + cfg.InstructionsPerCore
+	for i := range fe.traces {
+		var l1, l2 *cache.Cache
+		if cfg.Check {
+			l1, l2 = cache.New(l1Config()), cache.New(l2Config(cfg.H, cfg.ScaleShift))
+			fe.l1s = append(fe.l1s, l1)
+			fe.l2s = append(fe.l2s, l2)
+		} else {
+			scr.arena.Reset()
+			l1 = cache.NewIn(&scr.arena, l1Config())
+			l2 = cache.NewIn(&scr.arena, l2Config(cfg.H, cfg.ScaleShift))
+		}
+		scr.rec.Reset(l1, l2)
+		// Each core runs one MPI rank of the benchmark: same profile,
+		// distinct address-space slice via the seed.
+		stream := prof.NewStream(cfg.Seed+uint64(i)*104729, instr)
+		scr.tr.Reset()
+		for {
+			ev, ok := stream.Next()
+			if !ok {
+				break
+			}
+			scr.rec.Record(ev, &scr.tr)
+		}
+		fe.traces[i] = scr.tr.Clone()
+	}
+	scr.rec.Reset(nil, nil)
+	return fe, nil
+}
+
+// MustRecord is Record that panics on error.
+func MustRecord(cfg Config, prof workload.Profile) *FrontEnd {
+	fe, err := Record(cfg, prof)
+	if err != nil {
+		panic(err)
+	}
+	return fe
+}
+
+// Run executes one benchmark on one machine+design and returns the
+// measurements. It returns an error on invalid configuration.
+func Run(cfg Config, prof workload.Profile) (Result, error) {
+	fe, err := Record(cfg, prof)
+	if err != nil {
+		return Result{}, err
+	}
+	return fe.Run(cfg)
+}
+
+// MustRun is Run that panics on error, for experiment drivers with static
+// configurations.
+func MustRun(cfg Config, prof workload.Profile) Result {
+	r, err := Run(cfg, prof)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// MustRun is FrontEnd.Run that panics on error.
+func (fe *FrontEnd) MustRun(cfg Config) Result {
+	r, err := fe.Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// Run replays the recorded front end against cfg's memory design and
+// returns the measurements, exactly as Run(cfg, prof) would. cfg must
+// name the hierarchy, seed, run lengths and scale shift the front end was
+// recorded with, and may set Check only if the recording did.
+func (fe *FrontEnd) Run(cfg Config) (Result, error) {
+	cfg, err := withDefaults(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if cfg.H != fe.h || cfg.Seed != fe.seed || cfg.InstructionsPerCore != fe.instr ||
+		cfg.WarmupInstructions != fe.warmup || cfg.ScaleShift != fe.shift {
+		return Result{}, fmt.Errorf("node: config (%s, seed %d, %d+%d instructions, shift %d) does not match the front end (%s, seed %d, %d+%d, shift %d)",
+			cfg.H.Name, cfg.Seed, cfg.WarmupInstructions, cfg.InstructionsPerCore, cfg.ScaleShift,
+			fe.h.Name, fe.seed, fe.warmup, fe.instr, fe.shift)
+	}
+	if cfg.Check && fe.l1s == nil {
+		return Result{}, fmt.Errorf("node: Check needs a front end recorded with Check")
+	}
+	prof := fe.prof
+
 	scr := scratchPool.Get().(*runScratch)
 	defer func() {
 		// Nothing built below outlives Run (Result holds only copied
-		// stats), so the arena and bookkeeping slices recycle safely.
+		// stats), so the arena and bookkeeping slices recycle safely. The
+		// readers point into the front end: drop them so a pooled scratch
+		// never keeps a released front end alive.
+		clear(scr.readers)
 		scr.arena.Reset()
 		scratchPool.Put(scr)
 	}()
@@ -369,55 +552,29 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 		}
 	}
 
-	l3 := cache.NewIn(&scr.arena, cache.Config{
-		SizeBytes:  cfg.H.L3TotalBytes / int(scale),
-		Ways:       16,
-		BlockBytes: 64,
-		LatencyPS:  22 * dramspec.Nanosecond, // Table IV: 22ns L3
-	})
+	l3 := cache.NewIn(&scr.arena, l3Config(cfg.H, cfg.ScaleShift))
+	l3.CopyFrom(fe.llc)
 	// Wire proactive cleaning (the §III-E hook) per channel.
 	for _, chn := range rt.chans {
 		chn.AttachCleanSource(newChannelCleaner(l3, rt, chn))
 	}
 
 	scr.cores = objScratch(scr.cores, cfg.H.Cores)
-	scr.streams = objScratch(scr.streams, cfg.H.Cores)
-	scr.l1s = objScratch(scr.l1s, cfg.H.Cores)
-	scr.l2s = objScratch(scr.l2s, cfg.H.Cores)
-	cores, streams, l1s, l2s := scr.cores, scr.streams, scr.l1s, scr.l2s
+	scr.readers = objScratch(scr.readers, cfg.H.Cores)
+	cores, readers := scr.cores, scr.readers
+	l2Latency := l2Config(cfg.H, cfg.ScaleShift).LatencyPS
 	for i := range cores {
-		l1 := cache.NewIn(&scr.arena, cache.Config{
-			SizeBytes:  64 << 10, // 64KB split D/I modelled as one (Table IV)
-			Ways:       8,
-			BlockBytes: 64,
-			LatencyPS:  3 * cpu.ClockPS,
-		})
-		l2 := cache.NewIn(&scr.arena, cache.Config{
-			SizeBytes:  cfg.H.L2PerCoreBytes / int(scale),
-			Ways:       16,
-			BlockBytes: 64,
-			LatencyPS:  12 * cpu.ClockPS,
-		})
-		l1s[i], l2s[i] = l1, l2
-		cores[i] = cpu.New(cpu.Config{ID: i, L1: l1, L2: l2, L3: l3, Mem: rt, MLP: prof.MLP})
-		// Each core runs one MPI rank of the benchmark: same profile,
-		// distinct address-space slice via the seed.
-		streams[i] = prof.NewStream(cfg.Seed+uint64(i)*104729,
-			cfg.WarmupInstructions+cfg.InstructionsPerCore)
+		cores[i] = cpu.New(cpu.Config{ID: i, L2LatencyPS: l2Latency, L3: l3, Mem: rt, MLP: prof.MLP})
+		readers[i] = fe.traces[i].Reader()
 	}
 
-	// Prefill the shared LLC to steady-state occupancy so dirty evictions
-	// reach DRAM during the measured region (a cold LLC of this size would
-	// otherwise absorb every writeback).
-	prefillL3(l3, prof.FootprintBytes, cfg.Seed)
-
-	// Interleave cores in virtual-time order; snapshot statistics when the
-	// last core finishes its warmup. The next core is selected by a binary
-	// heap ordered by (Now, index); that total order matches the legacy
-	// linear scan exactly (strictly smaller virtual time wins, ties go to
-	// the lowest index), and only the root ever changes — Step advances the
-	// root's clock and Finish retires it — so each iteration is one
-	// sift-down instead of an O(cores) sweep.
+	// Interleave cores in virtual-time order, one recorded event per step;
+	// snapshot statistics when the last core finishes its warmup. The next
+	// core is selected by a binary heap ordered by (Now, index); that total
+	// order matches the legacy linear scan exactly (strictly smaller
+	// virtual time wins, ties go to the lowest index), and only the root
+	// ever changes — Replay advances the root's clock and Finish retires
+	// it — so each iteration is one sift-down instead of an O(cores) sweep.
 	scr.warmed = boolScratch(scr.warmed, len(cores))
 	warmed := scr.warmed
 	h := objScratch(scr.coreHeap, len(cores))
@@ -435,7 +592,7 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 	var warmActs uint64
 	for len(h) > 0 {
 		min := int(h[0])
-		ev, ok := streams[min].Next()
+		rec, ops, ok := readers[min].Next()
 		if !ok {
 			cores[min].Finish()
 			h[0] = h[len(h)-1]
@@ -443,7 +600,7 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 			coreSiftDown(h, 0, cores)
 			continue
 		}
-		cores[min].Step(ev)
+		cores[min].Replay(rec, ops)
 		coreSiftDown(h, 0, cores)
 		if warmLeft > 0 && !warmed[min] &&
 			cores[min].Stats().Instructions >= cfg.WarmupInstructions {
@@ -511,9 +668,9 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 			res.Violations = append(res.Violations,
 				c.CheckConservation(fmt.Sprintf("%s/core%d", scope, i))...)
 			res.Violations = append(res.Violations,
-				l1s[i].CheckConservation(fmt.Sprintf("%s/core%d/l1", scope, i))...)
+				fe.l1s[i].CheckConservation(fmt.Sprintf("%s/core%d/l1", scope, i))...)
 			res.Violations = append(res.Violations,
-				l2s[i].CheckConservation(fmt.Sprintf("%s/core%d/l2", scope, i))...)
+				fe.l2s[i].CheckConservation(fmt.Sprintf("%s/core%d/l2", scope, i))...)
 		}
 		res.Violations = append(res.Violations, l3.CheckConservation(scope+"/l3")...)
 		res.Violations = append(res.Violations, checkWarmup(scope, res)...)
@@ -629,14 +786,4 @@ func subCore(a, b cpu.Stats) cpu.Stats {
 		IssuedMemReads:  a.IssuedMemReads - b.IssuedMemReads,
 		RetiredMemReads: a.RetiredMemReads - b.RetiredMemReads,
 	}
-}
-
-// MustRun is Run that panics on error, for experiment drivers with static
-// configurations.
-func MustRun(cfg Config, prof workload.Profile) Result {
-	r, err := Run(cfg, prof)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -276,25 +276,52 @@ func (f *flakyProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(rw, r)
 }
 
+// heldUntil fronts a worker and holds every request until ready reports
+// true (polled), or until a safety deadline so a broken pool fails the
+// test's assertions instead of hanging it.
+type heldUntil struct {
+	inner http.Handler
+	ready func() bool
+}
+
+func (h *heldUntil) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	deadline := time.Now().Add(10 * time.Second)
+	for !h.ready() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	h.inner.ServeHTTP(rw, r)
+}
+
 // TestPoolWorkerDeathMidRun kills one of two workers after two served
 // units: the pool must mark it dead after DeadAfter consecutive
 // failures, requeue its claimed units, and still merge the exact
-// sequential bytes.
+// sequential bytes. The healthy worker is held until the coordinator has
+// declared the death, so the healthy worker can never drain the queue
+// before the dying one has failed DeadAfter times in a row.
 func TestPoolWorkerDeathMidRun(t *testing.T) {
 	units := mcUnits()
 	want := seqPayloads(t, units)
 	dir := t.TempDir()
-	healthy, _ := newTestWorker(t, dir)
 
 	cache, err := runcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	deaths := reg.Counter("shard/worker_deaths")
+	healthyCache, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := httptest.NewServer(&heldUntil{
+		inner: NewWorker(testVersion, healthyCache, obs.NewRegistry()).Handler(),
+		ready: func() bool { return deaths.Value() >= 1 },
+	})
+	defer healthy.Close()
 	dyingReg := obs.NewRegistry()
 	dying := httptest.NewServer(&flakyProxy{inner: NewWorker(testVersion, nil, dyingReg).Handler(), healthy: 2})
 	defer dying.Close()
 
-	reg := obs.NewRegistry()
 	p := NewPool(PoolOptions{
 		Workers:   []string{dying.URL, healthy.URL},
 		Cache:     cache,
