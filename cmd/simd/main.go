@@ -12,12 +12,14 @@
 // re-simulations, and any previously issued job id can be fetched again
 // because job specs persist alongside the cache.
 //
-// With -worker the binary instead serves the internal/shard unit API
-// (POST /shard/v1/unit) on -addr: a coordinator — another CLI with
-// -shard/-shard-workers, or a simd daemon with -shard — dispatches
-// individual node simulations and Monte-Carlo ranges to it over the
-// shared -cache-dir store. With -shard the daemon itself becomes a
-// coordinator, fanning every job's matrix out to those workers.
+// With -worker the binary instead serves the internal/shard batch API
+// (POST /shard/v1/batch) on -addr: a coordinator — another CLI with
+// -shard/-shard-workers, or a simd daemon with -shard — dispatches batches
+// to it over the shared -cache-dir store, one batch per node front end
+// (every memory design of one hierarchy, benchmark and seed, recorded
+// once on the worker) and one per Monte-Carlo range. With -shard the
+// daemon itself becomes a coordinator, fanning every job's matrix out to
+// those workers.
 package main
 
 import (
@@ -47,7 +49,7 @@ func run() int {
 	cacheDir := flag.String("cache-dir", "", "persistent run-cache directory (empty = in-memory coalescing only)")
 	workers := flag.Int("workers", 0, "per-job worker pool size (0 = GOMAXPROCS); results are identical for every value")
 	maxClientJobs := flag.Int("max-client-jobs", 2, "concurrent jobs allowed per client; further submissions queue")
-	worker := flag.Bool("worker", false, "serve the shard worker unit API on -addr instead of the job API")
+	worker := flag.Bool("worker", false, "serve the shard worker batch API on -addr instead of the job API")
 	shardURLs := flag.String("shard", "", "comma-separated shard worker base URLs to fan jobs out to")
 	shardSpawn := flag.Int("shard-workers", 0, "spawn this many local shard worker subprocesses")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "soft cap on run-cache bytes; oldest-read entries are evicted past it (0 = unbounded)")

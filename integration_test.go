@@ -8,11 +8,15 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
+	"repro/internal/runcache"
+	"repro/internal/shard"
 )
 
 // TestRegistryMatchesDesignDoc ensures every experiment id in the
@@ -94,15 +98,63 @@ func TestQuickSuiteBytesMatchGolden(t *testing.T) {
 		t.Skip("runs the whole quick suite")
 	}
 	want := goldenDigest(t, "quick 1")
+	if got := suiteDigest(experiments.New(experiments.Options{Seed: 1, Quick: true})); got != want {
+		t.Errorf("quick suite seed 1 renders digest %s, golden says %s", got, want)
+	}
+}
+
+// TestShardedQuickSuiteBytesMatchGolden pins the whole sharded suite to
+// the same `quick 1` digest: every driver's node batches and
+// Monte-Carlo ranges go to two workers over one shared cache. A warm
+// rerun then computes no cell and sends no batch.
+func TestShardedQuickSuiteBytesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick suite on a worker fleet")
+	}
+	const version = "sharded-golden"
+	want := goldenDigest(t, "quick 1")
+	dir := t.TempDir()
+	openCache := func() *runcache.Cache {
+		c, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	workers := make([]string, 2)
+	for i := range workers {
+		srv := httptest.NewServer(shard.NewWorker(version, openCache(), nil).Handler())
+		t.Cleanup(srv.Close)
+		workers[i] = srv.URL
+	}
+	run := func(label string) (computed int, dispatched uint64) {
+		reg := obs.NewRegistry()
+		pool := shard.NewPool(shard.PoolOptions{Workers: workers, Cache: openCache(), Reg: reg})
+		s := experiments.New(experiments.Options{Seed: 1, Quick: true, Workers: 2,
+			Cache: openCache(), CacheVersion: version, Shard: pool})
+		if got := suiteDigest(s); got != want {
+			t.Errorf("%s sharded quick suite seed 1 renders digest %s, golden says %s", label, got, want)
+		}
+		return s.ComputedRuns(), reg.Snapshot().Counters["shard/dispatched"]
+	}
+	if computed, dispatched := run("cold"); computed == 0 || dispatched == 0 {
+		t.Errorf("cold run computed %d cells in %d batches; want both non-zero", computed, dispatched)
+	}
+	if computed, dispatched := run("warm"); computed != 0 || dispatched != 0 {
+		t.Errorf("warm run computed %d cells in %d batches; want 0 and 0", computed, dispatched)
+	}
+}
+
+// suiteDigest renders every table the way `heterodmr -all` prints them
+// (each table's String plus a newline) and returns the SHA-256.
+func suiteDigest(s *experiments.Suite) string {
 	var out strings.Builder
-	for _, tab := range experiments.New(experiments.Options{Seed: 1, Quick: true}).RunAll() {
+	for _, tab := range s.RunAll() {
 		out.WriteString(tab.String())
 		out.WriteString("\n")
 	}
 	sum := sha256.Sum256([]byte(out.String()))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("quick suite seed 1 renders digest %s, golden says %s", got, want)
-	}
+	return hex.EncodeToString(sum[:])
 }
 
 // goldenDigest returns the digest bench/testdata/golden.txt records for

@@ -402,28 +402,37 @@ func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed 
 	return s.runCell(h, d, prof, seed, nil)
 }
 
-// runCell is runSeed with an optional shared front end: when frontEnd is
+// runCell is runSeed with an optional shared Replayer: when rp is
 // non-nil and the cell has to be simulated, the simulation replays the
-// front end it returns instead of recording its own (node.FrontEnd).
-func (s *Suite) runCell(h node.Hierarchy, d design, prof workload.Profile, seed uint64, frontEnd func() *node.FrontEnd) node.Result {
+// front end rp recorded for the cell's group instead of recording its
+// own.
+func (s *Suite) runCell(h node.Hierarchy, d design, prof workload.Profile, seed uint64, rp *node.Replayer) node.Result {
 	key := runKey{hier: h.Name, d: d, bench: prof.Name, seed: seed}
 	return s.runs.get(key, func() any {
 		// Material is hashed only on the persistent path, where the run
 		// is uninstrumented: Check=false, Obs=nil, ObsScope="".
 		return shard.NodeMaterial{Cfg: s.nodeConfig(h, d, seed), Prof: prof}
 	}, func() node.Result {
-		cfg := s.nodeConfig(h, d, seed)
-		cfg.Check = s.opt.Check
-		cfg.Obs = s.opt.Obs
-		var res node.Result
-		if frontEnd != nil {
-			res = frontEnd().MustRun(cfg)
-		} else {
-			res = node.MustRun(cfg, prof)
+		run := rp
+		if run == nil {
+			run = node.NewReplayer(prof)
+		}
+		res, err := run.Run(s.cellConfig(h, d, seed))
+		if err != nil {
+			panic(err)
 		}
 		s.addViolations(res.Violations)
 		return res
 	})
+}
+
+// cellConfig is nodeConfig with the suite's instrumentation attached:
+// the configuration a cell actually simulates.
+func (s *Suite) cellConfig(h node.Hierarchy, d design, seed uint64) node.Config {
+	cfg := s.nodeConfig(h, d, seed)
+	cfg.Check = s.opt.Check
+	cfg.Obs = s.opt.Obs
+	return cfg
 }
 
 // runReq names one node simulation of the (hierarchy, design, benchmark,
@@ -457,54 +466,26 @@ func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profil
 // simulation matrix saturates the machine. Requests that race with other
 // drivers' identical runs coalesce in the singleflight cache.
 //
-// Requests are grouped by (hierarchy, benchmark, seed): every memory
-// design of a group shares one recorded front end (node.FrontEnd), built
-// lazily by the group's first cell that actually simulates and dropped
-// when the group is done. A group whose cells are all cached records
-// nothing.
+// Requests are grouped by front-end identity (node.GroupByFrontEnd):
+// every memory design of a group shares one node.Replayer, which records
+// the front end on the group's first cell that actually simulates and is
+// dropped when the group is done. A group whose cells are all cached
+// records nothing.
 func (s *Suite) prewarm(reqs []runReq) {
 	if s.sharded() {
 		s.prewarmSharded(reqs)
 		return
 	}
-	groups := frontEndGroups(reqs)
+	groups := node.GroupByFrontEnd(reqs, func(r runReq) (node.FrontEndKey, bool) {
+		return node.FrontEndKeyOf(s.cellConfig(r.h, r.d, r.seed), r.prof), true
+	})
 	parallel.ForEach(s.opt.Workers, len(groups), func(i int) {
 		g := groups[i]
-		var fe *node.FrontEnd
-		frontEnd := func() *node.FrontEnd {
-			if fe == nil {
-				cfg := s.nodeConfig(g[0].h, g[0].d, g[0].seed)
-				cfg.Check = s.opt.Check
-				fe = node.MustRecord(cfg, g[0].prof)
-			}
-			return fe
-		}
+		rp := node.NewReplayer(g[0].prof)
 		for _, r := range g {
-			s.runCell(r.h, r.d, r.prof, r.seed, frontEnd)
+			s.runCell(r.h, r.d, r.prof, r.seed, rp)
 		}
 	})
-}
-
-// frontEndGroups partitions reqs by (hierarchy, benchmark, seed), the
-// inputs a node front end depends on, keeping first-appearance order.
-func frontEndGroups(reqs []runReq) [][]runReq {
-	type groupKey struct {
-		hier, bench string
-		seed        uint64
-	}
-	index := map[groupKey]int{}
-	var groups [][]runReq
-	for _, r := range reqs {
-		k := groupKey{r.h.Name, r.prof.Name, r.seed}
-		i, ok := index[k]
-		if !ok {
-			i = len(groups)
-			index[k] = i
-			groups = append(groups, nil)
-		}
-		groups[i] = append(groups[i], r)
-	}
-	return groups
 }
 
 // suiteAverage averages a per-benchmark metric with the paper's

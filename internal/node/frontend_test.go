@@ -28,23 +28,27 @@ func fig12Designs() []goldenDesign {
 func TestFrontEndReplayMatchesRun(t *testing.T) {
 	prof := workload.ByName("graph500")
 	ds := fig12Designs()
-	fe := MustRecord(ds[0].config(Hierarchy2(), 3), prof)
+	fe := mustRecord(t, ds[0].config(Hierarchy2(), 3), prof)
 	want := make([]Result, len(ds))
 	for i, d := range ds {
 		want[i] = MustRun(d.config(Hierarchy2(), 3), prof)
 	}
 	for round := 0; round < 2; round++ {
 		got := make([]Result, len(ds))
+		errs := make([]error, len(ds))
 		var wg sync.WaitGroup
 		for i, d := range ds {
 			wg.Add(1)
 			go func(i int, d goldenDesign) {
 				defer wg.Done()
-				got[i] = fe.MustRun(d.config(Hierarchy2(), 3))
+				got[i], errs[i] = fe.Run(d.config(Hierarchy2(), 3))
 			}(i, d)
 		}
 		wg.Wait()
 		for i := range ds {
+			if errs[i] != nil {
+				t.Fatalf("round %d, %s: %v", round, ds[i].name, errs[i])
+			}
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("round %d, %s: replay differs from Run", round, ds[i].name)
 			}
@@ -57,7 +61,7 @@ func TestFrontEndReplayMatchesRun(t *testing.T) {
 // Check on a recording made without it, is an error.
 func TestFrontEndRejectsMismatchedConfig(t *testing.T) {
 	base := goldenDesigns()[0].config(Hierarchy1(), 1)
-	fe := MustRecord(base, workload.ByName("lulesh"))
+	fe := mustRecord(t, base, workload.ByName("lulesh"))
 	bad := map[string]func(c *Config){
 		"hierarchy": func(c *Config) { c.H = Hierarchy2() },
 		"seed":      func(c *Config) { c.Seed = 2 },
@@ -81,6 +85,103 @@ func TestFrontEndRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestGroupByFrontEnd pins the front-end identity: cells that differ
+// only in their memory design share a key, defaults are applied before
+// comparing, a change to any field Record reads splits the key (the
+// profile too, which FrontEnd.Run cannot check), and grouping keeps
+// first-appearance order with keyless items standing alone.
+func TestGroupByFrontEnd(t *testing.T) {
+	prof := workload.ByName("hpcg")
+	base := goldenDesigns()[0].config(Hierarchy1(), 1)
+	key := FrontEndKeyOf(base, prof)
+	for _, d := range goldenDesigns() {
+		if FrontEndKeyOf(d.config(Hierarchy1(), 1), prof) != key {
+			t.Errorf("design %s changes the front-end identity", d.name)
+		}
+	}
+	explicit := base
+	explicit.Seed, explicit.ScaleShift = 0, DefaultScaleShift
+	if FrontEndKeyOf(explicit, prof) != key {
+		t.Error("defaults are not applied before keying")
+	}
+	split := map[string]func(c *Config, p *workload.Profile){
+		"hierarchy": func(c *Config, _ *workload.Profile) { c.H = Hierarchy2() },
+		"l3":        func(c *Config, _ *workload.Profile) { c.H.L3TotalBytes /= 2 },
+		"benchmark": func(_ *Config, p *workload.Profile) { *p = workload.ByName("lulesh") },
+		"footprint": func(_ *Config, p *workload.Profile) { p.FootprintBytes *= 2 },
+		"seed":      func(c *Config, _ *workload.Profile) { c.Seed = 2 },
+		"length":    func(c *Config, _ *workload.Profile) { c.InstructionsPerCore++ },
+		"warmup":    func(c *Config, _ *workload.Profile) { c.WarmupInstructions++ },
+		"shift":     func(c *Config, _ *workload.Profile) { c.ScaleShift = 5 },
+		"check":     func(c *Config, _ *workload.Profile) { c.Check = true },
+	}
+	for name, mutate := range split {
+		cfg, p := base, prof
+		mutate(&cfg, &p)
+		if FrontEndKeyOf(cfg, p) == key {
+			t.Errorf("%s change keeps the front-end identity", name)
+		}
+	}
+
+	lulesh := workload.ByName("lulesh")
+	fmr := goldenDesigns()[4].config(Hierarchy1(), 1)
+	cells := []struct {
+		cfg  Config
+		prof workload.Profile
+		mc   bool
+	}{{base, prof, false}, {base, lulesh, false}, {fmr, prof, false}, {mc: true}, {fmr, lulesh, false}, {mc: true}}
+	idx := make([]int, len(cells))
+	for i := range idx {
+		idx[i] = i
+	}
+	got := GroupByFrontEnd(idx, func(i int) (FrontEndKey, bool) {
+		return FrontEndKeyOf(cells[i].cfg, cells[i].prof), !cells[i].mc
+	})
+	if want := [][]int{{0, 2}, {1, 4}, {3}, {5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("groups %v, want %v", got, want)
+	}
+}
+
+// TestReplayerRecordsOnFirstRun: a Replayer records nothing until its
+// first Run, then replays that one recording for every design, each
+// result equal to a standalone Run; a rejected first config leaves it
+// unrecorded.
+func TestReplayerRecordsOnFirstRun(t *testing.T) {
+	prof := workload.ByName("lulesh")
+	rp := NewReplayer(prof)
+	if rp.Recorded() {
+		t.Fatal("fresh Replayer reports a recording")
+	}
+	if _, err := rp.Run(Config{}); err == nil || rp.Recorded() {
+		t.Fatalf("invalid hierarchy: err %v, recorded %v", err, rp.Recorded())
+	}
+	var fe *FrontEnd
+	for _, d := range fig12Designs()[:3] {
+		cfg := d.config(Hierarchy1(), 2)
+		got, err := rp.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fe == nil {
+			fe = rp.fe
+		} else if rp.fe != fe {
+			t.Errorf("%s: Replayer recorded again", d.name)
+		}
+		if want := MustRun(cfg, prof); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replay differs from Run", d.name)
+		}
+	}
+}
+
+func mustRecord(tb testing.TB, cfg Config, prof workload.Profile) *FrontEnd {
+	tb.Helper()
+	fe, err := Record(cfg, prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fe
+}
+
 // benchKey is the Hierarchy2 cell the front-end benchmarks share, at the
 // full suite's run length.
 func benchKey(d goldenDesign) Config {
@@ -96,7 +197,7 @@ func BenchmarkNodeRecord(b *testing.B) {
 	cfg := benchKey(fig12Designs()[0])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MustRecord(cfg, prof)
+		mustRecord(b, cfg, prof)
 	}
 }
 
@@ -105,12 +206,14 @@ func BenchmarkNodeRecord(b *testing.B) {
 func BenchmarkNodeReplay(b *testing.B) {
 	prof := workload.ByName("hpcg")
 	ds := fig12Designs()
-	fe := MustRecord(benchKey(ds[0]), prof)
+	fe := mustRecord(b, benchKey(ds[0]), prof)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range ds {
-			fe.MustRun(benchKey(d))
+			if _, err := fe.Run(benchKey(d)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

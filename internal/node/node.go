@@ -306,12 +306,9 @@ func objScratch[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// withDefaults validates cfg and fills its zero run-length, scale and
-// seed fields with the defaults.
-func withDefaults(cfg Config) (Config, error) {
-	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
-		return cfg, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
-	}
+// withDefaults fills cfg's zero run-length, scale and seed fields with
+// the defaults.
+func withDefaults(cfg Config) Config {
 	if cfg.InstructionsPerCore <= 0 {
 		cfg.InstructionsPerCore = DefaultInstructions
 	}
@@ -324,7 +321,7 @@ func withDefaults(cfg Config) (Config, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return cfg, nil
+	return cfg
 }
 
 // l1Config, l2Config and l3Config size the cache levels of one core and
@@ -356,34 +353,79 @@ func l3Config(h Hierarchy, shift uint) cache.Config {
 	}
 }
 
+// FrontEndKey is the identity of a node front end: everything Record
+// reads, after defaults are applied. Cells with equal keys can share one
+// recording whatever their memory designs. The key is comparable, so it
+// serves as a map key.
+type FrontEndKey struct {
+	H             Hierarchy
+	Prof          workload.Profile
+	Seed          uint64
+	Instr, Warmup int64
+	Shift         uint
+	Check         bool
+}
+
+// FrontEndKeyOf returns the front-end identity of cfg running prof.
+func FrontEndKeyOf(cfg Config, prof workload.Profile) FrontEndKey {
+	cfg = withDefaults(cfg)
+	return FrontEndKey{
+		H:      cfg.H,
+		Prof:   prof,
+		Seed:   cfg.Seed,
+		Instr:  cfg.InstructionsPerCore,
+		Warmup: cfg.WarmupInstructions,
+		Shift:  cfg.ScaleShift,
+		Check:  cfg.Check,
+	}
+}
+
+// GroupByFrontEnd partitions items by front-end identity, keeping the
+// first-appearance order of groups and of items within each group. key
+// reports false for an item without a front end (a Monte-Carlo range);
+// such an item forms a group of its own.
+func GroupByFrontEnd[T any](items []T, key func(T) (FrontEndKey, bool)) [][]T {
+	index := map[FrontEndKey]int{}
+	var groups [][]T
+	for _, it := range items {
+		k, ok := key(it)
+		if ok {
+			if i, seen := index[k]; seen {
+				groups[i] = append(groups[i], it)
+				continue
+			}
+			index[k] = len(groups)
+		}
+		groups = append(groups, []T{it})
+	}
+	return groups
+}
+
 // FrontEnd is the memory-design-independent half of a node simulation:
 // the prefilled LLC and every core's recorded private front end (see
-// cpu.Recorder). It is a pure function of the hierarchy, the profile, the
-// seed, the run lengths and the scale shift, so one recording serves
-// every memory design of that cell: FrontEnd.Run replays it against a
-// fresh copy of the LLC and the design's own memory channels, and Run is
-// exactly Record followed by that replay. A FrontEnd is read-only once
-// recorded and safe for concurrent Runs.
+// cpu.Recorder). It is a pure function of its FrontEndKey, so one
+// recording serves every memory design of that cell: FrontEnd.Run
+// replays it against a fresh copy of the LLC and the design's own memory
+// channels, and Run is exactly Record followed by that replay. A
+// FrontEnd is read-only once recorded and safe for concurrent Runs.
 type FrontEnd struct {
-	h             Hierarchy
-	prof          workload.Profile // footprints already scaled
-	seed          uint64
-	instr, warmup int64
-	shift         uint
-	llc           *cache.Cache
-	traces        []cpu.Trace
-	l1s, l2s      []*cache.Cache // retained only when recorded with Check
+	key      FrontEndKey
+	prof     workload.Profile // key.Prof with footprints scaled
+	llc      *cache.Cache
+	traces   []cpu.Trace
+	l1s, l2s []*cache.Cache // retained only when recorded with Check
 }
 
 // Record simulates the design-independent front end of cfg's machine
-// running prof. Only cfg's hierarchy, seed, run lengths, scale shift and
-// Check flag matter; with Check set the private caches are kept so every
-// replay can run their conservation checks.
+// running prof. Only the fields FrontEndKeyOf reads matter; with Check
+// set the private caches are kept so every replay can run their
+// conservation checks.
 func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
-	cfg, err := withDefaults(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
+		return nil, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
 	}
+	cfg = withDefaults(cfg)
+	key := FrontEndKeyOf(cfg, prof)
 	scale := uint64(1) << cfg.ScaleShift
 	prof.FootprintBytes /= scale
 	if prof.FootprintBytes < 1<<20 {
@@ -392,12 +434,8 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	prof.WarmSetBytes /= scale
 
 	fe := &FrontEnd{
-		h:      cfg.H,
+		key:    key,
 		prof:   prof,
-		seed:   cfg.Seed,
-		instr:  cfg.InstructionsPerCore,
-		warmup: cfg.WarmupInstructions,
-		shift:  cfg.ScaleShift,
 		traces: make([]cpu.Trace, cfg.H.Cores),
 	}
 	// Prefill the shared LLC to steady-state occupancy so dirty evictions
@@ -442,15 +480,6 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	return fe, nil
 }
 
-// MustRecord is Record that panics on error.
-func MustRecord(cfg Config, prof workload.Profile) *FrontEnd {
-	fe, err := Record(cfg, prof)
-	if err != nil {
-		panic(err)
-	}
-	return fe
-}
-
 // Run executes one benchmark on one machine+design and returns the
 // measurements. It returns an error on invalid configuration.
 func Run(cfg Config, prof workload.Profile) (Result, error) {
@@ -471,31 +500,50 @@ func MustRun(cfg Config, prof workload.Profile) Result {
 	return r
 }
 
-// MustRun is FrontEnd.Run that panics on error.
-func (fe *FrontEnd) MustRun(cfg Config) Result {
-	r, err := fe.Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
+// Replayer runs the cells of one front-end identity (FrontEndKeyOf):
+// its first Run records the front end, and every Run replays that
+// recording against its config's memory design. Callers group cells with
+// GroupByFrontEnd and use one Replayer per group, dropping it with the
+// group, so no recording outlives the cells that share it. A Replayer is
+// not safe for concurrent use.
+type Replayer struct {
+	prof workload.Profile
+	fe   *FrontEnd
 }
+
+// NewReplayer returns a Replayer for cells running prof.
+func NewReplayer(prof workload.Profile) *Replayer { return &Replayer{prof: prof} }
+
+// Run returns Run(cfg, prof) for the Replayer's profile, recording the
+// front end only on the first call.
+func (r *Replayer) Run(cfg Config) (Result, error) {
+	if r.fe == nil {
+		fe, err := Record(cfg, r.prof)
+		if err != nil {
+			return Result{}, err
+		}
+		r.fe = fe
+	}
+	return r.fe.Run(cfg)
+}
+
+// Recorded reports whether a Run has recorded the front end.
+func (r *Replayer) Recorded() bool { return r.fe != nil }
 
 // Run replays the recorded front end against cfg's memory design and
 // returns the measurements, exactly as Run(cfg, prof) would. cfg must
 // name the hierarchy, seed, run lengths and scale shift the front end was
 // recorded with, and may set Check only if the recording did.
 func (fe *FrontEnd) Run(cfg Config) (Result, error) {
-	cfg, err := withDefaults(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.H != fe.h || cfg.Seed != fe.seed || cfg.InstructionsPerCore != fe.instr ||
-		cfg.WarmupInstructions != fe.warmup || cfg.ScaleShift != fe.shift {
+	cfg = withDefaults(cfg)
+	k := FrontEndKeyOf(cfg, fe.key.Prof)
+	k.Check = fe.key.Check
+	if k != fe.key {
 		return Result{}, fmt.Errorf("node: config (%s, seed %d, %d+%d instructions, shift %d) does not match the front end (%s, seed %d, %d+%d, shift %d)",
 			cfg.H.Name, cfg.Seed, cfg.WarmupInstructions, cfg.InstructionsPerCore, cfg.ScaleShift,
-			fe.h.Name, fe.seed, fe.warmup, fe.instr, fe.shift)
+			fe.key.H.Name, fe.key.Seed, fe.key.Warmup, fe.key.Instr, fe.key.Shift)
 	}
-	if cfg.Check && fe.l1s == nil {
+	if cfg.Check && !fe.key.Check {
 		return Result{}, fmt.Errorf("node: Check needs a front end recorded with Check")
 	}
 	prof := fe.prof

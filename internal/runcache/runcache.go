@@ -2,9 +2,11 @@
 // under the experiment engine and the simd daemon. Entries are keyed by
 // a canonical hash of everything that determines a simulation's output —
 // the fully resolved configuration, the seed, and the code version — and
-// stored as self-verifying files under a cache directory, so identical
-// simulation cells are never recomputed across processes, restarts, or
-// clients.
+// stored as self-verifying files under a cache directory, so a
+// simulation cell stored by one process, run or client is replayed, not
+// recomputed, by every later one. Sharing is through the store only:
+// processes running at the same time can each compute a cell that
+// neither has stored yet, and both Puts converge on the same bytes.
 //
 // Layering: this package is the bottom, cross-process layer. The
 // experiment engine keeps its in-memory singleflight cache on top, so

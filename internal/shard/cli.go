@@ -41,7 +41,7 @@ type CLI struct {
 
 // Register installs the shard flags on fs.
 func (c *CLI) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Worker, "worker", false, "run as a shard worker: serve the /shard/v1 unit API instead of running experiments")
+	fs.BoolVar(&c.Worker, "worker", false, "run as a shard worker: serve the /shard/v1 batch API instead of running experiments")
 	fs.StringVar(&c.WorkerAddr, "worker-addr", "127.0.0.1:0", "listen address in -worker mode")
 	fs.StringVar(&c.Workers, "shard", "", "comma-separated shard worker base URLs (e.g. http://127.0.0.1:8481,http://10.0.0.2:8481)")
 	fs.IntVar(&c.Spawn, "shard-workers", 0, "spawn this many local shard worker subprocesses for this run")

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/faultinject"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 )
@@ -21,6 +22,7 @@ import (
 // Fault sites injected into the dispatch transport (armed through
 // PoolOptions.Faults; see internal/faultinject). Each models a network
 // failure shape and exercises the recovery path a real one would take.
+// Every site fires at most once per batch dispatch (one POST).
 const (
 	// FaultPostRefuse fails a dispatch before it leaves (connection
 	// refused → retry, breaker pressure).
@@ -35,7 +37,7 @@ const (
 	// discards the reply (duplicate delivery; harmless because units are
 	// content-addressed and commits are positional and exactly-once).
 	FaultPostDup faultinject.Site = "shard/post/dup"
-	// FaultPostSkew dispatches the unit under a skewed code version, so
+	// FaultPostSkew dispatches the batch under a skewed code version, so
 	// the worker's real 409 version check rejects it (deploy skew →
 	// retry).
 	FaultPostSkew faultinject.Site = "shard/post/skew"
@@ -50,28 +52,28 @@ type PoolOptions struct {
 	// filled by local fallback executions. Workers sharing the same
 	// store make warm reruns zero-dispatch as well as zero-compute.
 	Cache *runcache.Cache
-	// InFlight bounds concurrently outstanding units per worker
+	// InFlight bounds concurrently outstanding batches per worker
 	// (default 2: one on the wire while one computes keeps a worker
 	// busy without queueing work a failed worker would strand).
 	InFlight int
-	// Timeout bounds one unit's round trip; an expired dispatch counts
-	// as a failure and the unit is requeued (default 2m). The unit the
+	// Timeout bounds one batch's round trip; an expired dispatch counts
+	// as a failure and the batch is requeued (default 2m). The batch the
 	// straggler eventually finishes is discarded by the client — only
 	// the positional commit of the retried dispatch lands.
 	Timeout time.Duration
-	// Retries is the total remote-attempt budget per unit before the
+	// Retries is the total remote-attempt budget per batch before the
 	// coordinator gives up on the fleet and computes it locally
 	// (default 3). Shorthand for Backoff.Budget; ignored when that is
 	// set.
 	Retries int
-	// Backoff is the retry ladder between a unit's remote attempts:
-	// exponential with deterministic jitter (seeded by the unit key), so
+	// Backoff is the retry ladder between a batch's remote attempts:
+	// exponential with deterministic jitter (seeded by the batch key), so
 	// a retry storm spreads out identically on every run. Zero fields
 	// take backoff defaults.
 	Backoff backoff.Policy
 	// DeadAfter opens a worker's circuit breaker after this many
 	// consecutive failures (default 3); its in-flight slots then execute
-	// units locally, so progress is guaranteed even with every worker
+	// batches locally, so progress is guaranteed even with every worker
 	// down.
 	DeadAfter int
 	// ProbeAfter is how long an open breaker waits before admitting one
@@ -80,19 +82,22 @@ type PoolOptions struct {
 	ProbeAfter time.Duration
 	// BaseContext, when non-nil, bounds every Run: its cancellation
 	// (SIGTERM) aborts in-flight HTTP dispatches and fast-paths the
-	// remaining units to local execution, so shutdown drains instead of
+	// remaining batches to local execution, so shutdown drains instead of
 	// abandoning work.
 	BaseContext context.Context
 	// Faults arms the dispatch-transport fault sites; nil (production)
 	// injects nothing.
 	Faults *faultinject.Plan
-	// Reg receives the shard/* dispatch counters (nil-safe).
+	// Reg receives the shard/* dispatch counters (nil-safe). Unit
+	// counters (units, completed, computed, cache_hits, local) count
+	// units; transport counters (dispatched, retries, requeued,
+	// timeouts) count batch dispatches.
 	Reg *obs.Registry
 }
 
-// Pool dispatches units to a worker fleet and merges results in
-// positional order. It is safe for concurrent use; each Run call is
-// independent.
+// Pool dispatches units to a worker fleet in front-end batches and
+// merges results in positional order. It is safe for concurrent use;
+// each Run call is independent.
 type Pool struct {
 	workers  []*remoteWorker
 	cache    *runcache.Cache
@@ -122,8 +127,8 @@ type remoteWorker struct {
 // UnitResult is one merged slot: the cache-entry payload plus whether
 // any process in the fleet actually computed it for this Run.
 type UnitResult struct {
-	Payload  []byte
-	Computed bool
+	Computed bool   `json:"computed"`
+	Payload  []byte `json:"payload"`
 }
 
 // NewPool returns a dispatch pool over the given workers.
@@ -185,25 +190,39 @@ func NewPool(o PoolOptions) *Pool {
 // NumWorkers reports the configured fleet size.
 func (p *Pool) NumWorkers() int { return len(p.workers) }
 
-// runState is the per-Run coordination block. Requeues go back onto
-// tasks (buffered to len(units), so a send never blocks: every index is
-// either in the channel or held by exactly one goroutine); done closes
-// when the last slot commits.
+// runState is the per-Run coordination block. Work moves in batches:
+// batches[b] lists the unit indexes batch b carries, and tasks carries
+// batch indexes. Requeues go back onto tasks (buffered to len(batches),
+// so a send never blocks: every batch is either in the channel or held
+// by exactly one goroutine); done closes when the last batch commits.
 type runState struct {
 	units    []Unit
+	batches  [][]int
 	out      []UnitResult
-	attempts []int
+	attempts []int // per batch
 	tasks    chan int
 	left     atomic.Int64
 	once     sync.Once
 	done     chan struct{}
 }
 
-// commit lands slot i. Each index is held by exactly one goroutine at a
-// time (claimed from tasks, then either committed or requeued, never
-// both), so every slot commits exactly once.
-func (st *runState) commit(i int, r UnitResult) {
-	st.out[i] = r
+// batch returns batch b's units.
+func (st *runState) batch(b int) []Unit {
+	units := make([]Unit, len(st.batches[b]))
+	for j, i := range st.batches[b] {
+		units[j] = st.units[i]
+	}
+	return units
+}
+
+// commit lands batch b's results in their units' slots. Each batch is
+// held by exactly one goroutine at a time (claimed from tasks, then
+// either committed or requeued, never both), so every slot commits
+// exactly once.
+func (st *runState) commit(b int, rs []UnitResult) {
+	for j, i := range st.batches[b] {
+		st.out[i] = rs[j]
+	}
 	if st.left.Add(-1) == 0 {
 		st.once.Do(func() { close(st.done) })
 	}
@@ -216,13 +235,16 @@ func (p *Pool) Run(units []Unit) []UnitResult {
 }
 
 // RunContext executes the units and returns their results in input
-// order. Results are buffered into their positional slot as they
+// order. After a pass over the shared cache, the remaining units are
+// grouped into batches by front-end identity (node.GroupByFrontEnd;
+// every Monte-Carlo range is a batch of its own) and each batch is one
+// dispatch. Results are buffered into their positional slots as batches
 // arrive; callers consume the returned slice sequentially, so downstream
 // rendering is byte-identical to a sequential run regardless of worker
-// count, arrival order, or mid-run worker failures. Cancelling ctx
-// aborts in-flight dispatches and completes the remaining units locally:
-// shutdown costs time, never output — the returned slice is always
-// complete and correct.
+// count, batch composition, arrival order, or mid-run worker failures.
+// Cancelling ctx aborts in-flight dispatches and completes the remaining
+// batches locally: shutdown costs time, never output — the returned
+// slice is always complete and correct.
 func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,23 +271,25 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 	if len(remaining) == 0 {
 		return out
 	}
+
+	batches := node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() })
+	st := &runState{
+		units:    units,
+		batches:  batches,
+		out:      out,
+		attempts: make([]int, len(batches)),
+		tasks:    make(chan int, len(batches)),
+		done:     make(chan struct{}),
+	}
+	st.left.Store(int64(len(batches)))
 	if len(p.workers) == 0 {
-		for _, i := range remaining {
-			out[i] = p.runLocal(units[i])
+		for b := range batches {
+			st.commit(b, p.runLocal(st.batch(b)))
 		}
 		return out
 	}
-
-	st := &runState{
-		units:    units,
-		out:      out,
-		attempts: make([]int, n),
-		tasks:    make(chan int, n),
-		done:     make(chan struct{}),
-	}
-	st.left.Store(int64(len(remaining)))
-	for _, i := range remaining {
-		st.tasks <- i
+	for b := range batches {
+		st.tasks <- b
 	}
 	var wg sync.WaitGroup
 	for _, w := range p.workers {
@@ -277,8 +301,8 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 					select {
 					case <-st.done:
 						return
-					case i := <-st.tasks:
-						p.runOne(ctx, w, i, st)
+					case b := <-st.tasks:
+						p.runBatch(ctx, w, b, st)
 					}
 				}
 			}(w)
@@ -288,29 +312,31 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 	return out
 }
 
-// runOne processes one claimed unit on one worker slot: dispatch, and on
-// failure either requeue after a backoff (another worker will claim it)
-// or — once the retry budget is spent, the context is cancelled, or the
-// worker's breaker is open — execute locally, so every unit completes
-// even if the whole fleet is gone.
-func (p *Pool) runOne(ctx context.Context, w *remoteWorker, i int, st *runState) {
-	u := st.units[i]
+// runBatch processes one claimed batch on one worker slot: dispatch, and
+// on failure either requeue after a backoff (another worker will claim
+// it) or — once the retry budget is spent, the context is cancelled, or
+// the worker's breaker is open — execute locally, so every batch
+// completes even if the whole fleet is gone.
+func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runState) {
+	units := st.batch(b)
 	if !w.br.allow() {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(i, p.runLocal(u))
+		st.commit(b, p.runLocal(units))
 		return
 	}
-	res, err := p.post(ctx, w, u)
+	res, err := p.post(ctx, w, units)
 	if err == nil {
 		w.br.success()
-		p.completed.Add(1)
-		if res.Computed {
-			p.computedC.Add(1)
+		p.completed.Add(uint64(len(res)))
+		for _, r := range res {
+			if r.Computed {
+				p.computedC.Add(1)
+			}
 		}
-		if st.attempts[i] > 0 {
+		if st.attempts[b] > 0 {
 			p.faults.Recovered("shard/recover/retry")
 		}
-		st.commit(i, UnitResult{Payload: res.Payload, Computed: res.Computed})
+		st.commit(b, res)
 		return
 	}
 	w.br.failure()
@@ -318,22 +344,22 @@ func (p *Pool) runOne(ctx context.Context, w *remoteWorker, i int, st *runState)
 	if errors.Is(err, context.DeadlineExceeded) {
 		p.timeoutsC.Add(1)
 	}
-	st.attempts[i]++
-	if ctx.Err() != nil || p.retry.Exhausted(st.attempts[i]) {
+	st.attempts[b]++
+	if ctx.Err() != nil || p.retry.Exhausted(st.attempts[b]) {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(i, p.runLocal(u))
+		st.commit(b, p.runLocal(units))
 		return
 	}
 	// Back off before the requeue — the delay is a deterministic function
-	// of (unit key, attempt), so a retry storm spreads identically on
+	// of (batch key, attempt), so a retry storm spreads identically on
 	// every run. A cancellation during the wait drains to local instead.
-	if !p.retry.Wait(ctx, unitSeed(u.Key), st.attempts[i]) {
+	if !p.retry.Wait(ctx, unitSeed(units[0].Key), st.attempts[b]) {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(i, p.runLocal(u))
+		st.commit(b, p.runLocal(units))
 		return
 	}
 	p.requeuedC.Add(1)
-	st.tasks <- i
+	st.tasks <- b
 }
 
 // unitSeed hashes a unit key into the backoff jitter seed space
@@ -347,68 +373,81 @@ func unitSeed(key string) uint64 {
 	return h
 }
 
-// runLocal is the coordinator-side fallback: execute the unit in
-// process, against the same cache. A unit that cannot execute at all
-// (malformed by construction) panics, exactly as the sequential engine
-// would.
-func (p *Pool) runLocal(u Unit) UnitResult {
-	p.localC.Add(1)
-	payload, computed, err := Execute(u, p.cache)
+// runLocal is the coordinator-side fallback: execute the batch in
+// process through the same executor a worker runs, against the same
+// cache. A unit that cannot execute at all (malformed by construction)
+// panics, exactly as the sequential engine would.
+func (p *Pool) runLocal(units []Unit) []UnitResult {
+	p.localC.Add(uint64(len(units)))
+	res, err := executeBatch(units, p.cache, nil)
 	if err != nil {
-		panic(fmt.Sprintf("shard: local execution of unit %s: %v", u.Key, err))
+		panic(fmt.Sprintf("shard: local execution of batch %s: %v", units[0].Key, err))
 	}
-	return UnitResult{Payload: payload, Computed: computed}
+	return res
 }
 
-// post round-trips one unit to one worker with the pool's timeout.
-func (p *Pool) post(ctx context.Context, w *remoteWorker, u Unit) (unitResponse, error) {
+// post round-trips one batch to one worker with the pool's timeout and
+// checks that the reply answers exactly the units asked, in order.
+func (p *Pool) post(ctx context.Context, w *remoteWorker, units []Unit) ([]UnitResult, error) {
 	if p.faults.Should(FaultPostRefuse) {
 		p.dispatched.Add(1)
-		return unitResponse{}, fmt.Errorf("shard: worker %s: injected connection refusal", w.url)
+		return nil, fmt.Errorf("shard: worker %s: injected connection refusal", w.url)
 	}
 	p.faults.Sleep(FaultPostLatency)
-	wire := u
+	wire := batchRequest{Key: units[0].Key, Units: units}
 	if p.faults.Should(FaultPostSkew) {
 		// The worker's own 409 check must reject the skewed version —
 		// the injection exercises the real guard, not a simulation of it.
-		wire.Version = u.Version + "+skew"
+		wire.Units = make([]Unit, len(units))
+		for j, u := range units {
+			u.Version += "+skew"
+			wire.Units[j] = u
+		}
 	}
 	body, err := json.Marshal(wire)
 	if err != nil {
-		return unitResponse{}, err
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/shard/v1/unit", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+batchPath, bytes.NewReader(body))
 	if err != nil {
-		return unitResponse{}, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	p.dispatched.Add(1)
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return unitResponse{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if p.faults.Should(FaultPostDrop) {
-		return unitResponse{}, fmt.Errorf("shard: worker %s: injected mid-body drop", w.url)
+		return nil, fmt.Errorf("shard: worker %s: injected mid-body drop", w.url)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return unitResponse{}, fmt.Errorf("shard: worker %s: %s: %s", w.url, resp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("shard: worker %s: %s: %s", w.url, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out unitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return unitResponse{}, fmt.Errorf("shard: worker %s: decode response: %v", w.url, err)
+	var reply batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		return nil, fmt.Errorf("shard: worker %s: decode response: %v", w.url, err)
 	}
-	if out.Key != u.Key {
-		return unitResponse{}, fmt.Errorf("shard: worker %s answered key %s for unit %s", w.url, out.Key, u.Key)
+	if reply.Key != wire.Key || len(reply.Results) != len(units) {
+		return nil, fmt.Errorf("shard: worker %s answered batch %s with %d results for batch %s of %d units",
+			w.url, reply.Key, len(reply.Results), wire.Key, len(units))
+	}
+	out := make([]UnitResult, len(units))
+	for j, r := range reply.Results {
+		if r.Key != units[j].Key {
+			return nil, fmt.Errorf("shard: worker %s answered key %s for unit %s", w.url, r.Key, units[j].Key)
+		}
+		out[j] = r.UnitResult
 	}
 	if p.faults.Should(FaultPostDup) {
 		// Duplicate delivery: re-send the identical request and discard
 		// the reply. Harmless by design — units are content-addressed and
 		// each slot commits exactly once — and the injection proves it.
-		if req2, err2 := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/shard/v1/unit", bytes.NewReader(body)); err2 == nil {
+		if req2, err2 := http.NewRequestWithContext(ctx, http.MethodPost, w.url+batchPath, bytes.NewReader(body)); err2 == nil {
 			req2.Header.Set("Content-Type", "application/json")
 			if resp2, err2 := p.client.Do(req2); err2 == nil {
 				io.Copy(io.Discard, io.LimitReader(resp2.Body, 1<<20))

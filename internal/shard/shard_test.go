@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,9 +12,12 @@ import (
 	"time"
 
 	"repro/internal/dramspec"
+	"repro/internal/memctrl"
 	"repro/internal/montecarlo"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runcache"
+	"repro/internal/workload"
 )
 
 const testVersion = "shard-test-v1"
@@ -40,21 +44,21 @@ func mcUnits() []Unit {
 	return units
 }
 
-// seqPayloads executes the units one by one with no cache — the
-// sequential baseline every pool configuration must reproduce byte for
-// byte.
+// seqPayloads executes the units one by one, each as a batch of one with
+// no cache — the sequential baseline every pool configuration must
+// reproduce byte for byte.
 func seqPayloads(t *testing.T, units []Unit) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(units))
 	for i, u := range units {
-		p, computed, err := Execute(u, nil)
+		res, err := executeBatch([]Unit{u}, nil, nil)
 		if err != nil {
 			t.Fatalf("sequential execute %d: %v", i, err)
 		}
-		if !computed {
+		if !res[0].Computed {
 			t.Fatalf("sequential execute %d did not compute", i)
 		}
-		out[i] = p
+		out[i] = res[0].Payload
 	}
 	return out
 }
@@ -109,6 +113,16 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	if _, err := (Unit{Type: "bogus"}).runKey(); err == nil {
 		t.Error("unknown unit type passed verification")
 	}
+
+	badLevel := decoded
+	badLevel.MC = &MCUnit{}
+	*badLevel.MC = *decoded.MC
+	badLevel.MC.Level = "rack"
+	badLevel.Key = runcache.KeyOf(testVersion, MCMaterial{Cfg: badLevel.MC.Cfg, Sel: badLevel.MC.Sel,
+		Level: badLevel.MC.Level, Lo: badLevel.MC.Lo, Hi: badLevel.MC.Hi}).String()
+	if _, err := badLevel.runKey(); err == nil {
+		t.Error("unknown MC level passed verification")
+	}
 }
 
 // TestRangeUnitsReproduceFullRun: decoding and concatenating the units'
@@ -162,34 +176,43 @@ func TestWorkerHandler(t *testing.T) {
 	resp.Body.Close()
 
 	u := mcUnits()[0]
-	post := func(body []byte) (*http.Response, unitResponse) {
+	post := func(body []byte) (*http.Response, batchResponse, string) {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/shard/v1/unit", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+batchPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out unitResponse
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp, out
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out batchResponse
+		_ = json.Unmarshal(raw, &out)
+		return resp, out, string(raw)
 	}
-	wire, _ := json.Marshal(u)
+	batch := func(units ...Unit) []byte {
+		wire, _ := json.Marshal(batchRequest{Key: units[0].Key, Units: units})
+		return wire
+	}
+	wire := batch(u)
 
-	resp, out := post(wire)
-	if resp.StatusCode != http.StatusOK || out.Key != u.Key || !out.Computed {
-		t.Fatalf("cold unit: status %s key %s computed %v", resp.Status, out.Key, out.Computed)
+	resp, out, _ := post(wire)
+	if resp.StatusCode != http.StatusOK || out.Key != u.Key || len(out.Results) != 1 ||
+		out.Results[0].Key != u.Key || !out.Results[0].Computed {
+		t.Fatalf("cold unit: status %s reply %+v", resp.Status, out)
 	}
 	want := seqPayloads(t, []Unit{u})[0]
-	if !bytes.Equal(out.Payload, want) {
+	if !bytes.Equal(out.Results[0].Payload, want) {
 		t.Error("worker payload diverges from local execution")
 	}
 
 	// Same unit again: served from the shared cache, not recomputed.
-	resp, out = post(wire)
-	if resp.StatusCode != http.StatusOK || out.Computed {
+	resp, out, _ = post(wire)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Computed {
 		t.Fatalf("warm unit recomputed (status %s)", resp.Status)
 	}
-	if !bytes.Equal(out.Payload, want) {
+	if !bytes.Equal(out.Results[0].Payload, want) {
 		t.Error("cached payload diverges")
 	}
 	snap := reg.Snapshot()
@@ -199,12 +222,41 @@ func TestWorkerHandler(t *testing.T) {
 
 	skewed := u
 	skewed.Version = "other-build"
-	wire2, _ := json.Marshal(skewed)
-	if resp, _ := post(wire2); resp.StatusCode != http.StatusConflict {
+	if resp, _, _ := post(batch(skewed)); resp.StatusCode != http.StatusConflict {
 		t.Errorf("version skew answered %s, want 409", resp.Status)
 	}
-	if resp, _ := post([]byte("{not json")); resp.StatusCode != http.StatusBadRequest {
+	if resp, _, _ := post([]byte("{not json")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body answered %s, want 400", resp.Status)
+	}
+	if resp, _, _ := post([]byte(`{"units": []}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty batch answered %s, want 400", resp.Status)
+	}
+	unnamed, _ := json.Marshal(batchRequest{Units: []Unit{u}})
+	if resp, _, _ := post(unnamed); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("batch without a key answered %s, want 400", resp.Status)
+	}
+
+	// Refused units answer 400 naming the unit — retrying cannot help —
+	// and neither is computed.
+	misKeyed := mcUnits()[1]
+	misKeyed.Key = mcUnits()[2].Key
+	bodyless := NewNodeUnit(testVersion, node.Config{H: node.Hierarchy1()}, workload.ByName("hpcg"))
+	bodyless.Node = nil
+	fastless := NewNodeUnit(testVersion, node.Config{
+		H:           node.Hierarchy1(),
+		Replication: memctrl.ReplicationHeteroDMR,
+		Spec:        dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed:        1,
+	}, workload.ByName("hpcg"))
+	for name, bad := range map[string]Unit{"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless} {
+		resp, _, msg := post(batch(u, bad))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, bad.Key) {
+			t.Errorf("%s unit answered %s %q, want 400 naming %s", name, resp.Status, msg, bad.Key)
+		}
+	}
+	snap = reg.Snapshot()
+	if snap.Counters["shard/worker/computed"] != 1 {
+		t.Errorf("refused units were computed: %v", snap.Counters)
 	}
 }
 
@@ -418,20 +470,31 @@ func TestPoolStragglerTimeout(t *testing.T) {
 }
 
 // TestPoolRejectsWrongKeyAnswer: a worker answering with a different key
-// than asked must be treated as a failure, never committed.
+// than asked — for the batch or for a unit in it — must be treated as a
+// failure, never committed.
 func TestPoolRejectsWrongKeyAnswer(t *testing.T) {
 	units := mcUnits()[:2]
 	want := seqPayloads(t, units)
-	liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(unitResponse{Key: strings.Repeat("ab", 32), Computed: true, Payload: []byte("junk")})
-	}))
-	defer liar.Close()
+	wrong := strings.Repeat("ab", 32)
+	for name, batchKey := range map[string]func(asked string) string{
+		"batch": func(string) string { return wrong },
+		"unit":  func(asked string) string { return asked },
+	} {
+		liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			var b batchRequest
+			_ = json.NewDecoder(r.Body).Decode(&b)
+			rw.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(rw).Encode(batchResponse{Key: batchKey(b.Key), Results: []unitResponse{
+				{Key: wrong, UnitResult: UnitResult{Computed: true, Payload: []byte("junk")}},
+			}})
+		}))
+		defer liar.Close()
 
-	reg := obs.NewRegistry()
-	p := NewPool(PoolOptions{Workers: []string{liar.URL}, Reg: reg, Retries: 1, DeadAfter: 1})
-	checkMerged(t, units, p.Run(units), want)
-	if snap := reg.Snapshot(); snap.Counters["shard/retries"] == 0 {
-		t.Error("mis-keyed answers were not counted as failures")
+		reg := obs.NewRegistry()
+		p := NewPool(PoolOptions{Workers: []string{liar.URL}, Reg: reg, Retries: 1, DeadAfter: 1})
+		checkMerged(t, units, p.Run(units), want)
+		if snap := reg.Snapshot(); snap.Counters["shard/retries"] == 0 {
+			t.Errorf("mis-keyed %s answers were not counted as failures", name)
+		}
 	}
 }

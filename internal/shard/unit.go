@@ -4,11 +4,16 @@
 // Monte-Carlo shard ranges — identified by their content hash in the
 // persistent run-cache keyspace (internal/runcache), so a unit's
 // identity, its cache entry, and its wire name are one and the same
-// value. Workers speak a small HTTP/JSON protocol (POST /shard/v1/unit)
-// and Put/Get a shared runcache store; the coordinator's Pool dispatches
-// with bounded in-flight per worker, retries/requeues on failure, and
-// commits results positionally so the merged output is byte-identical
-// to a sequential run regardless of worker count or arrival order.
+// value. Units travel in batches: the coordinator's Pool sends the node
+// cells of one front-end identity (node.FrontEndKeyOf) as one batch and
+// every Monte-Carlo range as a batch of one, over a small HTTP/JSON
+// protocol (POST /shard/v1/batch). A worker records each front end once
+// and replays it for every design in the batch, then Puts every cell
+// under its own key in a shared runcache store. The Pool dispatches with
+// bounded in-flight batches per worker, retries/requeues failed batches,
+// and commits results positionally so the merged output is
+// byte-identical to a sequential run regardless of worker count, batch
+// composition or arrival order.
 package shard
 
 import (
@@ -18,6 +23,7 @@ import (
 
 	"repro/internal/montecarlo"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/runcache"
 	"repro/internal/workload"
 )
@@ -132,6 +138,9 @@ func (u Unit) runKey() (runcache.Key, error) {
 		if u.MC.Cfg.Workers != 0 {
 			return runcache.Key{}, fmt.Errorf("shard: mc unit carries Workers=%d; fan-out width must not reach the hash", u.MC.Cfg.Workers)
 		}
+		if u.MC.Level != LevelChannel && u.MC.Level != LevelNode {
+			return runcache.Key{}, fmt.Errorf("shard: unknown MC level %q", u.MC.Level)
+		}
 		m = MCMaterial{Cfg: u.MC.Cfg, Sel: u.MC.Sel, Level: u.MC.Level, Lo: u.MC.Lo, Hi: u.MC.Hi}
 	default:
 		return runcache.Key{}, fmt.Errorf("shard: unknown unit type %q", u.Type)
@@ -143,45 +152,96 @@ func (u Unit) runKey() (runcache.Key, error) {
 	return k, nil
 }
 
-// Execute runs one unit: cache hit if the shared store already holds the
-// key, otherwise compute, Put, and return the fresh payload. computed
-// reports whether a simulation actually ran. The payload is the exact
-// byte sequence the cache stores (gob — bit-exact float64), so every
-// process that decodes it reconstructs an identical result.
-func Execute(u Unit, cache *runcache.Cache) (payload []byte, computed bool, err error) {
-	k, err := u.runKey()
-	if err != nil {
-		return nil, false, err
+// frontEnd returns a node unit's front-end identity; other units have
+// none and always form a batch of their own.
+func (u Unit) frontEnd() (node.FrontEndKey, bool) {
+	if u.Type != UnitNode || u.Node == nil {
+		return node.FrontEndKey{}, false
 	}
-	if cache != nil {
-		if p, ok := cache.Get(k); ok {
-			return p, false, nil
+	return node.FrontEndKeyOf(u.Node.Cfg, u.Node.Prof), true
+}
+
+// unitError is a unit the executor refuses: a body that does not match
+// its type, a key that does not match its material, or a configuration
+// the simulator rejects. Sending the same unit again cannot succeed, so
+// the worker answers it with 400.
+type unitError struct {
+	key string
+	err error
+}
+
+func (e *unitError) Error() string { return fmt.Sprintf("unit %s: %v", e.key, e.err) }
+
+func (e *unitError) Unwrap() error { return e.err }
+
+// executeBatch runs a batch of units against cache (nil = compute only)
+// and returns one result per unit, in order: a cache hit, or a fresh
+// computation that is Put under the unit's own key. Node units are
+// grouped by front-end identity; a group records its front end only when
+// one of its cells misses the cache, replays it for each missing cell,
+// and drops it before the next group, so no recording outlives the batch.
+// recordings counts the front ends recorded. Payloads are the exact byte
+// sequences the cache stores (gob — bit-exact float64) and equal
+// EncodeNodeResult(node.Run(cfg, prof)) for a node cell, so every process
+// that decodes one reconstructs an identical result.
+func executeBatch(units []Unit, cache *runcache.Cache, recordings *obs.Counter) ([]UnitResult, error) {
+	keys := make([]runcache.Key, len(units))
+	for i, u := range units {
+		k, err := u.runKey()
+		if err != nil {
+			return nil, &unitError{key: u.Key, err: err}
+		}
+		keys[i] = k
+	}
+	idx := make([]int, len(units))
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]UnitResult, len(units))
+	for _, g := range node.GroupByFrontEnd(idx, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() }) {
+		var rp *node.Replayer
+		if u := units[g[0]]; u.Type == UnitNode {
+			rp = node.NewReplayer(u.Node.Prof)
+		}
+		for _, i := range g {
+			if cache != nil {
+				if p, ok := cache.Get(keys[i]); ok {
+					out[i].Payload = p
+					continue
+				}
+			}
+			payload, err := units[i].compute(rp)
+			if err != nil {
+				return nil, err
+			}
+			if cache != nil {
+				// Put failures are counted by the store; the unit stays
+				// uncached but correct.
+				_ = cache.Put(keys[i], payload)
+			}
+			out[i] = UnitResult{Computed: true, Payload: payload}
+		}
+		if rp != nil && rp.Recorded() {
+			recordings.Add(1)
 		}
 	}
-	switch u.Type {
-	case UnitNode:
-		payload, err = EncodeNodeResult(node.MustRun(u.Node.Cfg, u.Node.Prof))
-	case UnitMC:
-		var vals []float64
-		switch u.MC.Level {
-		case LevelChannel:
-			vals = montecarlo.ChannelLevelRange(u.MC.Cfg, u.MC.Sel, u.MC.Lo, u.MC.Hi)
-		case LevelNode:
-			vals = montecarlo.NodeLevelRange(u.MC.Cfg, u.MC.Sel, u.MC.Lo, u.MC.Hi)
-		default:
-			return nil, false, fmt.Errorf("shard: unknown MC level %q", u.MC.Level)
+	return out, nil
+}
+
+// compute simulates one vetted unit; rp is the Replayer of a node unit's
+// front-end group.
+func (u Unit) compute(rp *node.Replayer) ([]byte, error) {
+	if u.Type == UnitNode {
+		res, err := rp.Run(u.Node.Cfg)
+		if err != nil {
+			return nil, &unitError{key: u.Key, err: err}
 		}
-		payload, err = EncodeMargins(vals)
+		return EncodeNodeResult(res)
 	}
-	if err != nil {
-		return nil, false, err
+	if u.MC.Level == LevelChannel {
+		return EncodeMargins(montecarlo.ChannelLevelRange(u.MC.Cfg, u.MC.Sel, u.MC.Lo, u.MC.Hi))
 	}
-	if cache != nil {
-		// Put failures are counted by the store; the unit stays uncached
-		// but correct.
-		_ = cache.Put(k, payload)
-	}
-	return payload, true, nil
+	return EncodeMargins(montecarlo.NodeLevelRange(u.MC.Cfg, u.MC.Sel, u.MC.Lo, u.MC.Hi))
 }
 
 // EncodeNodeResult gob-encodes a node result — the same wire format the

@@ -3,9 +3,12 @@
 // suite into a long-lived daemon. Clients POST an experiment spec and
 // get a deterministic job id (the content hash of the normalized spec
 // and the code version); identical submissions — concurrent, repeated,
-// or from different clients — coalesce onto one job, and with a
-// persistent run cache attached, identical node-simulation cells are
-// never re-simulated across jobs, daemon restarts, or machines.
+// or from different clients — coalesce onto one job. With a persistent
+// run cache attached, a job replays every node-simulation cell that an
+// earlier job, an earlier daemon or another machine on the same store
+// has finished. Distinct jobs running at the same time share only what
+// is already stored: each can compute a cell that neither has cached
+// yet.
 //
 // Determinism contract: a job's result bytes depend only on its spec and
 // the code version — never on the worker count, on whether cells were

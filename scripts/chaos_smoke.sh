@@ -63,7 +63,7 @@ start_worker() {
         > "$WORKDIR/$1.out" 2> "$WORKDIR/$1.err" &
     eval "WPID_$1=$!"
     for _ in $(seq 1 50); do
-        url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/$1.out")
+        url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/$1.out" 2>/dev/null || true)
         if [ -n "$url" ]; then eval "URL_$1=\$url"; return 0; fi
         sleep 0.1
     done
@@ -134,7 +134,7 @@ start_daemon() { # <cache-dir> <faults-spec>
         > "$WORKDIR/simd.out" 2> "$WORKDIR/simd.err" &
     DPID=$!
     for _ in $(seq 1 50); do
-        BASE=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/simd.out")
+        BASE=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/simd.out" 2>/dev/null || true)
         if [ -n "$BASE" ] && curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
         kill -0 "$DPID" 2>/dev/null || fail "daemon exited during startup: $(cat "$WORKDIR/simd.err")"
         sleep 0.1

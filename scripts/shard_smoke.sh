@@ -4,8 +4,10 @@
 # Starts two heterodmr worker processes sharing one content-addressed
 # cache directory, then drives the real coordinator binary against them:
 #
-#   1. cold sharded run  — output must be byte-identical to the
-#      sequential (unsharded) run of the same experiment;
+#   1. cold sharded runs — output must be byte-identical to the
+#      sequential (unsharded) run: one experiment (Fig 14), then the
+#      whole quick suite at a fresh seed, so every driver's front-end
+#      batches and Monte-Carlo ranges cross real HTTP;
 #   2. one worker is killed (SIGKILL, no goodbye), and a fresh-seed run
 #      must ride out the dead half of the fleet — the pool retries,
 #      marks the worker dead, requeues its units — and still merge the
@@ -43,7 +45,7 @@ start_worker() {
         > "$WORKDIR/$1.out" 2> "$WORKDIR/$1.err" &
     eval "WPID_$1=$!"
     for _ in $(seq 1 50); do
-        url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/$1.out")
+        url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$WORKDIR/$1.out" 2>/dev/null || true)
         if [ -n "$url" ]; then eval "URL_$1=\$url"; return 0; fi
         sleep 0.1
     done
@@ -58,9 +60,10 @@ computed() {
 echo "shard_smoke: building cmd/heterodmr"
 go build -o "$BIN" ./cmd/heterodmr
 
-echo "shard_smoke: sequential baselines (seeds 1 and 2)"
+echo "shard_smoke: sequential baselines (fig14 seeds 1 and 2, whole suite seed 3)"
 "$BIN" -exp fig14 -quick -seed 1 > "$WORKDIR/seq1.txt"
 "$BIN" -exp fig14 -quick -seed 2 > "$WORKDIR/seq2.txt"
+"$BIN" -all -quick -seed 3 > "$WORKDIR/seq3.txt"
 
 echo "shard_smoke: starting two workers on $CACHE"
 start_worker A
@@ -74,6 +77,14 @@ cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/cold.txt" \
     || fail "sharded output differs from sequential run"
 COLD=$(computed "$WORKDIR/cold.err")
 [ -n "$COLD" ] && [ "$COLD" -gt 0 ] || fail "cold run computed nothing: $(cat "$WORKDIR/cold.err")"
+
+echo "shard_smoke: cold sharded whole quick suite (seed 3, 2 workers)"
+"$BIN" -all -quick -seed 3 -shard "$URL_A,$URL_B" -cache-dir "$CACHE" \
+    > "$WORKDIR/all.txt" 2> "$WORKDIR/all.err"
+cmp -s "$WORKDIR/seq3.txt" "$WORKDIR/all.txt" \
+    || fail "sharded whole-suite output differs from sequential run"
+ALL=$(computed "$WORKDIR/all.err")
+[ -n "$ALL" ] && [ "$ALL" -gt 0 ] || fail "cold whole-suite run computed nothing: $(cat "$WORKDIR/all.err")"
 
 echo "shard_smoke: killing worker B (pid $WPID_B), fresh-seed run on the crippled fleet"
 kill -9 "$WPID_B"
@@ -101,4 +112,4 @@ cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/spawn.txt" \
 [ "$(computed "$WORKDIR/spawn.err")" = "0" ] \
     || fail "spawned-worker replay re-simulated: $(cat "$WORKDIR/spawn.err")"
 
-echo "shard_smoke: PASS (cold computed $COLD, worker death survived, warm replays computed 0, all byte-identical)"
+echo "shard_smoke: PASS (cold computed $COLD + $ALL, worker death survived, warm replays computed 0, all byte-identical)"
