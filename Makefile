@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race lint fmt vet analyze alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke ci
+.PHONY: all build test race lint fmt vet analyze alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke bench-harness ci
 
 all: build test lint
 
@@ -89,6 +89,14 @@ bench-compare:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./...
 
+# bench-harness checks the benchmark harness under bench/. It is its own
+# module (bench/go.mod), so `go vet ./...` and `go test ./...` at the root
+# never reach it: a change that breaks a counter or an API the harness
+# reads fails here instead.
+bench-harness:
+	@cd bench && out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # check runs the quick experiment suite with conservation self-checks:
 # any accounting violation in the simulators fails the build.
 check:
@@ -116,4 +124,4 @@ smoke-shard:
 smoke-chaos:
 	sh scripts/chaos_smoke.sh
 
-ci: build test race lint alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos
+ci: build test race lint alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench-harness

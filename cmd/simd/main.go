@@ -9,7 +9,8 @@
 // With -cache-dir, node-simulation results persist in a verified
 // content-addressed store: resubmitting a spec — even to a freshly
 // restarted daemon — re-renders everything from cache with zero
-// re-simulations, and any previously issued job id can be fetched again
+// re-simulations, jobs running at the same time simulate a cell they
+// share once, and any previously issued job id can be fetched again
 // because job specs persist alongside the cache.
 //
 // With -worker the binary instead serves the internal/shard batch API

@@ -134,6 +134,35 @@ func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
+// TestConcurrentSuitesShareInFlightCells: two suites on one store run
+// Fig 12 and Fig 13, which prewarm the same matrix, at the same time.
+// Each cell is simulated once between them — a cell one suite is
+// computing is waited for, not recomputed, by the other — and both
+// render the bytes of a store-less run.
+func TestConcurrentSuitesShareInFlightCells(t *testing.T) {
+	c, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 1, Quick: true, Cache: c, CacheVersion: "test-v1"}
+	fig12, fig13 := New(opt), New(opt)
+	var tab12, tab13 string
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); tab12 = fig12.Fig12().String() }()
+	go func() { defer wg.Done(); tab13 = fig13.Fig13().String() }()
+	wg.Wait()
+
+	if got, want := fig12.ComputedRuns()+fig13.ComputedRuns(), c.Len(); got != want {
+		t.Errorf("suites computed %d+%d cells for %d stored entries",
+			fig12.ComputedRuns(), fig13.ComputedRuns(), want)
+	}
+	ref := New(Options{Seed: 1, Quick: true})
+	if tab12 != ref.Fig12().String() || tab13 != ref.Fig13().String() {
+		t.Error("concurrent suites on one store rendered different bytes than a store-less run")
+	}
+}
+
 // TestPersistentCacheCorruptionRecomputed corrupts every stored entry
 // and requires the next suite to detect it, recompute, and still render
 // identical bytes — a poisoned cache file must never be served.

@@ -100,9 +100,11 @@ type Suite struct {
 // the first goroutine to request a key materializes it under the entry's
 // lock while any concurrent requesters for the same key block on that
 // lock, so figures 12-16 share runs without ever duplicating work. When
-// a persistent store is attached, an in-memory miss first consults the
-// content-addressed disk layer and only simulates on a double miss; the
-// fresh result is written back so later processes replay it.
+// a persistent store is attached, an in-memory miss goes through the
+// store's Do, which replays a stored cell, waits for a cell another
+// suite of this process is computing, or simulates and stores it. The
+// entry lock is taken before Do and never inside the computation, which
+// takes no cache lock, as Do requires.
 type runCache struct {
 	m sync.Map // runKey -> *runEntry
 	// n counts entries whose result has been materialized (computed or
@@ -142,37 +144,49 @@ func (c *runCache) get(key runKey, material func() any, compute func() node.Resu
 	}
 	if c.store != nil {
 		k := runcache.KeyOf(c.version, material())
-		if payload, ok := c.store.Get(k); ok {
-			if res, err := decodeResult(payload); err == nil {
-				e.res = res
-				e.done = true
-				c.n.Add(1)
-				c.diskHits.Add(1)
-				return e.res
+		payload, computed, err := c.store.Do(k, func() ([]byte, error) {
+			e.res = compute()
+			return encodeResult(e.res)
+		})
+		if computed {
+			if err != nil {
+				// The run stays uncached but correct.
+				c.encodeErrs.Add(1)
 			}
-			// Undecodable payload (schema drift that slipped past the
-			// version key): fall through and recompute.
+			return c.materialize(e, e.res, true)
 		}
+		// A stored cell, or one another suite computed while this one
+		// waited: a replay either way.
+		if res, err := decodeResult(payload); err == nil {
+			return c.materialize(e, res, false)
+		}
+		// Undecodable payload (schema drift that slipped past the
+		// version key): recompute and store over it.
 		e.res = compute()
-		e.done = true
-		c.n.Add(1)
-		c.computed.Add(1)
-		c.computedC.Add(1)
 		if payload, err := encodeResult(e.res); err == nil {
-			// Put failures are counted by the store; the run stays
-			// uncached but correct.
 			_ = c.store.Put(k, payload)
 		} else {
 			c.encodeErrs.Add(1)
 		}
-		return e.res
+	} else {
+		e.res = compute()
 	}
-	e.res = compute()
+	return c.materialize(e, e.res, true)
+}
+
+// materialize marks e done with res, under e's lock, and counts it as
+// simulated here or replayed.
+func (c *runCache) materialize(e *runEntry, res node.Result, computed bool) node.Result {
+	e.res = res
 	e.done = true
 	c.n.Add(1)
-	c.computed.Add(1)
-	c.computedC.Add(1)
-	return e.res
+	if computed {
+		c.computed.Add(1)
+		c.computedC.Add(1)
+	} else {
+		c.diskHits.Add(1)
+	}
+	return res
 }
 
 // peek reports whether key is already materialized, without computing.
@@ -201,17 +215,9 @@ func (c *runCache) commit(key runKey, res node.Result, computed bool) {
 	if e.done {
 		return
 	}
-	e.res = res
-	e.done = true
-	c.n.Add(1)
-	if computed {
-		// A fleet worker ran the simulation for this suite's benefit;
-		// it counts as computed so warm-cache replays still report zero.
-		c.computed.Add(1)
-		c.computedC.Add(1)
-	} else {
-		c.diskHits.Add(1)
-	}
+	// A fleet worker that ran the simulation for this suite's benefit
+	// counts as computed, so warm-cache replays still report zero.
+	c.materialize(e, res, computed)
 }
 
 // size reports how many simulations have been materialized (not just

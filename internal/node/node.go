@@ -419,7 +419,9 @@ type FrontEnd struct {
 // Record simulates the design-independent front end of cfg's machine
 // running prof. Only the fields FrontEndKeyOf reads matter; with Check
 // set the private caches are kept so every replay can run their
-// conservation checks.
+// conservation checks. It returns an error for an invalid hierarchy and
+// for a profile that, scaled to cfg.ScaleShift, fails
+// workload.Profile.Validate.
 func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
 		return nil, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
@@ -432,6 +434,11 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 		prof.FootprintBytes = 1 << 20
 	}
 	prof.WarmSetBytes /= scale
+	// Validate what the streams will run: the scaled profile, whose
+	// footprint the clamp above keeps at 1MB or more.
+	if err := prof.Validate(); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
+	}
 
 	fe := &FrontEnd{
 		key:    key,

@@ -83,6 +83,45 @@ func TestRunInvalidHierarchy(t *testing.T) {
 	}
 }
 
+// TestRunInvalidProfile: every class of malformed profile that survives
+// the footprint scaling is an error from Record and Run, not a panic in
+// the stream generator. A footprint below 1MB is not among them: the
+// scaling clamps it, so it runs.
+func TestRunInvalidProfile(t *testing.T) {
+	cfg := short(Hierarchy1(), memctrl.ReplicationNone, nil)
+	for name, mut := range map[string]func(*workload.Profile){
+		"name":      func(p *workload.Profile) { p.Name = "" },
+		"suite":     func(p *workload.Profile) { p.Suite = "" },
+		"intensity": func(p *workload.Profile) { p.AccessesPerKI = 0 },
+		"mlp":       func(p *workload.Profile) { p.MLP = 0 },
+		"streams":   func(p *workload.Profile) { p.Streams = 0 },
+		"write":     func(p *workload.Profile) { p.WriteFraction = 1 },
+		"reuse":     func(p *workload.Profile) { p.ReuseFraction = -0.5 },
+		"comm":      func(p *workload.Profile) { p.CommShare = 1 },
+	} {
+		prof := workload.ByName("hpcg")
+		mut(&prof)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if _, err := Record(cfg, prof); err == nil {
+				t.Errorf("%s: Record accepted the profile", name)
+			}
+			if _, err := Run(cfg, prof); err == nil {
+				t.Errorf("%s: Run accepted the profile", name)
+			}
+		}()
+	}
+	prof := workload.ByName("hpcg")
+	prof.FootprintBytes = 1 << 19
+	if _, err := Record(cfg, prof); err != nil {
+		t.Errorf("sub-1MB footprint is clamped, not rejected: %v", err)
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	cfg := short(Hierarchy1(), memctrl.ReplicationNone, nil)
 	a := MustRun(cfg, workload.ByName("hpcg"))

@@ -4,15 +4,17 @@
 // the fully resolved configuration, the seed, and the code version — and
 // stored as self-verifying files under a cache directory, so a
 // simulation cell stored by one process, run or client is replayed, not
-// recomputed, by every later one. Sharing is through the store only:
-// processes running at the same time can each compute a cell that
-// neither has stored yet, and both Puts converge on the same bytes.
+// recomputed, by every later one.
 //
-// Layering: this package is the bottom, cross-process layer. The
-// experiment engine keeps its in-memory singleflight cache on top, so
-// concurrent identical requests within one process still coalesce into
-// one computation (or one disk read) while the disk layer makes the
-// result survive the process.
+// Layering: Do is the one "look up, compute on a miss, store" path.
+// Within one process it coalesces in-flight computations: concurrent Do
+// calls for a key run the computation once, whichever suite, job or
+// shard batch asked, and the others receive the leader's bytes. Across
+// processes sharing is through the files only: processes running at the
+// same time can each compute a cell that neither has stored yet, and
+// both Puts converge on the same bytes. The experiment engine keeps its
+// per-suite in-memory table on top, so a suite reads each cell from the
+// store at most once.
 //
 // Integrity: a cache file embeds its key and a SHA-256 digest of its
 // payload. Get re-verifies both on every read; a truncated, corrupted,
@@ -246,6 +248,10 @@ type Stats struct {
 	PutErrors uint64 // writes that failed (the run continues uncached)
 	ENOSPC    uint64 // of PutErrors absorbed: full disk, run stays uncached
 	Evictions uint64 // entries removed by the LRU size sweep
+	// Coalesced counts Do calls served by another caller's flight (its
+	// lookup or its computation), so Hits + Misses + Coalesced equals the
+	// Do calls plus the plain Gets.
+	Coalesced uint64
 }
 
 // Options configures a cache beyond its directory.
@@ -271,11 +277,24 @@ type Cache struct {
 	size    atomic.Int64 // bytes in .rc entries (tracked when MaxBytes > 0)
 	sweepMu sync.Mutex   // one LRU sweep at a time
 
-	hits, misses, corrupt, puts, putErrors, enospc, evictions obs.Counter
+	flightMu sync.Mutex
+	flights  map[Key]*flight // Do calls in progress, by key
+
+	hits, misses, corrupt, puts, putErrors, enospc, evictions, coalesced obs.Counter
 
 	// Optional obs mirrors (nil-safe handles): wired by Observe so the
 	// daemon's exported metrics show cache traffic live.
-	obsHits, obsMisses, obsCorrupt, obsPuts, obsPutErrors, obsENOSPC, obsEvictions *obs.Counter
+	obsHits, obsMisses, obsCorrupt, obsPuts, obsPutErrors, obsENOSPC, obsEvictions, obsCoalesced *obs.Counter
+}
+
+// flight is one Do call's lookup and computation of a key. Waiters block
+// on done; ok reports whether the leader published payload. A flight is
+// removed from the table before done closes, so it holds the payload only
+// until its waiters wake.
+type flight struct {
+	done    chan struct{}
+	payload []byte
+	ok      bool
 }
 
 // Open creates (if needed) and returns the cache rooted at dir with
@@ -297,7 +316,7 @@ func OpenOptions(dir string, opts Options) (*Cache, error) {
 		return nil, fmt.Errorf("runcache: %w", err)
 	}
 	sweepStaleTemps(dir)
-	c := &Cache{dir: dir, opts: opts, faults: opts.Faults}
+	c := &Cache{dir: dir, opts: opts, faults: opts.Faults, flights: map[Key]*flight{}}
 	if opts.MaxBytes > 0 {
 		c.size.Store(diskUsage(dir))
 	}
@@ -399,8 +418,8 @@ func (c *Cache) Dir() string { return c.dir }
 
 // Observe mirrors the cache's counters into a registry under
 // scope+"/hits", "/misses", "/corrupt", "/puts", "/put_errors",
-// "/enospc", and "/evictions", so cache traffic appears in exported
-// metrics as it happens.
+// "/enospc", "/evictions", and "/coalesced", so cache traffic appears in
+// exported metrics as it happens.
 func (c *Cache) Observe(reg *obs.Registry, scope string) {
 	c.obsHits = reg.Counter(scope + "/hits")
 	c.obsMisses = reg.Counter(scope + "/misses")
@@ -409,6 +428,7 @@ func (c *Cache) Observe(reg *obs.Registry, scope string) {
 	c.obsPutErrors = reg.Counter(scope + "/put_errors")
 	c.obsENOSPC = reg.Counter(scope + "/enospc")
 	c.obsEvictions = reg.Counter(scope + "/evictions")
+	c.obsCoalesced = reg.Counter(scope + "/coalesced")
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -421,7 +441,73 @@ func (c *Cache) Stats() Stats {
 		PutErrors: c.putErrors.Value(),
 		ENOSPC:    c.enospc.Value(),
 		Evictions: c.evictions.Value(),
+		Coalesced: c.coalesced.Value(),
 	}
+}
+
+// Do returns the payload stored under k, computing it on a miss and
+// storing the fresh payload: Get, then compute, then Put. Within one
+// process, concurrent Do calls for k run this once. The first caller
+// (the leader) registers a flight before its Get and removes it only
+// after its Put, so while no flight exists the entry is either stored or
+// nobody is computing it. The other callers wait for the leader and
+// receive its payload with computed=false, as for a hit, and a failed
+// or torn Put does not reach them: they get the leader's in-memory
+// bytes.
+//
+// computed reports whether this call ran compute, and err is compute's
+// error. A compute that errors or panics publishes nothing: the error
+// or panic reaches the leader only, and each waiter tries again, one of
+// them as the new leader.
+//
+// compute must not call Do, on this or any Cache, and must not wait on
+// anything a caller holds while it calls Do. Each goroutine then leads
+// or waits on at most one flight at a time, and flights cannot
+// deadlock.
+func (c *Cache) Do(k Key, compute func() ([]byte, error)) (payload []byte, computed bool, err error) {
+	for {
+		c.flightMu.Lock()
+		f, waiting := c.flights[k]
+		if !waiting {
+			f = &flight{done: make(chan struct{})}
+			c.flights[k] = f
+		}
+		c.flightMu.Unlock()
+		if !waiting {
+			return c.lead(k, f, compute)
+		}
+		<-f.done
+		if f.ok {
+			c.coalesced.Add(1)
+			c.obsCoalesced.Add(1)
+			return f.payload, false, nil
+		}
+	}
+}
+
+// lead is Do for the caller that registered flight f: it looks k up,
+// computes and stores it on a miss, and publishes the payload to f's
+// waiters. The deferred release also runs when compute panics.
+func (c *Cache) lead(k Key, f *flight, compute func() ([]byte, error)) ([]byte, bool, error) {
+	defer func() {
+		c.flightMu.Lock()
+		delete(c.flights, k)
+		c.flightMu.Unlock()
+		close(f.done)
+	}()
+	if payload, ok := c.Get(k); ok {
+		f.payload, f.ok = payload, true
+		return payload, false, nil
+	}
+	payload, err := compute()
+	if err != nil {
+		return nil, true, err
+	}
+	// Put failures are counted by the store; the entry stays uncached,
+	// and the waiters still get the payload.
+	_ = c.Put(k, payload)
+	f.payload, f.ok = payload, true
+	return payload, true, nil
 }
 
 // entry file layout: three header lines then the raw payload.

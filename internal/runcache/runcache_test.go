@@ -204,10 +204,16 @@ func TestObserveMirrorsCounters(t *testing.T) {
 	c.Get(k)
 	c.Put(k, []byte("p"))
 	c.Get(k)
+	// One Do that waits on another's flight: a miss, a put and a
+	// coalesced wait.
+	leaderAndWaiters(t, c, KeyOf("v1", "y"), 1,
+		func() ([]byte, error) { return []byte("q"), nil },
+		func() ([]byte, error) { return []byte("q"), nil })
 	snap := reg.Snapshot()
 	if snap.Counters["simd/runcache/hits"] != 1 ||
-		snap.Counters["simd/runcache/misses"] != 1 ||
-		snap.Counters["simd/runcache/puts"] != 1 {
+		snap.Counters["simd/runcache/misses"] != 2 ||
+		snap.Counters["simd/runcache/puts"] != 2 ||
+		snap.Counters["simd/runcache/coalesced"] != 1 {
 		t.Errorf("obs counters %v", snap.Counters)
 	}
 }

@@ -248,7 +248,14 @@ func TestWorkerHandler(t *testing.T) {
 		Spec:        dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
 		Seed:        1,
 	}, workload.ByName("hpcg"))
-	for name, bad := range map[string]Unit{"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless} {
+	streamless := workload.ByName("hpcg")
+	streamless.Streams = 0
+	badProfile := NewNodeUnit(testVersion, node.Config{
+		H:    node.Hierarchy1(),
+		Spec: dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed: 1,
+	}, streamless)
+	for name, bad := range map[string]Unit{"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless, "bad-profile": badProfile} {
 		resp, _, msg := post(batch(u, bad))
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, bad.Key) {
 			t.Errorf("%s unit answered %s %q, want 400 naming %s", name, resp.Status, msg, bad.Key)

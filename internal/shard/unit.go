@@ -175,15 +175,17 @@ func (e *unitError) Error() string { return fmt.Sprintf("unit %s: %v", e.key, e.
 func (e *unitError) Unwrap() error { return e.err }
 
 // executeBatch runs a batch of units against cache (nil = compute only)
-// and returns one result per unit, in order: a cache hit, or a fresh
-// computation that is Put under the unit's own key. Node units are
-// grouped by front-end identity; a group records its front end only when
-// one of its cells misses the cache, replays it for each missing cell,
-// and drops it before the next group, so no recording outlives the batch.
-// recordings counts the front ends recorded. Payloads are the exact byte
-// sequences the cache stores (gob — bit-exact float64) and equal
-// EncodeNodeResult(node.Run(cfg, prof)) for a node cell, so every process
-// that decodes one reconstructs an identical result.
+// and returns one result per unit, in order, through cache.Do: a cache
+// hit, a payload another batch of this process was computing (both
+// Computed false), or a fresh computation that is Put under the unit's
+// own key. Node units are grouped by front-end identity; a group records
+// its front end only when one of its cells is computed here, replays it
+// for each such cell, and drops it before the next group, so no
+// recording outlives the batch. recordings counts the front ends
+// recorded. Payloads are the exact byte sequences the cache stores (gob
+// — bit-exact float64) and equal EncodeNodeResult(node.Run(cfg, prof))
+// for a node cell, so every process that decodes one reconstructs an
+// identical result.
 func executeBatch(units []Unit, cache *runcache.Cache, recordings *obs.Counter) ([]UnitResult, error) {
 	keys := make([]runcache.Key, len(units))
 	for i, u := range units {
@@ -204,22 +206,17 @@ func executeBatch(units []Unit, cache *runcache.Cache, recordings *obs.Counter) 
 			rp = node.NewReplayer(u.Node.Prof)
 		}
 		for _, i := range g {
+			compute := func() ([]byte, error) { return units[i].compute(rp) }
+			var err error
 			if cache != nil {
-				if p, ok := cache.Get(keys[i]); ok {
-					out[i].Payload = p
-					continue
-				}
+				out[i].Payload, out[i].Computed, err = cache.Do(keys[i], compute)
+			} else {
+				out[i].Payload, err = compute()
+				out[i].Computed = true
 			}
-			payload, err := units[i].compute(rp)
 			if err != nil {
 				return nil, err
 			}
-			if cache != nil {
-				// Put failures are counted by the store; the unit stays
-				// uncached but correct.
-				_ = cache.Put(keys[i], payload)
-			}
-			out[i] = UnitResult{Computed: true, Payload: payload}
 		}
 		if rp != nil && rp.Recorded() {
 			recordings.Add(1)

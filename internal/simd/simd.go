@@ -6,9 +6,11 @@
 // or from different clients — coalesce onto one job. With a persistent
 // run cache attached, a job replays every node-simulation cell that an
 // earlier job, an earlier daemon or another machine on the same store
-// has finished. Distinct jobs running at the same time share only what
-// is already stored: each can compute a cell that neither has cached
-// yet.
+// has finished, and distinct jobs running at the same time simulate a
+// cell they share once: every job's suite goes through the store's Do,
+// so a job waits for a cell another job of this daemon is computing
+// (runcache.Cache.Do). Another process on the same store shares only
+// what is already stored, and without a cache jobs share nothing.
 //
 // Determinism contract: a job's result bytes depend only on its spec and
 // the code version — never on the worker count, on whether cells were
@@ -456,10 +458,12 @@ func (s *Server) runJob(j *Job, sem chan struct{}) {
 		s.failed.Add(1)
 		return
 	}
-	j.complete(payload, su.ComputedRuns(), su.CachedRuns())
+	// Count before completing, so a client that sees the job done also
+	// sees its runs in the metrics.
 	s.completed.Add(1)
 	s.runsComputed.Add(uint64(su.ComputedRuns()))
 	s.runsMaterialized.Add(uint64(su.CachedRuns()))
+	j.complete(payload, su.ComputedRuns(), su.CachedRuns())
 }
 
 // specsDir is where job specs persist (inside the cache directory) so a

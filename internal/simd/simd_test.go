@@ -267,6 +267,57 @@ func TestResultBytesIdenticalAcrossRestartAndWorkers(t *testing.T) {
 	}
 }
 
+// TestConcurrentJobsComputeEachCellOnce: fig12 and fig13 jobs from two
+// clients run at the same time over the same node cells. The daemon
+// simulates each cell once between them — simd/runs/computed equals the
+// stored entries — and serves the bytes sequential submissions serve.
+func TestConcurrentJobsComputeEachCellOnce(t *testing.T) {
+	specs := []string{
+		`{"experiments":["fig12"],"quick":true}`,
+		`{"experiments":["fig13"],"quick":true}`,
+	}
+	open := func() (*Server, *httptest.Server, *runcache.Cache) {
+		c, err := runcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ts := testServer(t, Config{Workers: 2, Cache: c})
+		return s, ts, c
+	}
+
+	s, ts, c := open()
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		st, code := postJob(t, ts, spec, fmt.Sprintf("?client=client%d", i))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", spec, code)
+		}
+		ids[i] = st.ID
+	}
+	concurrent := make([][]byte, len(specs))
+	for i, id := range ids {
+		var code int
+		if concurrent[i], code = get(t, ts.URL+"/v1/jobs/"+id+"/result?wait=1"); code != http.StatusOK {
+			t.Fatalf("job %s: status %d: %s", id, code, concurrent[i])
+		}
+	}
+	snap := s.Registry().Snapshot()
+	if got, want := snap.Counters["simd/runs/computed"], uint64(c.Len()); got != want {
+		t.Errorf("simd/runs/computed = %d for %d stored entries", got, want)
+	}
+
+	_, seqTS, _ := open()
+	for i, spec := range specs {
+		if _, code := postJob(t, seqTS, spec, "?wait=1"); code != http.StatusOK {
+			t.Fatalf("sequential submit %s: status %d", spec, code)
+		}
+		seq, _ := get(t, seqTS.URL+"/v1/jobs/"+ids[i]+"/result")
+		if !bytes.Equal(seq, concurrent[i]) {
+			t.Errorf("%s: concurrent result bytes differ from a sequential submission", spec)
+		}
+	}
+}
+
 // TestReplayRefusedAcrossVersions: a persisted job id from another code
 // version must 404, not serve bytes the current build cannot reproduce.
 func TestReplayRefusedAcrossVersions(t *testing.T) {

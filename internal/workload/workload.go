@@ -19,6 +19,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/xrand"
@@ -79,23 +80,25 @@ type Profile struct {
 	CommShare    float64 // target fraction of baseline core-hours in MPI
 }
 
-// validate panics on nonsensical profiles; profiles are static data, so
-// this is a programmer-error check.
-func (p Profile) validate() {
+// Validate reports a nonsensical profile: a missing name or suite, a
+// non-positive intensity, MLP or stream count, a fraction outside [0,1),
+// or a footprint below 1MB.
+func (p Profile) Validate() error {
 	switch {
 	case p.Name == "" || p.Suite == "":
-		panic("workload: profile missing name/suite")
+		return errors.New("workload: profile missing name/suite")
 	case p.AccessesPerKI <= 0 || p.MLP <= 0 || p.Streams <= 0:
-		panic(fmt.Sprintf("workload %s: non-positive intensity/MLP/streams", p.Name))
+		return fmt.Errorf("workload %s: non-positive intensity/MLP/streams", p.Name)
 	case p.WriteFraction < 0 || p.WriteFraction >= 1:
-		panic(fmt.Sprintf("workload %s: bad write fraction", p.Name))
+		return fmt.Errorf("workload %s: bad write fraction", p.Name)
 	case p.ReuseFraction < 0 || p.ReuseFraction >= 1:
-		panic(fmt.Sprintf("workload %s: bad reuse fraction", p.Name))
+		return fmt.Errorf("workload %s: bad reuse fraction", p.Name)
 	case p.FootprintBytes < 1<<20:
-		panic(fmt.Sprintf("workload %s: footprint below 1MB", p.Name))
+		return fmt.Errorf("workload %s: footprint below 1MB", p.Name)
 	case p.CommShare < 0 || p.CommShare >= 1:
-		panic(fmt.Sprintf("workload %s: bad comm share", p.Name))
+		return fmt.Errorf("workload %s: bad comm share", p.Name)
 	}
+	return nil
 }
 
 // hotSetSize is the number of recently-touched blocks that model the
@@ -135,9 +138,13 @@ type Stream struct {
 }
 
 // NewStream returns the event stream for `instructions` instructions of
-// the benchmark, seeded deterministically.
+// the benchmark, seeded deterministically. It panics on a profile that
+// Validate rejects: profiles are static data, so that is a programmer
+// error here, and callers that take profiles as input validate first.
 func (p Profile) NewStream(seed uint64, instructions int64) *Stream {
-	p.validate()
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if instructions <= 0 {
 		panic("workload: non-positive instruction budget")
 	}

@@ -7,14 +7,9 @@ import (
 
 func TestProfilesValid(t *testing.T) {
 	for _, p := range Profiles() {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("profile %s invalid: %v", p.Name, r)
-				}
-			}()
-			p.validate()
-		}()
+		if err := p.Validate(); err != nil {
+			t.Errorf("profile %s invalid: %v", p.Name, err)
+		}
 	}
 }
 

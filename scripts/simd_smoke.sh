@@ -6,7 +6,10 @@
 # must replay entirely from the persistent cache (computed_runs == 0)
 # and serve byte-identical result bytes. This is the daemon's core
 # contract, exercised over the real binary and real HTTP — the in-repo
-# tests cover the same path with httptest.
+# tests cover the same path with httptest. Then, on a fresh cache, two
+# clients submit quick fig12 and fig13 (which share every node cell) at
+# the same time: between them the jobs must simulate each cell once, so
+# their computed_runs sum to the number of cache entries.
 #
 # Requires only a POSIX shell, curl, and the go toolchain. No jq: the
 # daemon emits single-line JSON precisely so this script can grep it.
@@ -86,4 +89,27 @@ stop_daemon
 cmp -s "$WORKDIR/cold.json" "$WORKDIR/warm.json" \
     || fail "result bytes differ across restart"
 
-echo "simd_smoke: PASS (replay hit cache $HITS times, zero re-simulations, byte-identical results)"
+echo "simd_smoke: concurrent fig12 and fig13 jobs from two clients on a fresh cache"
+CACHE="$WORKDIR/shared-cache"
+start_daemon
+curl -fsS -XPOST -H 'X-Simd-Client: alice' -d '{"experiments":["fig12"],"quick":true,"seed":3}' \
+    "$BASE/v1/jobs?wait=1" > "$WORKDIR/fig12.status" &
+FIG12=$!
+curl -fsS -XPOST -H 'X-Simd-Client: bob' -d '{"experiments":["fig13"],"quick":true,"seed":3}' \
+    "$BASE/v1/jobs?wait=1" > "$WORKDIR/fig13.status" &
+FIG13=$!
+wait "$FIG12" || fail "fig12 submission failed"
+wait "$FIG13" || fail "fig13 submission failed"
+ST12=$(cat "$WORKDIR/fig12.status")
+ST13=$(cat "$WORKDIR/fig13.status")
+[ "$(field "$ST12" state)" = "done" ] || fail "fig12 job not done: $ST12"
+[ "$(field "$ST13" state)" = "done" ] || fail "fig13 job not done: $ST13"
+C12=$(field "$ST12" computed_runs)
+C13=$(field "$ST13" computed_runs)
+ENTRIES=$(find "$CACHE" -name '*.rc' | wc -l | tr -d ' ')
+stop_daemon
+[ $((C12 + C13)) -eq "$ENTRIES" ] \
+    || fail "concurrent jobs computed $C12 + $C13 cells for $ENTRIES cache entries"
+
+echo "simd_smoke: PASS (replay hit cache $HITS times, zero re-simulations, byte-identical results;" \
+    "concurrent jobs computed $C12 + $C13 cells for $ENTRIES entries)"
