@@ -55,14 +55,15 @@ alloc-gate:
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzGF256MulInverse -fuzztime $(FUZZTIME) ./internal/gf256
 	$(GO) test -run NONE -fuzz FuzzRSRoundTrip -fuzztime $(FUZZTIME) ./internal/rs
+	$(GO) test -run NONE -fuzz FuzzDetectWordEquivalence -fuzztime $(FUZZTIME) ./internal/rs
 	$(GO) test -run NONE -fuzz FuzzAddrMapBijective -fuzztime $(FUZZTIME) ./internal/memctrl
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the
 # Grizzly-scale cluster scheduler, the node front end's record and replay
-# halves, and the full-suite BenchmarkRunAllSeq.
-# Reference numbers live in BENCH_hotpath.json (allocation pass) and
-# BENCH_eventskip.json (event-driven scheduling pass).
+# halves, and the full-suite BenchmarkRunAllSeq. The end-to-end
+# benchmark is the harness under bench/ (sh bench/run.sh); CHANGES.md
+# records each change's measured effect.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkChannelReadStream -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue$$' -benchmem ./internal/memctrl
@@ -75,8 +76,8 @@ bench:
 # bench-compare pits each optimized path against its in-tree legacy twin
 # — the event-driven channel scheduler vs the poll-per-step scans and the
 # word-parallel RS syndrome sweep vs the byte-wise reference — then runs
-# the full suite for comparison against BENCH_eventskip.json. The twins
-# are the same pairs the differential/fuzz tests pin to identical output.
+# the full sequential suite. The twins are the same pairs the
+# differential/fuzz tests pin to identical output.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkChannel(ReadStream|ScanScheduler)' -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue' -benchmem ./internal/memctrl

@@ -124,5 +124,5 @@ func BenchmarkRunAllSeq(b *testing.B) { benchmarkRunAll(b, 1) }
 
 // BenchmarkRunAllParallel times the full quick suite on the default
 // GOMAXPROCS-sized worker pool. Output is byte-identical to the
-// sequential run (see BENCH_parallel.json for recorded speedups).
+// sequential run; compare the two benchmarks for the parallel speedup.
 func BenchmarkRunAllParallel(b *testing.B) { benchmarkRunAll(b, 0) }

@@ -1,11 +1,13 @@
-// Command heterodmr is the umbrella CLI for the reproduction: it runs any
-// table or figure of the paper by id, or all of them in paper order.
+// Command heterodmr is the reproduction's CLI: it runs any table, figure
+// or ablation of the paper by id, or all of them in paper order.
 //
 // Usage:
 //
 //	heterodmr -list
 //	heterodmr -exp fig12 [-seed 1] [-quick]
+//	heterodmr -exp fig12,fig13,fig14,fig15,config
 //	heterodmr -all [-markdown]
+//	heterodmr -ablations
 //	heterodmr -all -check [-metrics out.json] [-trace out.jsonl]
 //	heterodmr -worker -worker-addr 127.0.0.1:0 -cache-dir /shared/cache
 //	heterodmr -all -shard-workers 4 -cache-dir /shared/cache
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliobs"
 	"repro/internal/experiments"
@@ -27,7 +30,7 @@ func main() {
 
 func run() int {
 	var (
-		exp       = flag.String("exp", "", "experiment id (see -list)")
+		exp       = flag.String("exp", "", "comma-separated experiment or ablation ids (see -list)")
 		all       = flag.Bool("all", false, "run every experiment in paper order")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablation studies")
 		list      = flag.Bool("list", false, "list experiment ids")
@@ -46,16 +49,32 @@ func run() int {
 		return 2
 	}
 	if *list {
-		for _, e := range experiments.Registry() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		for _, e := range experiments.Ablations() {
+		for _, e := range append(experiments.Registry(), experiments.Ablations()...) {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 	if sh.Worker {
 		return sh.ServeWorker("heterodmr", nil)
+	}
+	var entries []experiments.Entry
+	switch {
+	case *all:
+		entries = experiments.Registry()
+	case *ablations:
+		entries = experiments.Ablations()
+	case *exp != "":
+		for _, id := range strings.Split(*exp, ",") {
+			e, err := experiments.ByID(id)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 2
+			}
+			entries = append(entries, e)
+		}
+	default:
+		flag.Usage()
+		return 2
 	}
 	if code := ob.StartProfile("heterodmr"); code != 0 {
 		return code
@@ -71,39 +90,12 @@ func run() int {
 		Seed: *seed, Quick: *quick, Workers: *workers, Check: ob.Check, Obs: reg,
 		Cache: cache, Shard: pool,
 	})
-	render := func(t interface {
-		String() string
-		Markdown() string
-	}) {
+	for _, t := range s.Run(entries) {
 		if *markdown {
 			fmt.Println(t.Markdown())
 		} else {
 			fmt.Println(t.String())
 		}
-	}
-	switch {
-	case *all:
-		for _, t := range s.RunAll() {
-			render(t)
-		}
-	case *ablations:
-		for _, e := range experiments.Ablations() {
-			render(e.Run(s))
-		}
-	case *exp != "":
-		e, err := experiments.ByID(*exp)
-		if err != nil {
-			if e2, err2 := experiments.AblationByID(*exp); err2 == nil {
-				render(e2.Run(s))
-				return ob.Finish("heterodmr", reg, s.Violations())
-			}
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		render(e.Run(s))
-	default:
-		flag.Usage()
-		return 2
 	}
 	if pool != nil || cache != nil {
 		fmt.Fprintf(os.Stderr, "heterodmr: computed %d of %d node simulations\n",

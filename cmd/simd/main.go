@@ -14,13 +14,13 @@
 // because job specs persist alongside the cache.
 //
 // With -worker the binary instead serves the internal/shard batch API
-// (POST /shard/v1/batch) on -addr: a coordinator — another CLI with
+// (POST /shard/v1/batch) on -addr: a coordinator — heterodmr with
 // -shard/-shard-workers, or a simd daemon with -shard — dispatches batches
 // to it over the shared -cache-dir store, one batch per node front end
 // (every memory design of one hierarchy, benchmark and seed, recorded
 // once on the worker) and one per Monte-Carlo range. With -shard the
-// daemon itself becomes a coordinator, fanning every job's matrix out to
-// those workers.
+// daemon itself becomes a coordinator, fanning every job's cell plan out
+// to those workers.
 package main
 
 import (

@@ -1,6 +1,6 @@
-// Command tracegen generates a Grizzly-like JSON job trace for the hpcsim
-// cluster simulator (see internal/hpc's trace format), or summarizes an
-// existing trace file. Real Slurm accounting dumps converted to the same
+// Command tracegen generates a Grizzly-like JSON job trace for the
+// cluster simulator behind Fig 17 (see internal/hpc's trace format), or
+// summarizes an existing trace file. Real Slurm accounting dumps converted to the same
 // JSON feed the Fig 17 simulation directly.
 //
 //	tracegen -jobs 58000 -nodes 1490 -months 4 -util 0.78 > trace.json

@@ -104,9 +104,11 @@ func TestQuickSuiteBytesMatchGolden(t *testing.T) {
 }
 
 // TestShardedQuickSuiteBytesMatchGolden pins the whole sharded suite to
-// the same `quick 1` digest: every driver's node batches and
-// Monte-Carlo ranges go to two workers over one shared cache. A warm
-// rerun then computes no cell and sends no batch.
+// the same `quick 1` digest: the suite's cell plan and every Monte-Carlo
+// range go to two workers over one shared cache. The cold run sends one
+// batch per front end, so the workers record the quick suite's 12 front
+// ends once between them. A warm rerun then computes no cell and sends
+// no batch.
 func TestShardedQuickSuiteBytesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick suite on a worker fleet")
@@ -122,10 +124,18 @@ func TestShardedQuickSuiteBytesMatchGolden(t *testing.T) {
 		return c
 	}
 	workers := make([]string, 2)
+	workerRegs := make([]*obs.Registry, len(workers))
 	for i := range workers {
-		srv := httptest.NewServer(shard.NewWorker(version, openCache(), nil).Handler())
+		workerRegs[i] = obs.NewRegistry()
+		srv := httptest.NewServer(shard.NewWorker(version, openCache(), workerRegs[i]).Handler())
 		t.Cleanup(srv.Close)
 		workers[i] = srv.URL
+	}
+	recordings := func() (n uint64) {
+		for _, reg := range workerRegs {
+			n += reg.Snapshot().Counters["shard/worker/recordings"]
+		}
+		return n
 	}
 	run := func(label string) (computed int, dispatched uint64) {
 		reg := obs.NewRegistry()
@@ -139,6 +149,9 @@ func TestShardedQuickSuiteBytesMatchGolden(t *testing.T) {
 	}
 	if computed, dispatched := run("cold"); computed == 0 || dispatched == 0 {
 		t.Errorf("cold run computed %d cells in %d batches; want both non-zero", computed, dispatched)
+	}
+	if n := recordings(); n != 12 {
+		t.Errorf("cold run: workers recorded %d front ends, want 12", n)
 	}
 	if computed, dispatched := run("warm"); computed != 0 || dispatched != 0 {
 		t.Errorf("warm run computed %d cells in %d batches; want 0 and 0", computed, dispatched)

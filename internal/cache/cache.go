@@ -118,7 +118,7 @@ func (p *pool[T]) reset() {
 
 // Arena is a reusable backing store for cache state arrays. A caller that
 // builds many short-lived hierarchies back to back (the experiment
-// engine's prewarm cache) keeps one Arena per worker: NewIn carves each
+// engine's cell plan) keeps one Arena per worker: NewIn carves each
 // cache's arrays out of it, and Reset zeroes the used portions so the
 // next hierarchy starts from the exact state a fresh allocation would
 // have. The zero value is ready to use. An Arena must not be Reset while

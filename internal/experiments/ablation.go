@@ -20,24 +20,31 @@ import (
 // calls out and quantifies what it buys.
 func Ablations() []Entry {
 	return []Entry{
-		{"abl-selection", "Ablation: margin-aware module selection (§III-D1)", (*Suite).AblationSelection},
-		{"abl-margin", "Ablation: node margin sweep (speedup vs margin)", (*Suite).AblationMarginSweep},
-		{"abl-errors", "Ablation: copy error rate vs performance (§III-C)", (*Suite).AblationErrorRate},
-		{"abl-ecc", "Ablation: detection-only vs correcting ECC (§III-B)", (*Suite).AblationECCMode},
-		{"abl-util", "Ablation: utilization sweep / cloud scenario (§III-F)", (*Suite).AblationUtilization},
-		{"abl-ddr5", "Ablation: forward-looking DDR5 node (§III-F)", (*Suite).AblationDDR5},
+		{"abl-selection", "Ablation: margin-aware module selection (§III-D1)", (*Suite).AblationSelection, (*Suite).selectionCells},
+		{"abl-margin", "Ablation: node margin sweep (speedup vs margin)", (*Suite).AblationMarginSweep, (*Suite).marginSweepCells},
+		{"abl-errors", "Ablation: copy error rate vs performance (§III-C)", (*Suite).AblationErrorRate, (*Suite).errorRateCells},
+		{"abl-ecc", "Ablation: detection-only vs correcting ECC (§III-B)", (*Suite).AblationECCMode, nil},
+		{"abl-util", "Ablation: utilization sweep / cloud scenario (§III-F)", (*Suite).AblationUtilization, nil},
+		{"abl-ddr5", "Ablation: forward-looking DDR5 node (§III-F)", (*Suite).AblationDDR5, (*Suite).ddr5Cells},
 	}
 }
 
-// AblationByID resolves an ablation id.
-func AblationByID(id string) (Entry, error) {
-	for _, e := range Ablations() {
-		if e.ID == id {
-			return e, nil
-		}
+// The node ablations run hpcg on Hierarchy1.
+var ablationH, ablationProf = node.Hierarchy1(), workload.ByName("hpcg")
+
+// ablationCells lists the given designs of the node ablations' cell at
+// the suite's seed.
+func (s *Suite) ablationCells(ds ...design) []cell {
+	cells := make([]cell, len(ds))
+	for i, d := range ds {
+		cells[i] = cell{h: ablationH, d: d, prof: ablationProf, seed: s.opt.Seed}
 	}
-	return Entry{}, fmt.Errorf("experiments: unknown ablation %q", id)
+	return cells
 }
+
+// selectionCells lists the cells AblationSelection reads: Fig 17's
+// speedup model on Hierarchy1.
+func (s *Suite) selectionCells() []cell { return s.weightedSpeedupCells(node.Hierarchy1()) }
 
 // AblationSelection quantifies §III-D1's margin-aware selection at the
 // system level: the fraction of nodes reaching each margin group directly
@@ -46,8 +53,7 @@ func (s *Suite) AblationSelection() *report.Table {
 	cfg := s.monteCarloConfig()
 	t := report.New("Ablation — what margin-aware selection buys",
 		"selection", "nodes >=0.8GT/s", "nodes >=0.6GT/s", "expected node speedup")
-	h := node.Hierarchy1()
-	at800, at600 := s.HeteroDMRWeightedSpeedup(h)
+	at800, at600 := s.HeteroDMRWeightedSpeedup(ablationH)
 	for _, sel := range []montecarlo.Selection{montecarlo.MarginAware, montecarlo.MarginUnaware} {
 		g := s.monteCarlo(shard.LevelNode, cfg, sel).Groups()
 		// Expected speedup across the node population for <50%-util jobs.
@@ -58,20 +64,43 @@ func (s *Suite) AblationSelection() *report.Table {
 	return t
 }
 
+// sweepMargins are the node margins AblationMarginSweep steps through.
+var sweepMargins = []dramspec.DataRate{200, 400, 600, 800}
+
+// marginSweepCells lists the cells AblationMarginSweep reads.
+func (s *Suite) marginSweepCells() []cell {
+	ds := []design{{repl: memctrl.ReplicationNone}}
+	for _, m := range sweepMargins {
+		ds = append(ds, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: m})
+	}
+	return s.matrix([]node.Hierarchy{ablationH}, ds, []workload.Profile{ablationProf})
+}
+
 // AblationMarginSweep sweeps the node-level frequency margin and reports
 // the Hetero-DMR speedup at each step — the performance curve behind the
 // 0.8/0.6 GT/s groups.
 func (s *Suite) AblationMarginSweep() *report.Table {
 	t := report.New("Ablation — Hetero-DMR speedup vs node margin (Hierarchy1)",
 		"margin", "speedup vs baseline")
-	h := node.Hierarchy1()
-	prof := workload.ByName("hpcg")
-	for _, m := range []dramspec.DataRate{200, 400, 600, 800} {
-		sp := s.speedup(h, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: m}, prof)
+	for _, m := range sweepMargins {
+		sp := s.speedup(ablationH, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: m}, ablationProf)
 		t.AddRowf(fmt.Sprintf("%dMT/s", int(m)), sp)
 	}
 	t.Note("benchmark: hpcg; larger margins raise the copy module's data rate toward the 4000MT/s cap")
 	return t
+}
+
+// copyErrorRates are the per-read error probabilities AblationErrorRate
+// sweeps.
+var copyErrorRates = []float64{0, 1e-5, 1e-4, 1e-3, 1e-2}
+
+// errorRateCells lists the cells AblationErrorRate reads.
+func (s *Suite) errorRateCells() []cell {
+	ds := []design{{repl: memctrl.ReplicationNone}}
+	for _, rate := range copyErrorRates {
+		ds = append(ds, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800, copyErrRate: rate})
+	}
+	return s.ablationCells(ds...)
 }
 
 // AblationErrorRate sweeps the detected-error rate of the unsafely fast
@@ -80,21 +109,9 @@ func (s *Suite) AblationMarginSweep() *report.Table {
 func (s *Suite) AblationErrorRate() *report.Table {
 	t := report.New("Ablation — copy error rate vs performance (Hierarchy1)",
 		"per-read error probability", "speedup vs baseline", "corrections")
-	h := node.Hierarchy1()
-	prof := workload.ByName("hpcg")
-	base := s.run(h, design{repl: memctrl.ReplicationNone}, prof)
-	for _, rate := range []float64{0, 1e-5, 1e-4, 1e-3, 1e-2} {
-		spec := dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800)
-		fast := dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, 800)
-		cfg := node.Config{
-			H: h, Replication: memctrl.ReplicationHeteroDMR,
-			Spec: spec, Fast: &fast, CopyErrorRate: rate, Seed: s.opt.Seed,
-		}
-		if s.opt.Quick {
-			cfg.InstructionsPerCore = 40_000
-			cfg.WarmupInstructions = 15_000
-		}
-		res := node.MustRun(cfg, prof)
+	base := s.run(ablationH, design{repl: memctrl.ReplicationNone}, ablationProf)
+	for _, rate := range copyErrorRates {
+		res := s.run(ablationH, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800, copyErrRate: rate}, ablationProf)
 		t.AddRowf(fmt.Sprintf("%.0e", rate),
 			float64(base.ExecPS)/float64(res.ExecPS), res.Mem.Corrections)
 	}
@@ -154,32 +171,32 @@ func (s *Suite) AblationECCMode() *report.Table {
 	return t
 }
 
+// ddr5Cells lists the cells AblationDDR5 reads: baseline and
+// Hetero-DMR@0.8GT/s on a DDR4 and on a DDR5 node.
+func (s *Suite) ddr5Cells() []cell {
+	var ds []design
+	for _, ddr5 := range []bool{false, true} {
+		ds = append(ds,
+			design{repl: memctrl.ReplicationNone, ddr5: ddr5},
+			design{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800, ddr5: ddr5})
+	}
+	return s.ablationCells(ds...)
+}
+
 // AblationDDR5 runs Hetero-DMR on a forward-looking DDR5-4800 node
 // (§III-F: JEDEC's constant eye-width requirement predicts DDR5 margins
 // comparable to DDR4's, so the same absolute margin is applied).
 func (s *Suite) AblationDDR5() *report.Table {
 	t := report.New("Ablation — Hetero-DMR on a DDR5-4800 node (Hierarchy1)",
 		"generation", "baseline exec (ms)", "Hetero-DMR exec (ms)", "speedup")
-	h := node.Hierarchy1()
-	prof := workload.ByName("hpcg")
-	runPair := func(name string, spec dramspec.Config, fast dramspec.Config) {
-		cfgB := node.Config{H: h, Replication: memctrl.ReplicationNone, Spec: spec, Seed: s.opt.Seed}
-		cfgD := node.Config{H: h, Replication: memctrl.ReplicationHeteroDMR, Spec: spec, Fast: &fast, Seed: s.opt.Seed}
-		if s.opt.Quick {
-			cfgB.InstructionsPerCore, cfgB.WarmupInstructions = 40_000, 15_000
-			cfgD.InstructionsPerCore, cfgD.WarmupInstructions = 40_000, 15_000
-		}
-		b := node.MustRun(cfgB, prof)
-		d := node.MustRun(cfgD, prof)
+	runPair := func(name string, ddr5 bool) {
+		b := s.run(ablationH, design{repl: memctrl.ReplicationNone, ddr5: ddr5}, ablationProf)
+		d := s.run(ablationH, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800, ddr5: ddr5}, ablationProf)
 		t.AddRowf(name, float64(b.ExecPS)/1e9, float64(d.ExecPS)/1e9,
 			float64(b.ExecPS)/float64(d.ExecPS))
 	}
-	runPair("DDR4-3200 (+800)",
-		dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
-		dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, 800))
-	runPair("DDR5-4800 (+800)",
-		dramspec.DDR5Config(dramspec.DDR5_4800, 0),
-		dramspec.DDR5Config(dramspec.DDR5_4800, 800))
+	runPair("DDR4-3200 (+800)", false)
+	runPair("DDR5-4800 (+800)", true)
 	t.Note("with today's workload, DDR5's higher baseline bandwidth absorbs the demand and the Hetero-DMR gain shrinks toward break-even; §III-F expects DDR5-era CPUs to raise bandwidth demand (core-count scaling), restoring the benefit")
 	return t
 }

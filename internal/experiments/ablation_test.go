@@ -10,16 +10,16 @@ func TestAblationRegistry(t *testing.T) {
 	if len(abls) != 6 {
 		t.Fatalf("ablation count %d", len(abls))
 	}
-	if _, err := AblationByID("abl-ecc"); err != nil {
+	if _, err := ByID("abl-ecc"); err != nil {
 		t.Error(err)
 	}
-	if _, err := AblationByID("abl-nope"); err == nil {
+	if _, err := ByID("abl-nope"); err == nil {
 		t.Error("unknown ablation accepted")
 	}
 }
 
 func TestAblationSelection(t *testing.T) {
-	tab := quick(t).AblationSelection()
+	tab := entry(t, "abl-selection").Run(quick(t))
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -31,7 +31,7 @@ func TestAblationSelection(t *testing.T) {
 }
 
 func TestAblationMarginSweepMonotoneish(t *testing.T) {
-	tab := quick(t).AblationMarginSweep()
+	tab := entry(t, "abl-margin").Run(quick(t))
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -43,7 +43,7 @@ func TestAblationMarginSweepMonotoneish(t *testing.T) {
 }
 
 func TestAblationErrorRateCurve(t *testing.T) {
-	tab := quick(t).AblationErrorRate()
+	tab := entry(t, "abl-errors").Run(quick(t))
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -92,7 +92,7 @@ func TestAblationUtilization(t *testing.T) {
 }
 
 func TestAblationDDR5(t *testing.T) {
-	tab := quick(t).AblationDDR5()
+	tab := entry(t, "abl-ddr5").Run(quick(t))
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}

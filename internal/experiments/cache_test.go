@@ -12,6 +12,22 @@ import (
 	"repro/internal/runcache"
 )
 
+// doneEntries counts map entries whose result has been materialized. At
+// quiescence it must equal size().
+func (c *runCache) doneEntries() int {
+	n := 0
+	c.m.Range(func(_, v any) bool {
+		e := v.(*runEntry)
+		e.mu.Lock()
+		if e.done {
+			n++
+		}
+		e.mu.Unlock()
+		return true
+	})
+	return n
+}
+
 // TestRunCachePanicDoesNotPoison is the regression test for the
 // sync.Once poisoning bug: a compute that panics used to consume the
 // entry's Once, so every later caller for that key silently received a
@@ -111,7 +127,7 @@ func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 		}
 		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: workers,
 			Cache: c, CacheVersion: "test-v1"})
-		return s.Fig14().String(), s
+		return entry(t, "fig14").Run(s).String(), s
 	}
 	cold, s1 := render(1)
 	if s1.ComputedRuns() == 0 {
@@ -135,7 +151,7 @@ func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentSuitesShareInFlightCells: two suites on one store run
-// Fig 12 and Fig 13, which prewarm the same matrix, at the same time.
+// Fig 12 and Fig 13, which declare the same cells, at the same time.
 // Each cell is simulated once between them — a cell one suite is
 // computing is waited for, not recomputed, by the other — and both
 // render the bytes of a store-less run.
@@ -146,19 +162,20 @@ func TestConcurrentSuitesShareInFlightCells(t *testing.T) {
 	}
 	opt := Options{Seed: 1, Quick: true, Cache: c, CacheVersion: "test-v1"}
 	fig12, fig13 := New(opt), New(opt)
+	e12, e13 := entry(t, "fig12"), entry(t, "fig13")
 	var tab12, tab13 string
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); tab12 = fig12.Fig12().String() }()
-	go func() { defer wg.Done(); tab13 = fig13.Fig13().String() }()
+	go func() { defer wg.Done(); tab12 = e12.Run(fig12).String() }()
+	go func() { defer wg.Done(); tab13 = e13.Run(fig13).String() }()
 	wg.Wait()
 
 	if got, want := fig12.ComputedRuns()+fig13.ComputedRuns(), c.Len(); got != want {
 		t.Errorf("suites computed %d+%d cells for %d stored entries",
 			fig12.ComputedRuns(), fig13.ComputedRuns(), want)
 	}
-	ref := New(Options{Seed: 1, Quick: true})
-	if tab12 != ref.Fig12().String() || tab13 != ref.Fig13().String() {
+	ref := New(Options{Seed: 1, Quick: true}).Run([]Entry{e12, e13})
+	if tab12 != ref[0].String() || tab13 != ref[1].String() {
 		t.Error("concurrent suites on one store rendered different bytes than a store-less run")
 	}
 }
@@ -175,7 +192,7 @@ func TestPersistentCacheCorruptionRecomputed(t *testing.T) {
 		}
 		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2,
 			Cache: c, CacheVersion: "test-v1"})
-		return s.Fig14().String(), s
+		return entry(t, "fig14").Run(s).String(), s
 	}
 	cold, s1 := run()
 
@@ -219,7 +236,7 @@ func TestPersistentCacheVersionInvalidates(t *testing.T) {
 		}
 		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2,
 			Cache: c, CacheVersion: version})
-		_ = s.Fig14()
+		entry(t, "fig14").Run(s)
 		return s
 	}
 	s1 := run("build-A")
@@ -245,7 +262,7 @@ func TestPersistentCacheSeedChangesKey(t *testing.T) {
 		}
 		s := New(Options{Seed: seed, Quick: true, Seeds: 1, Workers: 2,
 			Cache: c, CacheVersion: "test-v1"})
-		_ = s.Fig14()
+		entry(t, "fig14").Run(s)
 		return s
 	}
 	s1 := run(5)
@@ -267,7 +284,7 @@ func TestInstrumentedRunsBypassPersistentCache(t *testing.T) {
 	}
 	warm := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 1,
 		Cache: c, CacheVersion: "test-v1"})
-	_ = warm.Fig14()
+	entry(t, "fig14").Run(warm)
 
 	c2, err := runcache.Open(dir)
 	if err != nil {
@@ -276,7 +293,7 @@ func TestInstrumentedRunsBypassPersistentCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 1,
 		Cache: c2, CacheVersion: "test-v1", Obs: reg})
-	_ = s.Fig14()
+	entry(t, "fig14").Run(s)
 	if s.ComputedRuns() == 0 {
 		t.Error("instrumented run served from the persistent cache")
 	}

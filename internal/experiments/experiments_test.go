@@ -6,11 +6,30 @@ import (
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/runcache"
 )
 
 func quick(t *testing.T) *Suite {
 	t.Helper()
 	return New(Options{Seed: 1, Quick: true})
+}
+
+// entry returns the registry or ablation entry id.
+func entry(t *testing.T, id string) Entry {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// frontEnds counts the distinct front ends among the cells entries
+// declare.
+func frontEnds(s *Suite, entries []Entry) int {
+	return len(node.GroupByFrontEnd(s.plan(entries), func(c cell) (node.FrontEndKey, bool) {
+		return node.FrontEndKeyOf(s.cellConfig(c), c.prof), true
+	}))
 }
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -28,8 +47,10 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if _, err := ByID("fig12"); err != nil {
-		t.Error(err)
+	for _, id := range []string{"fig12", "abl-ddr5"} {
+		if _, err := ByID(id); err != nil {
+			t.Error(err)
+		}
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown id accepted")
@@ -106,8 +127,7 @@ func parse(t *testing.T, cell string) float64 {
 }
 
 func TestFig12Shape(t *testing.T) {
-	s := quick(t)
-	tab := s.Fig12()
+	tab := entry(t, "fig12").Run(quick(t))
 	if len(tab.Rows) != 10 { // 5 designs x 2 hierarchies
 		t.Fatalf("Fig 12 rows %d", len(tab.Rows))
 	}
@@ -141,8 +161,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13EPIImproves(t *testing.T) {
-	s := quick(t)
-	tab := s.Fig13()
+	tab := entry(t, "fig13").Run(quick(t))
 	for _, row := range tab.Rows {
 		if row[0] == "Hierarchy1" && row[1] == "Hetero-DMR@0.8GT/s" {
 			if r := parse(t, row[2]); r > 1.03 {
@@ -153,7 +172,7 @@ func TestFig13EPIImproves(t *testing.T) {
 }
 
 func TestFig14OverheadSmall(t *testing.T) {
-	tab := quick(t).Fig14()
+	tab := entry(t, "fig14").Run(quick(t))
 	for _, row := range tab.Rows {
 		if r := parse(t, row[3]); r > 1.12 {
 			t.Errorf("%s access overhead ratio %v", row[0], r)
@@ -162,7 +181,7 @@ func TestFig14OverheadSmall(t *testing.T) {
 }
 
 func TestFig15WriteShare(t *testing.T) {
-	tab := quick(t).Fig15()
+	tab := entry(t, "fig15").Run(quick(t))
 	for _, row := range tab.Rows {
 		ws := parse(t, row[2])
 		if ws < 0.03 || ws > 0.30 {
@@ -172,7 +191,7 @@ func TestFig15WriteShare(t *testing.T) {
 }
 
 func TestFig16EmulationTracksSimulation(t *testing.T) {
-	tab := quick(t).Fig16()
+	tab := entry(t, "fig16").Run(quick(t))
 	for _, row := range tab.Rows {
 		sim := parse(t, row[2])
 		emu := parse(t, row[3])
@@ -183,8 +202,7 @@ func TestFig16EmulationTracksSimulation(t *testing.T) {
 }
 
 func TestFig17SystemShape(t *testing.T) {
-	s := quick(t)
-	tab := s.Fig17()
+	tab := entry(t, "fig17").Run(quick(t))
 	if len(tab.Rows) != 5 { // 2 systems x 2 hierarchies + control
 		t.Fatalf("Fig 17 rows %d", len(tab.Rows))
 	}
@@ -202,9 +220,10 @@ func TestFig17SystemShape(t *testing.T) {
 
 func TestRunCaching(t *testing.T) {
 	s := quick(t)
-	_ = s.Fig15()
+	fig15 := entry(t, "fig15")
+	fig15.Run(s)
 	n := s.CachedRuns()
-	_ = s.Fig15()
+	fig15.Run(s)
 	if s.CachedRuns() != n {
 		t.Error("repeated experiment re-ran simulations")
 	}
@@ -222,13 +241,18 @@ func TestHierarchyWeightedSpeedups(t *testing.T) {
 // guarantee: the rendered tables of a parallel RunAll are byte-identical
 // to the sequential (Workers=1) run, because every layer derives its
 // randomness positionally from Options.Seed rather than from scheduling
-// order.
+// order. At either worker count the plan records each of the quick
+// suite's 12 front ends (6 benchmarks × 2 hierarchies) exactly once.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		s := New(Options{Seed: 7, Quick: true, Seeds: 1, Workers: workers})
 		var b strings.Builder
 		for _, tab := range s.RunAll() {
 			b.WriteString(tab.String())
+		}
+		if fe := frontEnds(s, Registry()); s.Recordings() != fe || fe != 12 {
+			t.Errorf("Workers=%d: %d front-end recordings for %d distinct front ends, want 12 and 12",
+				workers, s.Recordings(), fe)
 		}
 		return b.String()
 	}
@@ -245,16 +269,16 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPrewarmSharesRunsAcrossFigures checks the singleflight cache
-// coalesces the runs figures 12-16 share: re-running a figure whose
-// matrix is a subset of an already-warm one computes nothing new. It
-// also asserts the cache's counter/map invariant: the materialized-run
-// counter must equal the number of materialized map entries (the two
-// are updated in one critical section; a divergence means a panic or
-// early return left them inconsistent).
+// TestPrewarmSharesRunsAcrossFigures checks that figures share the
+// suite's table: running a figure whose cells an earlier Run already
+// warmed computes nothing new. It also asserts the cache's counter/map
+// invariant: the materialized-run counter must equal the number of
+// materialized map entries (the two are updated in one critical
+// section; a divergence means a panic or early return left them
+// inconsistent).
 func TestPrewarmSharesRunsAcrossFigures(t *testing.T) {
 	s := New(Options{Seed: 3, Quick: true, Workers: 4})
-	_ = s.Fig12()
+	entry(t, "fig12").Run(s)
 	n := s.CachedRuns()
 	if done := s.runs.doneEntries(); done != n {
 		t.Errorf("size()=%d but %d map entries are done", n, done)
@@ -263,11 +287,35 @@ func TestPrewarmSharesRunsAcrossFigures(t *testing.T) {
 		t.Errorf("no persistent store attached, yet computed=%d != materialized=%d",
 			s.ComputedRuns(), n)
 	}
-	_ = s.Fig13() // same design matrix as Fig 12
+	entry(t, "fig13").Run(s) // same cells as Fig 12
 	if s.CachedRuns() != n {
 		t.Errorf("Fig 13 re-ran %d simulations Fig 12 already cached", s.CachedRuns()-n)
 	}
 	if done := s.runs.doneEntries(); done != s.CachedRuns() {
 		t.Errorf("size()=%d but %d map entries are done", s.CachedRuns(), done)
+	}
+}
+
+// TestEntriesComputeNoCellWhileRendering runs every registry and
+// ablation entry alone on a fresh quick suite and requires its renderer
+// to read only cells the entry's plan warmed: a cell read without being
+// declared would be materialized during rendering. The suites share one
+// persistent store, so each cell is simulated once across the entries.
+func TestEntriesComputeNoCellWhileRendering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warms every entry's quick plan")
+	}
+	c, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range append(Registry(), Ablations()...) {
+		s := New(Options{Seed: 1, Quick: true, Cache: c, CacheVersion: "test-v1"})
+		s.warm(s.plan([]Entry{e}))
+		warmed := s.CachedRuns()
+		e.render(s)
+		if got := s.CachedRuns(); got != warmed {
+			t.Errorf("%s: rendering materialized %d cells the entry does not declare", e.ID, got-warmed)
+		}
 	}
 }

@@ -11,15 +11,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig5 reproduces Fig 5: real-system speedup from exploiting memory
-// margins (whole system at each Table II setting, no replication).
-func (s *Suite) Fig5() *report.Table {
-	s.prewarm(s.matrix(node.Hierarchies(), []design{
+// fig5Cells lists the cells Fig 5 reads: the whole system at each Table
+// II setting.
+func (s *Suite) fig5Cells() []cell {
+	return s.matrix(node.Hierarchies(), []design{
 		{repl: memctrl.ReplicationNone, setting: dramspec.SettingSpec},
 		{repl: memctrl.ReplicationNone, setting: dramspec.SettingLatencyMargin, marginMTs: 800},
 		{repl: memctrl.ReplicationNone, setting: dramspec.SettingFrequencyMargin, marginMTs: 800},
 		{repl: memctrl.ReplicationNone, setting: dramspec.SettingFreqLatMargin, marginMTs: 800},
-	}, s.benchmarks()))
+	}, s.benchmarks())
+}
+
+// Fig5 reproduces Fig 5: real-system speedup from exploiting memory
+// margins (whole system at each Table II setting, no replication).
+func (s *Suite) Fig5() *report.Table {
 	t := report.New("Fig 5 — speedup from exploiting margins (vs manufacturer spec)",
 		"benchmark", "hierarchy", "lat margin", "freq margin", "freq+lat")
 	for _, h := range node.Hierarchies() {
@@ -76,20 +81,20 @@ func (s *Suite) bucketSpeedup(h node.Hierarchy, d design, bucket int) float64 {
 	})
 }
 
-// fig12Matrix lists every design Fig 12's buckets touch (the five bars,
-// their bucket-1 fallbacks, and the baseline each speedup divides by).
-func (s *Suite) fig12Matrix() []design {
+// fig12Cells lists the cells Figs 12 and 13 read: every design Fig 12's
+// buckets touch (the five bars, their bucket-1 fallbacks, and the
+// baseline each speedup divides by).
+func (s *Suite) fig12Cells() []cell {
 	ds := []design{{repl: memctrl.ReplicationNone, setting: dramspec.SettingSpec}}
 	for _, dd := range fig12Designs() {
 		ds = append(ds, dd.d)
 	}
-	return ds
+	return s.matrix(node.Hierarchies(), ds, s.benchmarks())
 }
 
 // Fig12 reproduces Fig 12: normalized performance per design, memory
 // usage bucket, and hierarchy, plus the Fig 1-weighted "[0~100%]" bar.
 func (s *Suite) Fig12() *report.Table {
-	s.prewarm(s.matrix(node.Hierarchies(), s.fig12Matrix(), s.benchmarks()))
 	w25, w50, wOver := s.Fig1Weights()
 	t := report.New("Fig 12 — performance normalized to Commercial Baseline",
 		"hierarchy", "design", "[0~25%)", "[25~50%)", "[50~100%]", "[0~100%] weighted")
@@ -104,6 +109,16 @@ func (s *Suite) Fig12() *report.Table {
 	}
 	t.Note("paper: Hetero-DMR averages +18%% over baseline across margins/hierarchies; Hetero-DMR+FMR +15%% over FMR")
 	return t
+}
+
+// weightedSpeedupCells lists the cells HeteroDMRWeightedSpeedup reads
+// for each of hs: the baseline and Hetero-DMR at both margin groups.
+func (s *Suite) weightedSpeedupCells(hs ...node.Hierarchy) []cell {
+	return s.matrix(hs, []design{
+		{repl: memctrl.ReplicationNone},
+		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800},
+		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 600},
+	}, s.benchmarks())
 }
 
 // HeteroDMRWeightedSpeedup returns the margin-weighted (62%/36% per the
@@ -121,7 +136,6 @@ func (s *Suite) HeteroDMRWeightedSpeedup(h node.Hierarchy) (at800, at600 float64
 // Fig13 reproduces Fig 13: system EPI normalized to the Commercial
 // Baseline.
 func (s *Suite) Fig13() *report.Table {
-	s.prewarm(s.matrix(node.Hierarchies(), s.fig12Matrix(), s.benchmarks()))
 	t := report.New("Fig 13 — energy per instruction normalized to Commercial Baseline",
 		"hierarchy", "design", "EPI ratio", "memory power share")
 	params := energy.DefaultParams()
@@ -150,6 +164,14 @@ func (s *Suite) Fig13() *report.Table {
 	return t
 }
 
+// fig14Cells lists the cells Fig 14 reads.
+func (s *Suite) fig14Cells() []cell {
+	return s.matrix([]node.Hierarchy{node.Hierarchy1()}, []design{
+		{repl: memctrl.ReplicationNone},
+		{repl: memctrl.ReplicationHeteroDMRFMR, marginMTs: 800},
+	}, s.benchmarks())
+}
+
 // Fig14 reproduces Fig 14: DRAM accesses per instruction of
 // Hetero-DMR+FMR@0.8 normalized to the baseline, per benchmark under
 // Hierarchy1.
@@ -157,10 +179,6 @@ func (s *Suite) Fig14() *report.Table {
 	t := report.New("Fig 14 — normalized DRAM accesses per instruction (Hierarchy1)",
 		"benchmark", "baseline apki", "Hetero-DMR+FMR apki", "ratio")
 	h := node.Hierarchy1()
-	s.prewarm(s.matrix([]node.Hierarchy{h}, []design{
-		{repl: memctrl.ReplicationNone},
-		{repl: memctrl.ReplicationHeteroDMRFMR, marginMTs: 800},
-	}, s.benchmarks()))
 	apki := func(r node.Result) float64 { return r.DRAMAccessesPerKI }
 	var ratios []float64
 	for _, prof := range s.benchmarks() {
@@ -178,14 +196,18 @@ func (s *Suite) Fig14() *report.Table {
 	return t
 }
 
+// fig15Cells lists the cells Fig 15 reads.
+func (s *Suite) fig15Cells() []cell {
+	return s.matrix([]node.Hierarchy{node.Hierarchy1()},
+		[]design{{repl: memctrl.ReplicationNone}}, s.benchmarks())
+}
+
 // Fig15 reproduces Fig 15: bandwidth utilization and write share per
 // benchmark at manufacturer specification under Hierarchy1.
 func (s *Suite) Fig15() *report.Table {
 	t := report.New("Fig 15 — bandwidth utilization at spec (Hierarchy1)",
 		"benchmark", "bandwidth util", "write share")
 	h := node.Hierarchy1()
-	s.prewarm(s.matrix([]node.Hierarchy{h},
-		[]design{{repl: memctrl.ReplicationNone}}, s.benchmarks()))
 	var wr []float64
 	for _, prof := range s.benchmarks() {
 		bw := s.metric(h, design{repl: memctrl.ReplicationNone}, prof,
@@ -203,6 +225,15 @@ func (s *Suite) Fig15() *report.Table {
 	return t
 }
 
+// fig16Cells lists the cells Fig 16 reads.
+func (s *Suite) fig16Cells() []cell {
+	return s.matrix([]node.Hierarchy{node.Hierarchy1()}, []design{
+		{repl: memctrl.ReplicationNone},
+		{repl: memctrl.ReplicationNone, setting: dramspec.SettingFreqLatMargin, marginMTs: 800},
+		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800},
+	}, s.benchmarks())
+}
+
 // Fig16 reproduces Fig 16: silicon corroboration. The real-system
 // emulation models Hetero-DMR's execution time as
 // exec@fast - wr_time@fast + wr_time@slow, with wr_time = written bytes /
@@ -215,9 +246,6 @@ func (s *Suite) Fig16() *report.Table {
 	fastRate := dramspec.TableII(dramspec.SettingFreqLatMargin, specRate, 800).Rate
 	idealD := design{repl: memctrl.ReplicationNone, setting: dramspec.SettingFreqLatMargin, marginMTs: 800}
 	baseD := design{repl: memctrl.ReplicationNone}
-	s.prewarm(s.matrix([]node.Hierarchy{h}, []design{
-		baseD, idealD, {repl: memctrl.ReplicationHeteroDMR, marginMTs: 800},
-	}, s.benchmarks()))
 	var diffs []float64
 	for _, prof := range s.benchmarks() {
 		sim := s.speedup(h, design{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800}, prof)
@@ -262,16 +290,20 @@ func (s *Suite) TableIIIIV() *report.Table {
 	return t
 }
 
-// Fig12Detail expands Fig 12 to per-benchmark normalized performance in
-// the <25% bucket (the paper's Fig 16 shows a per-benchmark slice; this
-// table gives the full matrix for both hierarchies).
-func (s *Suite) Fig12Detail() *report.Table {
-	s.prewarm(s.matrix(node.Hierarchies(), []design{
+// fig12DetailCells lists the cells the Fig 12 detail reads.
+func (s *Suite) fig12DetailCells() []cell {
+	return s.matrix(node.Hierarchies(), []design{
 		{repl: memctrl.ReplicationNone},
 		{repl: memctrl.ReplicationFMR},
 		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800},
 		{repl: memctrl.ReplicationHeteroDMRFMR, marginMTs: 800},
-	}, s.benchmarks()))
+	}, s.benchmarks())
+}
+
+// Fig12Detail expands Fig 12 to per-benchmark normalized performance in
+// the <25% bucket (the paper's Fig 16 shows a per-benchmark slice; this
+// table gives the full matrix for both hierarchies).
+func (s *Suite) Fig12Detail() *report.Table {
 	t := report.New("Fig 12 (detail) — per-benchmark normalized performance, <25% usage",
 		"benchmark", "hierarchy", "FMR", "Hetero-DMR@0.8", "Hetero-DMR+FMR@0.8")
 	for _, h := range node.Hierarchies() {

@@ -15,12 +15,16 @@ func TestCheckedDriversCleanAndByteStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick node matrix")
 	}
-	plain := New(Options{Seed: 1, Quick: true, Workers: 1})
-	base := plain.Fig12().String() + plain.Fig17().String()
+	entries := []Entry{entry(t, "fig12"), entry(t, "fig17")}
+	render := func(s *Suite) string {
+		tabs := s.Run(entries)
+		return tabs[0].String() + tabs[1].String()
+	}
+	base := render(New(Options{Seed: 1, Quick: true, Workers: 1}))
 
 	for _, workers := range []int{1, 4} {
 		s := New(Options{Seed: 1, Quick: true, Workers: workers, Check: true, Obs: obs.NewRegistry()})
-		got := s.Fig12().String() + s.Fig17().String()
+		got := render(s)
 		if got != base {
 			t.Errorf("Workers=%d: checked run rendered different bytes than unchecked run", workers)
 		}

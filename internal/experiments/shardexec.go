@@ -13,53 +13,6 @@ func (s *Suite) sharded() bool {
 	return s.opt.Shard != nil && !s.opt.Check && s.opt.Obs == nil
 }
 
-// prewarmSharded dispatches the not-yet-materialized cells of a run
-// matrix to the worker fleet and commits the decoded results into the
-// in-memory run cache in positional order. The table-building loops
-// that follow consume the run cache sequentially, so rendering — and
-// therefore output bytes — is identical to an in-process run. A cell
-// whose payload fails to decode (schema drift that slipped past the
-// version key) is simply left unmaterialized; the rendering path then
-// computes it locally via runSeed.
-func (s *Suite) prewarmSharded(reqs []runReq) {
-	type cell struct {
-		key  runKey
-		unit shard.Unit
-	}
-	seen := map[runKey]bool{}
-	var cells []cell
-	for _, r := range reqs {
-		key := runKey{hier: r.h.Name, d: r.d, bench: r.prof.Name, seed: r.seed}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if s.runs.peek(key) {
-			continue
-		}
-		cells = append(cells, cell{
-			key:  key,
-			unit: shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(r.h, r.d, r.seed), r.prof),
-		})
-	}
-	if len(cells) == 0 {
-		return
-	}
-	units := make([]shard.Unit, len(cells))
-	for i := range cells {
-		units[i] = cells[i].unit
-	}
-	results := s.opt.Shard.Run(units)
-	for i, r := range results {
-		res, err := shard.DecodeNodeResult(r.Payload)
-		if err != nil {
-			s.runs.encodeErrs.Add(1)
-			continue
-		}
-		s.runs.commit(cells[i].key, res, r.Computed)
-	}
-}
-
 // mcUnitShards is how many fixed-size Monte-Carlo RNG shards one
 // dispatch unit covers: units stay few enough to amortize the HTTP
 // round trip but plentiful enough to spread across a small fleet

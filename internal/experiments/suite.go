@@ -37,9 +37,9 @@ type Options struct {
 	// run-to-run variance of short measured regions (default: 1 in Quick
 	// mode, 3 otherwise).
 	Seeds int
-	// Workers bounds the worker pool all fan-out layers share: RunAll's
-	// per-experiment concurrency, the node-simulation matrix prewarm, and
-	// the Monte-Carlo trial shards (0 = GOMAXPROCS, 1 = fully
+	// Workers bounds the worker pool all fan-out layers share: the
+	// front-end groups of Run's cell plan, the rendering of its entries,
+	// and the Monte-Carlo trial shards (0 = GOMAXPROCS, 1 = fully
 	// sequential). Every experiment's randomness derives positionally
 	// from Seed, so output is byte-identical for every worker count.
 	Workers int
@@ -50,7 +50,8 @@ type Options struct {
 	Check bool
 	// Obs, when non-nil, collects counters, histograms, and trace events
 	// from every simulation the suite runs, plus the suite's own
-	// run-cache traffic counters (experiments/runcache/*).
+	// run-cache traffic counters (experiments/runcache/*) and its count
+	// of in-process front-end recordings (experiments/recordings).
 	Obs *obs.Registry
 	// Cache, when non-nil, persists node-simulation results across
 	// processes: on an in-memory miss the suite consults the
@@ -65,9 +66,10 @@ type Options struct {
 	// CacheVersion is the code-version component of persistent cache
 	// keys. Empty defaults to runcache.CodeVersion().
 	CacheVersion string
-	// Shard, when non-nil, fans the node-simulation matrix prewarm and
-	// the Monte-Carlo trial ranges out to worker processes through the
-	// dispatch pool. Results are committed in positional order and
+	// Shard, when non-nil, sends Run's cell plan to worker processes
+	// through the dispatch pool, every missing cell in one Pool.Run (one
+	// batch per front-end group), and fans the Monte-Carlo trial ranges
+	// out the same way. Results are committed in positional order and
 	// decoded from the same gob payloads the persistent cache stores,
 	// so rendered output is byte-identical to an in-process run at any
 	// worker count — including with workers failing mid-suite (the pool
@@ -78,9 +80,9 @@ type Options struct {
 }
 
 // Suite carries shared state across experiment drivers: the generated
-// DIMM population, the Fig 1 job fractions, and a cache of node-level
-// simulation results so figures 12-16 share runs. A Suite is safe for
-// concurrent use by the drivers RunAll fans out.
+// DIMM population, the Fig 1 job fractions, and the table of node-level
+// simulation results that Run warms and the drivers read. A Suite is
+// safe for concurrent use.
 type Suite struct {
 	opt Options
 
@@ -114,12 +116,13 @@ type runCache struct {
 	// compute that panics increments nothing.
 	n        atomic.Int64
 	computed atomic.Int64 // of n: results produced by running a simulation
+	recorded atomic.Int64 // front ends recorded in this process
 
 	store   *runcache.Cache // nil = in-memory only
 	version string          // code-version component of persistent keys
 
 	// Traffic counters (nil-safe handles; wired from Options.Obs).
-	memHits, diskHits, computedC, encodeErrs *obs.Counter
+	memHits, diskHits, computedC, encodeErrs, recordings *obs.Counter
 }
 
 type runEntry struct {
@@ -146,7 +149,7 @@ func (c *runCache) get(key runKey, material func() any, compute func() node.Resu
 		k := runcache.KeyOf(c.version, material())
 		payload, computed, err := c.store.Do(k, func() ([]byte, error) {
 			e.res = compute()
-			return encodeResult(e.res)
+			return shard.EncodeNodeResult(e.res)
 		})
 		if computed {
 			if err != nil {
@@ -157,13 +160,13 @@ func (c *runCache) get(key runKey, material func() any, compute func() node.Resu
 		}
 		// A stored cell, or one another suite computed while this one
 		// waited: a replay either way.
-		if res, err := decodeResult(payload); err == nil {
+		if res, err := shard.DecodeNodeResult(payload); err == nil {
 			return c.materialize(e, res, false)
 		}
 		// Undecodable payload (schema drift that slipped past the
 		// version key): recompute and store over it.
 		e.res = compute()
-		if payload, err := encodeResult(e.res); err == nil {
+		if payload, err := shard.EncodeNodeResult(e.res); err == nil {
 			_ = c.store.Put(k, payload)
 		} else {
 			c.encodeErrs.Add(1)
@@ -228,22 +231,10 @@ func (c *runCache) size() int { return int(c.n.Load()) }
 // replays excluded).
 func (c *runCache) computedRuns() int { return int(c.computed.Load()) }
 
-// doneEntries counts map entries whose result has been materialized. At
-// quiescence it must equal size(); the prewarm-sharing test asserts the
-// invariant. (Walking locks each entry briefly, so this is test/debug
-// surface, not hot path.)
-func (c *runCache) doneEntries() int {
-	n := 0
-	c.m.Range(func(_, v any) bool {
-		e := v.(*runEntry)
-		e.mu.Lock()
-		if e.done {
-			n++
-		}
-		e.mu.Unlock()
-		return true
-	})
-	return n
+// record counts one front end recorded in this process.
+func (c *runCache) record() {
+	c.recorded.Add(1)
+	c.recordings.Add(1)
 }
 
 // New returns a Suite. Seed 0 becomes 1.
@@ -276,6 +267,7 @@ func New(opt Options) *Suite {
 	s.runs.diskHits = opt.Obs.Counter("experiments/runcache/disk_hits")
 	s.runs.computedC = opt.Obs.Counter("experiments/runcache/computed")
 	s.runs.encodeErrs = opt.Obs.Counter("experiments/runcache/encode_errors")
+	s.runs.recordings = opt.Obs.Counter("experiments/recordings")
 	return s
 }
 
@@ -287,6 +279,12 @@ func (s *Suite) CachedRuns() int { return s.runs.size() }
 // executed: CachedRuns minus the persistent-cache replays. A fully warm
 // replay reports zero.
 func (s *Suite) ComputedRuns() int { return s.runs.computedRuns() }
+
+// Recordings reports how many node front ends the suite recorded in
+// this process (shard workers count their own). Run records each front
+// end its cells need at most once, so a count above the plan's distinct
+// front ends means a driver read a cell its entry did not declare.
+func (s *Suite) Recordings() int { return int(s.runs.recorded.Load()) }
 
 // addViolations accumulates conservation violations from a simulation.
 func (s *Suite) addViolations(vs []obs.Violation) {
@@ -353,8 +351,24 @@ type design struct {
 	repl      memctrl.Replication
 	setting   dramspec.Setting // operating point of the whole system (Fig 5) or of the fast copies
 	marginMTs dramspec.DataRate
+	// copyErrRate is the fast copies' per-read detected-error
+	// probability (abl-errors).
+	copyErrRate float64
+	// ddr5 puts the node on DDR5-4800 instead of DDR4-3200 (abl-ddr5).
+	ddr5 bool
 }
 
+// cell names one node simulation of the (hierarchy, design, benchmark,
+// seed) matrix.
+type cell struct {
+	h    node.Hierarchy
+	d    design
+	prof workload.Profile
+	seed uint64
+}
+
+// runKey identifies a cell in the suite's table by names, so a render
+// loop's look-up never hashes a resolved configuration.
 type runKey struct {
 	hier  string
 	d     design
@@ -362,36 +376,61 @@ type runKey struct {
 	seed  uint64
 }
 
-// run executes (and caches) one node simulation at one seed.
+func (c cell) key() runKey { return runKey{hier: c.h.Name, d: c.d, bench: c.prof.Name, seed: c.seed} }
+
+// run reads one cell at the suite's seed.
 func (s *Suite) run(h node.Hierarchy, d design, prof workload.Profile) node.Result {
 	return s.runSeed(h, d, prof, s.opt.Seed)
 }
 
-// nodeConfig resolves the full node configuration for one matrix cell.
-// Both the compute path and the persistent-cache key derive from this
-// one resolution, so the content hash covers exactly what the simulation
+// runSeed reads one cell. Run warms every cell an entry declares before
+// its renderer reads any; a cell read without being declared is
+// simulated here, recording a front end of its own.
+func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed uint64) node.Result {
+	return s.runCell(cell{h: h, d: d, prof: prof, seed: seed}, nil)
+}
+
+// nodeConfig resolves the full node configuration of one cell. Both the
+// compute path and the persistent-cache key derive from this one
+// resolution, so the content hash covers exactly what the simulation
 // consumes (instrumentation fields excluded; they never reach the
 // persistent layer).
-func (s *Suite) nodeConfig(h node.Hierarchy, d design, seed uint64) node.Config {
+func (s *Suite) nodeConfig(c cell) node.Config {
+	d := c.d
 	spec := dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, d.marginMTs)
-	cfg := node.Config{
-		H:           h,
-		Replication: d.repl,
-		Spec:        spec,
-		Seed:        seed,
-	}
 	if d.repl == memctrl.ReplicationNone && d.setting != dramspec.SettingSpec {
 		// Whole-system margin exploitation (Fig 5's real-system settings).
-		cfg.Spec = dramspec.TableII(d.setting, dramspec.DDR4_3200, d.marginMTs)
+		spec = dramspec.TableII(d.setting, dramspec.DDR4_3200, d.marginMTs)
+	}
+	fast := dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, d.marginMTs)
+	if d.ddr5 {
+		// The same absolute margin on a DDR5-4800 node (§III-F).
+		spec = dramspec.DDR5Config(dramspec.DDR5_4800, 0)
+		fast = dramspec.DDR5Config(dramspec.DDR5_4800, d.marginMTs)
+	}
+	cfg := node.Config{
+		H:             c.h,
+		Replication:   d.repl,
+		Spec:          spec,
+		CopyErrorRate: d.copyErrRate,
+		Seed:          c.seed,
 	}
 	if d.repl.Fast() {
-		fast := dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, d.marginMTs)
 		cfg.Fast = &fast
 	}
 	if s.opt.Quick {
 		cfg.InstructionsPerCore = 40_000
 		cfg.WarmupInstructions = 15_000
 	}
+	return cfg
+}
+
+// cellConfig is nodeConfig with the suite's instrumentation attached:
+// the configuration a cell actually simulates.
+func (s *Suite) cellConfig(c cell) node.Config {
+	cfg := s.nodeConfig(c)
+	cfg.Check = s.opt.Check
+	cfg.Obs = s.opt.Obs
 	return cfg
 }
 
@@ -404,92 +443,91 @@ func (s *Suite) nodeConfig(h node.Hierarchy, d design, seed uint64) node.Config 
 // hash: shard workers computing a unit and this suite replaying it must
 // hash the identical identity to land on the same cache entry.
 
-func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed uint64) node.Result {
-	return s.runCell(h, d, prof, seed, nil)
-}
-
-// runCell is runSeed with an optional shared Replayer: when rp is
-// non-nil and the cell has to be simulated, the simulation replays the
-// front end rp recorded for the cell's group instead of recording its
-// own.
-func (s *Suite) runCell(h node.Hierarchy, d design, prof workload.Profile, seed uint64, rp *node.Replayer) node.Result {
-	key := runKey{hier: h.Name, d: d, bench: prof.Name, seed: seed}
-	return s.runs.get(key, func() any {
+// runCell materializes one cell. If it has to be simulated, rp replays
+// the front end of the cell's group, recording it first when no cell of
+// the group has; a nil rp means a Replayer of the cell's own.
+func (s *Suite) runCell(c cell, rp *node.Replayer) node.Result {
+	return s.runs.get(c.key(), func() any {
 		// Material is hashed only on the persistent path, where the run
 		// is uninstrumented: Check=false, Obs=nil, ObsScope="".
-		return shard.NodeMaterial{Cfg: s.nodeConfig(h, d, seed), Prof: prof}
+		return shard.NodeMaterial{Cfg: s.nodeConfig(c), Prof: c.prof}
 	}, func() node.Result {
-		run := rp
-		if run == nil {
-			run = node.NewReplayer(prof)
+		if rp == nil {
+			rp = node.NewReplayer(c.prof)
 		}
-		res, err := run.Run(s.cellConfig(h, d, seed))
+		recorded := rp.Recorded()
+		res, err := rp.Run(s.cellConfig(c))
 		if err != nil {
 			panic(err)
+		}
+		if !recorded {
+			s.runs.record()
 		}
 		s.addViolations(res.Violations)
 		return res
 	})
 }
 
-// cellConfig is nodeConfig with the suite's instrumentation attached:
-// the configuration a cell actually simulates.
-func (s *Suite) cellConfig(h node.Hierarchy, d design, seed uint64) node.Config {
-	cfg := s.nodeConfig(h, d, seed)
-	cfg.Check = s.opt.Check
-	cfg.Obs = s.opt.Obs
-	return cfg
-}
-
-// runReq names one node simulation of the (hierarchy, design, benchmark,
-// seed) matrix.
-type runReq struct {
-	h    node.Hierarchy
-	d    design
-	prof workload.Profile
-	seed uint64
-}
-
 // matrix expands hierarchies × designs × benchmarks × configured seeds
-// into the run requests a driver is about to consume.
-func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profile) []runReq {
-	reqs := make([]runReq, 0, len(hs)*len(ds)*len(profs)*s.opt.Seeds)
+// into the cells an entry declares.
+func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profile) []cell {
+	cells := make([]cell, 0, len(hs)*len(ds)*len(profs)*s.opt.Seeds)
 	for _, h := range hs {
 		for _, d := range ds {
 			for _, p := range profs {
 				for i := 0; i < s.opt.Seeds; i++ {
-					reqs = append(reqs, runReq{h: h, d: d, prof: p, seed: s.opt.Seed + uint64(i)*131})
+					cells = append(cells, cell{h: h, d: d, prof: p, seed: s.opt.Seed + uint64(i)*131})
 				}
 			}
 		}
 	}
-	return reqs
+	return cells
 }
 
-// prewarm fans the given node simulations out on the worker pool. The
-// table-building loops that follow then hit the run cache, so drivers
-// keep their sequential, paper-ordered rendering while the expensive
-// simulation matrix saturates the machine. Requests that race with other
-// drivers' identical runs coalesce in the singleflight cache.
-//
-// Requests are grouped by front-end identity (node.GroupByFrontEnd):
-// every memory design of a group shares one node.Replayer, which records
-// the front end on the group's first cell that actually simulates and is
-// dropped when the group is done. A group whose cells are all cached
-// records nothing.
-func (s *Suite) prewarm(reqs []runReq) {
-	if s.sharded() {
-		s.prewarmSharded(reqs)
+// warm materializes every cell of a plan that is not in the table yet.
+// The missing cells are grouped by front-end identity
+// (node.GroupByFrontEnd) and each group runs once:
+//   - sharded, every missing cell goes out in one Pool.Run, which sends
+//     one batch per group; a cell whose payload fails to decode (schema
+//     drift that slipped past the version key) stays unmaterialized and
+//     is simulated locally when a renderer reads it;
+//   - locally, the groups run on the worker pool, each through one
+//     node.Replayer that records the group's front end on its first
+//     cell that actually simulates and is dropped with the group, so at
+//     most Workers front ends are alive at once. A group whose cells all
+//     replay from the persistent store records nothing.
+func (s *Suite) warm(cells []cell) {
+	var todo []cell
+	for _, c := range cells {
+		if !s.runs.peek(c.key()) {
+			todo = append(todo, c)
+		}
+	}
+	if len(todo) == 0 {
 		return
 	}
-	groups := node.GroupByFrontEnd(reqs, func(r runReq) (node.FrontEndKey, bool) {
-		return node.FrontEndKeyOf(s.cellConfig(r.h, r.d, r.seed), r.prof), true
+	if s.sharded() {
+		units := make([]shard.Unit, len(todo))
+		for i, c := range todo {
+			units[i] = shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(c), c.prof)
+		}
+		for i, r := range s.opt.Shard.Run(units) {
+			res, err := shard.DecodeNodeResult(r.Payload)
+			if err != nil {
+				s.runs.encodeErrs.Add(1)
+				continue
+			}
+			s.runs.commit(todo[i].key(), res, r.Computed)
+		}
+		return
+	}
+	groups := node.GroupByFrontEnd(todo, func(c cell) (node.FrontEndKey, bool) {
+		return node.FrontEndKeyOf(s.cellConfig(c), c.prof), true
 	})
 	parallel.ForEach(s.opt.Workers, len(groups), func(i int) {
-		g := groups[i]
-		rp := node.NewReplayer(g[0].prof)
-		for _, r := range g {
-			s.runCell(r.h, r.d, r.prof, r.seed, rp)
+		rp := node.NewReplayer(groups[i][0].prof)
+		for _, c := range groups[i] {
+			s.runCell(c, rp)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hpc"
-	"repro/internal/memctrl"
 	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/parallel"
@@ -41,12 +40,6 @@ func (s *Suite) Fig11() *report.Table {
 	return t
 }
 
-// NodeMarginGroups returns the margin-aware node groups Fig 17's cluster
-// uses (§III-D3's 62% / 36% / 2% example).
-func (s *Suite) NodeMarginGroups() montecarlo.NodeGroups {
-	return s.monteCarlo(shard.LevelNode, s.monteCarloConfig(), montecarlo.MarginAware).Groups()
-}
-
 // fig17Scale returns the trace scale (full Grizzly, or reduced in Quick
 // mode).
 func (s *Suite) fig17Scale() (jobs, nodes int, periodS float64) {
@@ -56,22 +49,18 @@ func (s *Suite) fig17Scale() (jobs, nodes int, periodS float64) {
 	return hpc.GrizzlyJobs, hpc.GrizzlyNodes, hpc.TracePeriodS
 }
 
+// fig17Cells lists the cells Fig 17's speedup model reads.
+func (s *Suite) fig17Cells() []cell { return s.weightedSpeedupCells(node.Hierarchies()...) }
+
 // Fig17 reproduces Fig 17: system-wide job execution time, queuing delay,
 // and turnaround time of Hetero-DMR normalized to a conventional HPC
 // system, per hierarchy, plus the margin-aware vs default scheduler
 // comparison and the +17%-nodes control experiment.
 func (s *Suite) Fig17() *report.Table {
-	// Warm the node-simulation matrix the speedup model consumes, so the
-	// expensive layer below runs on the full pool.
-	s.prewarm(s.matrix(node.Hierarchies(), []design{
-		{repl: memctrl.ReplicationNone},
-		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 800},
-		{repl: memctrl.ReplicationHeteroDMR, marginMTs: 600},
-	}, s.benchmarks()))
-
 	jobs, nodes, period := s.fig17Scale()
 	tr := hpc.GenerateTrace(jobs, nodes, period, hpc.TargetNodeUtil, s.Fractions(), s.opt.Seed)
-	groups := s.NodeMarginGroups()
+	// The margin-aware node groups (§III-D3's 62% / 36% / 2% example).
+	groups := s.monteCarlo(shard.LevelNode, s.monteCarloConfig(), montecarlo.MarginAware).Groups()
 
 	// Describe all cluster simulations up front, then fan them out: the
 	// trace and clusters are read-only inside hpc.Simulate, and each

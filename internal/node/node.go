@@ -228,7 +228,7 @@ func (cc *channelCleaner) CleanDirty(max int) []uint64 {
 }
 
 // runScratch is the per-replay working state Run reuses across
-// simulations. The experiment engine's prewarm cache executes thousands of
+// simulations. The experiment engine's cell plan executes thousands of
 // node runs back to back; without reuse, rebuilding the LLC's line arrays
 // and the scheduler's bookkeeping slices for every run dominated the
 // engine's allocation profile. Everything here is either fully

@@ -228,6 +228,12 @@ func TestWorkerHandler(t *testing.T) {
 	if resp, _, _ := post([]byte("{not json")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body answered %s, want 400", resp.Status)
 	}
+	// A valid batch behind maxBatchBytes of leading whitespace is over the
+	// body limit.
+	oversized := append(bytes.Repeat([]byte(" "), maxBatchBytes), wire...)
+	if resp, _, msg := post(oversized); resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "too large") {
+		t.Errorf("oversized batch answered %s %q, want 413", resp.Status, msg)
+	}
 	if resp, _, _ := post([]byte(`{"units": []}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch answered %s, want 400", resp.Status)
 	}

@@ -13,6 +13,11 @@ import (
 // batchPath is the worker's one execution endpoint.
 const batchPath = "/shard/v1/batch"
 
+// maxBatchBytes bounds a batch request's body. A node unit is about
+// 1.1 KB of JSON and the largest front-end group the experiment suite
+// plans holds fewer than 20 units.
+const maxBatchBytes = 4 << 20
+
 // Worker executes unit batches on behalf of a coordinator. It is an
 // http.Handler factory: one POST /shard/v1/batch endpoint plus /healthz,
 // stateless between requests except for the shared run cache — all
@@ -78,16 +83,22 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// handleBatch classifies every failure at the boundary: 400 for a body
-// that does not decode, a batch key that does not name its first unit,
-// and (naming the unit) a bad unit body, a mis-keyed unit or a
-// configuration the simulator rejects; 409 for a unit built under
-// another code version; 500 only for a failure of the worker itself.
+// handleBatch classifies every failure at the boundary: 413 for a body
+// over maxBatchBytes; 400 for a body that does not decode, a batch key
+// that does not name its first unit, and (naming the unit) a bad unit
+// body, a mis-keyed unit or a configuration the simulator rejects; 409
+// for a unit built under another code version; 500 only for a failure
+// of the worker itself.
 func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	var b batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBatchBytes)).Decode(&b); err != nil {
 		w.errors.Add(1)
-		writeError(rw, http.StatusBadRequest, fmt.Sprintf("decode batch: %v", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(rw, status, fmt.Sprintf("decode batch: %v", err))
 		return
 	}
 	if b.Key == "" || len(b.Units) == 0 || b.Units[0].Key != b.Key {

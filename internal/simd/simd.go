@@ -31,8 +31,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/report"
 	"repro/internal/runcache"
 	"repro/internal/shard"
 )
@@ -71,8 +69,8 @@ type Config struct {
 	// and simulation counts (nil = a fresh registry; read it with
 	// Registry).
 	Reg *obs.Registry
-	// Shard, when non-nil, fans each job's node-simulation matrix and
-	// Monte-Carlo ranges out to shard worker processes (see
+	// Shard, when non-nil, fans each job's cell plan and Monte-Carlo
+	// ranges out to shard worker processes (see
 	// internal/shard). Jobs with Check set run locally — instrumented
 	// runs never shard — and output stays byte-identical either way.
 	Shard *shard.Pool
@@ -80,6 +78,14 @@ type Config struct {
 	// injects nothing.
 	Faults *faultinject.Plan
 }
+
+// Bounds on a JobSpec: far above any real job (the registry and the
+// ablations hold 23 ids, and the paper averages 3 seeds), low enough
+// that a spec cannot ask the suite for an unbounded cell matrix.
+const (
+	maxExperiments = 64
+	maxSeeds       = 64
+)
 
 // JobSpec is the client-visible experiment specification. Its normalized
 // form is the job's identity: every field below changes the job id.
@@ -97,8 +103,14 @@ type JobSpec struct {
 }
 
 // normalize applies the suite's defaulting rules so equivalent specs
-// share one job id, and validates every experiment id.
+// share one job id, and validates every experiment id and both bounds.
 func (sp JobSpec) normalize() (JobSpec, error) {
+	if len(sp.Experiments) > maxExperiments {
+		return sp, fmt.Errorf("experiments: %d ids, at most %d", len(sp.Experiments), maxExperiments)
+	}
+	if sp.Seeds > maxSeeds {
+		return sp, fmt.Errorf("seeds: %d, at most %d", sp.Seeds, maxSeeds)
+	}
 	if sp.Seed == 0 {
 		sp.Seed = 1
 	}
@@ -113,19 +125,11 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 		sp.Experiments = nil
 	}
 	for _, id := range sp.Experiments {
-		if _, err := resolveEntry(id); err != nil {
+		if _, err := experiments.ByID(id); err != nil {
 			return sp, err
 		}
 	}
 	return sp, nil
-}
-
-// resolveEntry finds a registry or ablation experiment by id.
-func resolveEntry(id string) (experiments.Entry, error) {
-	if e, err := experiments.ByID(id); err == nil {
-		return e, nil
-	}
-	return experiments.AblationByID(id)
 }
 
 // entries expands the (normalized) spec into the drivers to run.
@@ -135,7 +139,7 @@ func (sp JobSpec) entries() []experiments.Entry {
 	}
 	out := make([]experiments.Entry, 0, len(sp.Experiments))
 	for _, id := range sp.Experiments {
-		e, err := resolveEntry(id)
+		e, err := experiments.ByID(id)
 		if err != nil {
 			panic(err) // normalize validated every id
 		}
@@ -299,7 +303,7 @@ type Server struct {
 	sems map[string]chan struct{}
 
 	submitted, coalesced, completed, failed, replayed *obs.Counter
-	runsComputed, runsMaterialized                    *obs.Counter
+	runsComputed, runsMaterialized, runsRecorded      *obs.Counter
 }
 
 // New returns a Server. The returned server is ready to serve; attach
@@ -331,6 +335,7 @@ func New(cfg Config) *Server {
 	s.replayed = s.reg.Counter("simd/jobs/replayed")
 	s.runsComputed = s.reg.Counter("simd/runs/computed")
 	s.runsMaterialized = s.reg.Counter("simd/runs/materialized")
+	s.runsRecorded = s.reg.Counter("simd/runs/recordings")
 	return s
 }
 
@@ -410,7 +415,7 @@ func (s *Server) clientSem(client string) chan struct{} {
 }
 
 // runJob executes a job end to end on its own goroutine: acquire the
-// client's slot, run every driver on the shared worker pool, store the
+// client's slot, run its entries as one Suite.Run plan, store the
 // result bytes. All job state changes go through Job methods (one lock
 // discipline, broadcast on every change).
 func (s *Server) runJob(j *Job, sem chan struct{}) {
@@ -435,11 +440,10 @@ func (s *Server) runJob(j *Job, sem chan struct{}) {
 		Shard:        s.cfg.Shard,
 	})
 	entries := j.Spec.entries()
-	tables := parallel.Map(s.cfg.Workers, entries, func(_ int, e experiments.Entry) *report.Table {
-		t := e.Run(su)
+	tables := su.Run(entries)
+	for range tables {
 		j.advance()
-		return t
-	})
+	}
 
 	res := Result{ID: j.ID, Spec: j.Spec, Tables: make([]TableJSON, len(tables))}
 	for i, t := range tables {
@@ -463,6 +467,7 @@ func (s *Server) runJob(j *Job, sem chan struct{}) {
 	s.completed.Add(1)
 	s.runsComputed.Add(uint64(su.ComputedRuns()))
 	s.runsMaterialized.Add(uint64(su.CachedRuns()))
+	s.runsRecorded.Add(uint64(su.Recordings()))
 	j.complete(payload, su.ComputedRuns(), su.CachedRuns())
 }
 

@@ -111,21 +111,53 @@ func TestSubmitIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: malformed JSON, unknown fields, and unknown
-// experiment ids are rejected up front.
+// TestSubmitValidation: malformed JSON, unknown fields, unknown
+// experiment ids, a spec over the seed or experiment-count bound, and a
+// body over maxSpecBytes are rejected up front, naming what is wrong,
+// and create no job.
 func TestSubmitValidation(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	for name, body := range map[string]string{
-		"bad json":           `{`,
-		"unknown field":      `{"experimnts":["tab1"]}`,
-		"unknown experiment": `{"experiments":["fig99"]}`,
+	s, ts := testServer(t, Config{})
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"bad json", `{`, http.StatusBadRequest, "decoding spec"},
+		{"unknown field", `{"experimnts":["tab1"]}`, http.StatusBadRequest, "experimnts"},
+		{"unknown experiment", `{"experiments":["fig99"]}`, http.StatusBadRequest, "fig99"},
+		{"seeds", `{"experiments":["fig12"],"quick":true,"seeds":1099511627776}`, http.StatusBadRequest, "seeds"},
+		{"experiments", `{"experiments":["tab1"` + strings.Repeat(`,"tab1"`, maxExperiments) + `]}`, http.StatusBadRequest, "experiments"},
+		{"body", `{"experiments":["` + strings.Repeat("x", maxSpecBytes) + `"]}`, http.StatusRequestEntityTooLarge, "too large"},
 	} {
-		if _, code := postJob(t, ts, body, ""); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: answered %d %s, want %d naming %q", tc.name, resp.StatusCode, msg, tc.code, tc.want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused specs created %d jobs", len(jobs))
 	}
 	if _, code := get(t, ts.URL+"/v1/jobs/deadbeef"); code != http.StatusNotFound {
 		t.Errorf("unknown job id: status %d, want 404", code)
+	}
+}
+
+// TestJobRecordsEachFrontEndOnce: a job's entries run as one plan, so
+// Figs 5, 12 and 13, whose cells share the quick suite's 12 front ends
+// (6 benchmarks × 2 hierarchies), record each front end once.
+func TestJobRecordsEachFrontEndOnce(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2})
+	st, code := postJob(t, ts, `{"experiments":["fig5","fig12","fig13"],"quick":true}`, "?wait=1")
+	if code != http.StatusOK || st.State != StateDone || st.Done != 3 {
+		t.Fatalf("job: code=%d %+v", code, st)
+	}
+	if got := s.Registry().Snapshot().Counters["simd/runs/recordings"]; got != 12 {
+		t.Errorf("job recorded %d front ends, want 12", got)
 	}
 }
 
