@@ -13,17 +13,37 @@ import (
 // statement about the scheduler.
 func stressChannel(t *testing.T, repl Replication, seed uint64) {
 	t.Helper()
-	spec := dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800)
-	var fastPtr *dramspec.Config
-	if repl.Fast() {
-		fast := dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, 800)
-		fastPtr = &fast
-	}
-	cfg := DefaultConfig(repl, spec, fastPtr)
+	cfg := trafficConfig(repl)
 	cfg.Seed = seed
-	cfg.CopyErrorRate = 0.001
 	c := MustNewChannel(cfg)
+	stressTraffic(t, c, seed)
 
+	s := c.Stats()
+	if s.ReadCount != s.Reads+s.WriteForwards {
+		t.Errorf("read accounting: count=%d dram=%d forwards=%d", s.ReadCount, s.Reads, s.WriteForwards)
+	}
+	if got := s.RowHits + s.RowMisses + s.RowConflicts; got != s.Reads+s.Writes {
+		t.Errorf("row outcomes %d != reads+writes %d", got, s.Reads+s.Writes)
+	}
+	if repl.Replicated() && s.Writes > 0 && s.BroadcastWrites != s.Writes {
+		t.Errorf("replicated design broadcast %d of %d writes", s.BroadcastWrites, s.Writes)
+	}
+	if !repl.Replicated() && s.BroadcastWrites != 0 {
+		t.Errorf("baseline broadcast writes: %d", s.BroadcastWrites)
+	}
+	if repl.Fast() && s.Corrections != s.DetectedErrors {
+		t.Errorf("corrections %d != detections %d", s.Corrections, s.DetectedErrors)
+	}
+	rq, wq, parked := c.QueueDepths()
+	if rq != 0 || wq != 0 || parked != 0 {
+		t.Errorf("queues not empty after drain: %d %d %d", rq, wq, parked)
+	}
+}
+
+// stressTraffic drives stressChannel's seeded read-heavy stream (15%
+// writes, waits on random pending reads) and drains the channel.
+func stressTraffic(t *testing.T, c *Channel, seed uint64) {
+	t.Helper()
 	rng := xrand.New(seed)
 	at := c.Now()
 	var pending []*Request
@@ -59,27 +79,6 @@ func stressChannel(t *testing.T, repl Replication, seed uint64) {
 		}
 	}
 	c.Drain()
-
-	s := c.Stats()
-	if s.ReadCount != s.Reads+s.WriteForwards {
-		t.Errorf("read accounting: count=%d dram=%d forwards=%d", s.ReadCount, s.Reads, s.WriteForwards)
-	}
-	if got := s.RowHits + s.RowMisses + s.RowConflicts; got != s.Reads+s.Writes {
-		t.Errorf("row outcomes %d != reads+writes %d", got, s.Reads+s.Writes)
-	}
-	if repl.Replicated() && s.Writes > 0 && s.BroadcastWrites != s.Writes {
-		t.Errorf("replicated design broadcast %d of %d writes", s.BroadcastWrites, s.Writes)
-	}
-	if !repl.Replicated() && s.BroadcastWrites != 0 {
-		t.Errorf("baseline broadcast writes: %d", s.BroadcastWrites)
-	}
-	if repl.Fast() && s.Corrections != s.DetectedErrors {
-		t.Errorf("corrections %d != detections %d", s.Corrections, s.DetectedErrors)
-	}
-	rq, wq, parked := c.QueueDepths()
-	if rq != 0 || wq != 0 || parked != 0 {
-		t.Errorf("queues not empty after drain: %d %d %d", rq, wq, parked)
-	}
 }
 
 func TestStressBaseline(t *testing.T)     { stressChannel(t, ReplicationNone, 1) }
