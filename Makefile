@@ -35,12 +35,13 @@ analyze:
 
 # alloc-gate pins the hot-path allocation contract: the steady-state
 # micro-benchmarks must report exactly 0 allocs/op. The $$-anchors keep
-# the legacy twins (BenchmarkRSDetectGeneric, BenchmarkChannelScan...)
+# the reference twins (BenchmarkRSDetectGeneric, BenchmarkChannelBatchIssueOff)
 # out of the gate — only the production paths are held to zero.
 alloc-gate:
 	@fail=0; \
 	for spec in "internal/memctrl BenchmarkChannelReadStream" \
 	            "internal/memctrl BenchmarkChannelBatchIssue" \
+	            "internal/memctrl BenchmarkChannelWriteDrain" \
 	            "internal/heterodmr BenchmarkHeteroDMRReadMode" \
 	            "internal/rs BenchmarkRSDetect"; do \
 		set -- $$spec; \
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzRSRoundTrip -fuzztime $(FUZZTIME) ./internal/rs
 	$(GO) test -run NONE -fuzz FuzzDetectWordEquivalence -fuzztime $(FUZZTIME) ./internal/rs
 	$(GO) test -run NONE -fuzz FuzzAddrMapBijective -fuzztime $(FUZZTIME) ./internal/memctrl
+	$(GO) test -run NONE -fuzz FuzzChannelTraffic -fuzztime $(FUZZTIME) ./internal/memctrl
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the
@@ -67,19 +69,19 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkChannelReadStream -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue$$' -benchmem ./internal/memctrl
+	$(GO) test -run '^$$' -bench BenchmarkChannelWriteDrain -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench BenchmarkHeteroDMRReadMode -benchmem ./internal/heterodmr
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench BenchmarkSimulateGrizzly -benchmem ./internal/hpc
 	$(GO) test -run '^$$' -bench 'BenchmarkNode(Record|Replay)$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 
-# bench-compare pits each optimized path against its in-tree legacy twin
-# — the event-driven channel scheduler vs the poll-per-step scans and the
+# bench-compare pits each optimized path against its in-tree reference
+# twin — row-hit burst batching vs the unbatched scheduler and the
 # word-parallel RS syndrome sweep vs the byte-wise reference — then runs
 # the full sequential suite. The twins are the same pairs the
 # differential/fuzz tests pin to identical output.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkChannel(ReadStream|ScanScheduler)' -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue' -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkRSDetect' -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench BenchmarkRunAllSeq -benchmem -benchtime 1x .

@@ -14,9 +14,9 @@
 // recovered from — at any seed, suite output is byte-identical to the
 // fault-free run. Degradation may cost time, never correctness.
 //
-// Arming follows the repository's hook idiom (noPool, ScanScheduler,
-// noBatch): layers carry an optional *Plan and a nil plan is a no-op on
-// every method, so the production path pays one nil check per site. Real
+// Arming follows the repository's hook idiom (noPool, noBatch): layers
+// carry an optional *Plan and a nil plan is a no-op on every method, so
+// the production path pays one nil check per site. Real
 // binaries arm plans from the -faults flag or the REPRO_FAULTS
 // environment variable (which spawned shard workers inherit); tests build
 // plans directly. The scanparity-style faultsite analyzer requires every

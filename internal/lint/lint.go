@@ -26,9 +26,9 @@
 //   - unitflow: picosecond quantities and cycle counts may not meet in
 //     additive arithmetic, and may meet multiplicatively only inside a
 //     *PS-named conversion helper.
-//   - scanparity: every dual-path hook (ScanScheduler, noPool) must be
-//     referenced from an in-package test, or the legacy path it selects
-//     has no live differential oracle.
+//   - scanparity: every dual-path hook (noPool, noBatch) must be
+//     referenced from an in-package test, or the bypassed path it
+//     selects has no live differential oracle.
 //   - faultsite: every declared fault-injection site (faultinject.Site
 //     constant) must be referenced from an in-package test, or the
 //     recovery path behind it is unverified.

@@ -10,10 +10,10 @@ import (
 )
 
 // ScanParity guards the repository's dual-path hooks: every legacy or
-// degraded code path kept alive as a differential oracle (the
-// poll-per-step ScanScheduler paths, the noPool freelist bypass) is only
-// trustworthy while a test actually exercises it against the primary
-// path. A hook nobody references from a test is a dead oracle — the
+// degraded code path kept alive as a differential oracle (the memory
+// controller's noPool freelist bypass and noBatch row-hit-burst bypass)
+// is only trustworthy while a test actually exercises it against the
+// primary path. A hook nobody references from a test is a dead oracle — the
 // legacy path can rot silently and the "differential" guarantee with it.
 //
 // For each hook-named struct field or package-level variable declared in
@@ -28,21 +28,20 @@ var ScanParity = &analysis.Analyzer{
 	Name: "scanparity",
 	Doc: `require every dual-path hook to be exercised by an in-package test
 
-Legacy scheduler paths and pooling bypasses exist as differential
-oracles; each hook field (ScanScheduler, noPool, ...) must be referenced
-from a _test.go file in the same package, or the dual path is untested
-and the finding points at the hook's declaration.`,
+Pooling and batching bypasses exist as differential oracles; each hook
+field (noPool, noBatch, ...) must be referenced from a _test.go file in
+the same package, or the dual path is untested and the finding points
+at the hook's declaration.`,
 	Run: runScanParity,
 }
 
 // scanParityHooks is the comma-separated list of hook names the check
-// applies to: the Config field selecting the legacy scan scheduler and
-// the channel's pooling and row-hit-batching bypasses.
+// applies to: the channel's pooling and row-hit-batching bypasses.
 var scanParityHooks string
 
 func init() {
 	ScanParity.Flags.StringVar(&scanParityHooks, "hooks",
-		"ScanScheduler,noPool,noBatch",
+		"noPool,noBatch",
 		"comma-separated dual-path hook names that must be referenced from an in-package test")
 }
 

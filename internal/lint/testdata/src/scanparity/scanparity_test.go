@@ -2,12 +2,12 @@ package scanparity
 
 import "testing"
 
-// TestSchedulerDifferential is the in-package reference that proves the
-// ScanScheduler dual path has a live oracle.
-func TestSchedulerDifferential(t *testing.T) {
-	legacy := run(Config{ScanScheduler: true})
-	fast := run(Config{})
-	if legacy == fast {
+// TestBatchDifferential is the in-package reference that proves the
+// noBatch dual path has a live oracle.
+func TestBatchDifferential(t *testing.T) {
+	unbatched := run(Config{noBatch: true})
+	batched := run(Config{})
+	if unbatched == batched {
 		t.Fatal("paths indistinguishable")
 	}
 }

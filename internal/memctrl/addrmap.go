@@ -94,3 +94,8 @@ func (c *Channel) writeTargetRanks(origRank int) []int {
 func (c *Channel) globalBank(rank, bank int) int {
 	return rank*c.cfg.BanksPerRank + bank
 }
+
+// splitBank inverts globalBank (BanksPerRank is a power of two).
+func (c *Channel) splitBank(gb int) (rank, bank int) {
+	return gb >> c.bankBits, gb & (c.cfg.BanksPerRank - 1)
+}

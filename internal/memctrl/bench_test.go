@@ -1,6 +1,10 @@
 package memctrl
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/xrand"
+)
 
 // benchStream drives the controller's hot loop: a stream of reads with
 // enough writebacks mixed in to exercise the writeback cache, mode
@@ -85,14 +89,38 @@ func BenchmarkChannelBatchIssueOff(b *testing.B) {
 	benchBurst(b, c)
 }
 
-// BenchmarkChannelScanScheduler is the same stream on the legacy
-// poll-per-step scan paths (Config.ScanScheduler). It keeps the scan
-// twin compiled, raced (CI runs every benchmark once under -race), and
-// comparable: the ratio to BenchmarkChannelReadStream is the scheduler
-// win in isolation from the rest of the node.
-func BenchmarkChannelScanScheduler(b *testing.B) {
-	fast := fastPoint()
-	cfg := DefaultConfig(ReplicationHeteroDMR, specPoint(), &fast)
-	cfg.ScanScheduler = true
-	benchStream(b, MustNewChannel(cfg))
+// BenchmarkChannelWriteDrain measures the write path on the node-shaped
+// Hetero-DMR channel (writeback cache on, proactive cleaning from a stub
+// LLC). One op submits a 64-request window with ~30% writes — every read
+// probes both block tables, every write parks in the writeback cache or
+// the write queue — then drains: the slow phase's write mode tops the
+// queue up from the writeback cache and the cleaner, and every write
+// retires through the write pick. Run with -benchmem; the steady state
+// must not allocate (the alloc-gate pins this).
+func BenchmarkChannelWriteDrain(b *testing.B) {
+	cfg := nodeShapedConfig(ReplicationHeteroDMR, 1)
+	cfg.CleanSource.(*stubCleaner).limit = 64
+	c := MustNewChannel(cfg)
+	rng := xrand.New(3)
+	var window [64]*Request
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := c.Now()
+		n := 0
+		for k := range window {
+			addr := rng.Uint64n(1<<26) &^ 63
+			if k%10 < 3 {
+				c.SubmitWrite(addr, at)
+				continue
+			}
+			window[n] = c.SubmitRead(addr, at)
+			n++
+		}
+		c.WaitFor(window[n-1])
+		for _, r := range window[:n] {
+			c.Release(r)
+		}
+		c.Drain()
+	}
 }

@@ -12,14 +12,14 @@ import "repro/internal/dram"
 //
 // On top of the chains the channel maintains, per *serving* bank, the
 // number of queued requests whose row matches that bank's currently open
-// row (rHits for reads, wHits for writes, plus their totals). A serving
-// bank is (rank r, bank b) where r may be the decoded original rank or a
-// copy rank holding a replica; chainRank maps a serving rank back to the
-// decoded rank whose chain it serves. The counters let the FR-FCFS
-// row-hit passes skip the queues entirely when no hit can exist — the
-// common state once the open pages age out — while remaining exact: a
-// non-zero counter only gates running the same selection the legacy scan
-// performs.
+// row (rHits for reads, wHits for writes, each with its total and its
+// list of banks where the count is non-zero). A serving bank is (rank r,
+// bank b) where r may be the decoded original rank or a copy rank holding
+// a replica; chainRank maps a serving rank back to the decoded rank whose
+// chain it serves. The counters let the FR-FCFS row-hit passes visit only
+// the banks that can produce a hit — none at all once the open pages age
+// out — while remaining exact: the oldest hit is the minimum ring
+// position over those banks' oldest matching chain entries.
 //
 // The counters count row matches regardless of arrival time or streak
 // caps (those are re-checked by the gated selection), and they stay
@@ -65,30 +65,48 @@ func (c *Channel) ranksServing(origRank int) []int {
 	return c.appendCopyRanks(append(c.servBuf[:0], origRank), origRank)
 }
 
-// rHitsSet updates serving bank gb's read row-hit count, the global
-// total, and the dense hot-bank list (hotR/hotRPos) the chained row-hit
-// pass iterates. Membership changes only on 0↔nonzero transitions;
-// swap-with-last removal keeps both updates O(1). List order is
-// irrelevant to scheduling: the pass takes a global minimum over ring
-// positions, not the first hit it sees.
-func (c *Channel) rHitsSet(gb int, n int32) {
-	old := c.rHits[gb]
+// bankHits is one queue's row-hit index: per serving bank, the number
+// of queued requests whose row matches the bank's open row; their total;
+// and the dense list of banks with a non-zero count (pos holds each
+// bank's index in it, -1 when absent), which the chained row-hit passes
+// iterate.
+type bankHits struct {
+	n     []int32
+	total int
+	hot   []int32
+	pos   []int32
+}
+
+func newBankHits(nb int) bankHits {
+	h := bankHits{n: make([]int32, nb), hot: make([]int32, 0, nb), pos: make([]int32, nb)}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	return h
+}
+
+// set updates bank gb's count, the total and the hot list. Membership
+// changes only on 0↔nonzero transitions; swap-with-last removal keeps
+// both updates O(1). List order is irrelevant to scheduling: the passes
+// take a global minimum over ring positions, not the first hit they see.
+func (h *bankHits) set(gb int, n int32) {
+	old := h.n[gb]
 	if n == old {
 		return
 	}
-	c.rHitTotal += int(n - old)
-	c.rHits[gb] = n
+	h.total += int(n - old)
+	h.n[gb] = n
 	if old == 0 {
-		c.hotRPos[gb] = int32(len(c.hotR))
-		c.hotR = append(c.hotR, int32(gb))
+		h.pos[gb] = int32(len(h.hot))
+		h.hot = append(h.hot, int32(gb))
 	} else if n == 0 {
-		i := c.hotRPos[gb]
-		last := len(c.hotR) - 1
-		moved := c.hotR[last]
-		c.hotR[i] = moved
-		c.hotRPos[moved] = i
-		c.hotR = c.hotR[:last]
-		c.hotRPos[gb] = -1
+		i := h.pos[gb]
+		last := len(h.hot) - 1
+		moved := h.hot[last]
+		h.hot[i] = moved
+		h.pos[moved] = i
+		h.hot = h.hot[:last]
+		h.pos[gb] = -1
 	}
 }
 
@@ -99,7 +117,7 @@ func (c *Channel) chainPushRead(req *Request) {
 	for _, ri := range c.ranksServing(req.rank) {
 		if c.ranks[ri].Bank(req.bank).OpenRow() == req.row {
 			gb := c.globalBank(ri, req.bank)
-			c.rHitsSet(gb, c.rHits[gb]+1)
+			c.rHits.set(gb, c.rHits.n[gb]+1)
 		}
 	}
 }
@@ -112,31 +130,88 @@ func (c *Channel) chainRemoveRead(req *Request) {
 	for _, ri := range c.ranksServing(req.rank) {
 		if c.ranks[ri].Bank(req.bank).OpenRow() == req.row {
 			gb := c.globalBank(ri, req.bank)
-			c.rHitsSet(gb, c.rHits[gb]-1)
+			c.rHits.set(gb, c.rHits.n[gb]-1)
 		}
 	}
 }
 
-// chainPushWrite threads a newly queued write. Write row hits are only
-// checked against the decoded rank (broadcast targets follow the
-// original), so the counter update is a single bank probe.
+// writeScanCap bounds the write projection pass to the oldest live
+// writes; the cap is part of the scheduling policy, so it defines output.
+const writeScanCap = 64
+
+// chainPushWrite threads a newly queued write, which writeQ.push has
+// just placed at the ring tail. Write row hits are only checked against
+// the decoded rank (broadcast targets follow the original), so the
+// counter update is a single bank probe. A write that starts its chain
+// has the largest position of any head, so wHeads stays sorted by
+// appending it.
 func (c *Channel) chainPushWrite(req *Request) {
 	gb := c.globalBank(req.rank, req.bank)
+	if c.writeChains[gb].head == nil {
+		c.wHeads = append(c.wHeads, req)
+	}
 	c.writeChains[gb].push(req)
+	if c.writeQ.len() == writeScanCap {
+		c.wEdge = req
+	}
 	if c.ranks[req.rank].Bank(req.bank).OpenRow() == req.row {
-		c.wHits[gb]++
-		c.wHitTotal++
+		c.wHits.set(gb, c.wHits.n[gb]+1)
 	}
 }
 
-// chainRemoveWrite unthreads a retiring write.
+// chainRemoveWrite unthreads a retiring write while it is still in the
+// ring. Retiring a chain head hands the bank's slot in wHeads to its next
+// write, which sits later in the ring, so the slot moves toward the tail
+// past the heads it now follows; a write at or before wEdge moves the
+// window edge to the next live write.
 func (c *Channel) chainRemoveWrite(req *Request) {
 	gb := c.globalBank(req.rank, req.bank)
-	c.writeChains[gb].remove(req)
-	if c.ranks[req.rank].Bank(req.bank).OpenRow() == req.row {
-		c.wHits[gb]--
-		c.wHitTotal--
+	ch := &c.writeChains[gb]
+	if ch.head == req {
+		h := c.wHeads
+		i := headIndex(h, req.pos)
+		if next := req.next; next != nil {
+			for ; i+1 < len(h) && h[i+1].pos < next.pos; i++ {
+				h[i] = h[i+1]
+			}
+			h[i] = next
+		} else {
+			copy(h[i:], h[i+1:])
+			h[len(h)-1] = nil
+			c.wHeads = h[:len(h)-1]
+		}
 	}
+	ch.remove(req)
+	if c.wEdge != nil {
+		switch {
+		case c.writeQ.len() == writeScanCap:
+			c.wEdge = nil // the window now holds every queued write
+		case req.pos <= c.wEdge.pos:
+			i := c.wEdge.pos + 1
+			for c.writeQ.at(i) == nil {
+				i++
+			}
+			c.wEdge = c.writeQ.at(i)
+		}
+	}
+	if c.ranks[req.rank].Bank(req.bank).OpenRow() == req.row {
+		c.wHits.set(gb, c.wHits.n[gb]-1)
+	}
+}
+
+// headIndex returns the index of the head at ring position pos in the
+// position-sorted list h, which must hold it.
+func headIndex(h []*Request, pos int) int {
+	lo, hi := 0, len(h)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h[mid].pos < pos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // bankRowChanged recounts the row-hit counters of serving bank (ri, b)
@@ -156,7 +231,7 @@ func (c *Channel) bankRowChanged(ri, b int) {
 				}
 			}
 		}
-		c.rHitsSet(gb, n)
+		c.rHits.set(gb, n)
 	}
 
 	// Write chains are keyed and checked on decoded ranks only; for copy
@@ -169,8 +244,7 @@ func (c *Channel) bankRowChanged(ri, b int) {
 			}
 		}
 	}
-	c.wHitTotal += int(n - c.wHits[gb])
-	c.wHits[gb] = n
+	c.wHits.set(gb, n)
 }
 
 // rankRowsChanged recounts every bank of serving rank ri (after a
@@ -191,22 +265,20 @@ func (c *Channel) recountAllRows() {
 	}
 }
 
-// pickReadChained is pickRead's event-driven first pass: the oldest
-// arrived row hit, found through the per-bank chains instead of a ring
-// scan. Only called when rHitTotal > 0. It returns the ring position and
-// serving rank, or (-1, -1) when every counted hit is still in flight
-// toward the controller (not yet arrived) or streak-capped differently
-// than counted — the caller then falls through to the ordinary oldest-
-// first pass, exactly like the legacy scan would.
+// pickReadChained is pickRead's row-hit pass: the oldest arrived row
+// hit, found through the per-bank chains instead of a ring scan. Only
+// called when rHits.total > 0. It returns the ring position and serving
+// rank, or (-1, -1) when every counted hit is still in flight toward the
+// controller (not yet arrived) or streak-capped — the caller then falls
+// through to the oldest-first pass.
 func (c *Channel) pickReadChained() (pos, serveRank int) {
 	var best *Request
-	bpr := c.cfg.BanksPerRank
-	for _, g := range c.hotR {
+	for _, g := range c.rHits.hot {
 		gb := int(g)
 		if gb == c.streakBank && c.streakLen >= hitStreakCap {
 			continue // bank fairness: streak exhausted for this bank
 		}
-		ri, b := gb/bpr, gb%bpr
+		ri, b := c.splitBank(gb)
 		open := c.ranks[ri].Bank(b).OpenRow()
 		// A bank only enters the hot list through a counted hit, which
 		// requires a serving rank, so chainRank[ri] >= 0 here.
@@ -231,18 +303,18 @@ func (c *Channel) pickReadChained() (pos, serveRank int) {
 	// Unreachable: best came from a serving bank with an open-row match
 	// and a live streak budget, and such a bank is always in the request's
 	// candidate list (a rank outside it never has open rows). Diverging
-	// silently into the second pass would break scan equivalence, so fail
+	// silently into the second pass would change the schedule, so fail
 	// loudly instead.
 	panic("memctrl: chained row hit lost during candidate re-resolution")
 }
 
 // resolveHitRank re-resolves which rank serves a chained row hit, in
-// candidate order, so ties between an original and its copy break
-// exactly like the legacy scan (which probes readCandidateRanks in order
-// and returns the first open-row match with streak budget). Returns -1
-// when no candidate qualifies. Shared by pickReadChained and the
-// row-hit burst loop, which must stop the moment the resolution would
-// land on a different rank than the burst's.
+// candidate order, so ties between an original and its copy break the
+// same way every time: the first candidate in readCandidateRanks order
+// with an open-row match and streak budget. Returns -1 when no
+// candidate qualifies. Shared by pickReadChained and the row-hit burst
+// loop, which must stop the moment the resolution would land on a
+// different rank than the burst's.
 func (c *Channel) resolveHitRank(req *Request) int {
 	for _, cand := range c.readCandidateRanks(req.rank) {
 		r := c.ranks[cand]
@@ -254,4 +326,59 @@ func (c *Channel) resolveHitRank(req *Request) int {
 		}
 	}
 	return -1
+}
+
+// pickWrite chooses the next write: the oldest row hit if any queued
+// write matches its bank's open row, otherwise — among the writeScanCap
+// oldest live writes — the first whose bank can accept a column soonest,
+// which interleaves activates across banks instead of serializing row
+// cycles on one bank (tFAW relief).
+//
+// Both passes work per bank. The row-hit pass takes the minimum ring
+// position over the hit banks' oldest matching chain entries. In the
+// projection pass no queued write is a row hit, so a write's projection
+// depends only on its bank, and the first minimum over the window is
+// the minimum of (projection, ring position) over the banks whose chain
+// head lies in the window: each bank is projected once, at its head,
+// visiting banks in head order. Every projection is at least now +
+// minTRCD, so once the incumbent reaches that floor no later bank can
+// beat it (projections only tie) and the pass stops.
+func (c *Channel) pickWrite() *Request {
+	if c.wHits.total > 0 {
+		var best *Request
+		for _, g := range c.wHits.hot {
+			gb := int(g)
+			ri, b := c.splitBank(gb)
+			open := c.ranks[ri].Bank(b).OpenRow()
+			for r := c.writeChains[gb].head; r != nil; r = r.next {
+				if r.row == open {
+					if best == nil || r.pos < best.pos {
+						best = r
+					}
+					break
+				}
+			}
+		}
+		return best
+	}
+	limit := int(^uint(0) >> 1)
+	if c.wEdge != nil {
+		limit = c.wEdge.pos
+	}
+	floor := c.now + c.minTRCD
+	var best *Request
+	var bestProj int64
+	for _, h := range c.wHeads {
+		if h.pos > limit {
+			break
+		}
+		proj := c.ranks[h.rank].ProjectRead(h.bank, h.row, c.now)
+		if best == nil || proj < bestProj {
+			best, bestProj = h, proj
+		}
+		if bestProj <= floor {
+			break
+		}
+	}
+	return best
 }

@@ -2,25 +2,23 @@ package memctrl
 
 // Event-driven scheduling indexes.
 //
-// The legacy controller discovered the next actionable moment by brute
-// force: every step rescanned all ranks for due refreshes, walked every
-// bank of every rank for page timeouts, and swept the whole read ring for
-// the earliest arrival. The indexes here make each of those checks O(1)
-// (amortized) in the nothing-to-do case while leaving the scheduling
-// decisions — and therefore the virtual clock, the statistics, and every
-// byte of suite output — exactly identical to the scans:
+// The controller never polls for its next actionable moment: every step
+// would otherwise rescan all ranks for due refreshes, walk every bank of
+// every rank for page timeouts, and sweep the read ring for the earliest
+// arrival. The indexes here make each of those checks O(1) (amortized)
+// in the nothing-to-do case, without changing a scheduling decision:
 //
 //   - refreshAt caches the minimum auto-refresh deadline over awake
 //     ranks; serviceRefresh returns immediately while now < refreshAt and
-//     otherwise runs the unchanged legacy scan (which is then guaranteed
-//     to find a due rank).
+//     otherwise scans the ranks, which is then guaranteed to find a due
+//     one.
 //   - closeHeap is a lazy-deletion min-heap of (deadline, bank) page-
 //     timeout expiries, pushed whenever a column command refreshes a
-//     bank's lastUse; lazyClose pops only the entries whose deadline has
-//     passed, discarding stale ones (row since closed, rank parked, or a
-//     newer use superseded the deadline). Per-bank precharges commute, so
-//     deadline order and the legacy rank-major order produce identical
-//     state.
+//     bank's lastUse; lazyClose handles only the entries whose deadline
+//     has passed. An entry superseded by a newer use is re-armed in
+//     place at the live deadline; stale ones (row since closed, rank
+//     parked) are discarded. Per-bank precharges commute, so the order
+//     in which due entries are handled cannot change the resulting state.
 //   - nextEventTime is the idle-clock jump target. In the pinned
 //     scheduling semantics the clock only ever jumps to the oldest
 //     pending arrival (refresh/timeout/timing expiries are evaluated
@@ -28,9 +26,10 @@ package memctrl
 //     non-decreasing the oldest pending arrival is simply the ring head —
 //     no sweep.
 //
-// The legacy scan paths remain compiled behind Config.ScanScheduler (the
-// same pattern as the noPool freelist hook) and differential tests pin
-// scan ≡ event equivalence at channel and full-node level.
+// The per-bank request chains and row-hit counters the FR-FCFS picks
+// use live in chains.go. testdata/schedule.golden (channel level) and
+// the node package's results.golden pin the schedule these indexes
+// produce.
 
 // closeEvent is one page-timeout expiry: bank gb's open row becomes
 // eligible for a background precharge at instant `at`.
@@ -45,8 +44,6 @@ func (c *Channel) initSchedIndexes() {
 	nb := c.cfg.Ranks * c.cfg.BanksPerRank
 	c.readChains = make([]reqChain, nb)
 	c.writeChains = make([]reqChain, nb)
-	c.rHits = make([]int32, nb)
-	c.wHits = make([]int32, nb)
 	c.chainRank = make([]int, c.cfg.Ranks)
 	half := c.cfg.Ranks / 2
 	for ri := range c.chainRank {
@@ -78,11 +75,9 @@ func (c *Channel) initSchedIndexes() {
 		c.closeDefer = make([]closeEvent, 0, c.cfg.BanksPerRank)
 		c.closeAt = make([]int64, nb)
 	}
-	c.hotR = make([]int32, 0, nb)
-	c.hotRPos = make([]int32, nb)
-	for i := range c.hotRPos {
-		c.hotRPos[i] = -1
-	}
+	c.rHits = newBankHits(nb)
+	c.wHits = newBankHits(nb)
+	c.wHeads = make([]*Request, 0, nb)
 }
 
 // reindexTiming refreshes the cached cross-rank timing aggregates after
@@ -121,13 +116,10 @@ func (c *Channel) recomputeRefreshAt() {
 // schedCloseAt records that bank gb's page timeout now expires at `at`
 // (its lastUse just advanced). At most one entry per bank lives in the
 // heap: if one is already enqueued — necessarily at an earlier-or-equal
-// deadline, since lastUse only advances — the pop reconciles against the
-// live deadline, so a second push would be redundant.
+// deadline, since lastUse only advances — lazyClose reconciles it against
+// the live deadline when it comes due, so a second push would be
+// redundant.
 func (c *Channel) schedCloseAt(gb int, at int64) {
-	if c.scanSched {
-		// The legacy scan never drains the heap; don't grow it.
-		return
-	}
 	if c.closeAt[gb] != 0 {
 		return
 	}
@@ -154,9 +146,13 @@ func (c *Channel) popClose() closeEvent {
 	n := len(h) - 1
 	h[0] = h[n]
 	c.closeHeap = h[:n]
-	// Sift down.
-	h = c.closeHeap
-	i := 0
+	c.siftDown(0)
+	return top
+}
+
+func (c *Channel) siftDown(i int) {
+	h := c.closeHeap
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
@@ -172,7 +168,6 @@ func (c *Channel) popClose() closeEvent {
 		h[s], h[i] = h[i], h[s]
 		i = s
 	}
-	return top
 }
 
 // nextEventTime returns the instant the idle scheduler clock should jump
@@ -181,8 +176,7 @@ func (c *Channel) popClose() closeEvent {
 // event classes — refresh deadlines, page timeouts, bank timing expiries,
 // mode boundaries — never advance the clock on their own in the pinned
 // scheduling semantics; they are evaluated lazily once the clock lands
-// here, which is what keeps the event-driven controller byte-identical
-// to the scan-based one.
+// here.
 func (c *Channel) nextEventTime() int64 {
 	return c.readQ.at(c.readQ.head).Arrive
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dramspec"
+	"repro/internal/xrand"
 )
 
 // FuzzAddrMapBijective fuzzes the XOR-hashed address mapping: for the
@@ -71,6 +72,70 @@ func FuzzAddrMapBijective(f *testing.F) {
 				t.Fatalf("%v: fold changed bank/row: (%d,%d) vs baseline (%d,%d)",
 					rc.cfg.Replication, rb, rrow, bank, row)
 			}
+		}
+	})
+}
+
+// FuzzChannelTraffic runs generated traffic through a channel and then
+// drains it. The genome picks the replication mode, the seed (channel
+// errors, addresses and the stub cleaner), the write share, the maximum
+// arrival gap and the read/write queue capacities, bounded to [8, 256]
+// and [8, 128]: a write queue of four or fewer livelocks, because its
+// write-pressure and read-preemption watermarks coincide and the
+// channel flips modes forever. The channel is the node-shaped one, so
+// writeback parking, write-mode top-ups and Hetero-DMR phases all run.
+// Any panic — the DRAM model panics on a timing violation — any
+// conservation violation, or a pending-write table left non-empty by
+// Drain fails the input.
+func FuzzChannelTraffic(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint8(60), uint16(40), uint8(255), uint8(127))
+	f.Add(uint8(1), uint64(2), uint8(120), uint16(10), uint8(16), uint8(8))
+	f.Add(uint8(2), uint64(3), uint8(200), uint16(5), uint8(64), uint8(32))
+	f.Add(uint8(3), uint64(4), uint8(30), uint16(200), uint8(8), uint8(100))
+
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, writeShare uint8, gapNS uint16, readCap, writeCap uint8) {
+		repl := Replication(mode % 4)
+		cfg := nodeShapedConfig(repl, seed)
+		cfg.Seed = seed
+		cfg.ReadQueueCap = 8 + int(readCap)%249
+		cfg.WriteQueueCap = 8 + int(writeCap)%121
+		c := MustNewChannel(cfg)
+
+		rng := xrand.New(seed)
+		share := float64(writeShare) / 255
+		at := c.Now()
+		var pending []*Request
+		for i := 0; i < 500; i++ {
+			addr := rng.Uint64n(1<<24) &^ 63
+			if rng.Bool(share) {
+				c.SubmitWrite(addr, at)
+			} else if req := c.SubmitRead(addr, at); req.Done == 0 {
+				pending = append(pending, req)
+			} else {
+				c.Release(req)
+			}
+			at += int64(rng.Uint64n(uint64(gapNS)+1)) * dramspec.Nanosecond
+			if len(pending) > 24 {
+				k := rng.Intn(len(pending))
+				c.WaitFor(pending[k])
+				c.Release(pending[k])
+				pending = append(pending[:k], pending[k+1:]...)
+			}
+		}
+		for _, req := range pending {
+			c.WaitFor(req)
+			c.Release(req)
+		}
+		c.Drain()
+
+		for _, v := range c.CheckConservation("fuzz") {
+			t.Errorf("violation: %s", v)
+		}
+		if n := c.wqBlocks.len(); n != 0 {
+			t.Errorf("write-queue block table holds %d blocks after Drain", n)
+		}
+		if n := c.wb.index.len(); n != 0 {
+			t.Errorf("writeback cache index holds %d blocks after Drain", n)
 		}
 	})
 }

@@ -128,15 +128,6 @@ type Config struct {
 
 	// Seed drives the error-injection stream.
 	Seed uint64
-
-	// ScanScheduler selects the legacy poll-per-step scheduling paths
-	// (full refresh/page-timeout/queue scans each step) instead of the
-	// event-driven indexes. The two are behavior-identical — same Stats,
-	// same virtual clock, byte-identical outputs — and the differential
-	// tests pin that; the flag exists only for those tests and for
-	// bisecting a suspected index bug. See DESIGN.md "Event-driven
-	// scheduling".
-	ScanScheduler bool
 }
 
 // DefaultConfig returns the Table IV channel for a given replication mode
@@ -255,9 +246,9 @@ type Channel struct {
 	wb     *wbCache
 
 	// wqBlocks counts queued writes per block, mirroring writeQ's live
-	// contents, so the read path's pending-write check is one map lookup
+	// contents, so the read path's pending-write check is one table probe
 	// instead of a queue scan (SubmitRead runs it on every read).
-	wqBlocks map[uint64]uint32
+	wqBlocks blockTable
 
 	// freeReqs is the request freelist: completed-and-released requests
 	// are zeroed and reused by the next Submit, so the steady-state loop
@@ -303,10 +294,6 @@ type Channel struct {
 	lastUse []int64
 
 	// Event-driven scheduling state (see events.go and chains.go).
-	// scanSched selects the legacy poll-per-step paths; the indexes below
-	// are maintained either way (they are cheap and keep the differential
-	// hook honest), but only consulted when scanSched is false.
-	scanSched bool
 	// lastSubmit enforces SubmitRead's documented non-decreasing-arrival
 	// contract, which is what makes the ring head the oldest pending
 	// arrival (the serveRead idle jump depends on it).
@@ -326,25 +313,25 @@ type Channel struct {
 	// readChains/writeChains thread the queued requests of each decoded
 	// (rank, bank) through the request nodes themselves; rHits/wHits
 	// count, per serving bank, the queued requests whose row matches the
-	// bank's open row (rHitTotal/wHitTotal are their sums), so the
-	// row-hit passes skip the queues entirely when no hit exists.
+	// bank's open row and list the banks where that count is non-zero,
+	// so the row-hit passes visit only banks that can produce a hit.
 	readChains  []reqChain
 	writeChains []reqChain
-	rHits       []int32
-	wHits       []int32
-	rHitTotal   int
-	wHitTotal   int
-	// hotR is the dense list of serving banks with rHits > 0 (hotRPos
-	// holds each bank's index in it, -1 when absent), so the chained
-	// row-hit pass visits only banks that can produce a hit.
-	hotR    []int32
-	hotRPos []int32
+	rHits       bankHits
+	wHits       bankHits
+	// wHeads holds the head of every non-empty write chain, sorted by
+	// ring position, and wEdge is the writeScanCap-th oldest live write
+	// (nil while fewer are queued): together they give the write
+	// projection pass its banks in FIFO order, window-bounded, without
+	// walking the ring.
+	wHeads []*Request
+	wEdge  *Request
 	// chainRank maps a serving rank to the decoded rank whose chain it
 	// serves (-1 for ranks no address decodes to or is replicated onto).
 	chainRank []int
 	// minTRCD is the smallest tRCD over all ranks at their current
 	// operating points: a lower bound on any projected row miss, used to
-	// stop the write projection scan early.
+	// stop the write projection pass early.
 	minTRCD int64
 	servBuf [3]int // scratch for ranksServing (distinct from candBuf/targBuf)
 
@@ -388,7 +375,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 		rankBits:   bits.TrailingZeros64(uint64(cfg.Ranks)),
 		origBuf:    make([]int, 0, cfg.Ranks),
 		copyBuf:    make([]*dram.Rank, 0, cfg.Ranks),
-		wqBlocks:   make(map[uint64]uint32, cfg.WriteQueueCap),
+		wqBlocks:   newBlockTable(cfg.WriteQueueCap),
 	}
 	for i := 0; i < cfg.Ranks; i++ {
 		r := dram.NewRank(cfg.BanksPerRank, cfg.Spec.Timing, cfg.Spec.Rate.ClockPS())
@@ -401,7 +388,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 		c.wb = newWBCache(cfg.WritebackCacheBlocks, cfg.WritebackCacheWays)
 	}
 	c.lastUse = make([]int64, cfg.Ranks*cfg.BanksPerRank)
-	c.scanSched = cfg.ScanScheduler
 	c.initSchedIndexes()
 	// Replicated fast designs start in read mode at the fast point with
 	// originals parked in self-refresh.

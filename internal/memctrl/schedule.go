@@ -175,7 +175,7 @@ func (c *Channel) SubmitWrite(addr uint64, at int64) {
 func (c *Channel) pushWrite(req *Request) {
 	c.writeQ.push(req)
 	c.chainPushWrite(req)
-	c.wqBlocks[req.Addr/uint64(c.cfg.BlockBytes)]++
+	c.wqBlocks.inc(req.Addr / uint64(c.cfg.BlockBytes))
 }
 
 // pendingWrite reports whether a block has an outstanding write.
@@ -183,7 +183,7 @@ func (c *Channel) pendingWrite(block uint64) bool {
 	if c.wb != nil && c.wb.contains(block) {
 		return true
 	}
-	return c.wqBlocks[block] > 0
+	return c.wqBlocks.count(block) != 0
 }
 
 // WaitFor simulates until req completes and returns its completion time.
@@ -288,11 +288,10 @@ func (c *Channel) step() bool {
 
 // serviceRefresh issues one due auto-refresh, if any. The refreshAt index
 // makes the nothing-due case — almost every step — a single comparison;
-// when a deadline has passed, the unchanged legacy scan runs and is
-// guaranteed to find a due rank (refreshAt is the exact minimum over
-// awake ranks).
+// when a deadline has passed, the rank scan below is guaranteed to find
+// a due rank (refreshAt is the exact minimum over awake ranks).
 func (c *Channel) serviceRefresh() bool {
-	if !c.scanSched && c.now < c.refreshAt {
+	if c.now < c.refreshAt {
 		return false
 	}
 	for ri, r := range c.ranks {
@@ -315,35 +314,34 @@ func (c *Channel) serviceRefresh() bool {
 }
 
 // lazyClose implements the hybrid page policy: rows idle beyond the
-// timeout are precharged in the background. The event-driven path pops
-// only the banks whose deadline actually fired from the expiry heap;
-// entries made stale by a later use, an intervening precharge, or a
-// self-refresh park are discarded on pop. Precharges on distinct banks
-// commute and each issues at the same EarliestPrecharge instant either
-// way, so the set of state changes per call is identical to the scan's.
+// timeout are precharged in the background. It visits only the banks
+// whose deadline actually fired, in expiry-heap order; an entry
+// superseded by a later use is re-armed in place at the live deadline,
+// and one made stale by an intervening precharge or a self-refresh park
+// is discarded. Precharges on distinct banks commute and each issues at
+// its bank's EarliestPrecharge instant, so the visiting order cannot
+// change the resulting state.
 func (c *Channel) lazyClose() {
 	if c.cfg.PageTimeout <= 0 {
 		return
 	}
-	if c.scanSched {
-		c.lazyCloseScan()
-		return
-	}
 	for len(c.closeHeap) > 0 && c.closeHeap[0].at <= c.now {
-		e := c.popClose()
-		gb := int(e.gb)
-		c.closeAt[gb] = 0
-		ri, b := gb/c.cfg.BanksPerRank, gb%c.cfg.BanksPerRank
+		gb := int(c.closeHeap[0].gb)
+		ri, b := c.splitBank(gb)
 		r := c.ranks[ri]
-		if r.InSelfRefresh() {
-			continue // parked; rows were precharged on entry
-		}
-		if r.Bank(b).OpenRow() == dram.RowClosed {
-			continue // already closed since this entry was scheduled
-		}
-		if d := c.lastUse[gb] + c.cfg.PageTimeout; d > c.now {
+		// A parked rank's rows were precharged on entry; a closed row was
+		// closed since this entry was scheduled. Either way it is stale.
+		live := !r.InSelfRefresh() && r.Bank(b).OpenRow() != dram.RowClosed
+		if d := c.lastUse[gb] + c.cfg.PageTimeout; live && d > c.now {
 			// Superseded by a newer use: re-arm at the live deadline.
-			c.schedCloseAt(gb, d)
+			c.closeHeap[0].at = d
+			c.closeAt[gb] = d
+			c.siftDown(0)
+			continue
+		}
+		e := c.popClose()
+		c.closeAt[gb] = 0
+		if !live {
 			continue
 		}
 		at := r.EarliestPrecharge(b, c.now)
@@ -362,43 +360,18 @@ func (c *Channel) lazyClose() {
 	c.closeDefer = c.closeDefer[:0]
 }
 
-// lazyCloseScan is the legacy full rank×bank sweep (ScanScheduler hook).
-func (c *Channel) lazyCloseScan() {
-	for ri, r := range c.ranks {
-		if r.InSelfRefresh() {
-			continue
-		}
-		for b := 0; b < c.cfg.BanksPerRank; b++ {
-			if r.Bank(b).OpenRow() == dram.RowClosed {
-				continue
-			}
-			if c.lastUse[c.globalBank(ri, b)]+c.cfg.PageTimeout > c.now {
-				continue
-			}
-			at := r.EarliestPrecharge(b, c.now)
-			if at <= c.now {
-				r.Precharge(b, at)
-				c.bankRowChanged(ri, b)
-			}
-		}
-	}
-}
-
 // pickRead chooses the next read per FR-FCFS with bank fairness and
 // returns its ring position plus the chosen serving rank. The row-hit
 // pass consults the per-bank chains (skipped outright when no queued
 // request matches an open row); the oldest-first pass needs only the
 // ring head, because arrivals are non-decreasing.
 func (c *Channel) pickRead() (pos, serveRank int) {
-	if c.scanSched {
-		return c.pickReadScan()
-	}
-	if c.rHitTotal > 0 {
+	if c.rHits.total > 0 {
 		if pos, serveRank = c.pickReadChained(); pos >= 0 {
 			return pos, serveRank
 		}
-		// Every counted hit is still in flight (not yet arrived): fall
-		// through to the oldest-first pass, as the scan would.
+		// Every counted hit is still in flight (not yet arrived) or
+		// streak-capped: fall through to the oldest-first pass.
 	}
 	i := c.readQ.head
 	req := c.readQ.at(i)
@@ -421,52 +394,6 @@ func (c *Channel) pickRead() (pos, serveRank int) {
 		panic("memctrl: no serviceable rank for read (all in self-refresh?)")
 	}
 	return i, bestRank
-}
-
-// pickReadScan is the legacy double ring sweep (ScanScheduler hook).
-func (c *Channel) pickReadScan() (pos, serveRank int) {
-	// First pass: oldest arrived row-hit whose bank's hit streak is not
-	// exhausted.
-	bestRank := -1
-	for i := c.readQ.head; i != c.readQ.tail; i++ {
-		req := c.readQ.at(i)
-		if req == nil || req.Arrive > c.now {
-			continue
-		}
-		for _, cand := range c.readCandidateRanks(req.rank) {
-			r := c.ranks[cand]
-			if r.InSelfRefresh() {
-				continue
-			}
-			if r.Bank(req.bank).OpenRow() == req.row && c.streak(c.globalBank(cand, req.bank)) < hitStreakCap {
-				return i, cand
-			}
-		}
-	}
-	// Second pass: oldest arrived request; choose the candidate rank that
-	// projects to the earliest column issue (FMR's replica selection).
-	for i := c.readQ.head; i != c.readQ.tail; i++ {
-		req := c.readQ.at(i)
-		if req == nil || req.Arrive > c.now {
-			continue
-		}
-		var best int64
-		for _, cand := range c.readCandidateRanks(req.rank) {
-			r := c.ranks[cand]
-			if r.InSelfRefresh() {
-				continue
-			}
-			proj := r.ProjectRead(req.bank, req.row, c.now)
-			if bestRank < 0 || proj < best {
-				best, bestRank = proj, cand
-			}
-		}
-		if bestRank < 0 {
-			panic("memctrl: no serviceable rank for read (all in self-refresh?)")
-		}
-		return i, bestRank
-	}
-	return -1, -1
 }
 
 // streak returns the live row-hit streak of a global bank.
@@ -528,17 +455,6 @@ func (c *Channel) serveRead() {
 	if pos < 0 {
 		// Nothing has arrived yet; jump the clock to the next event —
 		// the oldest pending arrival (the ring head; see nextEventTime).
-		if c.scanSched {
-			earliest := int64(-1)
-			for i := c.readQ.head; i != c.readQ.tail; i++ {
-				req := c.readQ.at(i)
-				if req != nil && (earliest < 0 || req.Arrive < earliest) {
-					earliest = req.Arrive
-				}
-			}
-			c.now = earliest
-			return
-		}
 		c.now = c.nextEventTime()
 		return
 	}
@@ -621,8 +537,8 @@ func (c *Channel) serveReadAt(pos, serveRank int) rowOutcome {
 // the unbatched run returns to the caller, who may submit new traffic
 // (say, writes that tip the queue over the drain watermark) before the
 // next serve. The served sequence, every timing, and every statistic are
-// therefore identical to the unbatched run — the noBatch twin and the
-// scan-scheduler differential tests pin this byte for byte.
+// therefore identical to the unbatched run — the noBatch twin's
+// differential test pins this byte for byte.
 //
 // Correctness of the runner-up bound: SubmitRead arrivals are
 // non-decreasing and ring positions follow submission order, so any
@@ -637,7 +553,7 @@ func (c *Channel) serveReadAt(pos, serveRank int) rowOutcome {
 // same request through them and re-resolve the rank, which the
 // resolveHitRank guard re-checks per serve.
 func (c *Channel) batchRowHits(serveRank, bank int, row int64) {
-	if c.scanSched || c.noBatch {
+	if c.noBatch {
 		return
 	}
 	cri := c.chainRank[serveRank]
@@ -737,13 +653,12 @@ func (c *Channel) batchRowHits(serveRank, bank int, row int64) {
 // request, and rank ties re-resolve per serve via resolveHitRank.
 func (c *Channel) batchRunnerUp(gb, cri, bank int, row int64) int {
 	runner := int(^uint(0) >> 1)
-	bpr := c.cfg.BanksPerRank
-	for _, g := range c.hotR {
+	for _, g := range c.rHits.hot {
 		gb2 := int(g)
 		if gb2 == gb {
 			continue
 		}
-		ri2, b2 := gb2/bpr, gb2%bpr
+		ri2, b2 := c.splitBank(gb2)
 		open2 := c.ranks[ri2].Bank(b2).OpenRow()
 		if b2 == bank && c.chainRank[ri2] == cri && open2 == row {
 			continue
@@ -779,53 +694,10 @@ func (c *Channel) advance(colAt int64) {
 }
 
 // serveWrite services one write, broadcasting to the original block and
-// its copies in a single bus transaction (§III-A / FMR §4.3).
+// its copies in a single bus transaction (§III-A / FMR §4.3). Writes are
+// posted, so the scheduler reorders them freely (see pickWrite).
 func (c *Channel) serveWrite() {
-	// Writes are posted, so the scheduler reorders freely: prefer a row
-	// hit; otherwise pick the write whose bank can accept a column
-	// soonest, which interleaves activates across banks instead of
-	// serializing row cycles on one bank (tFAW relief).
-	pos := -1
-	// The row-hit pass is skipped outright when the wHits index says no
-	// queued write matches an open row (a non-zero count guarantees the
-	// scan below finds one, so skipping is exact).
-	if c.scanSched || c.wHitTotal > 0 {
-		for i := c.writeQ.head; i != c.writeQ.tail; i++ {
-			w := c.writeQ.at(i)
-			if w == nil {
-				continue
-			}
-			r := c.ranks[w.rank]
-			if !r.InSelfRefresh() && r.Bank(w.bank).OpenRow() == w.row {
-				pos = i
-				break
-			}
-		}
-	}
-	if pos < 0 {
-		const scanCap = 64 // bound the projection scan (oldest live entries)
-		var best int64
-		// No queued write is a row hit here, so every projection is at
-		// least now + tRCD of its rank; once the incumbent reaches that
-		// floor no later entry can beat it (projections only tie).
-		floor := c.now + c.minTRCD
-		scanned := 0
-		for i := c.writeQ.head; i != c.writeQ.tail && scanned < scanCap; i++ {
-			w := c.writeQ.at(i)
-			if w == nil {
-				continue
-			}
-			scanned++
-			proj := c.ranks[w.rank].ProjectRead(w.bank, w.row, c.now)
-			if pos < 0 || proj < best {
-				best, pos = proj, i
-			}
-			if !c.scanSched && best <= floor {
-				break
-			}
-		}
-	}
-	req := c.writeQ.at(pos)
+	req := c.pickWrite()
 	c.writeQHist.Observe(int64(c.writeQ.len()))
 	targets := c.writeTargetRanks(req.rank)
 	// Bring the target row up in every participating rank; the broadcast
@@ -865,13 +737,8 @@ func (c *Channel) serveWrite() {
 	req.Done = end + ControllerOverhead
 	c.advance(colAt)
 	c.chainRemoveWrite(req)
-	c.writeQ.remove(pos)
-	block := req.Addr / uint64(c.cfg.BlockBytes)
-	if n := c.wqBlocks[block]; n <= 1 {
-		delete(c.wqBlocks, block)
-	} else {
-		c.wqBlocks[block] = n - 1
-	}
+	c.writeQ.remove(req.pos)
+	c.wqBlocks.dec(req.Addr / uint64(c.cfg.BlockBytes))
 	// Writes are posted — no caller ever holds the handle — so the
 	// request recycles as soon as it retires.
 	c.recycle(req)

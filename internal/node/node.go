@@ -79,12 +79,6 @@ type Config struct {
 	ScaleShift uint
 	Seed       uint64
 
-	// ScanScheduler runs every channel on the legacy poll-per-step
-	// scheduling paths instead of the event-driven indexes (see
-	// memctrl.Config.ScanScheduler). Differential tests use it to pin
-	// that the two produce identical results at full-node scale.
-	ScanScheduler bool
-
 	// Check enables the conservation self-checks: after the measured
 	// region the channels are drained and every component's accounting
 	// invariants are verified; failures land in Result.Violations. The
@@ -569,7 +563,6 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	rt := &router{chans: scr.chans[:0]}
 	for i := 0; i < cfg.H.Channels; i++ {
 		ch := memctrl.DefaultConfig(cfg.Replication, cfg.Spec, cfg.Fast)
-		ch.ScanScheduler = cfg.ScanScheduler
 		ch.CopyErrorRate = cfg.CopyErrorRate
 		ch.Seed = cfg.Seed + uint64(i)*7919
 		// The writeback cache and Hetero-DMR's write batch are sized

@@ -3,8 +3,37 @@ package rs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
+
+// detectPartsGeneric is the byte-wise reference implementation of
+// DetectParts: one dependent Horner step per byte. FuzzDetectWordEquivalence
+// pins DetectParts to it and BenchmarkRSDetectGeneric measures it; no
+// production code uses it.
+func (c *Code) detectPartsGeneric(p0, p1, p2 []byte) error {
+	if len(p0)+len(p1)+len(p2) != c.k+c.p {
+		panic(fmt.Sprintf("rs: DetectParts with %d bytes, want %d",
+			len(p0)+len(p1)+len(p2), c.k+c.p))
+	}
+	for i := 0; i < c.p; i++ {
+		row := &c.synRows[i]
+		var acc byte
+		for _, b := range p0 {
+			acc = row[acc] ^ b
+		}
+		for _, b := range p1 {
+			acc = row[acc] ^ b
+		}
+		for _, b := range p2 {
+			acc = row[acc] ^ b
+		}
+		if acc != 0 {
+			return ErrDetected
+		}
+	}
+	return nil
+}
 
 // FuzzDetectWordEquivalence pins the word-parallel DetectParts sweep to
 // the byte-wise Horner reference (detectPartsGeneric) over arbitrary

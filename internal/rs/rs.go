@@ -202,9 +202,10 @@ func (c *Code) Detect(cw []byte) error {
 // The sweep is word-parallel: syndrome 0 is a plain parity folded eight
 // bytes at a time with uint64 XORs, and each later syndrome consumes
 // eight-byte chunks through the precomputed chunkRows. Both rearrange the
-// exact field operations of the byte-wise Horner scan (kept as
-// detectPartsGeneric, and pinned equal by a fuzz target), so the result
-// is bit-identical, including which syndrome triggers the early return.
+// exact field operations of the byte-wise Horner scan (the test-only
+// reference detectPartsGeneric, pinned equal by FuzzDetectWordEquivalence),
+// so the result is bit-identical, including which syndrome triggers the
+// early return.
 func (c *Code) DetectParts(p0, p1, p2 []byte) error {
 	if len(p0)+len(p1)+len(p2) != c.k+c.p {
 		panic(fmt.Sprintf("rs: DetectParts with %d bytes, want %d",
@@ -260,33 +261,6 @@ func synSweep(rows *[8][256]byte, srow *[256]byte, pc []byte, acc byte) byte {
 		acc = srow[acc] ^ pc[j]
 	}
 	return acc
-}
-
-// detectPartsGeneric is the byte-wise reference implementation of
-// DetectParts: one dependent Horner step per byte. The fuzz suite pins
-// DetectParts to it; it is not used on any hot path.
-func (c *Code) detectPartsGeneric(p0, p1, p2 []byte) error {
-	if len(p0)+len(p1)+len(p2) != c.k+c.p {
-		panic(fmt.Sprintf("rs: DetectParts with %d bytes, want %d",
-			len(p0)+len(p1)+len(p2), c.k+c.p))
-	}
-	for i := 0; i < c.p; i++ {
-		row := &c.synRows[i]
-		var acc byte
-		for _, b := range p0 {
-			acc = row[acc] ^ b
-		}
-		for _, b := range p1 {
-			acc = row[acc] ^ b
-		}
-		for _, b := range p2 {
-			acc = row[acc] ^ b
-		}
-		if acc != 0 {
-			return ErrDetected
-		}
-	}
-	return nil
 }
 
 // Correct performs full correction decoding in place. It returns the

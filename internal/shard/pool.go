@@ -284,7 +284,7 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 	st.left.Store(int64(len(batches)))
 	if len(p.workers) == 0 {
 		for b := range batches {
-			st.commit(b, p.runLocal(st.batch(b)))
+			st.commit(b, p.runLocal(st.batch(b), nil))
 		}
 		return out
 	}
@@ -316,15 +316,24 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 // on failure either requeue after a backoff (another worker will claim
 // it) or — once the retry budget is spent, the context is cancelled, or
 // the worker's breaker is open — execute locally, so every batch
-// completes even if the whole fleet is gone.
+// completes even if the whole fleet is gone. A batch the worker refused
+// (400) is terminal: its units are malformed, so neither a retry nor
+// another worker can help. It executes locally once, and if that fails
+// too the panic carries the worker's refusal.
 func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runState) {
 	units := st.batch(b)
 	if !w.br.allow() {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units))
+		st.commit(b, p.runLocal(units, nil))
 		return
 	}
 	res, err := p.post(ctx, w, units)
+	var refused *refusedError
+	if errors.As(err, &refused) {
+		w.br.success() // the worker is alive and answered
+		st.commit(b, p.runLocal(units, refused))
+		return
+	}
 	if err == nil {
 		w.br.success()
 		p.completed.Add(uint64(len(res)))
@@ -347,7 +356,7 @@ func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runStat
 	st.attempts[b]++
 	if ctx.Err() != nil || p.retry.Exhausted(st.attempts[b]) {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units))
+		st.commit(b, p.runLocal(units, nil))
 		return
 	}
 	// Back off before the requeue — the delay is a deterministic function
@@ -355,7 +364,7 @@ func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runStat
 	// every run. A cancellation during the wait drains to local instead.
 	if !p.retry.Wait(ctx, unitSeed(units[0].Key), st.attempts[b]) {
 		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units))
+		st.commit(b, p.runLocal(units, nil))
 		return
 	}
 	p.requeuedC.Add(1)
@@ -376,14 +385,30 @@ func unitSeed(key string) uint64 {
 // runLocal is the coordinator-side fallback: execute the batch in
 // process through the same executor a worker runs, against the same
 // cache. A unit that cannot execute at all (malformed by construction)
-// panics, exactly as the sequential engine would.
-func (p *Pool) runLocal(units []Unit) []UnitResult {
+// panics, exactly as the sequential engine would; refused, when the
+// batch got here because a worker refused it, is named in that panic.
+func (p *Pool) runLocal(units []Unit, refused *refusedError) []UnitResult {
 	p.localC.Add(uint64(len(units)))
 	res, err := executeBatch(units, p.cache, nil)
 	if err != nil {
-		panic(fmt.Sprintf("shard: local execution of batch %s: %v", units[0].Key, err))
+		msg := fmt.Sprintf("shard: local execution of batch %s: %v", units[0].Key, err)
+		if refused != nil {
+			msg += fmt.Sprintf(" (worker %s refused it: %s)", refused.worker, refused.msg)
+		}
+		panic(msg)
 	}
 	return res
+}
+
+// refusedError is a worker's 400 answer to a batch: the worker vetted
+// the units and refused them, naming the problem in msg.
+type refusedError struct {
+	worker string
+	msg    []byte
+}
+
+func (e *refusedError) Error() string {
+	return fmt.Sprintf("shard: worker %s refused the batch: %s", e.worker, e.msg)
 }
 
 // post round-trips one batch to one worker with the pool's timeout and
@@ -426,7 +451,11 @@ func (p *Pool) post(ctx context.Context, w *remoteWorker, units []Unit) ([]UnitR
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("shard: worker %s: %s: %s", w.url, resp.Status, bytes.TrimSpace(msg))
+		msg = bytes.TrimSpace(msg)
+		if resp.StatusCode == http.StatusBadRequest {
+			return nil, &refusedError{worker: w.url, msg: msg}
+		}
+		return nil, fmt.Errorf("shard: worker %s: %s: %s", w.url, resp.Status, msg)
 	}
 	var reply batchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {

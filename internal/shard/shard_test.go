@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -509,5 +510,71 @@ func TestPoolRejectsWrongKeyAnswer(t *testing.T) {
 		if snap := reg.Snapshot(); snap.Counters["shard/retries"] == 0 {
 			t.Errorf("mis-keyed %s answers were not counted as failures", name)
 		}
+	}
+}
+
+// TestPoolWorkerRefusalIsTerminal: a worker's 400 says the batch itself
+// is malformed, so the pool neither retries nor requeues it. A batch
+// that runs locally still merges correctly; one that cannot run locally
+// either panics with the worker's refusal in the message. The refusing
+// stub is called exactly once either way.
+func TestPoolWorkerRefusalIsTerminal(t *testing.T) {
+	const refusal = "unit K refused: profile check failed"
+	var calls atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		calls.Add(1)
+		http.Error(rw, refusal, http.StatusBadRequest)
+	}))
+	defer stub.Close()
+	newPool := func(reg *obs.Registry) *Pool {
+		return NewPool(PoolOptions{Workers: []string{stub.URL}, InFlight: 1, Retries: 3, Reg: reg})
+	}
+
+	units := mcUnits()[:1]
+	want := seqPayloads(t, units)
+	reg := obs.NewRegistry()
+	checkMerged(t, units, newPool(reg).Run(units), want)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("refusing worker called %d times, want 1", n)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["shard/retries"] != 0 || snap.Counters["shard/requeued"] != 0 || snap.Counters["shard/local"] != 1 {
+		t.Errorf("refused batch retried or not run locally: %v", snap.Counters)
+	}
+
+	// A unit the coordinator cannot execute either: runBatch is driven
+	// on this goroutine so its panic can be recovered.
+	calls.Store(0)
+	streamless := workload.ByName("hpcg")
+	streamless.Streams = 0
+	bad := []Unit{NewNodeUnit(testVersion, node.Config{
+		H:    node.Hierarchy1(),
+		Spec: dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed: 1,
+	}, streamless)}
+	p := newPool(obs.NewRegistry())
+	st := &runState{
+		units:    bad,
+		batches:  [][]int{{0}},
+		out:      make([]UnitResult, 1),
+		attempts: make([]int, 1),
+		tasks:    make(chan int, 1),
+		done:     make(chan struct{}),
+	}
+	st.left.Store(1)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, refusal) || !strings.Contains(msg, bad[0].Key) {
+				t.Errorf("panic %q does not name the worker's refusal and the batch", msg)
+			}
+		}()
+		p.runBatch(context.Background(), p.workers[0], 0, st)
+	}()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("refusing worker called %d times for the bad batch, want 1", n)
+	}
+	if len(st.tasks) != 0 {
+		t.Error("refused batch was requeued")
 	}
 }
