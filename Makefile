@@ -59,6 +59,10 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzDetectWordEquivalence -fuzztime $(FUZZTIME) ./internal/rs
 	$(GO) test -run NONE -fuzz FuzzAddrMapBijective -fuzztime $(FUZZTIME) ./internal/memctrl
 	$(GO) test -run NONE -fuzz FuzzChannelTraffic -fuzztime $(FUZZTIME) ./internal/memctrl
+	$(GO) test -run NONE -fuzz FuzzWorkerBatch -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run NONE -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/simd
+	$(GO) test -run NONE -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/runcache
+	$(GO) test -run NONE -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/hpc
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the

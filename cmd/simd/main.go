@@ -24,14 +24,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cliobs"
@@ -99,63 +94,14 @@ func run() int {
 		Faults:           plan,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simd: %v\n", err)
-		return 1
-	}
-	hs := &http.Server{
-		Handler: srv.Handler(),
-		// Reads are tight (a spec is one small JSON object), but writes
-		// must cover /v1/jobs?wait=1 and /stream, which legitimately stay
-		// open for a full suite run — hence the wide write timeout: it is
-		// a backstop against wedged connections, not a pace-setter.
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      30 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	// The listening line goes to stdout so scripts can scrape the bound
-	// address (important with -addr :0).
-	fmt.Printf("simd listening on http://%s\n", ln.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go serve(hs, ln, errc)
-
-	code := 0
-	select {
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "simd: %v, shutting down\n", sig)
-		// Stop accepting, then drain: in-flight jobs finish (persisting
-		// their cells) inside the grace window, so whatever the window
-		// cuts short is replayed or recomputed byte-identically by the
-		// next daemon.
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "simd: shutdown: %v\n", err)
-			code = 1
-		}
-		if !srv.Drain(ctx) {
-			fmt.Fprintln(os.Stderr, "simd: drain window expired with jobs still running")
-		}
-		cancel()
-	case err := <-errc:
-		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "simd: %v\n", err)
-			code = 1
-		}
-	}
+	// Writes must cover /v1/jobs?wait=1 and /stream, which legitimately
+	// stay open for a full suite run. On SIGINT/SIGTERM in-flight jobs
+	// finish (persisting their cells) inside the drain window, so whatever
+	// the window cuts short is replayed or recomputed byte-identically by
+	// the next daemon.
+	code := shard.Serve("simd", *addr, srv.Handler(), 30*time.Minute, *drain, srv.Drain)
 	if c := ob.Finish("simd", reg, nil); c != 0 {
 		return c
 	}
 	return code
-}
-
-// serve runs the HTTP server; split out so the goroutine body is a plain
-// call.
-func serve(hs *http.Server, ln net.Listener, errc chan<- error) {
-	errc <- hs.Serve(ln)
 }

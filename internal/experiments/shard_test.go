@@ -81,6 +81,40 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 	if ws.Counters["shard/cache_hits"] == 0 {
 		t.Error("warm run recorded no shared-cache hits")
 	}
+
+	// Checked: the plan's checked cells go to two fresh workers and render
+	// the bytes of the local checked run, with the violations carried in
+	// the payloads (none), and the fleet records each front end once.
+	local := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Check: true})
+	wantChecked := render(local)
+	checkedDir := t.TempDir()
+	var regs []*obs.Registry
+	var urls []string
+	for i := 0; i < 2; i++ {
+		c, err := runcache.Open(checkedDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		srv := httptest.NewServer(shard.NewWorker("test-v1", c, reg).Handler())
+		t.Cleanup(srv.Close)
+		regs, urls = append(regs, reg), append(urls, srv.URL)
+	}
+	checked := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Check: true,
+		CacheVersion: "test-v1", Shard: shard.NewPool(shard.PoolOptions{Workers: urls})})
+	if got := render(checked); got != wantChecked {
+		t.Error("sharded checked run rendered different bytes than the local checked run")
+	}
+	for _, v := range checked.Violations() {
+		t.Errorf("sharded checked run: violation: %s", v)
+	}
+	var recorded uint64
+	for _, reg := range regs {
+		recorded += reg.Snapshot().Counters["shard/worker/recordings"]
+	}
+	if fe := frontEnds(checked, entries); recorded != uint64(fe) {
+		t.Errorf("workers recorded %d front ends for %d distinct checked front ends", recorded, fe)
+	}
 }
 
 // TestLargestPlannedBatchFitsWorkerLimit posts a worker the largest
@@ -93,7 +127,7 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 func TestLargestPlannedBatchFitsWorkerLimit(t *testing.T) {
 	s := New(Options{Seed: 1})
 	groups := node.GroupByFrontEnd(s.plan(append(Registry(), Ablations()...)), func(c cell) (node.FrontEndKey, bool) {
-		return node.FrontEndKeyOf(s.cellConfig(c), c.prof), true
+		return node.FrontEndKeyOf(s.nodeConfig(c), c.prof), true
 	})
 	largest := groups[0]
 	for _, g := range groups {

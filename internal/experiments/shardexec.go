@@ -5,14 +5,6 @@ import (
 	"repro/internal/shard"
 )
 
-// sharded reports whether this suite fans work out to the dispatch
-// pool. Instrumented runs never shard: a payload decoded from a worker
-// cannot replay trace events or re-run conservation checks, exactly the
-// rule the persistent cache layer follows.
-func (s *Suite) sharded() bool {
-	return s.opt.Shard != nil && !s.opt.Check && s.opt.Obs == nil
-}
-
 // mcUnitShards is how many fixed-size Monte-Carlo RNG shards one
 // dispatch unit covers: units stay few enough to amortize the HTTP
 // round trip but plentiful enough to spread across a small fleet
@@ -20,12 +12,12 @@ func (s *Suite) sharded() bool {
 const mcUnitShards = 16
 
 // monteCarlo runs one Monte-Carlo experiment, fanning shard-aligned
-// trial ranges out to the worker fleet when sharding is on. Each range
+// trial ranges out to the worker fleet when one is configured. Each range
 // is positionally seeded (montecarlo.*Range), committed into its slot
 // of the margins slice, and bit-identical to the in-process loop, so
 // Groups/FractionAtLeast render the same bytes either way.
 func (s *Suite) monteCarlo(level string, cfg montecarlo.Config, sel montecarlo.Selection) montecarlo.Result {
-	if !s.sharded() {
+	if s.opt.Shard == nil {
 		if level == shard.LevelChannel {
 			return montecarlo.ChannelLevel(cfg, sel)
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dramspec"
 	"repro/internal/margin"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/memuse"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/runcache"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -46,22 +44,25 @@ type Options struct {
 	// Check runs the conservation self-checks after every node and
 	// cluster simulation; violations accumulate on the Suite (read them
 	// with Violations). Checks run after each simulation's measurements
-	// are taken, so they never change rendered output.
+	// are taken, so they never change rendered output. A checked cell is
+	// keyed apart from an unchecked one and carries its violations in its
+	// result, so checked runs replay from Cache and run on Shard like any
+	// other.
 	Check bool
 	// Obs, when non-nil, collects counters, histograms, and trace events
 	// from every simulation the suite runs, plus the suite's own
-	// run-cache traffic counters (experiments/runcache/*) and its count
-	// of in-process front-end recordings (experiments/recordings).
+	// run-table counters (experiments/runcache/*) and its count of
+	// in-process front-end recordings (experiments/recordings). A replayed
+	// or remote cell cannot reproduce its metrics and trace events, so an
+	// observed suite ignores Cache and Shard and simulates every cell in
+	// this process.
 	Obs *obs.Registry
 	// Cache, when non-nil, persists node-simulation results across
-	// processes: on an in-memory miss the suite consults the
-	// content-addressed store (keyed by the fully resolved node config,
-	// the seed, and CacheVersion) before simulating, and writes every
-	// fresh result back. Instrumented runs (Check or Obs set) never use
-	// the persistent layer — a replayed result cannot reproduce trace
-	// events or re-run conservation checks — but still coalesce in the
-	// in-memory layer. Decoded results are bit-exact, so rendered tables
-	// are byte-identical whether a cell was simulated or replayed.
+	// processes: the suite's cells are looked up in the content-addressed
+	// store (keyed by the fully resolved node config, the profile, and
+	// CacheVersion) before they are simulated, and every fresh result is
+	// written back. Decoded results are bit-exact, so rendered tables are
+	// byte-identical whether a cell was simulated or replayed.
 	Cache *runcache.Cache
 	// CacheVersion is the code-version component of persistent cache
 	// keys. Empty defaults to runcache.CodeVersion().
@@ -69,20 +70,21 @@ type Options struct {
 	// Shard, when non-nil, sends Run's cell plan to worker processes
 	// through the dispatch pool, every missing cell in one Pool.Run (one
 	// batch per front-end group), and fans the Monte-Carlo trial ranges
-	// out the same way. Results are committed in positional order and
-	// decoded from the same gob payloads the persistent cache stores,
-	// so rendered output is byte-identical to an in-process run at any
+	// out the same way. Results are decoded from the same gob payloads
+	// the persistent cache stores and committed in positional order, so
+	// rendered output is byte-identical to an in-process run at any
 	// worker count — including with workers failing mid-suite (the pool
 	// retries, requeues, and falls back to local execution).
-	// Instrumented runs (Check or Obs set) never shard: a remote result
-	// cannot reproduce trace events or conservation checks.
 	Shard *shard.Pool
 }
 
 // Suite carries shared state across experiment drivers: the generated
 // DIMM population, the Fig 1 job fractions, and the table of node-level
 // simulation results that Run warms and the drivers read. A Suite is
-// safe for concurrent use.
+// safe for concurrent use. Concurrent Runs whose plans share a cell each
+// run it unless the persistent store coalesces them (runcache.Do); the
+// table keeps one of the identical results. An observed suite's metrics
+// count every such run, so its Runs should plan disjoint cells.
 type Suite struct {
 	opt Options
 
@@ -92,149 +94,17 @@ type Suite struct {
 	fracOnce sync.Once
 	frac     memuse.Fractions
 
-	runs runCache
-
-	vmu        sync.Mutex
+	// mu guards the run table and its tallies. Only warm writes runs, and
+	// only with whole results, so a failed simulation never leaves a cell
+	// behind.
+	mu         sync.Mutex
+	runs       map[runKey]node.Result
+	computed   int // of len(runs): cells simulated for this suite, here or on the fleet
+	recorded   int // front ends recorded in this process
 	violations []obs.Violation
-}
-
-// runCache is a singleflight-style concurrent cache of node simulations:
-// the first goroutine to request a key materializes it under the entry's
-// lock while any concurrent requesters for the same key block on that
-// lock, so figures 12-16 share runs without ever duplicating work. When
-// a persistent store is attached, an in-memory miss goes through the
-// store's Do, which replays a stored cell, waits for a cell another
-// suite of this process is computing, or simulates and stores it. The
-// entry lock is taken before Do and never inside the computation, which
-// takes no cache lock, as Do requires.
-type runCache struct {
-	m sync.Map // runKey -> *runEntry
-	// n counts entries whose result has been materialized (computed or
-	// replayed from disk). It is incremented under the entry's lock, in
-	// the same critical section that sets done, so it always equals the
-	// number of done entries (doneEntries asserts this in tests) — a
-	// compute that panics increments nothing.
-	n        atomic.Int64
-	computed atomic.Int64 // of n: results produced by running a simulation
-	recorded atomic.Int64 // front ends recorded in this process
-
-	store   *runcache.Cache // nil = in-memory only
-	version string          // code-version component of persistent keys
 
 	// Traffic counters (nil-safe handles; wired from Options.Obs).
-	memHits, diskHits, computedC, encodeErrs, recordings *obs.Counter
-}
-
-type runEntry struct {
-	mu   sync.Mutex
-	done bool
-	res  node.Result
-}
-
-// get returns the cached result for key, materializing it on first use.
-// A compute that panics leaves the entry unmaterialized — the panic
-// propagates to this caller, the entry's lock is released by the defer,
-// and the next caller for the key simply retries — so one failed run can
-// never pin a zero-value Result into the suite's averages.
-func (c *runCache) get(key runKey, material func() any, compute func() node.Result) node.Result {
-	v, _ := c.m.LoadOrStore(key, new(runEntry))
-	e := v.(*runEntry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		c.memHits.Add(1)
-		return e.res
-	}
-	if c.store != nil {
-		k := runcache.KeyOf(c.version, material())
-		payload, computed, err := c.store.Do(k, func() ([]byte, error) {
-			e.res = compute()
-			return shard.EncodeNodeResult(e.res)
-		})
-		if computed {
-			if err != nil {
-				// The run stays uncached but correct.
-				c.encodeErrs.Add(1)
-			}
-			return c.materialize(e, e.res, true)
-		}
-		// A stored cell, or one another suite computed while this one
-		// waited: a replay either way.
-		if res, err := shard.DecodeNodeResult(payload); err == nil {
-			return c.materialize(e, res, false)
-		}
-		// Undecodable payload (schema drift that slipped past the
-		// version key): recompute and store over it.
-		e.res = compute()
-		if payload, err := shard.EncodeNodeResult(e.res); err == nil {
-			_ = c.store.Put(k, payload)
-		} else {
-			c.encodeErrs.Add(1)
-		}
-	} else {
-		e.res = compute()
-	}
-	return c.materialize(e, e.res, true)
-}
-
-// materialize marks e done with res, under e's lock, and counts it as
-// simulated here or replayed.
-func (c *runCache) materialize(e *runEntry, res node.Result, computed bool) node.Result {
-	e.res = res
-	e.done = true
-	c.n.Add(1)
-	if computed {
-		c.computed.Add(1)
-		c.computedC.Add(1)
-	} else {
-		c.diskHits.Add(1)
-	}
-	return res
-}
-
-// peek reports whether key is already materialized, without computing.
-func (c *runCache) peek(key runKey) bool {
-	v, ok := c.m.Load(key)
-	if !ok {
-		return false
-	}
-	e := v.(*runEntry)
-	e.mu.Lock()
-	done := e.done
-	e.mu.Unlock()
-	return done
-}
-
-// commit materializes key with a result produced elsewhere (a shard
-// worker, decoded from its cache payload). It preserves get's
-// accounting invariants — n incremented in the same critical section
-// that sets done — and is a no-op on an already-done entry, so a racing
-// get and commit agree on a single result.
-func (c *runCache) commit(key runKey, res node.Result, computed bool) {
-	v, _ := c.m.LoadOrStore(key, new(runEntry))
-	e := v.(*runEntry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		return
-	}
-	// A fleet worker that ran the simulation for this suite's benefit
-	// counts as computed, so warm-cache replays still report zero.
-	c.materialize(e, res, computed)
-}
-
-// size reports how many simulations have been materialized (not just
-// keyed): computed plus replayed from the persistent store.
-func (c *runCache) size() int { return int(c.n.Load()) }
-
-// computedRuns reports how many simulations were actually executed (disk
-// replays excluded).
-func (c *runCache) computedRuns() int { return int(c.computed.Load()) }
-
-// record counts one front end recorded in this process.
-func (c *runCache) record() {
-	c.recorded.Add(1)
-	c.recordings.Add(1)
+	memHits, computedC, recordings *obs.Counter
 }
 
 // New returns a Suite. Seed 0 becomes 1.
@@ -252,57 +122,65 @@ func New(opt Options) *Suite {
 	if opt.CacheVersion == "" {
 		opt.CacheVersion = runcache.CodeVersion()
 	}
-	s := &Suite{opt: opt}
-	if opt.Cache != nil && !opt.Check && opt.Obs == nil {
-		// Persistent layer only for uninstrumented runs: a disk replay
-		// skips the simulation, so per-run metrics, traces, and
-		// conservation checks would silently vanish from instrumented
-		// output. In-memory coalescing still applies either way.
-		s.runs.store = opt.Cache
-		s.runs.version = opt.CacheVersion
+	if opt.Obs != nil {
+		// Metrics and traces come only from a live run in this process.
+		opt.Cache, opt.Shard = nil, nil
 	}
 	// Nil-safe handles: on a nil registry these are nil *obs.Counter and
 	// every Add is a no-op.
-	s.runs.memHits = opt.Obs.Counter("experiments/runcache/mem_hits")
-	s.runs.diskHits = opt.Obs.Counter("experiments/runcache/disk_hits")
-	s.runs.computedC = opt.Obs.Counter("experiments/runcache/computed")
-	s.runs.encodeErrs = opt.Obs.Counter("experiments/runcache/encode_errors")
-	s.runs.recordings = opt.Obs.Counter("experiments/recordings")
-	return s
+	return &Suite{
+		opt:        opt,
+		runs:       map[runKey]node.Result{},
+		memHits:    opt.Obs.Counter("experiments/runcache/mem_hits"),
+		computedC:  opt.Obs.Counter("experiments/runcache/computed"),
+		recordings: opt.Obs.Counter("experiments/recordings"),
+	}
 }
 
 // CachedRuns reports how many distinct node simulations the suite has
 // materialized so far (executed, or replayed from the persistent cache).
-func (s *Suite) CachedRuns() int { return s.runs.size() }
+func (s *Suite) CachedRuns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.runs)
+}
 
-// ComputedRuns reports how many node simulations the suite actually
-// executed: CachedRuns minus the persistent-cache replays. A fully warm
-// replay reports zero.
-func (s *Suite) ComputedRuns() int { return s.runs.computedRuns() }
+// ComputedRuns reports how many node simulations were executed for the
+// suite, in this process or on the fleet: CachedRuns minus the
+// persistent-cache replays. A fully warm replay reports zero.
+func (s *Suite) ComputedRuns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.computed
+}
 
 // Recordings reports how many node front ends the suite recorded in
 // this process (shard workers count their own). Run records each front
 // end its cells need at most once, so a count above the plan's distinct
 // front ends means a driver read a cell its entry did not declare.
-func (s *Suite) Recordings() int { return int(s.runs.recorded.Load()) }
+func (s *Suite) Recordings() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recorded
+}
 
 // addViolations accumulates conservation violations from a simulation.
 func (s *Suite) addViolations(vs []obs.Violation) {
 	if len(vs) == 0 {
 		return
 	}
-	s.vmu.Lock()
+	s.mu.Lock()
 	s.violations = append(s.violations, vs...)
-	s.vmu.Unlock()
+	s.mu.Unlock()
 }
 
 // Violations returns every conservation violation the suite's
 // simulations reported, sorted so the list is identical for any worker
 // count.
 func (s *Suite) Violations() []obs.Violation {
-	s.vmu.Lock()
+	s.mu.Lock()
 	out := append([]obs.Violation(nil), s.violations...)
-	s.vmu.Unlock()
+	s.mu.Unlock()
 	obs.SortViolations(out)
 	return out
 }
@@ -384,17 +262,26 @@ func (s *Suite) run(h node.Hierarchy, d design, prof workload.Profile) node.Resu
 }
 
 // runSeed reads one cell. Run warms every cell an entry declares before
-// its renderer reads any; a cell read without being declared is
-// simulated here, recording a front end of its own.
+// its renderer reads any; a cell read without being declared is warmed
+// here on its own, recording a front end of its own.
 func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed uint64) node.Result {
-	return s.runCell(cell{h: h, d: d, prof: prof, seed: seed}, nil)
+	c := cell{h: h, d: d, prof: prof, seed: seed}
+	s.mu.Lock()
+	res, ok := s.runs[c.key()]
+	s.mu.Unlock()
+	if ok {
+		s.memHits.Add(1)
+		return res
+	}
+	s.warm([]cell{c})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runs[c.key()]
 }
 
-// nodeConfig resolves the full node configuration of one cell. Both the
-// compute path and the persistent-cache key derive from this one
-// resolution, so the content hash covers exactly what the simulation
-// consumes (instrumentation fields excluded; they never reach the
-// persistent layer).
+// nodeConfig resolves the full node configuration of one cell. The unit
+// that runs the cell carries it, and its persistent-cache key hashes it,
+// so the hash covers exactly what the simulation consumes.
 func (s *Suite) nodeConfig(c cell) node.Config {
 	d := c.d
 	spec := dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, d.marginMTs)
@@ -414,6 +301,7 @@ func (s *Suite) nodeConfig(c cell) node.Config {
 		Spec:          spec,
 		CopyErrorRate: d.copyErrRate,
 		Seed:          c.seed,
+		Check:         s.opt.Check,
 	}
 	if d.repl.Fast() {
 		cfg.Fast = &fast
@@ -423,49 +311,6 @@ func (s *Suite) nodeConfig(c cell) node.Config {
 		cfg.WarmupInstructions = 15_000
 	}
 	return cfg
-}
-
-// cellConfig is nodeConfig with the suite's instrumentation attached:
-// the configuration a cell actually simulates.
-func (s *Suite) cellConfig(c cell) node.Config {
-	cfg := s.nodeConfig(c)
-	cfg.Check = s.opt.Check
-	cfg.Obs = s.opt.Obs
-	return cfg
-}
-
-// The persistent cache hashes shard.NodeMaterial for one cell: the
-// resolved node configuration plus the workload profile the stream
-// generator derives from. Every field of both reaches the hash
-// (runcache.Canonical panics on anything it cannot cover), so changing
-// any config field, the seed, or the profile changes the key. The type
-// lives in internal/shard because Canonical embeds the type name in the
-// hash: shard workers computing a unit and this suite replaying it must
-// hash the identical identity to land on the same cache entry.
-
-// runCell materializes one cell. If it has to be simulated, rp replays
-// the front end of the cell's group, recording it first when no cell of
-// the group has; a nil rp means a Replayer of the cell's own.
-func (s *Suite) runCell(c cell, rp *node.Replayer) node.Result {
-	return s.runs.get(c.key(), func() any {
-		// Material is hashed only on the persistent path, where the run
-		// is uninstrumented: Check=false, Obs=nil, ObsScope="".
-		return shard.NodeMaterial{Cfg: s.nodeConfig(c), Prof: c.prof}
-	}, func() node.Result {
-		if rp == nil {
-			rp = node.NewReplayer(c.prof)
-		}
-		recorded := rp.Recorded()
-		res, err := rp.Run(s.cellConfig(c))
-		if err != nil {
-			panic(err)
-		}
-		if !recorded {
-			s.runs.record()
-		}
-		s.addViolations(res.Violations)
-		return res
-	})
 }
 
 // matrix expands hierarchies × designs × benchmarks × configured seeds
@@ -485,51 +330,84 @@ func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profil
 }
 
 // warm materializes every cell of a plan that is not in the table yet.
-// The missing cells are grouped by front-end identity
-// (node.GroupByFrontEnd) and each group runs once:
-//   - sharded, every missing cell goes out in one Pool.Run, which sends
-//     one batch per group; a cell whose payload fails to decode (schema
-//     drift that slipped past the version key) stays unmaterialized and
-//     is simulated locally when a renderer reads it;
-//   - locally, the groups run on the worker pool, each through one
-//     node.Replayer that records the group's front end on its first
-//     cell that actually simulates and is dropped with the group, so at
-//     most Workers front ends are alive at once. A group whose cells all
-//     replay from the persistent store records nothing.
+// The missing cells become shard units (shard.NewNodeUnit), which run
+// through Pool.Run when a fleet is configured and otherwise in this
+// process through the executor a fleet worker runs (shard.Execute),
+// with the groups fanned out over Workers. Either way each front end is
+// recorded at most once, and a cell the persistent store holds is
+// replayed, not simulated. An undecodable payload (schema drift that
+// slipped past the version key) is recomputed here and stored over.
+// Only whole results enter the table: if the executor fails, warm
+// panics and no cell of the plan is added.
 func (s *Suite) warm(cells []cell) {
 	var todo []cell
+	s.mu.Lock()
 	for _, c := range cells {
-		if !s.runs.peek(c.key()) {
+		if _, ok := s.runs[c.key()]; !ok {
 			todo = append(todo, c)
 		}
 	}
+	s.mu.Unlock()
 	if len(todo) == 0 {
 		return
 	}
-	if s.sharded() {
-		units := make([]shard.Unit, len(todo))
-		for i, c := range todo {
-			units[i] = shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(c), c.prof)
-		}
-		for i, r := range s.opt.Shard.Run(units) {
-			res, err := shard.DecodeNodeResult(r.Payload)
-			if err != nil {
-				s.runs.encodeErrs.Add(1)
-				continue
-			}
-			s.runs.commit(todo[i].key(), res, r.Computed)
-		}
-		return
+	units := make([]shard.Unit, len(todo))
+	for i, c := range todo {
+		units[i] = shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(c), c.prof)
 	}
-	groups := node.GroupByFrontEnd(todo, func(c cell) (node.FrontEndKey, bool) {
-		return node.FrontEndKeyOf(s.cellConfig(c), c.prof), true
-	})
-	parallel.ForEach(s.opt.Workers, len(groups), func(i int) {
-		rp := node.NewReplayer(groups[i][0].prof)
-		for _, c := range groups[i] {
-			s.runCell(c, rp)
+	var results []shard.UnitResult
+	if s.opt.Shard != nil {
+		results = s.opt.Shard.Run(units)
+	} else {
+		results = s.execute(units, s.opt.Cache)
+	}
+	decoded := make([]node.Result, len(todo))
+	for i, r := range results {
+		res, err := shard.DecodeNodeResult(r.Payload)
+		if err != nil {
+			// Schema drift the version key missed: recompute the cell
+			// here, bypassing the stale entry, and store over it.
+			fresh := s.execute(units[i:i+1], nil)[0]
+			if res, err = shard.DecodeNodeResult(fresh.Payload); err != nil {
+				panic(fmt.Sprintf("experiments: unit %s: %v", units[i].Key, err))
+			}
+			if s.opt.Cache != nil {
+				// A failed Put is counted by the store; the cell stays
+				// correct, only uncached.
+				_ = s.opt.Cache.Put(runcache.KeyOf(units[i].Version, *units[i].Node), fresh.Payload)
+			}
+			results[i] = fresh
 		}
-	})
+		decoded[i] = res
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range todo {
+		if _, ok := s.runs[c.key()]; ok {
+			continue // a concurrent warm landed it first
+		}
+		s.runs[c.key()] = decoded[i]
+		if results[i].Computed {
+			s.computed++
+			s.computedC.Add(1)
+		}
+		s.violations = append(s.violations, decoded[i].Violations...)
+	}
+}
+
+// execute runs units in this process through shard.Execute against
+// cache and counts the front ends it records. A unit that cannot run
+// panics, naming the unit.
+func (s *Suite) execute(units []shard.Unit, cache *runcache.Cache) []shard.UnitResult {
+	results, recorded, err := shard.Execute(units, cache, s.opt.Workers, s.opt.Obs)
+	if err != nil {
+		panic(err)
+	}
+	s.mu.Lock()
+	s.recorded += recorded
+	s.mu.Unlock()
+	s.recordings.Add(uint64(recorded))
+	return results
 }
 
 // suiteAverage averages a per-benchmark metric with the paper's

@@ -80,9 +80,10 @@ func FuzzAddrMapBijective(f *testing.F) {
 // drains it. The genome picks the replication mode, the seed (channel
 // errors, addresses and the stub cleaner), the write share, the maximum
 // arrival gap and the read/write queue capacities, bounded to [8, 256]
-// and [8, 128]: a write queue of four or fewer livelocks, because its
-// write-pressure and read-preemption watermarks coincide and the
-// channel flips modes forever. The channel is the node-shaped one, so
+// and [5, 128]: 5 is the smallest write queue Config.validate accepts
+// (below it the write-pressure and read-preemption watermarks coincide
+// and the channel would flip modes forever). The channel is the
+// node-shaped one, so
 // writeback parking, write-mode top-ups and Hetero-DMR phases all run.
 // Any panic — the DRAM model panics on a timing violation — any
 // conservation violation, or a pending-write table left non-empty by
@@ -98,7 +99,7 @@ func FuzzChannelTraffic(f *testing.F) {
 		cfg := nodeShapedConfig(repl, seed)
 		cfg.Seed = seed
 		cfg.ReadQueueCap = 8 + int(readCap)%249
-		cfg.WriteQueueCap = 8 + int(writeCap)%121
+		cfg.WriteQueueCap = 5 + int(writeCap)%124
 		c := MustNewChannel(cfg)
 
 		rng := xrand.New(seed)

@@ -177,7 +177,21 @@ func (c *Config) validate() error {
 		return fmt.Errorf("memctrl: writeback cache %d blocks not divisible by %d ways",
 			c.WritebackCacheBlocks, c.WritebackCacheWays)
 	}
+	if pressure, preempt := writeWatermarks(c.WriteQueueCap); pressure <= preempt {
+		return fmt.Errorf("memctrl: WriteQueueCap=%d livelocks: its write-pressure watermark %d does not exceed its read-preemption watermark %d",
+			c.WriteQueueCap, pressure, preempt)
+	}
 	return nil
+}
+
+// writeWatermarks returns the write-queue occupancies that steer a
+// channel between read and write mode: read mode switches to write mode
+// once the queue holds pressure writes, and waiting reads end write mode
+// once it holds preempt or fewer. Unless pressure exceeds preempt, a
+// channel with reads waiting flips modes forever, so validate rejects
+// such caps (1 to 4).
+func writeWatermarks(writeQueueCap int) (pressure, preempt int) {
+	return writeQueueCap * 7 / 8, writeQueueCap * 3 / 4
 }
 
 // Request is one memory access in flight through the controller.

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -44,6 +46,27 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&c)
 		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// A write queue of 1 to 4 livelocks: its write-pressure watermark
+	// (7/8 of the cap) equals its read-preemption watermark (3/4). The
+	// error names both; 5 is the smallest accepted cap.
+	for wq := 1; wq <= 5; wq++ {
+		c := DefaultConfig(ReplicationNone, specPoint(), nil)
+		c.WriteQueueCap = wq
+		err := c.validate()
+		if wq == 5 {
+			if err != nil {
+				t.Errorf("WriteQueueCap=5 rejected: %v", err)
+			}
+			continue
+		}
+		pressure, preempt := writeWatermarks(wq)
+		if err == nil {
+			t.Errorf("WriteQueueCap=%d accepted", wq)
+		} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("watermark %d", pressure)) ||
+			!strings.Contains(msg, fmt.Sprintf("watermark %d", preempt)) {
+			t.Errorf("WriteQueueCap=%d: error %q does not name both watermarks", wq, msg)
 		}
 	}
 }

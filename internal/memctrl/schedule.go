@@ -244,7 +244,8 @@ func (c *Channel) step() bool {
 		// design, because Hetero-DMR's slow phase already runs everything
 		// at specification with the originals awake (the expensive
 		// frequency switches bracket the whole phase, not each spurt).
-		readsPreempt := c.readQ.len() > 0 && c.writeQ.len() <= c.cfg.WriteQueueCap*3/4
+		_, preempt := writeWatermarks(c.cfg.WriteQueueCap)
+		readsPreempt := c.readQ.len() > 0 && c.writeQ.len() <= preempt
 		if c.writeQ.len() == 0 || readsPreempt ||
 			(!c.cfg.Replication.Fast() && c.batchLeft <= 0) {
 			c.enterReadMode()
@@ -269,7 +270,8 @@ func (c *Channel) step() bool {
 	// full — or, when the channel is already at specification, whenever
 	// there is nothing better to do. A fast-mode Hetero-DMR channel first
 	// pays the frequency switch down to spec (transitionToSlow).
-	writePressure := c.writeQ.len() >= c.cfg.WriteQueueCap*7/8
+	pressure, _ := writeWatermarks(c.cfg.WriteQueueCap)
+	writePressure := c.writeQ.len() >= pressure
 	atSpec := !c.cfg.Replication.Fast() || !c.fastMode
 	idleDrain := atSpec && c.readQ.len() == 0 && c.writeQ.len() >= c.cfg.WriteQueueCap/4
 	if writePressure || idleDrain {
@@ -607,7 +609,7 @@ func (c *Channel) batchRowHits(serveRank, bank int, row int64) {
 		if c.cfg.Replication.Fast() && !c.fastMode {
 			return
 		}
-		if c.writeQ.len() >= c.cfg.WriteQueueCap*7/8 {
+		if pressure, _ := writeWatermarks(c.cfg.WriteQueueCap); c.writeQ.len() >= pressure {
 			return
 		}
 		// The next pick must provably be this bank's next oldest arrived

@@ -21,9 +21,9 @@ type Event struct {
 
 // Recorder is a bounded ring buffer of Events for one source. It is NOT
 // safe for concurrent writers — each simulated component owns its
-// recorder exclusively (the experiment engine's singleflight run cache
-// guarantees each simulation runs on exactly one goroutine), which is
-// also what makes the exported trace deterministic.
+// recorder exclusively (the experiment engine runs each cell of a plan
+// once, on one goroutine, and scopes its sources by cell), which is also
+// what makes the exported trace deterministic.
 type Recorder struct {
 	source  string
 	cap     int

@@ -564,8 +564,29 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 	return payload, true
 }
 
+// encodeEntry lays out the entry file for payload under k: the three
+// header lines, then the payload.
+func encodeEntry(k Key, payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(magicPrefix) + 2*sha256.Size + len(payload) + 96)
+	buf.WriteString(magicPrefix)
+	fmt.Fprintf(&buf, "key %s\n", k)
+	buf.WriteString(digestLine(payload))
+	buf.WriteString("\n")
+	buf.Write(payload)
+	return buf.Bytes()
+}
+
+// digestLine is the third header line of payload's entry.
+func digestLine(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return fmt.Sprintf("sha256 %s len %d", hex.EncodeToString(sum[:]), len(payload))
+}
+
 // decodeEntry verifies an entry file against its embedded key and
-// digest and returns the payload.
+// digest and returns the payload. It accepts exactly the files
+// encodeEntry lays out: the digest line must be the payload's own,
+// character for character.
 func decodeEntry(k Key, data []byte) ([]byte, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(magicPrefix))
 	if !ok {
@@ -579,17 +600,8 @@ func decodeEntry(k Key, data []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("truncated header")
 	}
-	var wantSum string
-	var wantLen int
-	if _, err := fmt.Sscanf(string(sumLine), "sha256 %64s len %d", &wantSum, &wantLen); err != nil {
-		return nil, fmt.Errorf("bad digest line: %w", err)
-	}
-	if len(payload) != wantLen {
-		return nil, fmt.Errorf("payload length %d, want %d", len(payload), wantLen)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantSum {
-		return nil, fmt.Errorf("payload digest mismatch")
+	if string(sumLine) != digestLine(payload) {
+		return nil, fmt.Errorf("digest line %q does not match the payload", sumLine)
 	}
 	return payload, nil
 }
@@ -627,14 +639,7 @@ func (c *Cache) put(k Key, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	var buf bytes.Buffer
-	buf.Grow(len(magicPrefix) + 2*sha256.Size + len(payload) + 96)
-	buf.WriteString(magicPrefix)
-	fmt.Fprintf(&buf, "key %s\n", k)
-	fmt.Fprintf(&buf, "sha256 %s len %d\n", hex.EncodeToString(sum[:]), len(payload))
-	buf.Write(payload)
-	entry := buf.Bytes()
+	entry := encodeEntry(k, payload)
 	if c.faults.Should(FaultPutTorn) {
 		// A torn write: half the entry lands and the writer believes the
 		// put succeeded. The next Get finds the truncation, counts a

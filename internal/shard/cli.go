@@ -106,44 +106,65 @@ func (c *CLI) ServeWorker(name string, reg *obs.Registry) int {
 	return ServeWorkerOn(name, c.WorkerAddr, runcache.CodeVersion(), cache, reg)
 }
 
-// ServeWorkerOn serves the worker API on addr until SIGINT/SIGTERM. The
-// "listening on http://..." stdout line is the startup handshake both
-// SpawnLocal and scripts/shard_smoke.sh scrape for the bound address.
+// ServeWorkerOn serves the worker API on addr until SIGINT/SIGTERM. A
+// batch executes synchronously inside its request, so the write timeout
+// sits well above the coordinator's 2m dispatch timeout.
 func ServeWorkerOn(name, addr, version string, cache *runcache.Cache, reg *obs.Registry) int {
-	w := NewWorker(version, cache, reg)
+	return Serve(name+" worker", addr, NewWorker(version, cache, reg).Handler(), 5*time.Minute, 5*time.Second, nil)
+}
+
+// Serve is the serving loop the shard worker and the simd daemon share.
+// It listens on addr, announces "<name> listening on http://ADDR" on
+// stdout (the startup handshake SpawnLocal and the smoke scripts scrape
+// for the bound address), and serves h until SIGINT or SIGTERM. Reads
+// are tight, because every request body either server takes is one
+// JSON document; writeTimeout must cover the longest response h
+// legitimately streams, as a backstop against wedged connections. On a
+// signal Serve stops accepting and shuts down gracefully: in-flight
+// requests and then drain (when non-nil) share one grace window, and a
+// drain that reports false is logged as an expired window. It returns
+// the process exit code: 1 if listening, serving or the graceful
+// shutdown fails, else 0.
+func Serve(name, addr string, h http.Handler, writeTimeout, grace time.Duration, drain func(context.Context) bool) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: listen: %v\n", name, err)
 		return 1
 	}
-	fmt.Printf("%s worker listening on http://%s\n", name, ln.Addr())
 	hs := &http.Server{
-		Handler: w.Handler(),
-		// A unit request is one small JSON body, so reads are tight; the
-		// write timeout must cover the unit's compute time (the handler
-		// executes synchronously), so it sits well above the
-		// coordinator's 2m dispatch timeout.
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       time.Minute,
-		WriteTimeout:      5 * time.Minute,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
-	idle := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// Catch signals before the announce line, so a caller that signals as
+	// soon as it reads the address still gets a graceful shutdown.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+	fmt.Printf("%s listening on http://%s\n", name, ln.Addr())
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+
+	select {
+	case sig := <-stop:
+		fmt.Fprintf(os.Stderr, "%s: %v, shutting down\n", name, sig)
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
-		_ = hs.Shutdown(ctx)
-		close(idle)
-	}()
-	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
+		code := 0
+		if err := hs.Shutdown(ctx); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: shutdown: %v\n", name, err)
+			code = 1
+		}
+		if drain != nil && !drain(ctx) {
+			fmt.Fprintf(os.Stderr, "%s: drain window expired with jobs still running\n", name)
+		}
+		return code
+	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "%s: serve: %v\n", name, err)
 		return 1
 	}
-	<-idle
-	return 0
 }
 
 // Pool builds the coordinator side from the flags: parse -shard URLs,

@@ -272,6 +272,16 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 		return out
 	}
 
+	if len(p.workers) == 0 {
+		local := make([]Unit, len(remaining))
+		for j, i := range remaining {
+			local[j] = units[i]
+		}
+		for j, r := range p.runLocal(local, nil) {
+			out[remaining[j]] = r
+		}
+		return out
+	}
 	batches := node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() })
 	st := &runState{
 		units:    units,
@@ -282,12 +292,6 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 		done:     make(chan struct{}),
 	}
 	st.left.Store(int64(len(batches)))
-	if len(p.workers) == 0 {
-		for b := range batches {
-			st.commit(b, p.runLocal(st.batch(b), nil))
-		}
-		return out
-	}
 	for b := range batches {
 		st.tasks <- b
 	}
@@ -382,14 +386,15 @@ func unitSeed(key string) uint64 {
 	return h
 }
 
-// runLocal is the coordinator-side fallback: execute the batch in
-// process through the same executor a worker runs, against the same
-// cache. A unit that cannot execute at all (malformed by construction)
-// panics, exactly as the sequential engine would; refused, when the
-// batch got here because a worker refused it, is named in that panic.
+// runLocal is the coordinator-side fallback: execute the units in
+// process through the executor a worker runs (Execute, one group at a
+// time), against the same cache. A unit that cannot execute at all
+// (malformed by construction) panics, exactly as the sequential engine
+// would; refused, when the batch got here because a worker refused it,
+// is named in that panic.
 func (p *Pool) runLocal(units []Unit, refused *refusedError) []UnitResult {
 	p.localC.Add(uint64(len(units)))
-	res, err := executeBatch(units, p.cache, nil)
+	res, _, err := Execute(units, p.cache, 1, nil)
 	if err != nil {
 		msg := fmt.Sprintf("shard: local execution of batch %s: %v", units[0].Key, err)
 		if refused != nil {

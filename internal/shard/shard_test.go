@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,7 +54,7 @@ func seqPayloads(t *testing.T, units []Unit) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(units))
 	for i, u := range units {
-		res, err := executeBatch([]Unit{u}, nil, nil)
+		res, _, err := Execute([]Unit{u}, nil, 1, nil)
 		if err != nil {
 			t.Fatalf("sequential execute %d: %v", i, err)
 		}
@@ -95,7 +97,7 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	}
 
 	tampered := decoded
-	tampered.MC = &MCUnit{}
+	tampered.MC = &MCMaterial{}
 	*tampered.MC = *decoded.MC
 	tampered.MC.Lo += montecarlo.ShardTrials
 	tampered.MC.Hi += montecarlo.ShardTrials
@@ -104,7 +106,7 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	}
 
 	withWorkers := decoded
-	withWorkers.MC = &MCUnit{}
+	withWorkers.MC = &MCMaterial{}
 	*withWorkers.MC = *decoded.MC
 	withWorkers.MC.Cfg.Workers = 8
 	if _, err := withWorkers.runKey(); err == nil {
@@ -116,13 +118,60 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	}
 
 	badLevel := decoded
-	badLevel.MC = &MCUnit{}
+	badLevel.MC = &MCMaterial{}
 	*badLevel.MC = *decoded.MC
 	badLevel.MC.Level = "rack"
-	badLevel.Key = runcache.KeyOf(testVersion, MCMaterial{Cfg: badLevel.MC.Cfg, Sel: badLevel.MC.Sel,
-		Level: badLevel.MC.Level, Lo: badLevel.MC.Lo, Hi: badLevel.MC.Hi}).String()
+	badLevel.Key = runcache.KeyOf(testVersion, *badLevel.MC).String()
 	if _, err := badLevel.runKey(); err == nil {
 		t.Error("unknown MC level passed verification")
+	}
+}
+
+// TestUnitWireAndKeyPinned pins the wire JSON, key included, of one
+// checked node unit and one Monte-Carlo unit to testdata/units.golden.
+// The material types are both the wire bodies and what the keys hash
+// (runcache.Canonical hashes type and field names, not json tags), so
+// renaming either moves every stored entry or breaks mixed-version
+// fleets. Each golden line also decodes into a unit that passes key
+// verification.
+func TestUnitWireAndKeyPinned(t *testing.T) {
+	fast := dramspec.TableII(dramspec.SettingFreqLatMargin, dramspec.DDR4_3200, 800)
+	units := []Unit{
+		NewNodeUnit(testVersion, node.Config{
+			H:                   node.Hierarchy1(),
+			Replication:         memctrl.ReplicationHeteroDMR,
+			Spec:                dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+			Fast:                &fast,
+			Seed:                1,
+			InstructionsPerCore: 40_000,
+			WarmupInstructions:  15_000,
+			Check:               true,
+		}, workload.ByName("hpcg")),
+		NewMCUnit(testVersion, mcConfig(), montecarlo.MarginAware, LevelChannel, montecarlo.ShardTrials, 2*montecarlo.ShardTrials),
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "units.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(lines) != len(units) {
+		t.Fatalf("golden holds %d units, want %d", len(lines), len(units))
+	}
+	for i, u := range units {
+		wire, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(wire) != lines[i] {
+			t.Errorf("%s unit wire drifted:\n got: %s\nwant: %s", u.Type, wire, lines[i])
+		}
+		var decoded Unit
+		if err := json.Unmarshal([]byte(lines[i]), &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decoded.runKey(); err != nil {
+			t.Errorf("golden %s unit fails key verification: %v", decoded.Type, err)
+		}
 	}
 }
 

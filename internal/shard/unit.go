@@ -20,10 +20,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/runcache"
 	"repro/internal/workload"
 )
@@ -37,41 +39,23 @@ const (
 	LevelNode    = "node"
 )
 
-// NodeMaterial is what the run-cache key hashes for a node-simulation
-// cell: the fully resolved node configuration plus the workload profile
-// the stream generator derives from. internal/experiments hashes this
-// exact type for its persistent layer, so a unit computed by a worker
-// lands on the same cache entry a sequential coordinator run would
-// consult (runcache.Canonical embeds the type name in the hash —
-// coordinator and worker must agree on it, which sharing the struct
-// guarantees).
+// NodeMaterial is a node-simulation unit's identity and its wire body:
+// the fully resolved node configuration plus the workload profile the
+// stream generator derives from. The run-cache key hashes it, so a unit
+// computed by a worker lands on the same cache entry an in-process run
+// consults (runcache.Canonical embeds the type name, not the json tags,
+// in the hash).
 type NodeMaterial struct {
-	Cfg  node.Config
-	Prof workload.Profile
-}
-
-// MCMaterial is the hashed identity of a Monte-Carlo range unit: the
-// trial configuration (Workers zeroed — the in-process fan-out width
-// must never reach a content hash), the selection policy, the level,
-// and the shard-aligned trial range.
-type MCMaterial struct {
-	Cfg   montecarlo.Config
-	Sel   montecarlo.Selection
-	Level string
-	Lo    int
-	Hi    int
-}
-
-// NodeUnit is the wire body of a node-simulation unit.
-type NodeUnit struct {
 	Cfg  node.Config      `json:"cfg"`
 	Prof workload.Profile `json:"prof"`
 }
 
-// MCUnit is the wire body of a Monte-Carlo range unit. Lo must be
-// montecarlo.ShardTrials-aligned so the range's draws match the
-// sequential run exactly.
-type MCUnit struct {
+// MCMaterial is a Monte-Carlo range unit's identity and its wire body:
+// the trial configuration (Workers zeroed — the in-process fan-out width
+// must never reach a content hash), the selection policy, the level, and
+// the trial range. Lo must be montecarlo.ShardTrials-aligned so the
+// range's draws match the sequential run exactly.
+type MCMaterial struct {
 	Cfg   montecarlo.Config    `json:"cfg"`
 	Sel   montecarlo.Selection `json:"sel"`
 	Level string               `json:"level"`
@@ -85,24 +69,20 @@ type MCUnit struct {
 // one identity and cached under another (JSON round-trips float64
 // exactly, so the recomputed hash matches bit for bit).
 type Unit struct {
-	Type    string    `json:"type"`
-	Version string    `json:"version"`
-	Key     string    `json:"key"`
-	Node    *NodeUnit `json:"node,omitempty"`
-	MC      *MCUnit   `json:"mc,omitempty"`
+	Type    string        `json:"type"`
+	Version string        `json:"version"`
+	Key     string        `json:"key"`
+	Node    *NodeMaterial `json:"node,omitempty"`
+	MC      *MCMaterial   `json:"mc,omitempty"`
 }
 
 // NewNodeUnit builds a node-simulation unit keyed under version. The
-// configuration must be the uninstrumented resolution (Check false, Obs
-// nil): instrumented runs never shard.
+// configuration carries no registry (Obs nil): Execute attaches one
+// after the key check. A checked configuration (Check true) is keyed,
+// and shares a cache entry, only with other checked ones.
 func NewNodeUnit(version string, cfg node.Config, prof workload.Profile) Unit {
-	k := runcache.KeyOf(version, NodeMaterial{Cfg: cfg, Prof: prof})
-	return Unit{
-		Type:    UnitNode,
-		Version: version,
-		Key:     k.String(),
-		Node:    &NodeUnit{Cfg: cfg, Prof: prof},
-	}
+	m := &NodeMaterial{Cfg: cfg, Prof: prof}
+	return Unit{Type: UnitNode, Version: version, Key: runcache.KeyOf(version, *m).String(), Node: m}
 }
 
 // NewMCUnit builds a Monte-Carlo range unit keyed under version.
@@ -111,13 +91,8 @@ func NewNodeUnit(version string, cfg node.Config, prof workload.Profile) Unit {
 // change a unit's identity.
 func NewMCUnit(version string, cfg montecarlo.Config, sel montecarlo.Selection, level string, lo, hi int) Unit {
 	cfg.Workers = 0
-	k := runcache.KeyOf(version, MCMaterial{Cfg: cfg, Sel: sel, Level: level, Lo: lo, Hi: hi})
-	return Unit{
-		Type:    UnitMC,
-		Version: version,
-		Key:     k.String(),
-		MC:      &MCUnit{Cfg: cfg, Sel: sel, Level: level, Lo: lo, Hi: hi},
-	}
+	m := &MCMaterial{Cfg: cfg, Sel: sel, Level: level, Lo: lo, Hi: hi}
+	return Unit{Type: UnitMC, Version: version, Key: runcache.KeyOf(version, *m).String(), MC: m}
 }
 
 // runKey recomputes the unit's content key from its material and checks
@@ -130,7 +105,7 @@ func (u Unit) runKey() (runcache.Key, error) {
 		if u.Node == nil {
 			return runcache.Key{}, fmt.Errorf("shard: node unit without body")
 		}
-		m = NodeMaterial{Cfg: u.Node.Cfg, Prof: u.Node.Prof}
+		m = *u.Node
 	case UnitMC:
 		if u.MC == nil {
 			return runcache.Key{}, fmt.Errorf("shard: mc unit without body")
@@ -141,7 +116,7 @@ func (u Unit) runKey() (runcache.Key, error) {
 		if u.MC.Level != LevelChannel && u.MC.Level != LevelNode {
 			return runcache.Key{}, fmt.Errorf("shard: unknown MC level %q", u.MC.Level)
 		}
-		m = MCMaterial{Cfg: u.MC.Cfg, Sel: u.MC.Sel, Level: u.MC.Level, Lo: u.MC.Lo, Hi: u.MC.Hi}
+		m = *u.MC
 	default:
 		return runcache.Key{}, fmt.Errorf("shard: unknown unit type %q", u.Type)
 	}
@@ -174,62 +149,93 @@ func (e *unitError) Error() string { return fmt.Sprintf("unit %s: %v", e.key, e.
 
 func (e *unitError) Unwrap() error { return e.err }
 
-// executeBatch runs a batch of units against cache (nil = compute only)
-// and returns one result per unit, in order, through cache.Do: a cache
-// hit, a payload another batch of this process was computing (both
-// Computed false), or a fresh computation that is Put under the unit's
-// own key. Node units are grouped by front-end identity; a group records
-// its front end only when one of its cells is computed here, replays it
-// for each such cell, and drops it before the next group, so no
-// recording outlives the batch. recordings counts the front ends
-// recorded. Payloads are the exact byte sequences the cache stores (gob
-// — bit-exact float64) and equal EncodeNodeResult(node.Run(cfg, prof))
-// for a node cell, so every process that decodes one reconstructs an
-// identical result.
-func executeBatch(units []Unit, cache *runcache.Cache, recordings *obs.Counter) ([]UnitResult, error) {
+// Execute runs units in this process and returns one result per unit,
+// in input order, plus the number of front ends it recorded. It is the
+// one executor: a worker runs each batch it receives through it, the
+// pool runs its local fallbacks through it, and the experiment suite
+// runs its cell plan through it when no fleet is configured. Every key
+// is vetted before anything runs, so a mis-keyed unit refuses the whole
+// call. The units are then grouped by front-end identity
+// (node.GroupByFrontEnd; every Monte-Carlo range is a group of its own)
+// and the groups run on at most workers goroutines (parallel.ForEach),
+// each through executeBatch against cache (nil = compute only). reg,
+// when non-nil, is attached to every node configuration after its key
+// is checked, so an observed run's metrics and traces never reach a key.
+// Once a group fails, groups not yet started are skipped, and the error
+// returned is that of the first group, in group order, that failed.
+func Execute(units []Unit, cache *runcache.Cache, workers int, reg *obs.Registry) ([]UnitResult, int, error) {
 	keys := make([]runcache.Key, len(units))
+	idx := make([]int, len(units))
 	for i, u := range units {
 		k, err := u.runKey()
 		if err != nil {
-			return nil, &unitError{key: u.Key, err: err}
+			return nil, 0, &unitError{key: u.Key, err: err}
 		}
-		keys[i] = k
+		keys[i], idx[i] = k, i
 	}
-	idx := make([]int, len(units))
-	for i := range idx {
-		idx[i] = i
-	}
+	groups := node.GroupByFrontEnd(idx, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() })
 	out := make([]UnitResult, len(units))
-	for _, g := range node.GroupByFrontEnd(idx, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() }) {
-		var rp *node.Replayer
-		if u := units[g[0]]; u.Type == UnitNode {
-			rp = node.NewReplayer(u.Node.Prof)
+	recorded := make([]bool, len(groups))
+	errs := make([]error, len(groups))
+	var failed atomic.Bool
+	parallel.ForEach(workers, len(groups), func(g int) {
+		if failed.Load() {
+			return
 		}
-		for _, i := range g {
-			compute := func() ([]byte, error) { return units[i].compute(rp) }
-			var err error
-			if cache != nil {
-				out[i].Payload, out[i].Computed, err = cache.Do(keys[i], compute)
-			} else {
-				out[i].Payload, err = compute()
-				out[i].Computed = true
-			}
-			if err != nil {
-				return nil, err
-			}
+		if recorded[g], errs[g] = executeBatch(units, keys, groups[g], cache, reg, out); errs[g] != nil {
+			failed.Store(true)
 		}
-		if rp != nil && rp.Recorded() {
-			recordings.Add(1)
+	})
+	n := 0
+	for g := range groups {
+		if errs[g] != nil {
+			return nil, 0, errs[g]
+		}
+		if recorded[g] {
+			n++
 		}
 	}
-	return out, nil
+	return out, n, nil
+}
+
+// executeBatch runs one group of vetted units, units[i] for each i in
+// group, through cache.Do and writes each result to out[i]: a cache hit,
+// a payload another caller in this process was computing (both Computed
+// false), or a fresh computation that is Put under the unit's own key.
+// The node units of a group share a front end, which is recorded only
+// when one of them is computed here, replayed for each such unit, and
+// dropped with the group, so no recording outlives it; recorded reports
+// whether it was. Payloads are the exact byte sequences the cache stores
+// (gob — bit-exact float64) and equal EncodeNodeResult(node.Run(cfg,
+// prof)) for a node cell, so every process that decodes one
+// reconstructs an identical result.
+func executeBatch(units []Unit, keys []runcache.Key, group []int, cache *runcache.Cache, reg *obs.Registry, out []UnitResult) (recorded bool, err error) {
+	var rp *node.Replayer
+	if u := units[group[0]]; u.Type == UnitNode {
+		rp = node.NewReplayer(u.Node.Prof)
+	}
+	for _, i := range group {
+		compute := func() ([]byte, error) { return units[i].compute(rp, reg) }
+		if cache != nil {
+			out[i].Payload, out[i].Computed, err = cache.Do(keys[i], compute)
+		} else {
+			out[i].Payload, err = compute()
+			out[i].Computed = true
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	return rp != nil && rp.Recorded(), nil
 }
 
 // compute simulates one vetted unit; rp is the Replayer of a node unit's
-// front-end group.
-func (u Unit) compute(rp *node.Replayer) ([]byte, error) {
+// front-end group, and reg the registry its run reports to.
+func (u Unit) compute(rp *node.Replayer, reg *obs.Registry) ([]byte, error) {
 	if u.Type == UnitNode {
-		res, err := rp.Run(u.Node.Cfg)
+		cfg := u.Node.Cfg
+		cfg.Obs = reg
+		res, err := rp.Run(cfg)
 		if err != nil {
 			return nil, &unitError{key: u.Key, err: err}
 		}

@@ -139,16 +139,19 @@ func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, reply)
 }
 
-// execute wraps executeBatch with panic recovery: a panic deep in the
-// simulator is a worker fault, and a worker must answer 500 and stay up
-// rather than take the whole fleet slot down.
+// execute runs a batch through Execute, one front-end group at a time,
+// with panic recovery: a panic deep in the simulator is a worker fault,
+// and a worker must answer 500 and stay up rather than take the whole
+// fleet slot down.
 func (w *Worker) execute(units []Unit) (results []UnitResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("batch %s panicked: %v", units[0].Key, p)
 		}
 	}()
-	return executeBatch(units, w.cache, w.recordings)
+	results, recorded, err := Execute(units, w.cache, 1, nil)
+	w.recordings.Add(uint64(recorded))
+	return results, err
 }
 
 func writeJSON(rw http.ResponseWriter, status int, v any) {

@@ -70,9 +70,9 @@ type Config struct {
 	// Registry).
 	Reg *obs.Registry
 	// Shard, when non-nil, fans each job's cell plan and Monte-Carlo
-	// ranges out to shard worker processes (see
-	// internal/shard). Jobs with Check set run locally — instrumented
-	// runs never shard — and output stays byte-identical either way.
+	// ranges out to shard worker processes (see internal/shard), checked
+	// jobs included: their violations travel inside the cells' results.
+	// Output stays byte-identical either way.
 	Shard *shard.Pool
 	// Faults arms the daemon-lifecycle fault sites; nil (production)
 	// injects nothing.
@@ -97,8 +97,8 @@ type JobSpec struct {
 	Quick       bool     `json:"quick,omitempty"`
 	Seeds       int      `json:"seeds,omitempty"`
 	// Check runs the conservation self-checks; violations appear in the
-	// result. Checked jobs always simulate live (the persistent cache is
-	// bypassed by the suite), so they are slower by design.
+	// result. Checked cells are keyed apart from unchecked ones, so a
+	// checked job replays only what earlier checked jobs stored.
 	Check bool `json:"check,omitempty"`
 }
 
