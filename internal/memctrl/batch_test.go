@@ -12,8 +12,8 @@ import (
 // bursts: mostly sequential same-row reads, occasional row jumps and
 // writebacks, and waits on the *newest* outstanding request so the
 // scheduler drains whole bursts before the caller regains control.
-func driveBatchStream(c *Channel, trials int) {
-	rng := xrand.New(7)
+func driveBatchStream(c *Channel, seed uint64, trials int) {
+	rng := xrand.New(seed)
 	at := int64(0)
 	addr := uint64(0)
 	var pending []*Request
@@ -61,8 +61,8 @@ func TestBatchedServeEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			batched, plain := tc.mk(), tc.mk()
 			plain.noBatch = true
-			driveBatchStream(batched, 6000)
-			driveBatchStream(plain, 6000)
+			driveBatchStream(batched, 7, 6000)
+			driveBatchStream(plain, 7, 6000)
 			if !reflect.DeepEqual(batched.Stats(), plain.Stats()) {
 				t.Errorf("stats diverge:\nbatched: %+v\nplain:   %+v", batched.Stats(), plain.Stats())
 			}

@@ -83,7 +83,8 @@ func scheduleDigest(c *Channel) string {
 }
 
 // TestScheduleGolden pins the controller's scheduling decisions: the
-// randomized traffic of poolTraffic, stressTraffic and writeTraffic, for
+// randomized traffic of poolTraffic, stressTraffic, writeTraffic and the
+// row-hit burst stream of driveBatchStream, for
 // every replication mode, three seeds each, on both the Table IV channel
 // and the node-shaped one (writeback cache, Hetero-DMR write batches
 // and proactive cleaning), must land every channel on the recorded
@@ -97,6 +98,7 @@ func TestScheduleGolden(t *testing.T) {
 		{"pool", func(t *testing.T, c *Channel, seed uint64) { poolTraffic(t, c, seed) }},
 		{"stress", stressTraffic},
 		{"writes", func(t *testing.T, c *Channel, seed uint64) { writeTraffic(c, seed); c.Drain() }},
+		{"burst", func(t *testing.T, c *Channel, seed uint64) { driveBatchStream(c, seed, 6000) }},
 	}
 	shapes := []struct {
 		name string
