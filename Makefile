@@ -35,8 +35,8 @@ analyze:
 
 # alloc-gate pins the hot-path allocation contract: the steady-state
 # micro-benchmarks must report exactly 0 allocs/op. The $$-anchors keep
-# the reference twins (BenchmarkRSDetectGeneric, BenchmarkChannelBatchIssueOff)
-# out of the gate — only the production paths are held to zero.
+# the reference twin (BenchmarkRSDetectGeneric) out of the gate — only
+# the production paths are held to zero.
 alloc-gate:
 	@fail=0; \
 	for spec in "internal/memctrl BenchmarkChannelReadStream" \
@@ -80,13 +80,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkNode(Record|Replay)$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 
-# bench-compare pits each optimized path against its in-tree reference
-# twin — row-hit burst batching vs the unbatched scheduler and the
-# word-parallel RS syndrome sweep vs the byte-wise reference — then runs
-# the full sequential suite. The twins are the same pairs the
-# differential/fuzz tests pin to identical output.
+# bench-compare pits the word-parallel RS syndrome sweep against its
+# in-tree reference twin, the byte-wise sweep the fuzz test pins it to,
+# then runs the full sequential suite.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue' -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkRSDetect' -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench BenchmarkRunAllSeq -benchmem -benchtime 1x .
 

@@ -14,7 +14,7 @@
 // recovered from — at any seed, suite output is byte-identical to the
 // fault-free run. Degradation may cost time, never correctness.
 //
-// Arming follows the repository's hook idiom (noPool, noBatch): layers
+// Arming follows the repository's hook idiom (noPool): layers
 // carry an optional *Plan and a nil plan is a no-op on every method, so
 // the production path pays one nil check per site. Real
 // binaries arm plans from the -faults flag or the REPRO_FAULTS

@@ -26,7 +26,7 @@
 //   - unitflow: picosecond quantities and cycle counts may not meet in
 //     additive arithmetic, and may meet multiplicatively only inside a
 //     *PS-named conversion helper.
-//   - scanparity: every dual-path hook (noPool, noBatch) must be
+//   - scanparity: every dual-path hook (noPool) must be
 //     referenced from an in-package test, or the bypassed path it
 //     selects has no live differential oracle.
 //   - faultsite: every declared fault-injection site (faultinject.Site

@@ -55,7 +55,14 @@ func TestUnitFlow(t *testing.T) {
 	}
 }
 
+// TestScanParity runs the fixture, whose tested hook is noBatch, with the
+// hook list widened to cover it.
 func TestScanParity(t *testing.T) {
+	hooks := lint.ScanParity.Flags.Lookup("hooks").Value.String()
+	if err := lint.ScanParity.Flags.Set("hooks", "noPool,noBatch"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = lint.ScanParity.Flags.Set("hooks", hooks) }() // a string flag's Set cannot fail
 	findings := analysistest.Run(t, analysistest.TestData(), lint.ScanParity, "scanparity")
 	if len(findings) == 0 {
 		t.Fatal("scanparity fixture produced no findings")

@@ -42,9 +42,8 @@ func BenchmarkChannelReadStream(b *testing.B) {
 // row streaks submitted together in bank-clustered order (each cluster
 // is a run of sequential blocks in one row — consecutive rows land on
 // different banks), then a wait on the newest. The scheduler drains
-// cluster after cluster inside one WaitFor; with many banks hot, the
-// unbatched path re-walks the hot-bank list per serve while the batched
-// path issues each streak in one activation.
+// cluster after cluster inside one WaitFor, re-walking the hot-bank
+// list on every serve.
 func benchBurst(b *testing.B, c *Channel) {
 	const clusters, per = 8, 8
 	row := uint64(c.cfg.RowBytes)
@@ -72,21 +71,13 @@ func benchBurst(b *testing.B, c *Channel) {
 	}
 }
 
-// BenchmarkChannelBatchIssue measures row-hit burst batching on the
-// event-driven scheduler: consecutive same-open-row FR-FCFS picks issue
-// in one scheduler activation. The Off twin below is the same stream
-// with batching disabled; the ratio is the dispatch overhead recovered
-// per row burst. Run with -benchmem; the steady state must not allocate
-// (the alloc-gate pins this).
+// BenchmarkChannelBatchIssue measures the FR-FCFS row-hit pass on
+// bank-clustered streaks: each pick finds the oldest arrived hit across
+// the hot banks, and bank fairness caps every streak. Run with
+// -benchmem; the steady state must not allocate (the alloc-gate pins
+// this).
 func BenchmarkChannelBatchIssue(b *testing.B) {
 	benchBurst(b, hdmrChannel())
-}
-
-// BenchmarkChannelBatchIssueOff is the unbatched twin (noBatch hook).
-func BenchmarkChannelBatchIssueOff(b *testing.B) {
-	c := hdmrChannel()
-	c.noBatch = true
-	benchBurst(b, c)
 }
 
 // BenchmarkChannelWriteDrain measures the write path on the node-shaped

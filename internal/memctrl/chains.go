@@ -312,9 +312,7 @@ func (c *Channel) pickReadChained() (pos, serveRank int) {
 // candidate order, so ties between an original and its copy break the
 // same way every time: the first candidate in readCandidateRanks order
 // with an open-row match and streak budget. Returns -1 when no
-// candidate qualifies. Shared by pickReadChained and the row-hit burst
-// loop, which must stop the moment the resolution would land on a
-// different rank than the burst's.
+// candidate qualifies.
 func (c *Channel) resolveHitRank(req *Request) int {
 	for _, cand := range c.readCandidateRanks(req.rank) {
 		r := c.ranks[cand]

@@ -271,21 +271,6 @@ type Channel struct {
 	freeReqs []*Request
 	noPool   bool
 
-	// noBatch disables row-hit burst batching in serveRead (test hook
-	// for the batched-vs-unbatched equivalence check; scanparity keeps
-	// it referenced). batchedReads counts reads issued inside a burst
-	// without re-entering dispatch — deliberately not a Stats field, so
-	// batching cannot perturb result comparisons.
-	noBatch      bool
-	batchedReads uint64
-	// burstCtx records which step()-driver loop (WaitFor, a Submit
-	// drain, Drain) is currently stepping, and awaitReq the request
-	// WaitFor is blocked on. Together they tell batchRowHits when the
-	// driver would return control to the caller — the point past which
-	// batching could reorder serves against caller submissions.
-	burstCtx burstCtx
-	awaitReq *Request
-
 	writeMode      bool
 	writeModeStart int64
 	// fastMode is true while a Hetero-DMR channel serves reads from the
@@ -294,10 +279,7 @@ type Channel struct {
 	// the channel behaves like a conventional controller at spec.
 	fastMode  bool
 	batchLeft int
-	// Bank fairness: consecutive row hits on the streak bank. The old
-	// hitsInARow map only ever held the last-served bank's streak (every
-	// other key was deleted on each serve), so two ints carry the same
-	// state without map traffic.
+	// Bank fairness: consecutive row hits on the last-served bank.
 	streakBank int // global bank of the live streak; -1 when none
 	streakLen  int
 

@@ -128,6 +128,49 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	}
 }
 
+// TestRowHitStreakCap pins bank fairness (Table IV's "FR-FCFS with bank
+// fairness"): a row miss waiting behind a run of row hits on another
+// bank is served once that bank's streak reaches hitStreakCap. The read
+// that opens the row starts the streak, so exactly hitStreakCap-1 of the
+// queued hits go before the miss and the rest after it.
+func TestRowHitStreakCap(t *testing.T) {
+	c := baselineChannel()
+	cfg := c.Config()
+	open := uint64(10 * cfg.RowBytes * cfg.BanksPerRank * cfg.Ranks)
+	if rank, bank, row := c.decode(open); rank != 0 || bank != 10 || row != 10 {
+		t.Fatalf("open address decodes to rank %d bank %d row %d, want 0 10 10", rank, bank, row)
+	}
+	if _, bank, _ := c.decode(open + uint64(cfg.RowBytes)); bank != 11 {
+		t.Fatalf("miss address decodes to bank %d, want 11", bank)
+	}
+	c.WaitFor(c.SubmitRead(open, 0))
+
+	at := c.Now() + 1000
+	miss := c.SubmitRead(open+uint64(cfg.RowBytes), at)
+	hits := make([]*Request, 24)
+	for i := range hits {
+		hits[i] = c.SubmitRead(open+uint64((i+1)*cfg.BlockBytes), at)
+	}
+	c.Drain()
+
+	before, after := 0, 0
+	for _, h := range hits {
+		switch {
+		case h.Done < miss.Done:
+			before++
+		case h.Done > miss.Done:
+			after++
+		}
+	}
+	if before != hitStreakCap-1 || after != len(hits)-before {
+		t.Errorf("%d hits before the miss and %d after, want hitStreakCap-1 = %d before and the rest after",
+			before, after, hitStreakCap-1)
+	}
+	if s := c.Stats(); s.RowHits != uint64(len(hits)) || s.RowMisses != 2 {
+		t.Errorf("stats: %d row hits, %d misses; want %d and 2", s.RowHits, s.RowMisses, len(hits))
+	}
+}
+
 func TestWriteForwarding(t *testing.T) {
 	c := baselineChannel()
 	c.SubmitWrite(0x2000, 0)

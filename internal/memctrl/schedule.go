@@ -27,23 +27,6 @@ func (c *Channel) correctionPenalty() int64 {
 	return 2*dramspec.FrequencySwitchLatency + 2*specAccess
 }
 
-// burstCtx identifies the loop driving step(). Every external entry
-// point that steps the channel (WaitFor, the Submit backpressure drains,
-// Drain) loops until its own exit condition holds and then returns
-// control to the caller, which may submit new traffic before stepping
-// again. batchRowHits must therefore stop a burst the moment the live
-// driver's exit condition becomes true: serves past that point would
-// reorder against submissions the unbatched run interleaves first.
-type burstCtx uint8
-
-const (
-	burstNone       burstCtx = iota // no known driver: never batch
-	burstDrain                      // Drain: steps to idle, no interleaving
-	burstAwait                      // WaitFor: exits when awaitReq completes
-	burstReadSpace                  // SubmitRead: exits when the read queue has space
-	burstWriteSpace                 // SubmitWrite: exits when the write queue has space or a drain starts
-)
-
 // SubmitRead enqueues a read for block addr arriving at time `at` and
 // returns its request handle; poll handle.Done or call WaitFor. Reads
 // that hit the pending-write path are forwarded immediately. Arrival
@@ -72,14 +55,10 @@ func (c *Channel) SubmitRead(addr uint64, at int64) *Request {
 		c.stats.ReadCount++
 		return req
 	}
-	if c.readQ.len() >= c.cfg.ReadQueueCap {
-		c.burstCtx = burstReadSpace
-		for c.readQ.len() >= c.cfg.ReadQueueCap {
-			if !c.step() {
-				panic("memctrl: read queue full but nothing schedulable")
-			}
+	for c.readQ.len() >= c.cfg.ReadQueueCap {
+		if !c.step() {
+			panic("memctrl: read queue full but nothing schedulable")
 		}
-		c.burstCtx = burstNone
 	}
 	c.readQ.push(req)
 	c.chainPushRead(req)
@@ -157,14 +136,10 @@ func (c *Channel) SubmitWrite(addr uint64, at int64) {
 		}
 		// wbRejected: fall through to the write buffer.
 	}
-	if c.writeQ.len() >= c.cfg.WriteQueueCap && !c.writeMode {
-		c.burstCtx = burstWriteSpace
-		for c.writeQ.len() >= c.cfg.WriteQueueCap && !c.writeMode {
-			if !c.step() {
-				panic("memctrl: write queue full but nothing schedulable")
-			}
+	for c.writeQ.len() >= c.cfg.WriteQueueCap && !c.writeMode {
+		if !c.step() {
+			panic("memctrl: write queue full but nothing schedulable")
 		}
-		c.burstCtx = burstNone
 	}
 	c.pushWrite(c.newRequest(addr, true, at))
 }
@@ -191,14 +166,10 @@ func (c *Channel) WaitFor(req *Request) int64 {
 	if DebugPooling {
 		c.assertLive(req, "WaitFor")
 	}
-	if req.Done == 0 {
-		c.burstCtx, c.awaitReq = burstAwait, req
-		for req.Done == 0 {
-			if !c.step() {
-				panic("memctrl: waiting on a request but nothing schedulable")
-			}
+	for req.Done == 0 {
+		if !c.step() {
+			panic("memctrl: waiting on a request but nothing schedulable")
 		}
-		c.burstCtx, c.awaitReq = burstNone, nil
 	}
 	return req.Done
 }
@@ -206,8 +177,6 @@ func (c *Channel) WaitFor(req *Request) int64 {
 // Drain services every queued request (including parked writebacks) and
 // returns the time the channel went idle.
 func (c *Channel) Drain() int64 {
-	c.burstCtx = burstDrain
-	defer func() { c.burstCtx = burstNone }()
 	for {
 		for c.step() {
 		}
@@ -300,13 +269,8 @@ func (c *Channel) serviceRefresh() bool {
 		if r.InSelfRefresh() || !r.RefreshDue(c.now) {
 			continue
 		}
-		quiesced := r.PrechargeAll(c.now)
-		end := r.Refresh(quiesced)
-		if end > c.now {
-			// The rank is blocked; other ranks may still work, so do not
-			// advance the channel clock past the refresh.
-			_ = end
-		}
+		// The channel clock stays: other ranks may still work.
+		r.Refresh(r.PrechargeAll(c.now))
 		c.rankRowsChanged(ri)
 		c.recomputeRefreshAt()
 		return true
@@ -348,8 +312,7 @@ func (c *Channel) lazyClose() {
 		}
 		at := r.EarliestPrecharge(b, c.now)
 		if at > c.now {
-			// Due but not yet legal (tRAS/tRTP/tWR): keep it pending,
-			// exactly like the scan revisits it next step.
+			// Due but not yet legal (tRAS/tRTP/tWR): keep it pending.
 			c.closeDefer = append(c.closeDefer, e)
 			continue
 		}
@@ -448,10 +411,9 @@ func (c *Channel) countOutcome(k rowOutcome) {
 	}
 }
 
-// serveRead services one read request end to end. When the pick is a
-// row hit, the rest of the row-hit burst on that bank is issued in the
-// same scheduler activation (batchRowHits) — provably the same serves
-// the next step() iterations would pick, without re-entering dispatch.
+// serveRead services the next read per pickRead end to end — timing,
+// stats, streak, ECC, retire. The request may be recycled by the time
+// this returns.
 func (c *Channel) serveRead() {
 	pos, serveRank := c.pickRead()
 	if pos < 0 {
@@ -460,17 +422,6 @@ func (c *Channel) serveRead() {
 		c.now = c.nextEventTime()
 		return
 	}
-	req := c.readQ.at(pos)
-	bank, row := req.bank, req.row
-	if c.serveReadAt(pos, serveRank) == rowHit {
-		c.batchRowHits(serveRank, bank, row)
-	}
-}
-
-// serveReadAt services the read at ring position pos on serveRank end to
-// end — timing, stats, streak, ECC, retire — and returns the access's
-// row outcome. The request may be recycled by the time this returns.
-func (c *Channel) serveReadAt(pos, serveRank int) rowOutcome {
 	req := c.readQ.at(pos)
 	c.readQHist.Observe(int64(c.readQ.len()))
 	rank := c.ranks[serveRank]
@@ -525,159 +476,6 @@ func (c *Channel) serveReadAt(pos, serveRank int) rowOutcome {
 	if req.released {
 		c.recycle(req)
 	}
-	return outcome
-}
-
-// batchRowHits issues the remainder of a row-hit burst in one scheduler
-// activation: after a row-hit serve on (serveRank, bank)'s open row, the
-// next FR-FCFS pick is often the next oldest arrived hit on the same
-// row, and re-running the full dispatch (refresh probe, mode checks,
-// chained pick over every hot bank) per hit is pure overhead. Each loop
-// iteration re-checks exactly the conditions the driving loop and
-// step()/pickRead() would evaluate and stops the moment any could choose
-// differently — including the driver's own exit condition, past which
-// the unbatched run returns to the caller, who may submit new traffic
-// (say, writes that tip the queue over the drain watermark) before the
-// next serve. The served sequence, every timing, and every statistic are
-// therefore identical to the unbatched run — the noBatch twin's
-// differential test pins this byte for byte.
-//
-// Correctness of the runner-up bound: SubmitRead arrivals are
-// non-decreasing and ring positions follow submission order, so any
-// request that becomes newly arrived as the clock advances during the
-// burst has a strictly larger position than every request already
-// arrived at burst start. The burst only consumes hits that had arrived
-// by burst start (next.Arrive > start stops it), so the runner-up
-// position computed once at burst start remains a lower bound on every
-// competing pick for the whole burst. Sibling serving banks that expose
-// the same chain at the same open row (an original and its copy) pend
-// the very requests the burst consumes — the chained pick would find the
-// same request through them and re-resolve the rank, which the
-// resolveHitRank guard re-checks per serve.
-func (c *Channel) batchRowHits(serveRank, bank int, row int64) {
-	if c.noBatch {
-		return
-	}
-	cri := c.chainRank[serveRank]
-	chain := &c.readChains[c.globalBank(cri, bank)]
-	gb := c.globalBank(serveRank, bank)
-	start := c.now
-	// The runner-up bound is computed lazily, on the first iteration
-	// that has a candidate: serves whose burst exits immediately (no
-	// further same-row arrival, a due deadline, a driver handback)
-	// must not pay the hot-bank walk. Nothing advances the clock or
-	// serves between burst entry and that first candidate check, so
-	// the bound is identical to one taken at burst start.
-	runner := -1
-	for {
-		// Driver exit: the loop stepping the channel hands control back
-		// to the caller the moment its condition holds; so must the burst.
-		switch c.burstCtx {
-		case burstDrain:
-			// Drain steps to idle with nothing interleaved.
-		case burstAwait:
-			if c.awaitReq.Done != 0 {
-				return
-			}
-		case burstReadSpace:
-			if c.readQ.len() < c.cfg.ReadQueueCap {
-				return
-			}
-		case burstWriteSpace:
-			if c.writeQ.len() < c.cfg.WriteQueueCap || c.writeMode {
-				return
-			}
-		default:
-			return // unknown driver: never batch
-		}
-		// Bank fairness: the serve that entered the burst made gb the
-		// streak bank, so the cap is the only streak state that matters.
-		if c.streakLen >= hitStreakCap {
-			return
-		}
-		// A due refresh or page-close deadline would run before the next
-		// serve; hand back to step(). (The clock advances during serves,
-		// so these must be re-checked every iteration.)
-		if c.now >= c.refreshAt {
-			return
-		}
-		if len(c.closeHeap) > 0 && c.closeHeap[0].at <= c.now {
-			return
-		}
-		// Mode switches: a Hetero-DMR slow phase may transition before
-		// serving another read, and write pressure preempts reads.
-		if c.cfg.Replication.Fast() && !c.fastMode {
-			return
-		}
-		if pressure, _ := writeWatermarks(c.cfg.WriteQueueCap); c.writeQ.len() >= pressure {
-			return
-		}
-		// The next pick must provably be this bank's next oldest arrived
-		// same-row hit: no competitor anywhere can have a smaller ring
-		// position (see the runner-up argument above).
-		var next *Request
-		for r := chain.head; r != nil; r = r.next {
-			if r.Arrive > c.now {
-				break // chain is oldest-first; the rest arrived later
-			}
-			if r.row == row {
-				next = r
-				break
-			}
-		}
-		if next == nil || next.Arrive > start {
-			return
-		}
-		if runner < 0 {
-			runner = c.batchRunnerUp(gb, cri, bank, row)
-		}
-		if next.pos >= runner {
-			return
-		}
-		np := next.pos
-		if c.resolveHitRank(next) != serveRank {
-			return
-		}
-		if c.serveReadAt(np, serveRank) != rowHit {
-			// Nothing in the guarded region can change this bank's open
-			// row, so a non-hit means the equivalence argument is broken.
-			panic("memctrl: batched row-hit pick did not hit")
-		}
-		c.batchedReads++
-	}
-}
-
-// batchRunnerUp returns the smallest ring position among the other hot
-// banks' oldest arrived row hits — the best competing pick a chained
-// row-hit pass could make if this bank's burst were absent. Serving
-// banks that alias the burst's own requests (same chain, same bank,
-// same open row) are excluded: their "competitor" is the identical
-// request, and rank ties re-resolve per serve via resolveHitRank.
-func (c *Channel) batchRunnerUp(gb, cri, bank int, row int64) int {
-	runner := int(^uint(0) >> 1)
-	for _, g := range c.rHits.hot {
-		gb2 := int(g)
-		if gb2 == gb {
-			continue
-		}
-		ri2, b2 := c.splitBank(gb2)
-		open2 := c.ranks[ri2].Bank(b2).OpenRow()
-		if b2 == bank && c.chainRank[ri2] == cri && open2 == row {
-			continue
-		}
-		for r := c.readChains[c.globalBank(c.chainRank[ri2], b2)].head; r != nil; r = r.next {
-			if r.Arrive > c.now {
-				break
-			}
-			if r.row == open2 {
-				if r.pos < runner {
-					runner = r.pos
-				}
-				break
-			}
-		}
-	}
-	return runner
 }
 
 // advance moves the controller clock toward the just-issued column time

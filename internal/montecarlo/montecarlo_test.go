@@ -1,6 +1,9 @@
 package montecarlo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func cfg() Config {
 	c := DefaultConfig(1)
@@ -54,6 +57,30 @@ func TestNodeLevelMatchesFig11(t *testing.T) {
 	}
 	if u6 := unaware.FractionAtLeast(600); u6 < 0.75 {
 		t.Errorf("unaware node >=600: %.3f, paper says ~0.96", u6)
+	}
+}
+
+// TestNodeRateIsChannelRateToTheTwelfth tests EXPERIMENTS.md deviation
+// 4: a node's margin is the minimum over ChannelsPerNode independently
+// drawn channels, so the node rate at a threshold is the channel rate to
+// the ChannelsPerNode-th power, within sampling error. The tolerance is
+// four standard errors of the node rate plus the channel rate's standard
+// error carried through p^k (delta method: k*p^(k-1)*SE).
+func TestNodeRateIsChannelRateToTheTwelfth(t *testing.T) {
+	c := DefaultConfig(1)
+	n, k := float64(c.Trials), float64(c.ChannelsPerNode)
+	se := func(p float64) float64 { return math.Sqrt(p * (1 - p) / n) }
+	for _, sel := range []Selection{MarginAware, MarginUnaware} {
+		channel, node := ChannelLevel(c, sel), NodeLevel(c, sel)
+		for _, mts := range []float64{600, 800} {
+			pc, pn := channel.FractionAtLeast(mts), node.FractionAtLeast(mts)
+			want := math.Pow(pc, k)
+			tol := 4 * (se(pn) + k*math.Pow(pc, k-1)*se(pc))
+			if diff := math.Abs(pn - want); diff > tol {
+				t.Errorf("%v >=%v MT/s: node %.4f, channel %.4f^%d = %.4f; off by %.4f > %.4f",
+					sel, mts, pn, pc, c.ChannelsPerNode, want, diff, tol)
+			}
+		}
 	}
 }
 

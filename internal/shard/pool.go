@@ -61,15 +61,12 @@ type PoolOptions struct {
 	// straggler eventually finishes is discarded by the client — only
 	// the positional commit of the retried dispatch lands.
 	Timeout time.Duration
-	// Retries is the total remote-attempt budget per batch before the
-	// coordinator gives up on the fleet and computes it locally
-	// (default 3). Shorthand for Backoff.Budget; ignored when that is
-	// set.
-	Retries int
 	// Backoff is the retry ladder between a batch's remote attempts:
 	// exponential with deterministic jitter (seeded by the batch key), so
-	// a retry storm spreads out identically on every run. Zero fields
-	// take backoff defaults.
+	// a retry storm spreads out identically on every run. Its Budget is
+	// the total remote-attempt budget per batch before the coordinator
+	// gives up on the fleet and computes it locally. Zero fields take
+	// backoff defaults.
 	Backoff backoff.Policy
 	// DeadAfter opens a worker's circuit breaker after this many
 	// consecutive failures (default 3); its in-flight slots then execute
@@ -138,9 +135,6 @@ func NewPool(o PoolOptions) *Pool {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
-	}
-	if o.Backoff.Budget <= 0 {
-		o.Backoff.Budget = o.Retries
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3

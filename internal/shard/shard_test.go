@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/dramspec"
 	"repro/internal/memctrl"
 	"repro/internal/montecarlo"
@@ -441,7 +442,7 @@ func TestPoolWorkerDeathMidRun(t *testing.T) {
 		Workers:   []string{dying.URL, healthy.URL},
 		Cache:     cache,
 		Reg:       reg,
-		Retries:   4,
+		Backoff:   backoff.Policy{Budget: 4},
 		DeadAfter: 2,
 	})
 	checkMerged(t, units, p.Run(units), want)
@@ -477,7 +478,7 @@ func TestPoolAllWorkersDead(t *testing.T) {
 	defer down.Close()
 
 	reg := obs.NewRegistry()
-	p := NewPool(PoolOptions{Workers: []string{down.URL}, Reg: reg, Retries: 1, DeadAfter: 1})
+	p := NewPool(PoolOptions{Workers: []string{down.URL}, Reg: reg, Backoff: backoff.Policy{Budget: 1}, DeadAfter: 1})
 	checkMerged(t, units, p.Run(units), want)
 	snap := reg.Snapshot()
 	if snap.Counters["shard/local"] != uint64(len(units)) {
@@ -515,7 +516,7 @@ func TestPoolStragglerTimeout(t *testing.T) {
 		Cache:     cache,
 		Reg:       reg,
 		Timeout:   150 * time.Millisecond,
-		Retries:   3,
+		Backoff:   backoff.Policy{Budget: 3},
 		DeadAfter: 2,
 	})
 	done := make(chan []UnitResult, 1)
@@ -554,7 +555,7 @@ func TestPoolRejectsWrongKeyAnswer(t *testing.T) {
 		defer liar.Close()
 
 		reg := obs.NewRegistry()
-		p := NewPool(PoolOptions{Workers: []string{liar.URL}, Reg: reg, Retries: 1, DeadAfter: 1})
+		p := NewPool(PoolOptions{Workers: []string{liar.URL}, Reg: reg, Backoff: backoff.Policy{Budget: 1}, DeadAfter: 1})
 		checkMerged(t, units, p.Run(units), want)
 		if snap := reg.Snapshot(); snap.Counters["shard/retries"] == 0 {
 			t.Errorf("mis-keyed %s answers were not counted as failures", name)
@@ -576,7 +577,7 @@ func TestPoolWorkerRefusalIsTerminal(t *testing.T) {
 	}))
 	defer stub.Close()
 	newPool := func(reg *obs.Registry) *Pool {
-		return NewPool(PoolOptions{Workers: []string{stub.URL}, InFlight: 1, Retries: 3, Reg: reg})
+		return NewPool(PoolOptions{Workers: []string{stub.URL}, InFlight: 1, Backoff: backoff.Policy{Budget: 3}, Reg: reg})
 	}
 
 	units := mcUnits()[:1]
