@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race lint fmt vet analyze alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke bench-harness ci
+.PHONY: all build test race lint fmt vet analyze lint-fixtures alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke bench-harness ci
 
 all: build test lint
 
@@ -16,9 +16,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint is the full static-analysis gate CI runs: formatting, vet, and the
-# eight-analyzer lint suite (see "Static analysis" in README.md).
-lint: fmt vet analyze
+# lint is the full static-analysis gate CI runs: formatting, vet, the
+# seven-analyzer lint suite (see "Static analysis" in README.md), and its
+# negative fixtures.
+lint: fmt vet analyze lint-fixtures
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -26,12 +27,30 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# analyze runs all eight analyzers (determinism + lifetime/units) with the
+# analyze runs all seven analyzers (determinism + lifetime/units) with the
 # committed baseline: grandfathered findings are report-only, anything new
 # fails, and //lint:allow directives that justify nothing or suppress
 # nothing fail too.
 analyze:
 	$(GO) run ./cmd/analyze -baseline analyze_baseline.json ./...
+
+# lint-fixtures builds the checker once and runs it on the negative
+# fixture of every analyzer `analyze -list` names
+# (internal/lint/testdata/src/<name>). Each run must exit with status
+# exactly 1 (findings): 0 means the analyzer went blind, and 2 means the
+# fixture is missing or does not load, so neither can pass silently.
+lint-fixtures:
+	@dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/analyze" ./cmd/analyze || exit 1; \
+	names=$$("$$dir/analyze" -list | awk '{ print $$1 }'); \
+	if [ -z "$$names" ]; then echo "lint-fixtures: analyze -list named no analyzers"; exit 1; fi; \
+	fail=0; \
+	for f in $$names; do \
+		out=$$("$$dir/analyze" ./internal/lint/testdata/src/$$f 2>&1); st=$$?; \
+		if [ $$st -ne 1 ]; then echo "$$out"; echo "lint-fixtures: analyze exited $$st on fixture $$f; want 1"; fail=1; \
+		else echo "lint-fixtures: $$f rejected"; fi; \
+	done; \
+	exit $$fail
 
 # alloc-gate pins the hot-path allocation contract: the steady-state
 # micro-benchmarks must report exactly 0 allocs/op. The $$-anchors keep

@@ -1,7 +1,7 @@
 // Command analyze is the static-analysis multichecker: it runs the
-// internal/lint suite (detrand, faultsite, maporder, poolsafe,
-// scanparity, seedflow, sharedwrite, unitflow) over the given package
-// patterns and fails if any finding survives suppression.
+// internal/lint suite (detrand, faultsite, maporder, poolsafe, seedflow,
+// sharedwrite, unitflow) over the given package patterns and fails if
+// any finding survives suppression.
 //
 // Usage:
 //

@@ -20,15 +20,14 @@ func TestListSuite(t *testing.T) {
 		"faultsite    require every declared fault-injection site to be exercised by an in-package test\n" +
 		"maporder     flag map iteration in output-producing packages\n" +
 		"poolsafe     flag lifetime violations of pooled requests, arenas, and intrusive chains\n" +
-		"scanparity   require every dual-path hook to be exercised by an in-package test\n" +
 		"seedflow     require positional RNG derivation (xrand.NewAt/SplitMix) for per-item generators\n" +
 		"sharedwrite  flag unsynchronized writes to captured state in goroutines and parallel bodies\n" +
 		"unitflow     flag arithmetic that mixes picosecond and cycle quantities outside *PS helpers\n"
 	if got := buf.String(); got != want {
 		t.Errorf("listSuite output changed:\n got: %q\nwant: %q", got, want)
 	}
-	if len(lint.All()) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(lint.All()))
+	if len(lint.All()) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(lint.All()))
 	}
 }
 

@@ -32,11 +32,8 @@ type Bank struct {
 	readyPreCol int64 // tRTP / tWR component of precharge readiness
 
 	// Statistics.
-	Activates    uint64
-	Precharges   uint64
-	RowHits      uint64
-	RowMisses    uint64
-	RowConflicts uint64
+	Activates  uint64
+	Precharges uint64
 }
 
 // OpenRow returns the currently open row or RowClosed.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dramspec"
 	"repro/internal/margin"
-	"repro/internal/memuse"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -212,5 +211,3 @@ func (s *Suite) Fig6() *report.Table {
 func (s *Suite) Fig1Weights() (w25, w50, wOver float64) {
 	return s.Fractions().Weights()
 }
-
-var _ = memuse.BucketUnder25 // keep the import explicit for readers

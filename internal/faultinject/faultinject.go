@@ -14,14 +14,13 @@
 // recovered from — at any seed, suite output is byte-identical to the
 // fault-free run. Degradation may cost time, never correctness.
 //
-// Arming follows the repository's hook idiom (noPool): layers
-// carry an optional *Plan and a nil plan is a no-op on every method, so
-// the production path pays one nil check per site. Real
+// Layers carry an optional *Plan and a nil plan is a no-op on every
+// method, so the production path pays one nil check per site. Real
 // binaries arm plans from the -faults flag or the REPRO_FAULTS
 // environment variable (which spawned shard workers inherit); tests build
-// plans directly. The scanparity-style faultsite analyzer requires every
-// declared site to be referenced from an in-package test, so no fault
-// site can exist without a test exercising its recovery.
+// plans directly. The faultsite analyzer requires every declared site to
+// be referenced from an in-package test, so no fault site can exist
+// without a test exercising its recovery.
 //
 // Every fire increments fault/injected/<site> in the observed registry,
 // and layers report their recovery actions through Recovered, which

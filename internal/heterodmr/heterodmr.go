@@ -105,7 +105,6 @@ type Controller struct {
 	copies map[uint64]storedBlock // free-module copies (unsafely fast)
 
 	copyModule  int // index into cfg.Modules of the module holding copies
-	utilization float64
 	replicating bool
 
 	// readBuf is the block scratch every Read resolves into; the returned
@@ -178,9 +177,6 @@ func (c *Controller) ChannelMargin() int {
 // Replicating reports whether copies are active.
 func (c *Controller) Replicating() bool { return c.replicating }
 
-// Utilization returns the last reported memory utilization.
-func (c *Controller) Utilization() float64 { return c.utilization }
-
 // SetUtilization informs the controller of the channel's memory
 // utilization; replication activates below 50% (half the modules free,
 // §III-E) and deactivates at or above it. Activation re-replicates every
@@ -190,7 +186,6 @@ func (c *Controller) SetUtilization(u float64) {
 	if u < 0 || u > 1 {
 		panic(fmt.Sprintf("heterodmr: utilization %v out of [0,1]", u))
 	}
-	c.utilization = u
 	active := u < 0.5
 	if active == c.replicating {
 		return

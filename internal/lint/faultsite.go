@@ -8,12 +8,11 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// FaultSite guards the chaos harness the same way scanparity guards
-// dual-path hooks: a fault site (a package-level constant or variable of
-// type faultinject.Site) names an injection point whose recovery path is
-// only trustworthy while a test actually arms it. A site nobody
-// references from a test is an untested failure mode — injection there
-// could corrupt output and no suite would notice.
+// FaultSite guards the chaos harness: a fault site (a package-level
+// constant or variable of type faultinject.Site) names an injection
+// point whose recovery path is only trustworthy while a test actually
+// arms it. A site nobody references from a test is an untested failure
+// mode — injection there could corrupt output and no suite would notice.
 //
 // For each Site-typed package-level const or var declared in non-test
 // code, the analyzer requires at least one reference from a _test.go

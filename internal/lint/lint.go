@@ -1,4 +1,4 @@
-// Package lint is the static-analysis suite: eight analyzers that
+// Package lint is the static-analysis suite: seven analyzers that
 // mechanically enforce the repository's byte-identical-output contract
 // and the lifetime/unit rules of its manually managed hot path (DESIGN.md
 // "Determinism contract" and "Lifetime & units analysis").
@@ -26,14 +26,11 @@
 //   - unitflow: picosecond quantities and cycle counts may not meet in
 //     additive arithmetic, and may meet multiplicatively only inside a
 //     *PS-named conversion helper.
-//   - scanparity: every dual-path hook (noPool) must be
-//     referenced from an in-package test, or the bypassed path it
-//     selects has no live differential oracle.
 //   - faultsite: every declared fault-injection site (faultinject.Site
 //     constant) must be referenced from an in-package test, or the
 //     recovery path behind it is unverified.
 //
-// All analyzers skip _test.go files (scanparity reads them as evidence):
+// All analyzers skip _test.go files (faultsite reads them as evidence):
 // test code runs sequentially under `go test` (and the race detector
 // covers its goroutines), so the contracts bind non-test code. A finding
 // is suppressed by a `//lint:allow <analyzer> <justification>` comment on
@@ -53,7 +50,7 @@ import (
 // All returns the full suite in stable (alphabetical) order; cmd/analyze
 // -list and the CI multichecker both rely on this ordering.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{DetRand, FaultSite, MapOrder, PoolSafe, ScanParity, SeedFlow, SharedWrite, UnitFlow}
+	return []*analysis.Analyzer{DetRand, FaultSite, MapOrder, PoolSafe, SeedFlow, SharedWrite, UnitFlow}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -55,20 +55,6 @@ func TestUnitFlow(t *testing.T) {
 	}
 }
 
-// TestScanParity runs the fixture, whose tested hook is noBatch, with the
-// hook list widened to cover it.
-func TestScanParity(t *testing.T) {
-	hooks := lint.ScanParity.Flags.Lookup("hooks").Value.String()
-	if err := lint.ScanParity.Flags.Set("hooks", "noPool,noBatch"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = lint.ScanParity.Flags.Set("hooks", hooks) }() // a string flag's Set cannot fail
-	findings := analysistest.Run(t, analysistest.TestData(), lint.ScanParity, "scanparity")
-	if len(findings) == 0 {
-		t.Fatal("scanparity fixture produced no findings")
-	}
-}
-
 func TestSeedFlow(t *testing.T) {
 	findings := analysistest.Run(t, analysistest.TestData(), lint.SeedFlow, "seedflow")
 	if len(findings) == 0 {
@@ -85,7 +71,7 @@ func TestFaultSite(t *testing.T) {
 
 // TestSuiteComplete pins the suite composition the docs and CI reference.
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"detrand", "faultsite", "maporder", "poolsafe", "scanparity", "seedflow", "sharedwrite", "unitflow"}
+	want := []string{"detrand", "faultsite", "maporder", "poolsafe", "seedflow", "sharedwrite", "unitflow"}
 	all := lint.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(all), len(want))

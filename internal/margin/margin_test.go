@@ -191,6 +191,58 @@ func TestHotterIsWorse(t *testing.T) {
 	}
 }
 
+// TestStressTestTemperatureRatio tests EXPERIMENTS.md deviation 5: on
+// the same modules, the 45°C stress test sees the paper's ~4x the 23°C
+// errors under the frequency margin and ~2x under freq+lat. Each
+// campaign runs as Fig 6 runs it, on a fresh bench per setting seeded
+// seed+ambient: every major-brand module at 23°C, every module not in
+// production at 45°C, in population order. The ratio sums the 45°C
+// errors of the modules that boot and the same modules' 23°C errors.
+// Fig 6's totals compare different module sets (all 103 at 23°C, the
+// 79 chamber modules less the no-boots at 45°C), so they read lower.
+func TestStressTestTemperatureRatio(t *testing.T) {
+	settings := []struct {
+		setting dramspec.Setting
+		lo, hi  float64
+	}{
+		{dramspec.SettingFrequencyMargin, 3.5, 4.5},
+		{dramspec.SettingFreqLatMargin, 1.8, 2.5},
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		mods := GeneratePopulation(seed).MajorBrands()
+		for _, s := range settings {
+			cold := NewBench(23, seed+23)
+			coldErr := make([]uint64, len(mods))
+			for i := range mods {
+				coldErr[i] = cold.StressTest(&mods[i], s.setting, false).Total()
+			}
+			hot := NewBench(45, seed+45)
+			var coldSum, hotSum uint64
+			booted := 0
+			for i := range mods {
+				if mods[i].Condition == ConditionInProduction {
+					continue // not in the thermal chamber, per Fig 6's caption
+				}
+				r := hot.StressTest(&mods[i], s.setting, false)
+				if !r.Booted {
+					continue
+				}
+				booted++
+				hotSum += r.Total()
+				coldSum += coldErr[i]
+			}
+			if coldSum == 0 {
+				t.Fatalf("seed %d %v: no 23°C errors on the %d modules that boot at 45°C", seed, s.setting, booted)
+			}
+			ratio := float64(hotSum) / float64(coldSum)
+			t.Logf("seed %d %v: 45/23°C errors %d/%d = %.2fx over %d modules", seed, s.setting, hotSum, coldSum, ratio, booted)
+			if ratio < s.lo || ratio > s.hi {
+				t.Errorf("seed %d %v: 45/23°C error ratio %.2f outside [%.1f, %.1f]", seed, s.setting, ratio, s.lo, s.hi)
+			}
+		}
+	}
+}
+
 func TestSomeModulesFailToBootAt45(t *testing.T) {
 	p := pop(t)
 	hot := NewBench(45, 2)

@@ -95,7 +95,7 @@ func TestScheduleGolden(t *testing.T) {
 		name string
 		run  func(t *testing.T, c *Channel, seed uint64)
 	}{
-		{"pool", func(t *testing.T, c *Channel, seed uint64) { poolTraffic(t, c, seed) }},
+		{"pool", poolTraffic},
 		{"stress", stressTraffic},
 		{"writes", func(t *testing.T, c *Channel, seed uint64) { writeTraffic(c, seed); c.Drain() }},
 		{"burst", func(t *testing.T, c *Channel, seed uint64) { driveBatchStream(c, seed, 6000) }},

@@ -266,10 +266,8 @@ type Channel struct {
 
 	// freeReqs is the request freelist: completed-and-released requests
 	// are zeroed and reused by the next Submit, so the steady-state loop
-	// allocates nothing. noPool disables recycling (test hook for the
-	// pooled-vs-unpooled equivalence check).
+	// allocates nothing.
 	freeReqs []*Request
-	noPool   bool
 
 	writeMode      bool
 	writeModeStart int64

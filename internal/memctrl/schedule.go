@@ -86,9 +86,6 @@ func (c *Channel) newRequest(addr uint64, isWrite bool, at int64) *Request {
 
 // recycle returns a request nothing can reach anymore to the freelist.
 func (c *Channel) recycle(req *Request) {
-	if c.noPool {
-		return
-	}
 	if DebugPooling {
 		c.assertLive(req, "recycle")
 		req.pooled = true
@@ -714,9 +711,6 @@ func (c *Channel) Rank(i int) *dram.Rank {
 	}
 	return c.ranks[i]
 }
-
-// InWriteMode reports whether the channel is currently draining writes.
-func (c *Channel) InWriteMode() bool { return c.writeMode }
 
 // QueueDepths returns the current read/write queue occupancy.
 func (c *Channel) QueueDepths() (reads, writes, parked int) {

@@ -114,6 +114,10 @@ type Result struct {
 	Instructions int64
 	IPC          float64
 
+	// Mem sums every counter and every *PS time over all channels, each
+	// time measured on its channel's clock. A per-channel share of the
+	// measured region is X / (H.Channels·ExecPS), as BandwidthUtil
+	// computes for BusBusyPS.
 	Mem       memctrl.Stats
 	CoreStats []cpu.Stats
 

@@ -76,6 +76,46 @@ func TestRunBaseline(t *testing.T) {
 	}
 }
 
+// TestMemTimesAreChannelSums pins the normalization Result.Mem states:
+// its *PS times are sums over the channels. On one channel fast mode
+// and write mode do not overlap and the bus is busy at most all the
+// time, so neither sum can exceed Channels·ExecPS. H2's baseline spends
+// longer than ExecPS draining writes on lulesh, which only a sum over
+// its four channels can do.
+func TestMemTimesAreChannelSums(t *testing.T) {
+	fast := fastPoint()
+	designs := []struct {
+		repl memctrl.Replication
+		fast *dramspec.Config
+	}{
+		{memctrl.ReplicationNone, nil},
+		{memctrl.ReplicationHeteroDMR, &fast},
+	}
+	for _, h := range []Hierarchy{Hierarchy1(), Hierarchy2()} {
+		for _, d := range designs {
+			for _, bench := range []string{"linpack", "lulesh"} {
+				cfg := short(h, d.repl, d.fast)
+				cfg.InstructionsPerCore = 40_000
+				cfg.WarmupInstructions = 15_000
+				res := MustRun(cfg, workload.ByName(bench))
+				name := h.Name + " " + d.repl.String() + " " + bench
+				span := int64(h.Channels) * res.ExecPS
+				if got := res.Mem.FastPS + res.Mem.WriteModePS; got > span {
+					t.Errorf("%s: FastPS+WriteModePS = %d ps > Channels·ExecPS = %d ps", name, got, span)
+				}
+				if res.Mem.BusBusyPS > span {
+					t.Errorf("%s: BusBusyPS = %d ps > Channels·ExecPS = %d ps", name, res.Mem.BusBusyPS, span)
+				}
+				if h.Name == "Hierarchy2" && d.repl == memctrl.ReplicationNone && bench == "lulesh" &&
+					res.Mem.WriteModePS <= res.ExecPS {
+					t.Errorf("%s: WriteModePS = %d ps <= ExecPS = %d ps; a sum over four channels should exceed it",
+						name, res.Mem.WriteModePS, res.ExecPS)
+				}
+			}
+		}
+	}
+}
+
 func TestRunInvalidHierarchy(t *testing.T) {
 	_, err := Run(Config{H: Hierarchy{}}, workload.ByName("lulesh"))
 	if err == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Event is one flight-recorder entry: a simulated-time-stamped occurrence
@@ -114,13 +113,4 @@ func (r *Registry) WriteTraceJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// FormatEvents renders events as an aligned text block, for debugging.
-func FormatEvents(evs []Event) string {
-	var b strings.Builder
-	for _, ev := range evs {
-		fmt.Fprintf(&b, "%s #%d @%dps %s %s\n", ev.Source, ev.Seq, ev.TimePS, ev.Kind, ev.Detail)
-	}
-	return b.String()
 }

@@ -50,9 +50,6 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7;runcache/put/torn=0.2' (default "+faultinject.EnvVar+" env; output stays byte-identical)")
 }
 
-// Sharding reports whether any coordinator-side fan-out was requested.
-func (c *CLI) Sharding() bool { return c.Workers != "" || c.Spawn > 0 }
-
 // FaultPlan resolves the fault-injection plan for this process: the
 // -faults flag when set, otherwise the REPRO_FAULTS environment variable
 // (which spawned workers inherit, so one setting arms a whole local

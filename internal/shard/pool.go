@@ -181,9 +181,6 @@ func NewPool(o PoolOptions) *Pool {
 	return p
 }
 
-// NumWorkers reports the configured fleet size.
-func (p *Pool) NumWorkers() int { return len(p.workers) }
-
 // runState is the per-Run coordination block. Work moves in batches:
 // batches[b] lists the unit indexes batch b carries, and tasks carries
 // batch indexes. Requeues go back onto tasks (buffered to len(batches),

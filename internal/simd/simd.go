@@ -256,13 +256,6 @@ func (j *Job) fail(msg string) {
 	j.mu.Unlock()
 }
 
-// terminal reports whether the job has finished (either way).
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == StateDone || j.state == StateFailed
-}
-
 // Wait blocks until the job reaches a terminal state.
 func (j *Job) Wait() Status {
 	j.mu.Lock()

@@ -270,6 +270,3 @@ func (s *Stream) advanceStream(i int) uint64 {
 
 // Remaining returns the unemitted instruction budget.
 func (s *Stream) Remaining() int64 { return s.remaining }
-
-// Profile returns the stream's profile.
-func (s *Stream) Profile() Profile { return s.p }
