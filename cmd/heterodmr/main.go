@@ -55,7 +55,7 @@ func run() int {
 		return 0
 	}
 	if sh.Worker {
-		return sh.ServeWorker("heterodmr", nil)
+		return sh.ServeWorker("heterodmr")
 	}
 	var entries []experiments.Entry
 	switch {

@@ -6,21 +6,20 @@
 // come from /v1/jobs/{id}/result — byte-identical no matter how often,
 // at what worker count, or on which side of a restart the job runs.
 //
-// With -cache-dir, node-simulation results persist in a verified
-// content-addressed store: resubmitting a spec — even to a freshly
-// restarted daemon — re-renders everything from cache with zero
-// re-simulations, jobs running at the same time simulate a cell they
-// share once, and any previously issued job id can be fetched again
-// because job specs persist alongside the cache.
+// With -cache-dir, node-simulation results and Monte-Carlo ranges
+// persist in a verified content-addressed store: resubmitting a spec —
+// even to a freshly restarted daemon — re-renders everything from cache
+// with zero re-simulations, jobs running at the same time simulate a
+// cell they share once, and any previously issued job id can be fetched
+// again because job specs persist alongside the cache.
 //
-// With -worker the binary instead serves the internal/shard batch API
-// (POST /shard/v1/batch) on -addr: a coordinator — heterodmr with
-// -shard/-shard-workers, or a simd daemon with -shard — dispatches batches
-// to it over the shared -cache-dir store, one batch per node front end
-// (every memory design of one hierarchy, benchmark and seed, recorded
-// once on the worker) and one per Monte-Carlo range. With -shard the
-// daemon itself becomes a coordinator, fanning every job's cell plan out
-// to those workers.
+// With -shard the daemon becomes a coordinator: it fans every job's cell
+// plan and Monte-Carlo ranges out to the listed shard workers, which are
+// `heterodmr -worker` processes sharing the -cache-dir store.
+//
+// Conservation checks are per job: a spec asks for them with
+// "check": true, and the job's result lists its violations. The shared
+// -check flag therefore exits 2 at startup.
 package main
 
 import (
@@ -45,26 +44,22 @@ func run() int {
 	cacheDir := flag.String("cache-dir", "", "persistent run-cache directory (empty = in-memory coalescing only)")
 	workers := flag.Int("workers", 0, "per-job worker pool size (0 = GOMAXPROCS); results are identical for every value")
 	maxClientJobs := flag.Int("max-client-jobs", 2, "concurrent jobs allowed per client; further submissions queue")
-	worker := flag.Bool("worker", false, "serve the shard worker batch API on -addr instead of the job API")
 	shardURLs := flag.String("shard", "", "comma-separated shard worker base URLs to fan jobs out to")
-	shardSpawn := flag.Int("shard-workers", 0, "spawn this many local shard worker subprocesses")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "soft cap on run-cache bytes; oldest-read entries are evicted past it (0 = unbounded)")
 	faults := flag.String("faults", "", "deterministic fault-injection spec (default "+faultinject.EnvVar+" env; output stays byte-identical)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace window for in-flight connections and jobs")
 	ob := cliobs.Register()
 	flag.Parse()
 
-	sh := &shard.CLI{
-		Worker: *worker, WorkerAddr: *addr, Workers: *shardURLs, Spawn: *shardSpawn,
-		CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Faults: *faults,
-	}
+	sh := &shard.CLI{Workers: *shardURLs, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Faults: *faults}
 
 	if *workers < 0 || *maxClientJobs < 1 {
 		fmt.Fprintln(os.Stderr, "simd: -workers must be >= 0 and -max-client-jobs >= 1")
 		return 2
 	}
-	if sh.Worker {
-		return sh.ServeWorker("simd", nil)
+	if ob.Check {
+		fmt.Fprintln(os.Stderr, `simd: -check is not a daemon flag: a job asks for conservation checks with "check": true in its spec`)
+		return 2
 	}
 	if code := ob.StartProfile("simd"); code != 0 {
 		return code

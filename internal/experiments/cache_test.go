@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dramspec"
 	"repro/internal/memctrl"
+	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runcache"
@@ -202,35 +203,44 @@ func TestCheckedCellsUseTheStore(t *testing.T) {
 	}
 }
 
-// TestUndecodablePayloadRecomputed: a stored entry that verifies but
-// whose payload is not a gob node.Result (schema drift the version key
-// missed) is recomputed, counted as computed, stored over, and renders
-// the bytes of the original run.
-func TestUndecodablePayloadRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	run := func() (string, *Suite) {
-		c, err := runcache.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2,
-			Cache: c, CacheVersion: "test-v1"})
-		return entry(t, "fig14").Run(s).String(), s
-	}
-	cold, s1 := run()
-
-	store, err := runcache.Open(dir)
+// renderFig14And11 renders Fig 14 (node cells) and Fig 11 (Monte-Carlo
+// ranges) with one suite over the store in dir.
+func renderFig14And11(t *testing.T, dir string, workers int) (string, *Suite, *runcache.Cache) {
+	t.Helper()
+	c, err := runcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: workers,
+		Cache: c, CacheVersion: "test-v1"})
+	tabs := s.Run([]Entry{entry(t, "fig14"), entry(t, "fig11")})
+	return tabs[0].String() + tabs[1].String(), s, c
+}
+
+// TestUndecodablePayloadRecomputed: a stored entry that verifies but
+// whose payload does not decode (schema drift the version key missed) is
+// recomputed, stored over, and renders the bytes of the original run —
+// a node cell, which counts as computed, and a Monte-Carlo range alike.
+func TestUndecodablePayloadRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	cold, s1, store := renderFig14And11(t, dir, 2)
+
 	k := cellKey(s1, s1.plan([]Entry{entry(t, "fig14")})[0])
-	if err := store.Put(k, []byte("not a gob node.Result")); err != nil {
-		t.Fatal(err)
+	// The first node-level, margin-aware range of Fig 11.
+	mc := runcache.KeyOf("test-v1", shard.MCMaterial{Cfg: s1.monteCarloConfig(), Sel: montecarlo.MarginAware,
+		Level: shard.LevelNode, Lo: 0, Hi: mcUnitShards * montecarlo.ShardTrials})
+	if _, ok := store.Get(mc); !ok {
+		t.Fatal("node-level margin-aware range missing from the store")
+	}
+	for _, key := range []runcache.Key{k, mc} {
+		if err := store.Put(key, []byte("not a gob payload")); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	again, s2 := run()
+	again, s2, _ := renderFig14And11(t, dir, 2)
 	if again != cold {
-		t.Error("recomputed cell rendered different bytes")
+		t.Error("recomputed cell and range rendered different bytes")
 	}
 	if got := s2.ComputedRuns(); got != 1 {
 		t.Errorf("computed %d cells, want the one undecodable cell", got)
@@ -240,26 +250,24 @@ func TestUndecodablePayloadRecomputed(t *testing.T) {
 		t.Fatal("recomputed cell missing from the store")
 	}
 	if _, err := shard.DecodeNodeResult(payload); err != nil {
-		t.Errorf("undecodable payload was not stored over: %v", err)
+		t.Errorf("undecodable cell payload was not stored over: %v", err)
+	}
+	if payload, ok = store.Get(mc); !ok {
+		t.Fatal("recomputed range missing from the store")
+	}
+	if _, err := shard.DecodeMargins(payload); err != nil {
+		t.Errorf("undecodable range payload was not stored over: %v", err)
 	}
 }
 
 // TestPersistentCacheColdWarmByteIdentical pins the daemon's core
 // guarantee at the suite level: with a shared cache directory, a second
-// suite instance replays every cell from disk — zero re-simulations —
-// and renders byte-identical tables, at a different worker count.
+// suite instance replays every node cell and Monte-Carlo range from
+// disk — zero re-simulations, zero stores — and renders byte-identical
+// tables, at a different worker count.
 func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	render := func(workers int) (string, *Suite) {
-		c, err := runcache.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: workers,
-			Cache: c, CacheVersion: "test-v1"})
-		return entry(t, "fig14").Run(s).String(), s
-	}
-	cold, s1 := render(1)
+	cold, s1, c1 := renderFig14And11(t, dir, 1)
 	if s1.ComputedRuns() == 0 {
 		t.Fatal("cold run computed nothing")
 	}
@@ -267,8 +275,13 @@ func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 		t.Fatalf("cold run replayed from an empty cache: cached=%d computed=%d",
 			s1.CachedRuns(), s1.ComputedRuns())
 	}
+	// Fig 11 runs four Monte-Carlo experiments of two quick ranges each.
+	entries := s1.CachedRuns() + 8
+	if got := c1.Len(); got != entries {
+		t.Errorf("cold run stored %d entries, want %d cells + 8 ranges", got, s1.CachedRuns())
+	}
 
-	warm, s2 := render(4)
+	warm, s2, c2 := renderFig14And11(t, dir, 4)
 	if warm != cold {
 		t.Fatal("cached replay rendered different bytes than the cold run")
 	}
@@ -277,6 +290,9 @@ func TestPersistentCacheColdWarmByteIdentical(t *testing.T) {
 	}
 	if s2.CachedRuns() != s1.CachedRuns() {
 		t.Errorf("warm run materialized %d cells, cold %d", s2.CachedRuns(), s1.CachedRuns())
+	}
+	if st := c2.Stats(); st.Hits != uint64(entries) || st.Puts != 0 {
+		t.Errorf("warm run read %d hits and stored %d entries, want %d and 0", st.Hits, st.Puts, entries)
 	}
 }
 

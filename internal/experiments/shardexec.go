@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/montecarlo"
 	"repro/internal/shard"
 )
@@ -11,18 +13,13 @@ import (
 // (100k trials / (16·1024) ≈ 7 units per level/policy call).
 const mcUnitShards = 16
 
-// monteCarlo runs one Monte-Carlo experiment, fanning shard-aligned
-// trial ranges out to the worker fleet when one is configured. Each range
-// is positionally seeded (montecarlo.*Range), committed into its slot
-// of the margins slice, and bit-identical to the in-process loop, so
-// Groups/FractionAtLeast render the same bytes either way.
+// monteCarlo runs one Monte-Carlo experiment as shard-aligned trial
+// ranges (shard.NewMCUnit) through materialize, so a range runs on the
+// fleet or in this process and replays from the persistent store like a
+// node cell. Ranges are positionally seeded (montecarlo.*Range) and
+// concatenated in trial order, so the margins, and the bytes
+// Groups/FractionAtLeast render from them, are the same on every path.
 func (s *Suite) monteCarlo(level string, cfg montecarlo.Config, sel montecarlo.Selection) montecarlo.Result {
-	if s.opt.Shard == nil {
-		if level == shard.LevelChannel {
-			return montecarlo.ChannelLevel(cfg, sel)
-		}
-		return montecarlo.NodeLevel(cfg, sel)
-	}
 	step := mcUnitShards * montecarlo.ShardTrials
 	var units []shard.Unit
 	for lo := 0; lo < cfg.Trials; lo += step {
@@ -32,21 +29,20 @@ func (s *Suite) monteCarlo(level string, cfg montecarlo.Config, sel montecarlo.S
 		}
 		units = append(units, shard.NewMCUnit(s.opt.CacheVersion, cfg, sel, level, lo, hi))
 	}
-	results := s.opt.Shard.Run(units)
-	margins := make([]float64, cfg.Trials)
-	for i, r := range results {
-		u := units[i].MC
-		vals, err := shard.DecodeMargins(r.Payload)
-		if err != nil || len(vals) != u.Hi-u.Lo {
-			// Undecodable payload: recompute the range locally — the
-			// positional write keeps the merge exact regardless.
-			if level == shard.LevelChannel {
-				vals = montecarlo.ChannelLevelRange(cfg, sel, u.Lo, u.Hi)
-			} else {
-				vals = montecarlo.NodeLevelRange(cfg, sel, u.Lo, u.Hi)
-			}
-		}
-		copy(margins[u.Lo:u.Hi], vals)
+	ranges, _ := materialize(s, units, decodeRange)
+	margins := make([]float64, 0, cfg.Trials)
+	for _, r := range ranges {
+		margins = append(margins, r...)
 	}
 	return montecarlo.Result{Margins: margins}
+}
+
+// decodeRange decodes a Monte-Carlo range payload and checks that it
+// holds one margin per trial of the unit's range.
+func decodeRange(u shard.Unit, payload []byte) ([]float64, error) {
+	vals, err := shard.DecodeMargins(payload)
+	if err == nil && len(vals) != u.MC.Hi-u.MC.Lo {
+		err = fmt.Errorf("%d margins for trials [%d, %d)", len(vals), u.MC.Lo, u.MC.Hi)
+	}
+	return vals, err
 }

@@ -37,7 +37,7 @@ type Options struct {
 	Seeds int
 	// Workers bounds the worker pool all fan-out layers share: the
 	// front-end groups of Run's cell plan, the rendering of its entries,
-	// and the Monte-Carlo trial shards (0 = GOMAXPROCS, 1 = fully
+	// and the Monte-Carlo trial ranges (0 = GOMAXPROCS, 1 = fully
 	// sequential). Every experiment's randomness derives positionally
 	// from Seed, so output is byte-identical for every worker count.
 	Workers int
@@ -57,12 +57,14 @@ type Options struct {
 	// observed suite ignores Cache and Shard and simulates every cell in
 	// this process.
 	Obs *obs.Registry
-	// Cache, when non-nil, persists node-simulation results across
-	// processes: the suite's cells are looked up in the content-addressed
-	// store (keyed by the fully resolved node config, the profile, and
-	// CacheVersion) before they are simulated, and every fresh result is
-	// written back. Decoded results are bit-exact, so rendered tables are
-	// byte-identical whether a cell was simulated or replayed.
+	// Cache, when non-nil, persists node-simulation results and
+	// Monte-Carlo trial ranges across processes: the suite's cells are
+	// looked up in the content-addressed store (keyed by the fully
+	// resolved node config, the profile, and CacheVersion; a range by its
+	// trial configuration, selection, level and bounds) before they are
+	// computed, and every fresh result is written back. Decoded results
+	// are bit-exact, so rendered tables are byte-identical whether a cell
+	// was simulated or replayed.
 	Cache *runcache.Cache
 	// CacheVersion is the code-version component of persistent cache
 	// keys. Empty defaults to runcache.CodeVersion().
@@ -330,15 +332,11 @@ func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profil
 }
 
 // warm materializes every cell of a plan that is not in the table yet.
-// The missing cells become shard units (shard.NewNodeUnit), which run
-// through Pool.Run when a fleet is configured and otherwise in this
-// process through the executor a fleet worker runs (shard.Execute),
-// with the groups fanned out over Workers. Either way each front end is
-// recorded at most once, and a cell the persistent store holds is
-// replayed, not simulated. An undecodable payload (schema drift that
-// slipped past the version key) is recomputed here and stored over.
-// Only whole results enter the table: if the executor fails, warm
-// panics and no cell of the plan is added.
+// The missing cells become shard units (shard.NewNodeUnit) that run
+// through materialize, so each front end is recorded at most once and a
+// cell the persistent store holds is replayed, not simulated. Only whole
+// results enter the table: if the executor fails, warm panics and no
+// cell of the plan is added.
 func (s *Suite) warm(cells []cell) {
 	var todo []cell
 	s.mu.Lock()
@@ -355,31 +353,9 @@ func (s *Suite) warm(cells []cell) {
 	for i, c := range todo {
 		units[i] = shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(c), c.prof)
 	}
-	var results []shard.UnitResult
-	if s.opt.Shard != nil {
-		results = s.opt.Shard.Run(units)
-	} else {
-		results = s.execute(units, s.opt.Cache)
-	}
-	decoded := make([]node.Result, len(todo))
-	for i, r := range results {
-		res, err := shard.DecodeNodeResult(r.Payload)
-		if err != nil {
-			// Schema drift the version key missed: recompute the cell
-			// here, bypassing the stale entry, and store over it.
-			fresh := s.execute(units[i:i+1], nil)[0]
-			if res, err = shard.DecodeNodeResult(fresh.Payload); err != nil {
-				panic(fmt.Sprintf("experiments: unit %s: %v", units[i].Key, err))
-			}
-			if s.opt.Cache != nil {
-				// A failed Put is counted by the store; the cell stays
-				// correct, only uncached.
-				_ = s.opt.Cache.Put(runcache.KeyOf(units[i].Version, *units[i].Node), fresh.Payload)
-			}
-			results[i] = fresh
-		}
-		decoded[i] = res
-	}
+	decoded, results := materialize(s, units, func(_ shard.Unit, p []byte) (node.Result, error) {
+		return shard.DecodeNodeResult(p)
+	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, c := range todo {
@@ -393,6 +369,42 @@ func (s *Suite) warm(cells []cell) {
 		}
 		s.violations = append(s.violations, decoded[i].Violations...)
 	}
+}
+
+// materialize runs units through Pool.Run when a fleet is configured and
+// otherwise in this process through the executor a fleet worker runs
+// (shard.Execute against Cache), fanned out over Workers, and decodes
+// each payload. A payload that does not decode (schema drift that
+// slipped past the version key) is recomputed here, bypassing the stale
+// entry, and stored over it. It returns the decoded values and the
+// results in unit order, a recomputed unit's fresh result included.
+func materialize[T any](s *Suite, units []shard.Unit, decode func(shard.Unit, []byte) (T, error)) ([]T, []shard.UnitResult) {
+	var results []shard.UnitResult
+	if s.opt.Shard != nil {
+		results = s.opt.Shard.Run(units)
+	} else {
+		results = s.execute(units, s.opt.Cache)
+	}
+	vals := make([]T, len(units))
+	for i, r := range results {
+		v, err := decode(units[i], r.Payload)
+		if err != nil {
+			fresh := s.execute(units[i:i+1], nil)[0]
+			if v, err = decode(units[i], fresh.Payload); err != nil {
+				panic(fmt.Sprintf("experiments: unit %s: %v", units[i].Key, err))
+			}
+			if s.opt.Cache != nil {
+				// The execute above vetted the key. A failed Put is
+				// counted by the store; the unit stays correct, only
+				// uncached.
+				k, _ := units[i].RunKey()
+				_ = s.opt.Cache.Put(k, fresh.Payload)
+			}
+			results[i] = fresh
+		}
+		vals[i] = v
+	}
+	return vals, results
 }
 
 // execute runs units in this process through shard.Execute against

@@ -12,10 +12,9 @@ import (
 )
 
 // monteCarloConfig builds the suite's Monte-Carlo configuration: paper
-// scale (or Quick's reduced trials) on the shared worker pool.
+// scale, or Quick's reduced trials.
 func (s *Suite) monteCarloConfig() montecarlo.Config {
 	cfg := montecarlo.DefaultConfig(s.opt.Seed)
-	cfg.Workers = s.opt.Workers
 	if s.opt.Quick {
 		cfg.Trials = 20_000
 	}

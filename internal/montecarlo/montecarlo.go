@@ -25,11 +25,6 @@ type Config struct {
 	// SpecRate + cap bound observable margins like the testbed.
 	SpecRate dramspec.DataRate
 	Seed     uint64
-	// Workers bounds the worker pool the trial loop fans out on
-	// (0 = GOMAXPROCS, 1 = sequential). Results are identical for every
-	// value: trials are sharded into fixed-size chunks whose RNGs derive
-	// from (Seed, shard index), never from scheduling order.
-	Workers int
 }
 
 // DefaultConfig derives the distribution from a generated population,
@@ -161,15 +156,17 @@ func nodeShard(cfg Config, sel Selection, s int, out []float64) {
 	}
 }
 
-// ChannelLevel runs the Fig 11 channel-level experiment. Trials are
-// sharded onto the worker pool: each shard seeds its own child RNG
-// positionally and writes into a disjoint range of the pre-sized Margins
-// slice, so no synchronization beyond the pool's join is needed and the
-// output is bit-identical to a sequential run.
+// ChannelLevel runs the Fig 11 channel-level experiment over every trial
+// in one call: the library form of the ChannelLevelRange units the
+// experiment suite runs. Trials are sharded over GOMAXPROCS goroutines:
+// each shard seeds its own child RNG positionally and writes into a
+// disjoint range of the pre-sized Margins slice, so no synchronization
+// beyond the join is needed and the output is bit-identical to a
+// sequential run.
 func ChannelLevel(cfg Config, sel Selection) Result {
 	validate(cfg)
 	margins := make([]float64, cfg.Trials)
-	parallel.ForEach(cfg.Workers, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
+	parallel.ForEach(0, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
 		lo, hi := parallel.ChunkRange(s, cfg.Trials, ShardTrials)
 		channelShard(cfg, sel, s, margins[lo:hi])
 	})
@@ -183,7 +180,7 @@ func ChannelLevel(cfg Config, sel Selection) Result {
 func NodeLevel(cfg Config, sel Selection) Result {
 	validate(cfg)
 	margins := make([]float64, cfg.Trials)
-	parallel.ForEach(cfg.Workers, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
+	parallel.ForEach(0, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
 		lo, hi := parallel.ChunkRange(s, cfg.Trials, ShardTrials)
 		nodeShard(cfg, sel, s, margins[lo:hi])
 	})
@@ -191,10 +188,10 @@ func NodeLevel(cfg Config, sel Selection) Result {
 }
 
 // ChannelLevelRange computes channel-level margins for trials [lo, hi)
-// only — the work-unit form the cross-process sharding layer dispatches.
-// lo must be ShardTrials-aligned (a range starts at a shard boundary so
-// its first RNG is fresh); hi may truncate the final shard, which only
-// drops tail draws. Concatenating the ranges of any shard-aligned
+// only — the work-unit form internal/shard computes, in process or on a
+// worker. lo must be ShardTrials-aligned (a range starts at a shard
+// boundary so its first RNG is fresh); hi may truncate the final shard,
+// which only drops tail draws. Concatenating the ranges of any shard-aligned
 // partition of [0, Trials) reproduces ChannelLevel bit for bit.
 func ChannelLevelRange(cfg Config, sel Selection, lo, hi int) []float64 {
 	validate(cfg)

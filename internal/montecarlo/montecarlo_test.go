@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -141,26 +142,27 @@ func TestSelectionString(t *testing.T) {
 }
 
 // TestWorkerCountInvariance pins the sharding contract: the empirical
-// distribution is bit-identical no matter how many workers run it.
+// distribution is bit-identical no matter how many goroutines run it.
+// ChannelLevel and NodeLevel fan out at GOMAXPROCS, so the test varies
+// that and restores it afterwards.
 func TestWorkerCountInvariance(t *testing.T) {
-	base := cfg()
-	base.Trials = 10_000 // several shards, plus a partial final shard
-	seq := base
-	seq.Workers = 1
-	for _, workers := range []int{2, 4, 16} {
-		par := base
-		par.Workers = workers
-		for _, sel := range []Selection{MarginAware, MarginUnaware} {
-			a, b := ChannelLevel(seq, sel), ChannelLevel(par, sel)
+	c := cfg()
+	c.Trials = 10_000 // several shards, plus a partial final shard
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, sel := range []Selection{MarginAware, MarginUnaware} {
+		runtime.GOMAXPROCS(1)
+		a, na := ChannelLevel(c, sel), NodeLevel(c, sel)
+		for _, procs := range []int{2, 4, 16} {
+			runtime.GOMAXPROCS(procs)
+			b, nb := ChannelLevel(c, sel), NodeLevel(c, sel)
 			for i := range a.Margins {
 				if a.Margins[i] != b.Margins[i] {
-					t.Fatalf("%v workers=%d: channel trial %d diverged", sel, workers, i)
+					t.Fatalf("%v GOMAXPROCS=%d: channel trial %d diverged", sel, procs, i)
 				}
 			}
-			na, nb := NodeLevel(seq, sel), NodeLevel(par, sel)
 			for i := range na.Margins {
 				if na.Margins[i] != nb.Margins[i] {
-					t.Fatalf("%v workers=%d: node trial %d diverged", sel, workers, i)
+					t.Fatalf("%v GOMAXPROCS=%d: node trial %d diverged", sel, procs, i)
 				}
 			}
 		}

@@ -87,9 +87,8 @@ type Config struct {
 	Check bool
 	// Obs, when non-nil, receives per-channel DRAM command counts,
 	// queue-depth histograms, and mode/frequency-switch events, scoped
-	// under ObsScope (defaults to hierarchy/design/benchmark/seed).
-	Obs      *obs.Registry
-	ObsScope string
+	// under hierarchy/design/benchmark/seedN.
+	Obs *obs.Registry
 }
 
 // DefaultInstructions is the default measured-region length per core; it
@@ -594,10 +593,7 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	}
 	scr.chans = rt.chans
 	rt.seal()
-	scope := cfg.ObsScope
-	if scope == "" {
-		scope = fmt.Sprintf("%s/%s/%s/seed%d", cfg.H.Name, cfg.Replication, prof.Name, cfg.Seed)
-	}
+	scope := fmt.Sprintf("%s/%s/%s/seed%d", cfg.H.Name, cfg.Replication, prof.Name, cfg.Seed)
 	if cfg.Obs != nil {
 		for i, chn := range rt.chans {
 			chn.Observe(cfg.Obs, fmt.Sprintf("%s/chan%d", scope, i))

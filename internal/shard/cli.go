@@ -21,10 +21,12 @@ import (
 	"repro/internal/runcache"
 )
 
-// CLI is the flag surface the experiment CLIs share for coordinator and
-// worker modes. Registering it adds -worker/-worker-addr (worker mode),
-// -shard/-shard-workers (coordinator mode), -cache-dir/-cache-max-bytes
-// (the store both sides share), and -faults (the chaos harness).
+// CLI is the flag surface for coordinator and worker modes. Registering
+// it adds -worker/-worker-addr (worker mode), -shard/-shard-workers
+// (coordinator mode), -cache-dir/-cache-max-bytes (the store both sides
+// share), and -faults (the chaos harness). cmd/heterodmr registers it;
+// cmd/simd, a coordinator only, fills Workers, the cache fields and
+// Faults from flags of its own.
 type CLI struct {
 	Worker        bool
 	WorkerAddr    string
@@ -84,9 +86,11 @@ func (c *CLI) openCache(faults *faultinject.Plan) (*runcache.Cache, error) {
 
 // ServeWorker runs the worker main loop for the flags: open the cache,
 // listen on WorkerAddr, announce the URL on stdout, serve until
-// SIGINT/SIGTERM. Returns a process exit code.
-func (c *CLI) ServeWorker(name string, reg *obs.Registry) int {
-	faults, err := c.FaultPlan(reg)
+// SIGINT/SIGTERM. A batch executes synchronously inside its request, so
+// the write timeout sits well above the coordinator's 2m dispatch
+// timeout. Returns a process exit code.
+func (c *CLI) ServeWorker(name string) int {
+	faults, err := c.FaultPlan(nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: faults: %v\n", name, err)
 		return 1
@@ -98,16 +102,9 @@ func (c *CLI) ServeWorker(name string, reg *obs.Registry) int {
 			fmt.Fprintf(os.Stderr, "%s: open cache: %v\n", name, err)
 			return 1
 		}
-		cache.Observe(reg, name+"/runcache")
 	}
-	return ServeWorkerOn(name, c.WorkerAddr, runcache.CodeVersion(), cache, reg)
-}
-
-// ServeWorkerOn serves the worker API on addr until SIGINT/SIGTERM. A
-// batch executes synchronously inside its request, so the write timeout
-// sits well above the coordinator's 2m dispatch timeout.
-func ServeWorkerOn(name, addr, version string, cache *runcache.Cache, reg *obs.Registry) int {
-	return Serve(name+" worker", addr, NewWorker(version, cache, reg).Handler(), 5*time.Minute, 5*time.Second, nil)
+	h := NewWorker(runcache.CodeVersion(), cache, nil).Handler()
+	return Serve(name+" worker", c.WorkerAddr, h, 5*time.Minute, 5*time.Second, nil)
 }
 
 // Serve is the serving loop the shard worker and the simd daemon share.

@@ -175,17 +175,17 @@ func TestBreakerReprobesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelled: a cancelled context drains every unit to
-// local execution — shutdown costs remote offload, never output bytes.
+// TestRunContextCancelled: a cancelled base context drains every unit
+// to local execution — shutdown costs remote offload, never output bytes.
 func TestRunContextCancelled(t *testing.T) {
 	units := mcUnits()
 	want := seqPayloads(t, units)
 	reg := obs.NewRegistry()
 	srv, _ := newTestWorker(t, "")
-	p := NewPool(PoolOptions{Workers: []string{srv.URL}, Backoff: fastRetry, Reg: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	checkMerged(t, units, p.RunContext(ctx, units), want)
+	p := NewPool(PoolOptions{Workers: []string{srv.URL}, Backoff: fastRetry, BaseContext: ctx, Reg: reg})
+	checkMerged(t, units, p.Run(units), want)
 	if got := reg.Snapshot().Counters["shard/local"]; got != uint64(len(units)) {
 		t.Errorf("local executions = %d, want all %d", got, len(units))
 	}

@@ -45,8 +45,8 @@ const (
 
 // PoolOptions configure a coordinator-side dispatch pool.
 type PoolOptions struct {
-	// Workers are worker base URLs ("http://host:port"). Empty means
-	// every unit executes locally in the coordinator process.
+	// Workers are worker base URLs ("http://host:port"); NewPool
+	// requires at least one.
 	Workers []string
 	// Cache, when non-nil, is consulted before dispatching a unit and
 	// filled by local fallback executions. Workers sharing the same
@@ -128,8 +128,13 @@ type UnitResult struct {
 	Payload  []byte `json:"payload"`
 }
 
-// NewPool returns a dispatch pool over the given workers.
+// NewPool returns a dispatch pool over the given workers. It panics
+// when there are none: a pool without workers would leave Run's slots
+// unfilled.
 func NewPool(o PoolOptions) *Pool {
+	if len(o.Workers) == 0 {
+		panic("shard: NewPool needs at least one worker")
+	}
 	if o.InFlight <= 0 {
 		o.InFlight = 2
 	}
@@ -219,27 +224,19 @@ func (st *runState) commit(b int, rs []UnitResult) {
 	}
 }
 
-// Run executes the units under the pool's base context and returns
-// their results in input order — the ordered merge. See RunContext.
+// Run executes the units and returns their results in input order —
+// the ordered merge. After a pass over the shared cache, the remaining
+// units are grouped into batches by front-end identity
+// (node.GroupByFrontEnd; every Monte-Carlo range is a batch of its own)
+// and each batch is one dispatch. Results are buffered into their
+// positional slots as batches arrive; callers consume the returned slice
+// sequentially, so downstream rendering is byte-identical to a
+// sequential run regardless of worker count, batch composition, arrival
+// order, or mid-run worker failures.
+// Cancelling the pool's base context aborts in-flight dispatches and
+// completes the remaining batches locally: shutdown costs time, never
+// output — the returned slice is always complete and correct.
 func (p *Pool) Run(units []Unit) []UnitResult {
-	return p.RunContext(p.baseCtx, units)
-}
-
-// RunContext executes the units and returns their results in input
-// order. After a pass over the shared cache, the remaining units are
-// grouped into batches by front-end identity (node.GroupByFrontEnd;
-// every Monte-Carlo range is a batch of its own) and each batch is one
-// dispatch. Results are buffered into their positional slots as batches
-// arrive; callers consume the returned slice sequentially, so downstream
-// rendering is byte-identical to a sequential run regardless of worker
-// count, batch composition, arrival order, or mid-run worker failures.
-// Cancelling ctx aborts in-flight dispatches and completes the remaining
-// batches locally: shutdown costs time, never output — the returned
-// slice is always complete and correct.
-func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := len(units)
 	out := make([]UnitResult, n)
 	p.unitsC.Add(uint64(n))
@@ -249,7 +246,7 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 	remaining := make([]int, 0, n)
 	for i, u := range units {
 		if p.cache != nil {
-			if k, err := u.runKey(); err == nil {
+			if k, err := u.RunKey(); err == nil {
 				if payload, ok := p.cache.Get(k); ok {
 					out[i] = UnitResult{Payload: payload}
 					p.cacheHits.Add(1)
@@ -263,16 +260,6 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 		return out
 	}
 
-	if len(p.workers) == 0 {
-		local := make([]Unit, len(remaining))
-		for j, i := range remaining {
-			local[j] = units[i]
-		}
-		for j, r := range p.runLocal(local, nil) {
-			out[remaining[j]] = r
-		}
-		return out
-	}
 	batches := node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() })
 	st := &runState{
 		units:    units,
@@ -297,7 +284,7 @@ func (p *Pool) RunContext(ctx context.Context, units []Unit) []UnitResult {
 					case <-st.done:
 						return
 					case b := <-st.tasks:
-						p.runBatch(ctx, w, b, st)
+						p.runBatch(p.baseCtx, w, b, st)
 					}
 				}
 			}(w)

@@ -89,7 +89,7 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	if err := json.Unmarshal(wire, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	k, err := decoded.runKey()
+	k, err := decoded.RunKey()
 	if err != nil {
 		t.Fatalf("decoded unit fails key verification: %v", err)
 	}
@@ -102,19 +102,11 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	*tampered.MC = *decoded.MC
 	tampered.MC.Lo += montecarlo.ShardTrials
 	tampered.MC.Hi += montecarlo.ShardTrials
-	if _, err := tampered.runKey(); err == nil {
+	if _, err := tampered.RunKey(); err == nil {
 		t.Error("tampered material passed key verification")
 	}
 
-	withWorkers := decoded
-	withWorkers.MC = &MCMaterial{}
-	*withWorkers.MC = *decoded.MC
-	withWorkers.MC.Cfg.Workers = 8
-	if _, err := withWorkers.runKey(); err == nil {
-		t.Error("unit carrying a Workers fan-out width passed verification")
-	}
-
-	if _, err := (Unit{Type: "bogus"}).runKey(); err == nil {
+	if _, err := (Unit{Type: "bogus"}).RunKey(); err == nil {
 		t.Error("unknown unit type passed verification")
 	}
 
@@ -123,7 +115,7 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 	*badLevel.MC = *decoded.MC
 	badLevel.MC.Level = "rack"
 	badLevel.Key = runcache.KeyOf(testVersion, *badLevel.MC).String()
-	if _, err := badLevel.runKey(); err == nil {
+	if _, err := badLevel.RunKey(); err == nil {
 		t.Error("unknown MC level passed verification")
 	}
 }
@@ -170,7 +162,7 @@ func TestUnitWireAndKeyPinned(t *testing.T) {
 		if err := json.Unmarshal([]byte(lines[i]), &decoded); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decoded.runKey(); err != nil {
+		if _, err := decoded.RunKey(); err != nil {
 			t.Errorf("golden %s unit fails key verification: %v", decoded.Type, err)
 		}
 	}
@@ -324,16 +316,15 @@ func TestWorkerHandler(t *testing.T) {
 	}
 }
 
-func TestPoolNoWorkersRunsLocally(t *testing.T) {
-	units := mcUnits()
-	want := seqPayloads(t, units)
-	reg := obs.NewRegistry()
-	p := NewPool(PoolOptions{Reg: reg})
-	checkMerged(t, units, p.Run(units), want)
-	snap := reg.Snapshot()
-	if snap.Counters["shard/local"] != uint64(len(units)) {
-		t.Errorf("local count %d, want %d", snap.Counters["shard/local"], len(units))
-	}
+// TestNewPoolRequiresWorkers: a pool without workers would return
+// unfilled slots from Run, so NewPool refuses to build one.
+func TestNewPoolRequiresWorkers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPool without workers did not panic")
+		}
+	}()
+	NewPool(PoolOptions{})
 }
 
 // TestPoolOrderedMergeByteIdentical: two workers over a shared cache

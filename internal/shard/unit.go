@@ -51,10 +51,9 @@ type NodeMaterial struct {
 }
 
 // MCMaterial is a Monte-Carlo range unit's identity and its wire body:
-// the trial configuration (Workers zeroed — the in-process fan-out width
-// must never reach a content hash), the selection policy, the level, and
-// the trial range. Lo must be montecarlo.ShardTrials-aligned so the
-// range's draws match the sequential run exactly.
+// the trial configuration, the selection policy, the level, and the
+// trial range. Lo must be montecarlo.ShardTrials-aligned so the range's
+// draws match the sequential run exactly.
 type MCMaterial struct {
 	Cfg   montecarlo.Config    `json:"cfg"`
 	Sel   montecarlo.Selection `json:"sel"`
@@ -86,19 +85,15 @@ func NewNodeUnit(version string, cfg node.Config, prof workload.Profile) Unit {
 }
 
 // NewMCUnit builds a Monte-Carlo range unit keyed under version.
-// cfg.Workers is zeroed before hashing and shipping: the range is
-// computed sequentially on the worker, and fan-out width must not
-// change a unit's identity.
 func NewMCUnit(version string, cfg montecarlo.Config, sel montecarlo.Selection, level string, lo, hi int) Unit {
-	cfg.Workers = 0
 	m := &MCMaterial{Cfg: cfg, Sel: sel, Level: level, Lo: lo, Hi: hi}
 	return Unit{Type: UnitMC, Version: version, Key: runcache.KeyOf(version, *m).String(), MC: m}
 }
 
-// runKey recomputes the unit's content key from its material and checks
+// RunKey recomputes the unit's content key from its material and checks
 // it against the wire Key, so corruption or version skew surfaces as an
 // error instead of a wrong cache entry.
-func (u Unit) runKey() (runcache.Key, error) {
+func (u Unit) RunKey() (runcache.Key, error) {
 	var m any
 	switch u.Type {
 	case UnitNode:
@@ -109,9 +104,6 @@ func (u Unit) runKey() (runcache.Key, error) {
 	case UnitMC:
 		if u.MC == nil {
 			return runcache.Key{}, fmt.Errorf("shard: mc unit without body")
-		}
-		if u.MC.Cfg.Workers != 0 {
-			return runcache.Key{}, fmt.Errorf("shard: mc unit carries Workers=%d; fan-out width must not reach the hash", u.MC.Cfg.Workers)
 		}
 		if u.MC.Level != LevelChannel && u.MC.Level != LevelNode {
 			return runcache.Key{}, fmt.Errorf("shard: unknown MC level %q", u.MC.Level)
@@ -167,7 +159,7 @@ func Execute(units []Unit, cache *runcache.Cache, workers int, reg *obs.Registry
 	keys := make([]runcache.Key, len(units))
 	idx := make([]int, len(units))
 	for i, u := range units {
-		k, err := u.runKey()
+		k, err := u.RunKey()
 		if err != nil {
 			return nil, 0, &unitError{key: u.Key, err: err}
 		}

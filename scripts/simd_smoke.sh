@@ -9,7 +9,9 @@
 # tests cover the same path with httptest. Then, on a fresh cache, two
 # clients submit quick fig12 and fig13 (which share every node cell) at
 # the same time: between them the jobs must simulate each cell once, so
-# their computed_runs sum to the number of cache entries.
+# their computed_runs sum to the number of cache entries. First of all,
+# `simd -check` must exit 2 at startup naming the spec's "check" field:
+# conservation checks are requested per job.
 #
 # Requires only a POSIX shell, curl, and the go toolchain. No jq: the
 # daemon emits single-line JSON precisely so this script can grep it.
@@ -54,6 +56,21 @@ field() {
 
 echo "simd_smoke: building cmd/simd"
 go build -o "$BIN" ./cmd/simd
+
+echo "simd_smoke: -check is refused at startup"
+"$BIN" -check -addr "$ADDR" 2> "$WORKDIR/check.err" &
+PID=$!
+for _ in $(seq 1 25); do
+    kill -0 "$PID" 2>/dev/null || break
+    sleep 0.2
+done
+kill -0 "$PID" 2>/dev/null && fail "simd -check started the daemon"
+CODE=0
+wait "$PID" || CODE=$?
+PID=
+[ "$CODE" -eq 2 ] || fail "simd -check exited $CODE, want 2: $(cat "$WORKDIR/check.err")"
+grep -q '"check": true' "$WORKDIR/check.err" \
+    || fail "simd -check did not name the spec's \"check\" field: $(cat "$WORKDIR/check.err")"
 
 echo "simd_smoke: cold run (fresh cache at $CACHE)"
 start_daemon
