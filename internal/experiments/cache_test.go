@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -182,13 +183,13 @@ func TestCheckedCellsUseTheStore(t *testing.T) {
 	if !ok {
 		t.Fatal("checked cell missing from the store")
 	}
-	res, err := shard.DecodeNodeResult(payload)
+	res, ob, err := shard.DecodeCheckedNode(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	planted := obs.Violation{Source: "planted", Name: "stored-violation", Detail: "replayed"}
 	res.Violations = append(res.Violations, planted)
-	if payload, err = shard.EncodeNodeResult(res); err != nil {
+	if payload, err = shard.EncodeCheckedNode(res, ob); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put(k, payload); err != nil {
@@ -220,19 +221,27 @@ func renderFig14And11(t *testing.T, dir string, workers int) (string, *Suite, *r
 // TestUndecodablePayloadRecomputed: a stored entry that verifies but
 // whose payload does not decode (schema drift the version key missed) is
 // recomputed, stored over, and renders the bytes of the original run —
-// a node cell, which counts as computed, and a Monte-Carlo range alike.
+// node cells, which count as computed, and a Monte-Carlo range alike.
+// The undecodable cells are recomputed together, so two of them that
+// share a front end record it once.
 func TestUndecodablePayloadRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	cold, s1, store := renderFig14And11(t, dir, 2)
 
-	k := cellKey(s1, s1.plan([]Entry{entry(t, "fig14")})[0])
+	groups := node.GroupByFrontEnd(s1.plan([]Entry{entry(t, "fig14")}), func(c cell) (node.FrontEndKey, bool) {
+		return node.FrontEndKeyOf(s1.nodeConfig(c), c.prof), true
+	})
+	if len(groups[0]) < 2 {
+		t.Fatal("first front-end group of Fig 14 holds one cell")
+	}
+	cells := []runcache.Key{cellKey(s1, groups[0][0]), cellKey(s1, groups[0][1])}
 	// The first node-level, margin-aware range of Fig 11.
 	mc := runcache.KeyOf("test-v1", shard.MCMaterial{Cfg: s1.monteCarloConfig(), Sel: montecarlo.MarginAware,
 		Level: shard.LevelNode, Lo: 0, Hi: mcUnitShards * montecarlo.ShardTrials})
 	if _, ok := store.Get(mc); !ok {
 		t.Fatal("node-level margin-aware range missing from the store")
 	}
-	for _, key := range []runcache.Key{k, mc} {
+	for _, key := range append(cells, mc) {
 		if err := store.Put(key, []byte("not a gob payload")); err != nil {
 			t.Fatal(err)
 		}
@@ -240,19 +249,25 @@ func TestUndecodablePayloadRecomputed(t *testing.T) {
 
 	again, s2, _ := renderFig14And11(t, dir, 2)
 	if again != cold {
-		t.Error("recomputed cell and range rendered different bytes")
+		t.Error("recomputed cells and range rendered different bytes")
 	}
-	if got := s2.ComputedRuns(); got != 1 {
-		t.Errorf("computed %d cells, want the one undecodable cell", got)
+	if got := s2.ComputedRuns(); got != len(cells) {
+		t.Errorf("computed %d cells, want the %d undecodable cells", got, len(cells))
 	}
-	payload, ok := store.Get(k)
+	if got := s2.Recordings(); got != 1 {
+		t.Errorf("recomputing two cells of one front end recorded %d front ends, want 1", got)
+	}
+	for _, k := range cells {
+		payload, ok := store.Get(k)
+		if !ok {
+			t.Fatal("recomputed cell missing from the store")
+		}
+		if _, err := shard.DecodeNodeResult(payload); err != nil {
+			t.Errorf("undecodable cell payload was not stored over: %v", err)
+		}
+	}
+	payload, ok := store.Get(mc)
 	if !ok {
-		t.Fatal("recomputed cell missing from the store")
-	}
-	if _, err := shard.DecodeNodeResult(payload); err != nil {
-		t.Errorf("undecodable cell payload was not stored over: %v", err)
-	}
-	if payload, ok = store.Get(mc); !ok {
 		t.Fatal("recomputed range missing from the store")
 	}
 	if _, err := shard.DecodeMargins(payload); err != nil {
@@ -419,36 +434,98 @@ func TestPersistentCacheSeedChangesKey(t *testing.T) {
 	_ = s1
 }
 
-// TestInstrumentedRunsBypassPersistentCache: with Check or Obs set the
-// suite must simulate live (replays cannot reproduce traces or
-// violations), while cache-traffic counters still reach the registry.
+// TestInstrumentedRunsBypassPersistentCache: an observed suite replays
+// from the store like any other. Over a store an observed run filled, it
+// computes nothing, reads the cells from disk, renders the same tables,
+// and reports the cold run's metrics and trace, except the two counters
+// of what this process did (experiments/recordings and
+// experiments/runcache/computed); the computed counter still equals
+// ComputedRuns.
 func TestInstrumentedRunsBypassPersistentCache(t *testing.T) {
 	dir := t.TempDir()
-	c, err := runcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	run := func() (string, *Suite, *obs.Registry, *runcache.Cache) {
+		c, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2,
+			Cache: c, CacheVersion: "test-v1", Obs: reg})
+		return entry(t, "fig14").Run(s).String(), s, reg, c
 	}
-	warm := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 1,
-		Cache: c, CacheVersion: "test-v1"})
-	entry(t, "fig14").Run(warm)
+	cold, s1, coldReg, _ := run()
+	warm, s2, warmReg, c2 := run()
+	if warm != cold {
+		t.Error("observed replay rendered different bytes than the observed run")
+	}
+	if got := s2.ComputedRuns(); got != 0 {
+		t.Errorf("observed suite over an observed store computed %d cells, want 0", got)
+	}
+	if st := c2.Stats(); st.Hits == 0 {
+		t.Error("observed replay read nothing from the store")
+	}
+	for _, r := range []struct {
+		s   *Suite
+		reg *obs.Registry
+	}{{s1, coldReg}, {s2, warmReg}} {
+		if got := r.reg.Snapshot().Counters["experiments/runcache/computed"]; got != uint64(r.s.ComputedRuns()) {
+			t.Errorf("obs computed counter %d, want %d", got, r.s.ComputedRuns())
+		}
+	}
+	traffic := func(name string) bool {
+		return name == "experiments/recordings" || name == "experiments/runcache/computed"
+	}
+	if !reflect.DeepEqual(placementFree(warmReg, traffic), placementFree(coldReg, traffic)) {
+		t.Error("observed replay's metrics differ from the observed run's beyond the traffic counters")
+	}
+	if tr := warmReg.Trace(); len(tr) == 0 || !reflect.DeepEqual(tr, coldReg.Trace()) {
+		t.Errorf("observed replay's trace (%d events) differs from the observed run's", len(tr))
+	}
+}
 
-	c2, err := runcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestObservedConcurrentRunsCountCellsOnce: concurrent Runs of one
+// observed suite over the same cells each simulate them, but a cell's
+// observations merge only when it enters the table, so the registry
+// matches a single Run's except the counters of this process's work.
+func TestObservedConcurrentRunsCountCellsOnce(t *testing.T) {
+	single := obs.NewRegistry()
+	entry(t, "fig14").Run(New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 1, Obs: single}))
+
 	reg := obs.NewRegistry()
-	s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 1,
-		Cache: c2, CacheVersion: "test-v1", Obs: reg})
-	entry(t, "fig14").Run(s)
-	if s.ComputedRuns() == 0 {
-		t.Error("instrumented run served from the persistent cache")
+	s := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Obs: reg})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			entry(t, "fig14").Run(s)
+		}()
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["experiments/runcache/computed"] != uint64(s.ComputedRuns()) {
-		t.Errorf("obs computed counter %d, want %d",
-			snap.Counters["experiments/runcache/computed"], s.ComputedRuns())
+	wg.Wait()
+	traffic := func(name string) bool {
+		return name == "experiments/recordings" || name == "experiments/runcache/mem_hits"
 	}
-	if st := c2.Stats(); st.Hits != 0 {
-		t.Errorf("instrumented run hit the disk cache %d times", st.Hits)
+	if !reflect.DeepEqual(placementFree(reg, traffic), placementFree(single, traffic)) {
+		t.Error("concurrent observed Runs counted a cell more than once")
 	}
+	if !reflect.DeepEqual(reg.Trace(), single.Trace()) {
+		t.Error("concurrent observed Runs traced a cell more than once")
+	}
+}
+
+// placementFree returns reg's metric snapshot without the counters
+// placed names: counters of where cells ran, which differ between runs
+// that place the same cells differently.
+func placementFree(reg *obs.Registry, placed func(name string) bool) obs.Metrics {
+	m := reg.Snapshot()
+	names := m.Names[:0]
+	for _, name := range m.Names {
+		if placed(name) {
+			delete(m.Counters, name)
+		} else {
+			names = append(names, name)
+		}
+	}
+	m.Names = names
+	return m
 }

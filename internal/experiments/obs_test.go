@@ -31,8 +31,8 @@ func TestCheckedDriversCleanAndByteStable(t *testing.T) {
 		for _, v := range s.Violations() {
 			t.Errorf("Workers=%d: violation: %s", workers, v)
 		}
-		// Every cell's channels report to the registry the executor
-		// attaches after the key check.
+		// Every cell's channels report to a registry of the cell's own,
+		// merged into the suite's as the cell lands.
 		const cellMetric = "Hierarchy1/Commercial Baseline/amg/seed1/chan0/cmd/ACT"
 		if s.opt.Obs.Snapshot().Counters[cellMetric] == 0 {
 			t.Errorf("Workers=%d: no %s after an instrumented run", workers, cellMetric)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/node"
@@ -114,6 +116,41 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 	}
 	if fe := frontEnds(checked, entries); recorded != uint64(fe) {
 		t.Errorf("workers recorded %d front ends for %d distinct checked front ends", recorded, fe)
+	}
+
+	// Observed: two fresh workers run the plan's observed cells, and the
+	// suite renders the tables and trace of an in-process observed run,
+	// with the same metrics except the counters of where cells ran.
+	localReg := obs.NewRegistry()
+	wantObserved := render(New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Obs: localReg}))
+	observedDir := t.TempDir()
+	var observedURLs []string
+	for i := 0; i < 2; i++ {
+		c, err := runcache.Open(observedDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(shard.NewWorker("test-v1", c, nil).Handler())
+		t.Cleanup(srv.Close)
+		observedURLs = append(observedURLs, srv.URL)
+	}
+	fleetReg := obs.NewRegistry()
+	observed := New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Obs: fleetReg, CacheVersion: "test-v1",
+		Shard: shard.NewPool(shard.PoolOptions{Workers: observedURLs, Reg: fleetReg})})
+	if got := render(observed); got != wantObserved {
+		t.Error("sharded observed run rendered different bytes than the local observed run")
+	}
+	if fleetReg.Snapshot().Counters["shard/dispatched"] == 0 {
+		t.Error("sharded observed run dispatched nothing to the fleet")
+	}
+	if tr := fleetReg.Trace(); len(tr) == 0 || !reflect.DeepEqual(tr, localReg.Trace()) {
+		t.Errorf("sharded observed trace (%d events) differs from the local observed run's", len(tr))
+	}
+	placed := func(name string) bool {
+		return name == "experiments/recordings" || strings.HasPrefix(name, "shard/")
+	}
+	if !reflect.DeepEqual(placementFree(fleetReg, placed), placementFree(localReg, placed)) {
+		t.Error("sharded observed metrics differ from the local observed run's beyond experiments/recordings and shard/*")
 	}
 }
 

@@ -45,17 +45,17 @@ type Options struct {
 	// cluster simulation; violations accumulate on the Suite (read them
 	// with Violations). Checks run after each simulation's measurements
 	// are taken, so they never change rendered output. A checked cell is
-	// keyed apart from an unchecked one and carries its violations in its
-	// result, so checked runs replay from Cache and run on Shard like any
-	// other.
+	// keyed apart from an unchecked one and carries its violations, and
+	// what its run observed, in its payload, so checked runs replay from
+	// Cache and run on Shard like any other.
 	Check bool
 	// Obs, when non-nil, collects counters, histograms, and trace events
 	// from every simulation the suite runs, plus the suite's own
 	// run-table counters (experiments/runcache/*) and its count of
-	// in-process front-end recordings (experiments/recordings). A replayed
-	// or remote cell cannot reproduce its metrics and trace events, so an
-	// observed suite ignores Cache and Shard and simulates every cell in
-	// this process.
+	// in-process front-end recordings (experiments/recordings). Its node
+	// cells run checked, and each cell's payload carries what its run
+	// recorded, merged here in plan order as the cell lands, wherever it
+	// ran; only the traffic counters above and shard/* depend on where.
 	Obs *obs.Registry
 	// Cache, when non-nil, persists node-simulation results and
 	// Monte-Carlo trial ranges across processes: the suite's cells are
@@ -85,8 +85,8 @@ type Options struct {
 // simulation results that Run warms and the drivers read. A Suite is
 // safe for concurrent use. Concurrent Runs whose plans share a cell each
 // run it unless the persistent store coalesces them (runcache.Do); the
-// table keeps one of the identical results. An observed suite's metrics
-// count every such run, so its Runs should plan disjoint cells.
+// table keeps one of the identical results, and Options.Obs counts that
+// cell once.
 type Suite struct {
 	opt Options
 
@@ -109,24 +109,25 @@ type Suite struct {
 	memHits, computedC, recordings *obs.Counter
 }
 
-// New returns a Suite. Seed 0 becomes 1.
+// SeedDefaults applies the suite's seed defaults: seed 0 becomes 1, and
+// a seed count of 0 or less becomes 1 in quick mode and 3 otherwise.
+func SeedDefaults(seed uint64, seeds int, quick bool) (uint64, int) {
+	if seed == 0 {
+		seed = 1
+	}
+	if seeds <= 0 && quick {
+		seeds = 1
+	} else if seeds <= 0 {
+		seeds = 3
+	}
+	return seed, seeds
+}
+
+// New returns a Suite, its options resolved by SeedDefaults.
 func New(opt Options) *Suite {
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.Seeds <= 0 {
-		if opt.Quick {
-			opt.Seeds = 1
-		} else {
-			opt.Seeds = 3
-		}
-	}
+	opt.Seed, opt.Seeds = SeedDefaults(opt.Seed, opt.Seeds, opt.Quick)
 	if opt.CacheVersion == "" {
 		opt.CacheVersion = runcache.CodeVersion()
-	}
-	if opt.Obs != nil {
-		// Metrics and traces come only from a live run in this process.
-		opt.Cache, opt.Shard = nil, nil
 	}
 	// Nil-safe handles: on a nil registry these are nil *obs.Counter and
 	// every Add is a no-op.
@@ -303,7 +304,7 @@ func (s *Suite) nodeConfig(c cell) node.Config {
 		Spec:          spec,
 		CopyErrorRate: d.copyErrRate,
 		Seed:          c.seed,
-		Check:         s.opt.Check,
+		Check:         s.opt.Check || s.opt.Obs != nil, // a checked payload carries the observations
 	}
 	if d.repl.Fast() {
 		cfg.Fast = &fast
@@ -336,7 +337,8 @@ func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profil
 // through materialize, so each front end is recorded at most once and a
 // cell the persistent store holds is replayed, not simulated. Only whole
 // results enter the table: if the executor fails, warm panics and no
-// cell of the plan is added.
+// cell of the plan is added. Each cell that enters the table merges its
+// observations into Options.Obs there, under mu, in plan order.
 func (s *Suite) warm(cells []cell) {
 	var todo []cell
 	s.mu.Lock()
@@ -353,8 +355,17 @@ func (s *Suite) warm(cells []cell) {
 	for i, c := range todo {
 		units[i] = shard.NewNodeUnit(s.opt.CacheVersion, s.nodeConfig(c), c.prof)
 	}
-	decoded, results := materialize(s, units, func(_ shard.Unit, p []byte) (node.Result, error) {
-		return shard.DecodeNodeResult(p)
+	type landed struct {
+		res node.Result
+		ob  shard.Observed
+	}
+	decoded, results := materialize(s, units, func(u shard.Unit, p []byte) (l landed, err error) {
+		if u.Node.Cfg.Check {
+			l.res, l.ob, err = shard.DecodeCheckedNode(p)
+		} else {
+			l.res, err = shard.DecodeNodeResult(p)
+		}
+		return l, err
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -362,21 +373,23 @@ func (s *Suite) warm(cells []cell) {
 		if _, ok := s.runs[c.key()]; ok {
 			continue // a concurrent warm landed it first
 		}
-		s.runs[c.key()] = decoded[i]
+		s.runs[c.key()] = decoded[i].res
 		if results[i].Computed {
 			s.computed++
 			s.computedC.Add(1)
 		}
-		s.violations = append(s.violations, decoded[i].Violations...)
+		s.violations = append(s.violations, decoded[i].res.Violations...)
+		s.opt.Obs.Merge(decoded[i].ob.Metrics, decoded[i].ob.Events)
 	}
 }
 
 // materialize runs units through Pool.Run when a fleet is configured and
 // otherwise in this process through the executor a fleet worker runs
 // (shard.Execute against Cache), fanned out over Workers, and decodes
-// each payload. A payload that does not decode (schema drift that
-// slipped past the version key) is recomputed here, bypassing the stale
-// entry, and stored over it. It returns the decoded values and the
+// each payload. The units whose payloads do not decode (schema drift
+// that slipped past the version key) are recomputed here together, so a
+// front end they share is recorded once, and each fresh payload is
+// stored over its stale entry. It returns the decoded values and the
 // results in unit order, a recomputed unit's fresh result included.
 func materialize[T any](s *Suite, units []shard.Unit, decode func(shard.Unit, []byte) (T, error)) ([]T, []shard.UnitResult) {
 	var results []shard.UnitResult
@@ -386,23 +399,26 @@ func materialize[T any](s *Suite, units []shard.Unit, decode func(shard.Unit, []
 		results = s.execute(units, s.opt.Cache)
 	}
 	vals := make([]T, len(units))
+	var stale []int
+	var redo []shard.Unit
+	var err error
 	for i, r := range results {
-		v, err := decode(units[i], r.Payload)
-		if err != nil {
-			fresh := s.execute(units[i:i+1], nil)[0]
-			if v, err = decode(units[i], fresh.Payload); err != nil {
-				panic(fmt.Sprintf("experiments: unit %s: %v", units[i].Key, err))
-			}
-			if s.opt.Cache != nil {
-				// The execute above vetted the key. A failed Put is
-				// counted by the store; the unit stays correct, only
-				// uncached.
-				k, _ := units[i].RunKey()
-				_ = s.opt.Cache.Put(k, fresh.Payload)
-			}
-			results[i] = fresh
+		if vals[i], err = decode(units[i], r.Payload); err != nil {
+			stale, redo = append(stale, i), append(redo, units[i])
 		}
-		vals[i] = v
+	}
+	for j, fresh := range s.execute(redo, nil) {
+		i := stale[j]
+		if vals[i], err = decode(units[i], fresh.Payload); err != nil {
+			panic(fmt.Sprintf("experiments: unit %s: %v", units[i].Key, err))
+		}
+		if s.opt.Cache != nil {
+			// The execute above vetted the key. A failed Put is counted
+			// by the store; the unit stays correct, only uncached.
+			k, _ := units[i].RunKey()
+			_ = s.opt.Cache.Put(k, fresh.Payload)
+		}
+		results[i] = fresh
 	}
 	return vals, results
 }
@@ -411,7 +427,7 @@ func materialize[T any](s *Suite, units []shard.Unit, decode func(shard.Unit, []
 // cache and counts the front ends it records. A unit that cannot run
 // panics, naming the unit.
 func (s *Suite) execute(units []shard.Unit, cache *runcache.Cache) []shard.UnitResult {
-	results, recorded, err := shard.Execute(units, cache, s.opt.Workers, s.opt.Obs)
+	results, recorded, err := shard.Execute(units, cache, s.opt.Workers)
 	if err != nil {
 		panic(err)
 	}

@@ -57,8 +57,9 @@ func TestFrontEndReplayMatchesRun(t *testing.T) {
 }
 
 // TestFrontEndRejectsMismatchedConfig pins the replay guard: a config
-// whose front-end inputs differ from the recording, or that asks for
-// Check on a recording made without it, is an error.
+// whose front-end inputs differ from the recording is an error, while a
+// checked Run succeeds on a recording made without Check and equals a
+// standalone checked Run.
 func TestFrontEndRejectsMismatchedConfig(t *testing.T) {
 	base := goldenDesigns()[0].config(Hierarchy1(), 1)
 	fe := mustRecord(t, base, workload.ByName("lulesh"))
@@ -68,7 +69,6 @@ func TestFrontEndRejectsMismatchedConfig(t *testing.T) {
 		"length":    func(c *Config) { c.InstructionsPerCore++ },
 		"warmup":    func(c *Config) { c.WarmupInstructions++ },
 		"shift":     func(c *Config) { c.ScaleShift = 5 },
-		"check":     func(c *Config) { c.Check = true },
 	}
 	for name, mutate := range bad {
 		cfg := base
@@ -80,16 +80,24 @@ func TestFrontEndRejectsMismatchedConfig(t *testing.T) {
 	if _, err := fe.Run(base); err != nil {
 		t.Errorf("matching config rejected: %v", err)
 	}
+	checked := base
+	checked.Check = true
+	if got, err := fe.Run(checked); err != nil {
+		t.Errorf("checked config rejected: %v", err)
+	} else if want := MustRun(checked, workload.ByName("lulesh")); !reflect.DeepEqual(got, want) {
+		t.Error("checked replay differs from a checked Run")
+	}
 	if _, err := Record(Config{}, workload.ByName("lulesh")); err == nil {
 		t.Error("Record accepted an invalid hierarchy")
 	}
 }
 
 // TestGroupByFrontEnd pins the front-end identity: cells that differ
-// only in their memory design share a key, defaults are applied before
-// comparing, a change to any field Record reads splits the key (the
-// profile too, which FrontEnd.Run cannot check), and grouping keeps
-// first-appearance order with keyless items standing alone.
+// only in their memory design or in Check share a key, defaults are
+// applied before comparing, a change to any field Record reads splits
+// the key (the profile too, which FrontEnd.Run cannot check), and
+// grouping keeps first-appearance order with keyless items standing
+// alone.
 func TestGroupByFrontEnd(t *testing.T) {
 	prof := workload.ByName("hpcg")
 	base := goldenDesigns()[0].config(Hierarchy1(), 1)
@@ -104,6 +112,11 @@ func TestGroupByFrontEnd(t *testing.T) {
 	if FrontEndKeyOf(explicit, prof) != key {
 		t.Error("defaults are not applied before keying")
 	}
+	checked := base
+	checked.Check = true
+	if FrontEndKeyOf(checked, prof) != key {
+		t.Error("Check changes the front-end identity")
+	}
 	split := map[string]func(c *Config, p *workload.Profile){
 		"hierarchy": func(c *Config, _ *workload.Profile) { c.H = Hierarchy2() },
 		"l3":        func(c *Config, _ *workload.Profile) { c.H.L3TotalBytes /= 2 },
@@ -113,7 +126,6 @@ func TestGroupByFrontEnd(t *testing.T) {
 		"length":    func(c *Config, _ *workload.Profile) { c.InstructionsPerCore++ },
 		"warmup":    func(c *Config, _ *workload.Profile) { c.WarmupInstructions++ },
 		"shift":     func(c *Config, _ *workload.Profile) { c.ScaleShift = 5 },
-		"check":     func(c *Config, _ *workload.Profile) { c.Check = true },
 	}
 	for name, mutate := range split {
 		cfg, p := base, prof

@@ -352,15 +352,14 @@ func l3Config(h Hierarchy, shift uint) cache.Config {
 
 // FrontEndKey is the identity of a node front end: everything Record
 // reads, after defaults are applied. Cells with equal keys can share one
-// recording whatever their memory designs. The key is comparable, so it
-// serves as a map key.
+// recording whatever their memory designs, checked or not. The key is
+// comparable, so it serves as a map key.
 type FrontEndKey struct {
 	H             Hierarchy
 	Prof          workload.Profile
 	Seed          uint64
 	Instr, Warmup int64
 	Shift         uint
-	Check         bool
 }
 
 // FrontEndKeyOf returns the front-end identity of cfg running prof.
@@ -373,7 +372,6 @@ func FrontEndKeyOf(cfg Config, prof workload.Profile) FrontEndKey {
 		Instr:  cfg.InstructionsPerCore,
 		Warmup: cfg.WarmupInstructions,
 		Shift:  cfg.ScaleShift,
-		Check:  cfg.Check,
 	}
 }
 
@@ -406,19 +404,19 @@ func GroupByFrontEnd[T any](items []T, key func(T) (FrontEndKey, bool)) [][]T {
 // channels, and Run is exactly Record followed by that replay. A
 // FrontEnd is read-only once recorded and safe for concurrent Runs.
 type FrontEnd struct {
-	key      FrontEndKey
-	prof     workload.Profile // key.Prof with footprints scaled
-	llc      *cache.Cache
-	traces   []cpu.Trace
-	l1s, l2s []*cache.Cache // retained only when recorded with Check
+	key     FrontEndKey
+	prof    workload.Profile // key.Prof with footprints scaled
+	llc     *cache.Cache
+	traces  []cpu.Trace
+	private [][]obs.Violation // per core: its L1/L2 violations, sources like core3/l1
 }
 
 // Record simulates the design-independent front end of cfg's machine
-// running prof. Only the fields FrontEndKeyOf reads matter; with Check
-// set the private caches are kept so every replay can run their
-// conservation checks. It returns an error for an invalid hierarchy and
-// for a profile that, scaled to cfg.ScaleShift, fails
-// workload.Profile.Validate.
+// running prof. Only the fields FrontEndKeyOf reads matter. The private
+// caches never change once a core is recorded, so their conservation
+// checks run then and the caches are dropped. It returns an error for
+// an invalid hierarchy and for a profile that, scaled to cfg.ScaleShift,
+// fails workload.Profile.Validate.
 func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
 		return nil, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
@@ -438,9 +436,10 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	}
 
 	fe := &FrontEnd{
-		key:    key,
-		prof:   prof,
-		traces: make([]cpu.Trace, cfg.H.Cores),
+		key:     key,
+		prof:    prof,
+		traces:  make([]cpu.Trace, cfg.H.Cores),
+		private: make([][]obs.Violation, cfg.H.Cores),
 	}
 	// Prefill the shared LLC to steady-state occupancy so dirty evictions
 	// reach DRAM during the measured region (a cold LLC of this size would
@@ -456,16 +455,9 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	}()
 	instr := cfg.WarmupInstructions + cfg.InstructionsPerCore
 	for i := range fe.traces {
-		var l1, l2 *cache.Cache
-		if cfg.Check {
-			l1, l2 = cache.New(l1Config()), cache.New(l2Config(cfg.H, cfg.ScaleShift))
-			fe.l1s = append(fe.l1s, l1)
-			fe.l2s = append(fe.l2s, l2)
-		} else {
-			scr.arena.Reset()
-			l1 = cache.NewIn(&scr.arena, l1Config())
-			l2 = cache.NewIn(&scr.arena, l2Config(cfg.H, cfg.ScaleShift))
-		}
+		scr.arena.Reset()
+		l1 := cache.NewIn(&scr.arena, l1Config())
+		l2 := cache.NewIn(&scr.arena, l2Config(cfg.H, cfg.ScaleShift))
 		scr.rec.Reset(l1, l2)
 		// Each core runs one MPI rank of the benchmark: same profile,
 		// distinct address-space slice via the seed.
@@ -479,6 +471,8 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 			scr.rec.Record(ev, &scr.tr)
 		}
 		fe.traces[i] = scr.tr.Clone()
+		fe.private[i] = append(l1.CheckConservation(fmt.Sprintf("core%d/l1", i)),
+			l2.CheckConservation(fmt.Sprintf("core%d/l2", i))...)
 	}
 	scr.rec.Reset(nil, nil)
 	return fe, nil
@@ -537,18 +531,13 @@ func (r *Replayer) Recorded() bool { return r.fe != nil }
 // Run replays the recorded front end against cfg's memory design and
 // returns the measurements, exactly as Run(cfg, prof) would. cfg must
 // name the hierarchy, seed, run lengths and scale shift the front end was
-// recorded with, and may set Check only if the recording did.
+// recorded with.
 func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	cfg = withDefaults(cfg)
-	k := FrontEndKeyOf(cfg, fe.key.Prof)
-	k.Check = fe.key.Check
-	if k != fe.key {
+	if FrontEndKeyOf(cfg, fe.key.Prof) != fe.key {
 		return Result{}, fmt.Errorf("node: config (%s, seed %d, %d+%d instructions, shift %d) does not match the front end (%s, seed %d, %d+%d, shift %d)",
 			cfg.H.Name, cfg.Seed, cfg.WarmupInstructions, cfg.InstructionsPerCore, cfg.ScaleShift,
 			fe.key.H.Name, fe.key.Seed, fe.key.Warmup, fe.key.Instr, fe.key.Shift)
-	}
-	if cfg.Check && !fe.key.Check {
-		return Result{}, fmt.Errorf("node: Check needs a front end recorded with Check")
 	}
 	prof := fe.prof
 
@@ -715,10 +704,10 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 		for i, c := range cores {
 			res.Violations = append(res.Violations,
 				c.CheckConservation(fmt.Sprintf("%s/core%d", scope, i))...)
-			res.Violations = append(res.Violations,
-				fe.l1s[i].CheckConservation(fmt.Sprintf("%s/core%d/l1", scope, i))...)
-			res.Violations = append(res.Violations,
-				fe.l2s[i].CheckConservation(fmt.Sprintf("%s/core%d/l2", scope, i))...)
+			for _, v := range fe.private[i] {
+				v.Source = scope + "/" + v.Source
+				res.Violations = append(res.Violations, v)
+			}
 		}
 		res.Violations = append(res.Violations, l3.CheckConservation(scope+"/l3")...)
 		res.Violations = append(res.Violations, checkWarmup(scope, res)...)

@@ -227,6 +227,38 @@ func (r *Registry) Snapshot() Metrics {
 	return m
 }
 
+// Merge adds another registry's Snapshot and Trace as if its run had
+// reported here: counters and histogram buckets add, and each event joins
+// its source's recorder numbered after the events already there, so
+// numbering, ring eviction, Emitted and Dropped match direct reporting
+// if the other registry's trace capacity is at least r's. Nil-safe.
+func (r *Registry) Merge(m Metrics, events []Event) {
+	if r == nil {
+		return
+	}
+	for _, name := range m.Names {
+		if v, ok := m.Counters[name]; ok {
+			r.Counter(name).Add(v)
+		}
+		if h, ok := m.Hists[name]; ok {
+			dst := r.Histogram(name, h.Bounds)
+			for i, c := range h.Counts {
+				dst.counts[i].Add(c)
+			}
+		}
+	}
+	var rec *Recorder
+	var base uint64
+	for _, ev := range events {
+		if rec == nil || ev.Source != rec.source { // Trace groups a source's events
+			rec = r.Recorder(ev.Source)
+			base = rec.seq
+		}
+		ev.Seq += base
+		rec.push(ev)
+	}
+}
+
 // WriteMetricsJSON writes the snapshot as one JSON object with sorted
 // keys, hand-rendered so the byte output is stable across Go versions:
 //

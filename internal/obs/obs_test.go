@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +169,76 @@ func TestTraceJSONLSortedBySourceSeq(t *testing.T) {
 		if !strings.Contains(lines[i], want) {
 			t.Fatalf("line %d = %q, want detail %s", i, lines[i], want)
 		}
+	}
+}
+
+// TestMergeMatchesDirectReporting: runs that each report to a registry
+// of their own and are merged in order leave the registry that they
+// would have left by reporting to it directly: the same metrics JSON,
+// trace JSONL, Emitted and Dropped. The runs cover a source above
+// DefaultTraceCap, a source two runs share whose sum passes the cap, a
+// source that already holds events reported directly, and a small one.
+func TestMergeMatchesDirectReporting(t *testing.T) {
+	emit := func(r *Registry, source string, run, n int) {
+		rec := r.Recorder(source)
+		for i := 0; i < n; i++ {
+			rec.Emit(int64(1000*run+i), "k", fmt.Sprintf("run%d/%d", run, i))
+		}
+	}
+	runs := []func(r *Registry){
+		func(r *Registry) {
+			emit(r, "shared", 0, 700)
+			r.Counter("acts").Add(3)
+			r.Counter("idle")
+			r.Histogram("qdepth", []int64{1, 4}).Observe(2)
+		},
+		func(r *Registry) {
+			emit(r, "shared", 1, 1500)
+			emit(r, "live", 1, 10)
+			r.Counter("acts").Add(4)
+			r.Histogram("qdepth", []int64{1, 4}).Observe(9)
+		},
+		func(r *Registry) { emit(r, "big", 2, 2000) },
+	}
+	direct, merged := NewRegistry(), NewRegistry()
+	for _, r := range []*Registry{direct, merged} {
+		emit(r, "live", 9, 5)
+		r.Counter("acts").Add(1)
+	}
+	for _, run := range runs {
+		run(direct)
+		own := NewRegistry()
+		run(own)
+		merged.Merge(own.Snapshot(), own.Trace())
+	}
+
+	var dm, mm, dt, mt bytes.Buffer
+	for _, w := range []struct {
+		r           *Registry
+		metrics, tr *bytes.Buffer
+	}{{direct, &dm, &dt}, {merged, &mm, &mt}} {
+		if err := w.r.WriteMetricsJSON(w.metrics); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.r.WriteTraceJSONL(w.tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dm.String() != mm.String() {
+		t.Errorf("merged metrics differ:\n%s\nwant:\n%s", mm.String(), dm.String())
+	}
+	if dt.String() != mt.String() {
+		t.Error("merged trace differs from direct reporting")
+	}
+	for _, source := range []string{"shared", "live", "big"} {
+		d, m := direct.Recorder(source), merged.Recorder(source)
+		if d.Emitted() != m.Emitted() || d.Dropped() != m.Dropped() {
+			t.Errorf("%s: merged emitted %d dropped %d, direct %d and %d",
+				source, m.Emitted(), m.Dropped(), d.Emitted(), d.Dropped())
+		}
+	}
+	if d := direct.Recorder("shared").Dropped(); d == 0 {
+		t.Error("no source passed the trace capacity")
 	}
 }
 

@@ -35,11 +35,20 @@ type Recorder struct {
 // Emit appends an event, evicting the oldest if the ring is full. Safe on
 // a nil receiver (no-op).
 func (r *Recorder) Emit(timePS int64, kind, detail string) {
-	if r == nil || r.cap <= 0 {
+	if r == nil {
 		return
 	}
-	ev := Event{Source: r.source, Seq: r.seq, TimePS: timePS, Kind: kind, Detail: detail}
-	r.seq++
+	r.push(Event{Source: r.source, Seq: r.seq, TimePS: timePS, Kind: kind, Detail: detail})
+}
+
+// push appends ev, evicting the oldest event once the ring is full; seqs
+// it skips count as emitted and dropped (a merged run's ring evicted them).
+func (r *Recorder) push(ev Event) {
+	if r.cap <= 0 {
+		return
+	}
+	r.dropped += ev.Seq - r.seq
+	r.seq = ev.Seq + 1
 	if len(r.events) < r.cap {
 		r.events = append(r.events, ev)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/dramspec"
@@ -179,5 +180,50 @@ func TestPoolBatchesByFrontEnd(t *testing.T) {
 	rec := r1.Snapshot().Counters["shard/worker/recordings"] + r2.Snapshot().Counters["shard/worker/recordings"]
 	if rec != 2 {
 		t.Errorf("fleet recorded %d front ends, want 2", rec)
+	}
+}
+
+// TestCheckedNodePayload pins the checked payload: it starts with the
+// bytes EncodeNodeResult gives for the cell's result, so DecodeNodeResult
+// reads it, then carries the metric snapshot and trace the run recorded
+// into a registry of its own. An unchecked payload fails
+// DecodeCheckedNode.
+func TestCheckedNodePayload(t *testing.T) {
+	prof := workload.ByName("graph500")
+	cfg := suiteConfigs(node.Hierarchy1(), 1)[5] // Hetero-DMR: mode and frequency switches
+	cfg.Check = true
+	out, _, err := Execute([]Unit{NewNodeUnit(testVersion, cfg, prof)}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := out[0].Payload
+
+	reg := obs.NewRegistry()
+	direct := cfg
+	direct.Obs = reg
+	want := node.MustRun(direct, prof)
+	plain, err := EncodeNodeResult(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(payload, plain) || len(payload) == len(plain) {
+		t.Error("checked payload does not extend the unchecked encoding of its result")
+	}
+	if res, err := DecodeNodeResult(payload); err != nil || !reflect.DeepEqual(res, want) {
+		t.Errorf("DecodeNodeResult of a checked payload: %v", err)
+	}
+	res, ob, err := DecodeCheckedNode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Error("checked payload's result differs from a direct run")
+	}
+	if !reflect.DeepEqual(ob, Observed{Metrics: reg.Snapshot(), Events: reg.Trace()}) || len(ob.Events) == 0 {
+		t.Errorf("checked payload carries %d events and %d metrics, want the direct run's %d and %d",
+			len(ob.Events), len(ob.Metrics.Names), len(reg.Trace()), len(reg.Snapshot().Names))
+	}
+	if _, _, err := DecodeCheckedNode(plain); err == nil {
+		t.Error("DecodeCheckedNode accepted a payload without observations")
 	}
 }

@@ -372,7 +372,7 @@ func unitSeed(key string) uint64 {
 // is named in that panic.
 func (p *Pool) runLocal(units []Unit, refused *refusedError) []UnitResult {
 	p.localC.Add(uint64(len(units)))
-	res, _, err := Execute(units, p.cache, 1, nil)
+	res, _, err := Execute(units, p.cache, 1)
 	if err != nil {
 		msg := fmt.Sprintf("shard: local execution of batch %s: %v", units[0].Key, err)
 		if refused != nil {

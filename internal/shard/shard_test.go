@@ -55,7 +55,7 @@ func seqPayloads(t *testing.T, units []Unit) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(units))
 	for i, u := range units {
-		res, _, err := Execute([]Unit{u}, nil, 1, nil)
+		res, _, err := Execute([]Unit{u}, nil, 1)
 		if err != nil {
 			t.Fatalf("sequential execute %d: %v", i, err)
 		}

@@ -76,9 +76,9 @@ type Unit struct {
 }
 
 // NewNodeUnit builds a node-simulation unit keyed under version. The
-// configuration carries no registry (Obs nil): Execute attaches one
-// after the key check. A checked configuration (Check true) is keyed,
-// and shares a cache entry, only with other checked ones.
+// configuration carries no registry (Obs nil). A checked configuration
+// (Check true) shares a key only with checked ones, and its payload also
+// carries what its run observed (EncodeCheckedNode).
 func NewNodeUnit(version string, cfg node.Config, prof workload.Profile) Unit {
 	m := &NodeMaterial{Cfg: cfg, Prof: prof}
 	return Unit{Type: UnitNode, Version: version, Key: runcache.KeyOf(version, *m).String(), Node: m}
@@ -150,12 +150,10 @@ func (e *unitError) Unwrap() error { return e.err }
 // call. The units are then grouped by front-end identity
 // (node.GroupByFrontEnd; every Monte-Carlo range is a group of its own)
 // and the groups run on at most workers goroutines (parallel.ForEach),
-// each through executeBatch against cache (nil = compute only). reg,
-// when non-nil, is attached to every node configuration after its key
-// is checked, so an observed run's metrics and traces never reach a key.
-// Once a group fails, groups not yet started are skipped, and the error
+// each through executeBatch against cache (nil = compute only). Once a
+// group fails, groups not yet started are skipped, and the error
 // returned is that of the first group, in group order, that failed.
-func Execute(units []Unit, cache *runcache.Cache, workers int, reg *obs.Registry) ([]UnitResult, int, error) {
+func Execute(units []Unit, cache *runcache.Cache, workers int) ([]UnitResult, int, error) {
 	keys := make([]runcache.Key, len(units))
 	idx := make([]int, len(units))
 	for i, u := range units {
@@ -174,7 +172,7 @@ func Execute(units []Unit, cache *runcache.Cache, workers int, reg *obs.Registry
 		if failed.Load() {
 			return
 		}
-		if recorded[g], errs[g] = executeBatch(units, keys, groups[g], cache, reg, out); errs[g] != nil {
+		if recorded[g], errs[g] = executeBatch(units, keys, groups[g], cache, out); errs[g] != nil {
 			failed.Store(true)
 		}
 	})
@@ -199,15 +197,15 @@ func Execute(units []Unit, cache *runcache.Cache, workers int, reg *obs.Registry
 // dropped with the group, so no recording outlives it; recorded reports
 // whether it was. Payloads are the exact byte sequences the cache stores
 // (gob — bit-exact float64) and equal EncodeNodeResult(node.Run(cfg,
-// prof)) for a node cell, so every process that decodes one
+// prof)) for an unchecked node cell, so every process that decodes one
 // reconstructs an identical result.
-func executeBatch(units []Unit, keys []runcache.Key, group []int, cache *runcache.Cache, reg *obs.Registry, out []UnitResult) (recorded bool, err error) {
+func executeBatch(units []Unit, keys []runcache.Key, group []int, cache *runcache.Cache, out []UnitResult) (recorded bool, err error) {
 	var rp *node.Replayer
 	if u := units[group[0]]; u.Type == UnitNode {
 		rp = node.NewReplayer(u.Node.Prof)
 	}
 	for _, i := range group {
-		compute := func() ([]byte, error) { return units[i].compute(rp, reg) }
+		compute := func() ([]byte, error) { return units[i].compute(rp) }
 		if cache != nil {
 			out[i].Payload, out[i].Computed, err = cache.Do(keys[i], compute)
 		} else {
@@ -222,16 +220,21 @@ func executeBatch(units []Unit, keys []runcache.Key, group []int, cache *runcach
 }
 
 // compute simulates one vetted unit; rp is the Replayer of a node unit's
-// front-end group, and reg the registry its run reports to.
-func (u Unit) compute(rp *node.Replayer, reg *obs.Registry) ([]byte, error) {
+// front-end group. A checked node unit reports to a registry of its own.
+func (u Unit) compute(rp *node.Replayer) ([]byte, error) {
 	if u.Type == UnitNode {
 		cfg := u.Node.Cfg
-		cfg.Obs = reg
+		if cfg.Check {
+			cfg.Obs = obs.NewRegistry()
+		}
 		res, err := rp.Run(cfg)
 		if err != nil {
 			return nil, &unitError{key: u.Key, err: err}
 		}
-		return EncodeNodeResult(res)
+		if !cfg.Check {
+			return EncodeNodeResult(res)
+		}
+		return EncodeCheckedNode(res, Observed{Metrics: cfg.Obs.Snapshot(), Events: cfg.Obs.Trace()})
 	}
 	if u.MC.Level == LevelChannel {
 		return EncodeMargins(montecarlo.ChannelLevelRange(u.MC.Cfg, u.MC.Sel, u.MC.Lo, u.MC.Hi))
@@ -243,11 +246,7 @@ func (u Unit) compute(rp *node.Replayer, reg *obs.Registry) ([]byte, error) {
 // experiments persistent layer stores, so worker payloads and
 // coordinator cache entries are interchangeable.
 func EncodeNodeResult(res node.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encode(res)
 }
 
 // DecodeNodeResult is EncodeNodeResult's inverse.
@@ -257,14 +256,45 @@ func DecodeNodeResult(payload []byte) (node.Result, error) {
 	return res, err
 }
 
-// EncodeMargins gob-encodes a Monte-Carlo margin range (bit-exact
-// float64).
-func EncodeMargins(vals []float64) ([]byte, error) {
+// Observed is what a checked node cell's run recorded: its registry's
+// metric snapshot and trace, ready for obs.(*Registry).Merge.
+type Observed struct {
+	Metrics obs.Metrics
+	Events  []obs.Event
+}
+
+// EncodeCheckedNode encodes a checked node cell's payload: the bytes of
+// EncodeNodeResult(res), which DecodeNodeResult still reads, then ob in
+// the same gob stream. A checked entry stored without ob fails
+// DecodeCheckedNode, so it is recomputed.
+func EncodeCheckedNode(res node.Result, ob Observed) ([]byte, error) {
+	return encode(res, ob)
+}
+
+// DecodeCheckedNode is EncodeCheckedNode's inverse.
+func DecodeCheckedNode(payload []byte) (res node.Result, ob Observed, err error) {
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	if err = dec.Decode(&res); err == nil {
+		err = dec.Decode(&ob)
+	}
+	return res, ob, err
+}
+
+// encode gob-encodes vals, in order, into one stream (bit-exact float64).
+func encode(vals ...any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(vals); err != nil {
-		return nil, err
+	enc := gob.NewEncoder(&buf)
+	for _, v := range vals {
+		if err := enc.Encode(v); err != nil {
+			return nil, err
+		}
 	}
 	return buf.Bytes(), nil
+}
+
+// EncodeMargins gob-encodes a Monte-Carlo margin range.
+func EncodeMargins(vals []float64) ([]byte, error) {
+	return encode(vals)
 }
 
 // DecodeMargins is EncodeMargins's inverse.

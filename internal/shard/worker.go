@@ -149,7 +149,7 @@ func (w *Worker) execute(units []Unit) (results []UnitResult, err error) {
 			err = fmt.Errorf("batch %s panicked: %v", units[0].Key, p)
 		}
 	}()
-	results, recorded, err := Execute(units, w.cache, 1, nil)
+	results, recorded, err := Execute(units, w.cache, 1)
 	w.recordings.Add(uint64(recorded))
 	return results, err
 }

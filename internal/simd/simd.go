@@ -111,16 +111,7 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 	if sp.Seeds > maxSeeds {
 		return sp, fmt.Errorf("seeds: %d, at most %d", sp.Seeds, maxSeeds)
 	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Seeds <= 0 {
-		if sp.Quick {
-			sp.Seeds = 1
-		} else {
-			sp.Seeds = 3
-		}
-	}
+	sp.Seed, sp.Seeds = experiments.SeedDefaults(sp.Seed, sp.Seeds, sp.Quick)
 	if len(sp.Experiments) == 0 {
 		sp.Experiments = nil
 	}

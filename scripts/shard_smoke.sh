@@ -15,7 +15,12 @@
 #   3. warm replay over the shared store — zero re-simulations
 #      ("computed 0 of" on stderr), byte-identical output;
 #   4. the same warm replay through -shard-workers, which spawns local
-#      worker subprocesses and scrapes their announced addresses.
+#      worker subprocesses and scrapes their announced addresses;
+#   5. observed runs (-metrics, -trace): in process, then through
+#      -shard-workers on a fresh store, cold and warm. Stdout and trace
+#      must be byte-identical to the in-process run, and so must the
+#      metrics once the counters of where cells ran are dropped
+#      (experiments/recordings, experiments/runcache/computed, shard/*).
 #
 # The in-repo tests cover the same paths with httptest; this script is
 # the real-binary, real-HTTP, real-process-death version. Requires only
@@ -112,4 +117,30 @@ cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/spawn.txt" \
 [ "$(computed "$WORKDIR/spawn.err")" = "0" ] \
     || fail "spawned-worker replay re-simulated: $(cat "$WORKDIR/spawn.err")"
 
-echo "shard_smoke: PASS (cold computed $COLD + $ALL, worker death survived, warm replays computed 0, all byte-identical)"
+# placed <metrics-file> — the metrics without the counters of where cells
+# ran, trailing commas stripped so the last kept line compares equal.
+placed() {
+    grep -v -e '"experiments/recordings"' -e '"experiments/runcache/computed"' -e '"shard/' "$1" \
+        | sed 's/,$//'
+}
+
+echo "shard_smoke: observed runs (fig14,fig17 seed 4): in process, then -shard-workers cold and warm"
+OBS="$WORKDIR/obs"
+mkdir -p "$OBS"
+"$BIN" -exp fig14,fig17 -quick -seed 4 -metrics "$OBS/m0.json" -trace "$OBS/t0.jsonl" > "$OBS/out0.txt"
+placed "$OBS/m0.json" > "$OBS/p0.json"
+for leg in cold warm; do
+    "$BIN" -exp fig14,fig17 -quick -seed 4 -metrics "$OBS/m-$leg.json" -trace "$OBS/t-$leg.jsonl" \
+        -shard-workers 2 -cache-dir "$OBS/cache" > "$OBS/out-$leg.txt" 2> "$OBS/$leg.err" \
+        || fail "observed $leg run failed: $(cat "$OBS/$leg.err")"
+    cmp -s "$OBS/out0.txt" "$OBS/out-$leg.txt" || fail "observed $leg output differs from the in-process run"
+    cmp -s "$OBS/t0.jsonl" "$OBS/t-$leg.jsonl" || fail "observed $leg trace differs from the in-process run"
+    placed "$OBS/m-$leg.json" > "$OBS/p-$leg.json"
+    cmp -s "$OBS/p0.json" "$OBS/p-$leg.json" \
+        || fail "observed $leg metrics differ from the in-process run beyond the placement counters"
+done
+OBSCOLD=$(computed "$OBS/cold.err")
+[ -n "$OBSCOLD" ] && [ "$OBSCOLD" -gt 0 ] || fail "cold observed run computed nothing: $(cat "$OBS/cold.err")"
+grep -q "computed 0 of" "$OBS/warm.err" || fail "warm observed replay re-simulated: $(cat "$OBS/warm.err")"
+
+echo "shard_smoke: PASS (cold computed $COLD + $ALL + $OBSCOLD observed, worker death survived, warm replays computed 0, all byte-identical)"
