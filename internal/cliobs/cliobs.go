@@ -141,13 +141,6 @@ func (f *Flags) Finish(prog string, reg *obs.Registry, violations []obs.Violatio
 			fail(err)
 		}
 		f.memFile = nil
-	} else if f.MemProfile != "" {
-		// StartProfile was never called (library misuse); still honor the
-		// flag rather than silently dropping the profile.
-		runtime.GC()
-		if err := writeFile(f.MemProfile, pprof.WriteHeapProfile); err != nil {
-			fail(err)
-		}
 	}
 	if f.Check {
 		for _, v := range violations {

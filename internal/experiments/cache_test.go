@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -201,6 +202,35 @@ func TestCheckedCellsUseTheStore(t *testing.T) {
 	}
 	if vs := s3.Violations(); len(vs) != 1 || vs[0] != planted {
 		t.Errorf("checked replay reported %v, want the planted violation", vs)
+	}
+}
+
+// TestCheckedStoresByteIdentical: two checked suites filling fresh
+// stores write byte-identical entries — a checked payload's observations
+// encode deterministically, so a key names one byte string.
+func TestCheckedStoresByteIdentical(t *testing.T) {
+	fill := func() string {
+		dir := t.TempDir()
+		c, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry(t, "fig14").Run(New(Options{Seed: 5, Quick: true, Seeds: 1, Workers: 2, Check: true,
+			Cache: c, CacheVersion: "test-v1"}))
+		return dir
+	}
+	a, b := fill(), fill()
+	paths, err := filepath.Glob(filepath.Join(a, "*", "*.rc"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no entries stored (%v)", err)
+	}
+	for _, p := range paths {
+		rel, _ := filepath.Rel(a, p)
+		x, _ := os.ReadFile(p)
+		y, err := os.ReadFile(filepath.Join(b, rel))
+		if err != nil || !bytes.Equal(x, y) {
+			t.Errorf("entry %s differs between two fresh checked stores (%v)", rel, err)
+		}
 	}
 }
 

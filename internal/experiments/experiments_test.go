@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/memctrl"
 	"repro/internal/node"
 	"repro/internal/runcache"
 )
@@ -231,10 +233,32 @@ func TestRunCaching(t *testing.T) {
 
 func TestHierarchyWeightedSpeedups(t *testing.T) {
 	s := quick(t)
+	s.warm(s.weightedSpeedupCells(node.Hierarchy1()))
 	a8, a6 := s.HeteroDMRWeightedSpeedup(node.Hierarchy1())
 	if a8 <= 0 || a6 <= 0 {
 		t.Fatalf("speedups %v %v", a8, a6)
 	}
+}
+
+// TestUndeclaredCellReadPanics pins that a renderer reading a cell no
+// entry declared fails naming the cell instead of simulating it off the
+// plan: HeteroDMRWeightedSpeedup on an unwarmed suite reads the
+// baseline of the first quick benchmark first.
+func TestUndeclaredCellReadPanics(t *testing.T) {
+	s := quick(t)
+	h := node.Hierarchy1()
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{h.Name, memctrl.ReplicationNone.String(), s.benchmarks()[0].Name, "seed1", "not declared"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+		if s.CachedRuns() != 0 || s.Recordings() != 0 {
+			t.Errorf("undeclared read materialized %d cells, %d recordings", s.CachedRuns(), s.Recordings())
+		}
+	}()
+	s.HeteroDMRWeightedSpeedup(h)
 }
 
 // TestRunAllDeterministicAcrossWorkers pins the engine's headline
@@ -289,8 +313,8 @@ func TestPrewarmSharesRunsAcrossFigures(t *testing.T) {
 // TestEntriesComputeNoCellWhileRendering runs every registry and
 // ablation entry alone on a fresh quick suite and requires its renderer
 // to read only cells the entry's plan warmed: a cell read without being
-// declared would be materialized during rendering. The suites share one
-// persistent store, so each cell is simulated once across the entries.
+// declared panics during rendering. The suites share one persistent
+// store, so each cell is simulated once across the entries.
 func TestEntriesComputeNoCellWhileRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms every entry's quick plan")

@@ -159,8 +159,7 @@ func (s *Suite) ComputedRuns() int {
 
 // Recordings reports how many node front ends the suite recorded in
 // this process (shard workers count their own). Run records each front
-// end its cells need at most once, so a count above the plan's distinct
-// front ends means a driver read a cell its entry did not declare.
+// end its cells need at most once.
 func (s *Suite) Recordings() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,21 +264,18 @@ func (s *Suite) run(h node.Hierarchy, d design, prof workload.Profile) node.Resu
 }
 
 // runSeed reads one cell. Run warms every cell an entry declares before
-// its renderer reads any; a cell read without being declared is warmed
-// here on its own, recording a front end of its own.
+// its renderer reads any, so a miss is a cell the entry's plan left out:
+// it panics naming the cell instead of materializing it off the plan.
 func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed uint64) node.Result {
-	c := cell{h: h, d: d, prof: prof, seed: seed}
 	s.mu.Lock()
-	res, ok := s.runs[c.key()]
+	res, ok := s.runs[runKey{hier: h.Name, d: d, bench: prof.Name, seed: seed}]
 	s.mu.Unlock()
-	if ok {
-		s.memHits.Add(1)
-		return res
+	if !ok {
+		panic(fmt.Sprintf("experiments: cell %s/%s/%s/seed%d (%s, +%s, copy errors %g, DDR5 %t) read but not declared by its entry",
+			h.Name, d.repl, prof.Name, seed, d.setting, d.marginMTs, d.copyErrRate, d.ddr5))
 	}
-	s.warm([]cell{c})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[c.key()]
+	s.memHits.Add(1)
+	return res
 }
 
 // nodeConfig resolves the full node configuration of one cell. The unit

@@ -30,6 +30,7 @@ package faultinject
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"sort"
 	"strconv"
@@ -108,12 +109,9 @@ func (p *Plan) Seed() uint64 {
 // fnv64a hashes a site name to its positional index in the plan's seed
 // space (FNV-1a; stable across runs and machines).
 func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
 // Arm installs (or replaces) a site's rule. Safe to call before or after

@@ -338,7 +338,7 @@ type Channel struct {
 	copyBuf []*dram.Rank
 
 	stats Stats
-	consv consvCounters
+	consv Conservation
 
 	// Observability (see Observe); all nil-safe when detached.
 	obsReg     *obs.Registry

@@ -5,55 +5,25 @@ import (
 	"repro/internal/obs"
 )
 
-// consvCounters are the always-on flow counters the conservation checker
+// Conservation holds the always-on flow counters the conservation checker
 // balances against Stats. They are deliberately separate from Stats: Stats
 // is what the figures consume, these exist only to prove Stats correct.
-type consvCounters struct {
-	readsSubmitted  uint64 // SubmitRead calls
-	writesSubmitted uint64 // SubmitWrite calls
-	wbParked        uint64 // writes newly parked in the writeback cache
-	wbCoalesced     uint64 // writes merged with an already-parked block
-	wbDrained       uint64 // parked blocks moved into the write queue
-	extraRankWrites uint64 // per-broadcast extra rank WRs (len(targets)-1)
-	fastReads       uint64 // reads served while unsafely fast (error-eligible)
-	toFast          uint64 // transitions to the fast operating point
-	toSlow          uint64 // transitions back to specification
-	enterWrite      uint64 // write-drain spurts started
-	enterRead       uint64 // write-drain spurts ended
-}
-
-// Conservation exposes the flow counters for tests and metric export.
 type Conservation struct {
-	ReadsSubmitted  uint64
-	WritesSubmitted uint64
-	WBParked        uint64
-	WBCoalesced     uint64
-	WBDrained       uint64
-	ExtraRankWrites uint64
-	FastReads       uint64
-	ToFast          uint64
-	ToSlow          uint64
-	EnterWrite      uint64
-	EnterRead       uint64
+	ReadsSubmitted  uint64 // SubmitRead calls
+	WritesSubmitted uint64 // SubmitWrite calls
+	WBParked        uint64 // writes newly parked in the writeback cache
+	WBCoalesced     uint64 // writes merged with an already-parked block
+	WBDrained       uint64 // parked blocks moved into the write queue
+	ExtraRankWrites uint64 // per-broadcast extra rank WRs (len(targets)-1)
+	FastReads       uint64 // reads served while unsafely fast (error-eligible)
+	ToFast          uint64 // transitions to the fast operating point
+	ToSlow          uint64 // transitions back to specification
+	EnterWrite      uint64 // write-drain spurts started
+	EnterRead       uint64 // write-drain spurts ended
 }
 
 // Conservation returns a copy of the channel's flow counters.
-func (c *Channel) Conservation() Conservation {
-	v := c.consv
-	return Conservation{
-		ReadsSubmitted:  v.readsSubmitted,
-		WritesSubmitted: v.writesSubmitted,
-		WBParked:        v.wbParked,
-		WBCoalesced:     v.wbCoalesced,
-		WBDrained:       v.wbDrained,
-		ExtraRankWrites: v.extraRankWrites,
-		FastReads:       v.fastReads,
-		ToFast:          v.toFast,
-		ToSlow:          v.toSlow,
-		EnterWrite:      v.enterWrite,
-		EnterRead:       v.enterRead,
-	}
-}
+func (c *Channel) Conservation() Conservation { return c.consv }
 
 // Observe attaches an observability registry. scope must be unique per
 // channel (e.g. "fig12/dmr/lbm/seed7/chan2"): it names the flight
@@ -105,11 +75,11 @@ func (c *Channel) PublishMetrics() {
 	reg.Counter(p + "/cmd/SRX").Add(srx)
 	reg.Counter(p + "/ecc/detected").Add(c.stats.DetectedErrors)
 	reg.Counter(p + "/ecc/corrected").Add(c.stats.Corrections)
-	reg.Counter(p + "/flow/reads_submitted").Add(c.consv.readsSubmitted)
-	reg.Counter(p + "/flow/writes_submitted").Add(c.consv.writesSubmitted)
-	reg.Counter(p + "/flow/wb_parked").Add(c.consv.wbParked)
-	reg.Counter(p + "/flow/wb_coalesced").Add(c.consv.wbCoalesced)
-	reg.Counter(p + "/flow/wb_drained").Add(c.consv.wbDrained)
+	reg.Counter(p + "/flow/reads_submitted").Add(c.consv.ReadsSubmitted)
+	reg.Counter(p + "/flow/writes_submitted").Add(c.consv.WritesSubmitted)
+	reg.Counter(p + "/flow/wb_parked").Add(c.consv.WBParked)
+	reg.Counter(p + "/flow/wb_coalesced").Add(c.consv.WBCoalesced)
+	reg.Counter(p + "/flow/wb_drained").Add(c.consv.WBDrained)
 }
 
 // CheckConservation verifies the channel's accounting invariants. Call it
@@ -132,14 +102,14 @@ func (c *Channel) CheckConservation(source string) []obs.Violation {
 
 	// Every submitted read was served exactly once: by DRAM or by a
 	// write-path forward, and each produced one latency sample.
-	ck.CheckEq(int64(s.Reads+s.WriteForwards), int64(v.readsSubmitted), "reads-enqueued==reads-served")
-	ck.CheckEq(int64(s.ReadCount), int64(v.readsSubmitted), "read-latency-samples==reads-enqueued")
+	ck.CheckEq(int64(s.Reads+s.WriteForwards), int64(v.ReadsSubmitted), "reads-enqueued==reads-served")
+	ck.CheckEq(int64(s.ReadCount), int64(v.ReadsSubmitted), "read-latency-samples==reads-enqueued")
 
 	// Writes retired == submitted − coalesced-in-wbCache + proactive
 	// cleans, and every wbCache park was eventually drained.
-	ck.CheckEq(int64(s.Writes), int64(v.writesSubmitted-v.wbCoalesced+s.CleanedBlocks),
+	ck.CheckEq(int64(s.Writes), int64(v.WritesSubmitted-v.WBCoalesced+s.CleanedBlocks),
 		"writes-retired==submitted-coalesced+cleans")
-	ck.CheckEq(int64(v.wbDrained), int64(v.wbParked), "wbcache-parks==drains")
+	ck.CheckEq(int64(v.WBDrained), int64(v.WBParked), "wbcache-parks==drains")
 
 	// Each DRAM access was classified exactly once.
 	ck.CheckEq(int64(s.RowHits+s.RowMisses+s.RowConflicts), int64(s.Reads+s.Writes),
@@ -152,18 +122,18 @@ func (c *Channel) CheckConservation(source string) []obs.Violation {
 	if c.fastMode {
 		unmatched = 1
 	}
-	ck.CheckEq(int64(v.toFast)-int64(v.toSlow), unmatched, "freq-switches-paired")
-	ck.CheckEq(int64(s.FreqSwitches), int64(v.toFast+v.toSlow+2*s.Corrections), "freq-switch-total")
+	ck.CheckEq(int64(v.ToFast)-int64(v.ToSlow), unmatched, "freq-switches-paired")
+	ck.CheckEq(int64(s.FreqSwitches), int64(v.ToFast+v.ToSlow+2*s.Corrections), "freq-switch-total")
 
 	// Write-drain spurts strictly paired enter-write/enter-read.
-	ck.CheckEq(int64(v.enterWrite), int64(v.enterRead), "mode-switches-paired")
-	ck.CheckEq(int64(s.ModeSwitches), int64(v.enterWrite+v.enterRead), "mode-switch-total")
+	ck.CheckEq(int64(v.EnterWrite), int64(v.EnterRead), "mode-switches-paired")
+	ck.CheckEq(int64(s.ModeSwitches), int64(v.EnterWrite+v.EnterRead), "mode-switch-total")
 
 	// ECC: every detected copy error was corrected, and detections can
 	// only come from reads served at the unsafe operating point.
 	ck.CheckEq(int64(s.Corrections), int64(s.DetectedErrors), "ecc-detects==corrections")
-	ck.Check(s.DetectedErrors <= v.fastReads, "ecc-detects<=fast-reads",
-		"%d detects, %d fast reads", s.DetectedErrors, v.fastReads)
+	ck.Check(s.DetectedErrors <= v.FastReads, "ecc-detects<=fast-reads",
+		"%d detects, %d fast reads", s.DetectedErrors, v.FastReads)
 
 	// Rank-level command tallies match the controller's view; broadcast
 	// writes issue one extra rank WR per copy.
@@ -173,7 +143,7 @@ func (c *Channel) CheckConservation(source string) []obs.Violation {
 		rankWrites += r.Writes
 	}
 	ck.CheckEq(int64(rankReads), int64(s.Reads), "rank-reads==channel-reads")
-	ck.CheckEq(int64(rankWrites), int64(s.Writes+v.extraRankWrites),
+	ck.CheckEq(int64(rankWrites), int64(s.Writes+v.ExtraRankWrites),
 		"rank-writes==channel-writes+broadcast-extras")
 
 	// Per-bank ACT/PRE balance and per-rank SRE/SRX balance (one command

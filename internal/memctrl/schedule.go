@@ -39,7 +39,7 @@ func (c *Channel) SubmitRead(addr uint64, at int64) *Request {
 		panic(fmt.Sprintf("memctrl: SubmitRead arrival %d before previous %d", at, c.lastSubmit))
 	}
 	c.lastSubmit = at
-	c.consv.readsSubmitted++
+	c.consv.ReadsSubmitted++
 	req := c.newRequest(addr, false, at)
 	block := addr / uint64(c.cfg.BlockBytes)
 	// Forward from the write path: the youngest version of the block is
@@ -120,15 +120,15 @@ func (c *Channel) Release(req *Request) {
 // SubmitWrite enqueues a writeback of block addr arriving at time `at`.
 // Writes are posted: the caller never waits on them.
 func (c *Channel) SubmitWrite(addr uint64, at int64) {
-	c.consv.writesSubmitted++
+	c.consv.WritesSubmitted++
 	block := addr / uint64(c.cfg.BlockBytes)
 	if c.wb != nil && !c.writeMode {
 		switch c.wb.insert(block) {
 		case wbParked:
-			c.consv.wbParked++
+			c.consv.WBParked++
 			return
 		case wbCoalesced:
-			c.consv.wbCoalesced++
+			c.consv.WBCoalesced++
 			return
 		}
 		// wbRejected: fall through to the write buffer.
@@ -448,7 +448,7 @@ func (c *Channel) serveRead() {
 
 	done := end + ControllerOverhead
 	if c.cfg.Replication.Fast() && c.fastMode {
-		c.consv.fastReads++
+		c.consv.FastReads++
 	}
 	// Detection-only ECC on unsafely fast copy reads: a detected error
 	// triggers the §III-C correction flow from the original block.
@@ -527,7 +527,7 @@ func (c *Channel) serveWrite() {
 	c.busFreeAt = end
 	c.stats.BusBusyPS += c.ranks[targets[0]].BurstPS()
 	c.stats.Writes++
-	c.consv.extraRankWrites += uint64(len(targets) - 1)
+	c.consv.ExtraRankWrites += uint64(len(targets) - 1)
 	if len(targets) > 1 {
 		c.stats.BroadcastWrites++
 	}
@@ -554,7 +554,7 @@ func (c *Channel) enterWriteMode() {
 		panic("memctrl: write mode while unsafely fast (transitionToSlow first)")
 	}
 	c.stats.ModeSwitches++
-	c.consv.enterWrite++
+	c.consv.EnterWrite++
 	c.rec.Emit(c.now, "mode", "enter-write")
 	c.busFreeAt = maxI64(c.busFreeAt, c.now) + c.cfg.Spec.Timing.TRTW
 	c.writeMode = true
@@ -568,7 +568,7 @@ func (c *Channel) enterWriteMode() {
 	// remaining batch budget.
 	if c.wb != nil {
 		drained := c.wb.drain()
-		c.consv.wbDrained += uint64(len(drained))
+		c.consv.WBDrained += uint64(len(drained))
 		for _, block := range drained {
 			c.pushWrite(c.newRequest(block*uint64(c.cfg.BlockBytes), true, c.now))
 		}
@@ -591,7 +591,7 @@ func (c *Channel) enterReadMode() {
 		panic("memctrl: already in read mode")
 	}
 	c.stats.ModeSwitches++
-	c.consv.enterRead++
+	c.consv.EnterRead++
 	c.rec.Emit(c.now, "mode", "enter-read")
 	c.writeMode = false
 	c.stats.WriteModePS += maxI64(c.now, c.busFreeAt) - c.writeModeStart
@@ -611,7 +611,7 @@ func (c *Channel) transitionToSlow() {
 	start := maxI64(c.now, c.busFreeAt)
 	c.stats.FastPS += start - c.lastFastStart
 	c.stats.FreqSwitches++
-	c.consv.toSlow++
+	c.consv.ToSlow++
 	c.rec.Emit(start, "freq", "to-slow")
 	ready := start
 	for _, ri := range c.origRanks() {
@@ -644,7 +644,7 @@ func (c *Channel) transitionToFast() {
 		panic("memctrl: transitionToFast during a write spurt")
 	}
 	c.stats.FreqSwitches++
-	c.consv.toFast++
+	c.consv.ToFast++
 	start := maxI64(c.now, c.busFreeAt)
 	c.rec.Emit(start, "freq", "to-fast")
 	ready := start

@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/cache"
@@ -665,13 +666,13 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 		if c.Now() > res.ExecPS {
 			res.ExecPS = c.Now()
 		}
-		s := subCore(c.Stats(), warmCore[i])
+		s := addFields(c.Stats(), warmCore[i], -1)
 		res.CoreStats = append(res.CoreStats, s)
 		res.Instructions += s.Instructions
 	}
 	res.ExecPS -= warmEndPS
 	endMem, endActs := gather(rt)
-	res.Mem = subMem(endMem, warmMem)
+	res.Mem = addFields(endMem, warmMem, -1)
 	res.Activates = endActs - warmActs
 	if res.ExecPS > 0 {
 		res.IPC = float64(cpu.CyclesToPS(res.Instructions)) / float64(res.ExecPS)
@@ -721,8 +722,8 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 }
 
 // checkWarmup verifies the warmup-subtraction accounting: the measured
-// region's counters must all be non-negative (a negative value means the
-// snapshot covered a field the subtraction missed, or vice versa).
+// region's counters must all be non-negative (a negative value means a
+// counter ran backwards between the warmup snapshot and the end).
 func checkWarmup(scope string, res Result) []obs.Violation {
 	ck := obs.NewChecker(scope + "/warmup")
 	m := res.Mem
@@ -758,24 +759,7 @@ func gather(rt *router) (memctrl.Stats, uint64) {
 	var m memctrl.Stats
 	var acts uint64
 	for _, chn := range rt.chans {
-		s := chn.Stats()
-		m.Reads += s.Reads
-		m.Writes += s.Writes
-		m.BroadcastWrites += s.BroadcastWrites
-		m.RowHits += s.RowHits
-		m.RowMisses += s.RowMisses
-		m.RowConflicts += s.RowConflicts
-		m.WriteForwards += s.WriteForwards
-		m.ModeSwitches += s.ModeSwitches
-		m.FreqSwitches += s.FreqSwitches
-		m.DetectedErrors += s.DetectedErrors
-		m.Corrections += s.Corrections
-		m.CleanedBlocks += s.CleanedBlocks
-		m.BusBusyPS += s.BusBusyPS
-		m.FastPS += s.FastPS
-		m.WriteModePS += s.WriteModePS
-		m.ReadLatencySumPS += s.ReadLatencySumPS
-		m.ReadCount += s.ReadCount
+		m = addFields(m, chn.Stats(), 1)
 		for i := 0; i < chn.Config().Ranks; i++ {
 			rank := chn.Rank(i)
 			for b := 0; b < rank.Banks(); b++ {
@@ -786,41 +770,22 @@ func gather(rt *router) (memctrl.Stats, uint64) {
 	return m, acts
 }
 
-func subMem(a, b memctrl.Stats) memctrl.Stats {
-	return memctrl.Stats{
-		Reads:            a.Reads - b.Reads,
-		Writes:           a.Writes - b.Writes,
-		BroadcastWrites:  a.BroadcastWrites - b.BroadcastWrites,
-		RowHits:          a.RowHits - b.RowHits,
-		RowMisses:        a.RowMisses - b.RowMisses,
-		RowConflicts:     a.RowConflicts - b.RowConflicts,
-		WriteForwards:    a.WriteForwards - b.WriteForwards,
-		ModeSwitches:     a.ModeSwitches - b.ModeSwitches,
-		FreqSwitches:     a.FreqSwitches - b.FreqSwitches,
-		DetectedErrors:   a.DetectedErrors - b.DetectedErrors,
-		Corrections:      a.Corrections - b.Corrections,
-		CleanedBlocks:    a.CleanedBlocks - b.CleanedBlocks,
-		BusBusyPS:        a.BusBusyPS - b.BusBusyPS,
-		FastPS:           a.FastPS - b.FastPS,
-		WriteModePS:      a.WriteModePS - b.WriteModePS,
-		ReadLatencySumPS: a.ReadLatencySumPS - b.ReadLatencySumPS,
-		ReadCount:        a.ReadCount - b.ReadCount,
+// addFields returns a + sign*b field by field. T must be a flat struct of
+// int64 and uint64 counters (memctrl.Stats, cpu.Stats): every field is
+// covered by construction, and a field of any other kind panics naming
+// it rather than being skipped.
+func addFields[T any](a, b T, sign int64) T {
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch f := va.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(f.Int() + sign*vb.Field(i).Int())
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + uint64(sign)*vb.Field(i).Uint())
+		default:
+			panic(fmt.Sprintf("node: %s.%s is a %s, not an int64 or uint64 counter",
+				va.Type(), va.Type().Field(i).Name, f.Kind()))
+		}
 	}
-}
-
-func subCore(a, b cpu.Stats) cpu.Stats {
-	return cpu.Stats{
-		Instructions:    a.Instructions - b.Instructions,
-		ComputePS:       a.ComputePS - b.ComputePS,
-		MemStallPS:      a.MemStallPS - b.MemStallPS,
-		CommPS:          a.CommPS - b.CommPS,
-		L1Misses:        a.L1Misses - b.L1Misses,
-		L2Misses:        a.L2Misses - b.L2Misses,
-		L3Misses:        a.L3Misses - b.L3Misses,
-		DemandReads:     a.DemandReads - b.DemandReads,
-		DemandWrites:    a.DemandWrites - b.DemandWrites,
-		Prefetches:      a.Prefetches - b.Prefetches,
-		IssuedMemReads:  a.IssuedMemReads - b.IssuedMemReads,
-		RetiredMemReads: a.RetiredMemReads - b.RetiredMemReads,
-	}
+	return a
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -13,7 +14,7 @@ import (
 )
 
 // fillDistinct sets every field of a flat int64/uint64 stats struct to a
-// distinct non-zero value, so a subtraction helper that skips or
+// distinct non-zero value, so a field-wise helper that skips or
 // mis-copies any field is caught by the coverage tests below.
 func fillDistinct(v reflect.Value, base int64) {
 	for i := 0; i < v.NumField(); i++ {
@@ -30,74 +31,75 @@ func fillDistinct(v reflect.Value, base int64) {
 	}
 }
 
-// TestSubMemCoversEveryField is the regression test for the warmup
-// subtraction bug: subMem silently skipped memctrl.Stats fields (it
-// omitted WriteModePS), so the measured region kept the warmup's value.
-// Any field added to Stats but not to subMem fails this test.
-func TestSubMemCoversEveryField(t *testing.T) {
-	var a, b memctrl.Stats
+// checkAddFields requires addFields(a, b, sign) to reach every field of
+// T: each result field must be a + sign*b of the distinct inputs.
+func checkAddFields[T any](t *testing.T, sign int64) {
+	t.Helper()
+	var a, b T
 	fillDistinct(reflect.ValueOf(&a).Elem(), 1000)
 	fillDistinct(reflect.ValueOf(&b).Elem(), 100)
-	got := reflect.ValueOf(subMem(a, b))
+	got := reflect.ValueOf(addFields(a, b, sign))
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	for i := 0; i < got.NumField(); i++ {
-		name := got.Type().Field(i).Name
 		var want, have int64
 		switch got.Field(i).Kind() {
 		case reflect.Int64:
-			want = va.Field(i).Int() - vb.Field(i).Int()
+			want = va.Field(i).Int() + sign*vb.Field(i).Int()
 			have = got.Field(i).Int()
 		case reflect.Uint64:
-			want = int64(va.Field(i).Uint() - vb.Field(i).Uint())
+			want = int64(va.Field(i).Uint()) + sign*int64(vb.Field(i).Uint())
 			have = int64(got.Field(i).Uint())
 		}
 		if have != want {
-			t.Errorf("subMem drops or mis-copies field %s: got %d, want %d", name, have, want)
+			t.Errorf("addFields(sign %d) drops or mis-copies %s.%s: got %d, want %d",
+				sign, got.Type(), got.Type().Field(i).Name, have, want)
 		}
 	}
 }
 
+// TestSubMemCoversEveryField is the regression test for the warmup
+// subtraction bug: a hand-kept field list once skipped a memctrl.Stats
+// field (WriteModePS), so the measured region kept the warmup's value.
+// The subtraction is now addFields, which walks every field.
+func TestSubMemCoversEveryField(t *testing.T) { checkAddFields[memctrl.Stats](t, -1) }
+
 // TestSubCoreCoversEveryField is the same guard for cpu.Stats.
-func TestSubCoreCoversEveryField(t *testing.T) {
-	var a, b cpu.Stats
-	fillDistinct(reflect.ValueOf(&a).Elem(), 2000)
-	fillDistinct(reflect.ValueOf(&b).Elem(), 200)
-	got := reflect.ValueOf(subCore(a, b))
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	for i := 0; i < got.NumField(); i++ {
-		name := got.Type().Field(i).Name
-		var want, have int64
-		switch got.Field(i).Kind() {
-		case reflect.Int64:
-			want = va.Field(i).Int() - vb.Field(i).Int()
-			have = got.Field(i).Int()
-		case reflect.Uint64:
-			want = int64(va.Field(i).Uint() - vb.Field(i).Uint())
-			have = int64(got.Field(i).Uint())
-		}
-		if have != want {
-			t.Errorf("subCore drops or mis-copies field %s: got %d, want %d", name, have, want)
-		}
-	}
-}
+func TestSubCoreCoversEveryField(t *testing.T) { checkAddFields[cpu.Stats](t, -1) }
 
 // TestGatherCoversEveryStatsField pins that the warmup snapshot sums
 // every memctrl.Stats field across channels — a field gather skips makes
 // the warmup subtraction silently wrong for multi-channel runs.
 func TestGatherCoversEveryStatsField(t *testing.T) {
+	checkAddFields[memctrl.Stats](t, 1)
 	cfg := short(Hierarchy1(), memctrl.ReplicationHeteroDMR, fastPtr())
 	cfg.CopyErrorRate = 0.002
 	res := MustRun(cfg, workload.ByName("hpcg"))
-	// The run exercises reads, writes, mode switches, and fast time;
-	// subMem of end-vs-warm snapshots feeds res.Mem, so nonzero values
-	// here prove the corresponding gather lines exist. WriteModePS is the
-	// field the original code dropped.
+	// The run exercises reads, writes, mode switches, and fast time; the
+	// end-minus-warm subtraction of gather's snapshots feeds res.Mem, so
+	// nonzero values here prove both reach these fields. WriteModePS is
+	// the field the original code dropped.
 	if res.Mem.WriteModePS <= 0 {
 		t.Errorf("measured WriteModePS = %d, want > 0 (warmup subtraction drops it?)", res.Mem.WriteModePS)
 	}
 	if res.Mem.FastPS <= 0 || res.Mem.BusBusyPS <= 0 {
 		t.Errorf("time accounting dead: FastPS=%d BusBusyPS=%d", res.Mem.FastPS, res.Mem.BusBusyPS)
 	}
+}
+
+// TestAddFieldsPanicsOnNonCounter pins that a Stats field addFields
+// cannot add is a loud failure naming the field, never a silent skip.
+func TestAddFieldsPanicsOnNonCounter(t *testing.T) {
+	type stats struct {
+		Reads uint64
+		Label string
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "stats.Label") || !strings.Contains(msg, "string") {
+			t.Fatalf("panic = %q, want one naming stats.Label and its kind", msg)
+		}
+	}()
+	addFields(stats{Reads: 1}, stats{Reads: 2}, 1)
 }
 
 func fastPtr() *dramspec.Config {

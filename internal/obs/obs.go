@@ -18,6 +18,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -209,12 +211,7 @@ func (r *Registry) Snapshot() Metrics {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name := range r.counters {
-		m.Names = append(m.Names, name)
-	}
-	for name := range r.hists {
-		m.Names = append(m.Names, name)
-	}
+	m.Names = append(sortedKeys(r.counters), sortedKeys(r.hists)...)
 	sort.Strings(m.Names)
 	for _, name := range m.Names {
 		if c, ok := r.counters[name]; ok {
@@ -225,6 +222,66 @@ func (r *Registry) Snapshot() Metrics {
 		}
 	}
 	return m
+}
+
+// metricsWire is Metrics as GobEncode writes it: counters and
+// histograms as name-sorted slices, because gob writes a map in its
+// iteration order and a stored snapshot must be one byte string.
+type metricsWire struct {
+	Counters []namedCounter
+	Hists    []namedHist
+}
+
+type namedCounter struct {
+	Name  string
+	Value uint64
+}
+
+type namedHist struct {
+	Name string
+	Hist HistSnapshot
+}
+
+// GobEncode encodes m deterministically: equal snapshots give equal bytes.
+func (m Metrics) GobEncode() ([]byte, error) {
+	var w metricsWire
+	for _, name := range sortedKeys(m.Counters) {
+		w.Counters = append(w.Counters, namedCounter{name, m.Counters[name]})
+	}
+	for _, name := range sortedKeys(m.Hists) {
+		w.Hists = append(w.Hists, namedHist{name, m.Hists[name]})
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(w)
+	return buf.Bytes(), err
+}
+
+// GobDecode is GobEncode's inverse; it rebuilds Names as Snapshot does.
+func (m *Metrics) GobDecode(b []byte) error {
+	var w metricsWire
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+		return err
+	}
+	*m = Metrics{Counters: map[string]uint64{}, Hists: map[string]HistSnapshot{}}
+	for _, c := range w.Counters {
+		m.Counters[c.Name] = c.Value
+	}
+	for _, h := range w.Hists {
+		m.Hists[h.Name] = h.Hist
+	}
+	m.Names = append(sortedKeys(m.Counters), sortedKeys(m.Hists)...)
+	sort.Strings(m.Names)
+	return nil
+}
+
+// sortedKeys returns m's keys in sorted order (nil for an empty map).
+func sortedKeys[V any](m map[string]V) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Merge adds another registry's Snapshot and Trace as if its run had

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +146,40 @@ func TestMetricsJSONSortedAndStable(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("metrics JSON missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestMetricsGobDeterministic pins that a snapshot gob-encodes to one
+// byte string: a checked cell's stored payload carries one, and the
+// store maps each key to one entry. Plain gob would write the Counters
+// and Hists maps in iteration order.
+func TestMetricsGobDeterministic(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 12; i++ {
+		r.Counter(fmt.Sprintf("chan%d/cmd/ACT", i)).Add(uint64(i*7 + 1))
+	}
+	for i := 0; i < 6; i++ {
+		r.Histogram(fmt.Sprintf("chan%d/readq_depth", i), []int64{0, 4, 16}).Observe(int64(i * 5))
+	}
+	m := r.Snapshot()
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+	var back Metrics
+	if err := gob.NewDecoder(bytes.NewReader(first)).Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Errorf("round trip changed the snapshot:\n got %+v\nwant %+v", back, m)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestLRUSweepBoundsSize(t *testing.T) {
 	if got := c.Stats().Evictions; got == 0 {
 		t.Fatal("no evictions despite 2x overshoot")
 	}
-	if usage := diskUsage(dir); usage > 8*entrySize {
+	if _, usage := entries(dir); usage > 8*entrySize {
 		t.Errorf("usage %d still above budget %d after sweep", usage, 8*entrySize)
 	}
 	// The newest entries must have survived the sweep.

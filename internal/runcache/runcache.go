@@ -318,7 +318,8 @@ func OpenOptions(dir string, opts Options) (*Cache, error) {
 	sweepStaleTemps(dir)
 	c := &Cache{dir: dir, opts: opts, faults: opts.Faults, flights: map[Key]*flight{}}
 	if opts.MaxBytes > 0 {
-		c.size.Store(diskUsage(dir))
+		_, total := entries(dir)
+		c.size.Store(total)
 	}
 	return c, nil
 }
@@ -328,14 +329,6 @@ func OpenOptions(dir string, opts Options) (*Cache, error) {
 // PID-tagged temps (everything this package writes) don't need the
 // slack: liveness is checked directly.
 const staleTempAge = time.Hour
-
-// tempPattern returns the CreateTemp pattern for an entry's temp file:
-// ".<key>.tmp.<pid>-*". Embedding the writer's PID lets the open sweep
-// distinguish a temp owned by a live writer (skip, however old) from the
-// dropping of a dead one (remove, however fresh).
-func tempPattern(k Key) string {
-	return "." + k.String() + ".tmp." + strconv.Itoa(os.Getpid()) + "-*"
-}
 
 // tempOwner extracts the writer PID from a temp file name, or 0 when the
 // name predates PID tagging (or isn't ours).
@@ -369,7 +362,7 @@ func pidAlive(pid int) bool {
 	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
-// sweepStaleTemps removes orphaned ".<key>.tmp*" droppings. A temp whose
+// sweepStaleTemps removes orphaned ".<name>.tmp*" droppings. A temp whose
 // name names a dead PID is removed immediately; a live PID's temp is
 // skipped no matter how old (a stalled writer's in-flight put must not
 // be torn out from under it); a name without a parseable PID falls back
@@ -399,18 +392,30 @@ func sweepStaleTemps(dir string) {
 	})
 }
 
-// diskUsage sums the sizes of the cache's entry files.
-func diskUsage(dir string) int64 {
+// entryFile is one stored entry as the directory walk finds it.
+type entryFile struct {
+	path  string
+	size  int64
+	mtime time.Time
+}
+
+// entries walks dir for the store's entry files ("*.rc") and returns
+// them with their total size. It is the one enumeration of the store:
+// the open tally, the LRU sweep and Len all read it.
+func entries(dir string) ([]entryFile, int64) {
+	var es []entryFile
 	var total int64
 	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".rc") {
-			if info, err := d.Info(); err == nil {
-				total += info.Size()
-			}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".rc") {
+			return nil
+		}
+		if info, err := d.Info(); err == nil {
+			es = append(es, entryFile{path, info.Size(), info.ModTime()})
+			total += info.Size()
 		}
 		return nil
 	})
-	return total
+	return es, total
 }
 
 // Dir returns the cache's root directory.
@@ -649,25 +654,13 @@ func (c *Cache) put(k Key, payload []byte) error {
 	if c.faults.Should(FaultPutENOSPC) {
 		return fmt.Errorf("runcache: %w", syscall.ENOSPC)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), tempPattern(k))
+	err := writeAtomic(path, entry, func() error {
+		if c.faults.Should(FaultPutRename) {
+			return errors.New("injected rename failure")
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
-	}
-	if c.faults.Should(FaultPutRename) {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: injected rename failure")
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: %w", err)
 	}
 	if c.opts.MaxBytes > 0 {
@@ -690,23 +683,7 @@ func (c *Cache) sweepLRU() {
 		return
 	}
 	defer c.sweepMu.Unlock()
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var entries []entry
-	var total int64
-	filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".rc") {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			entries = append(entries, entry{path, info.Size(), info.ModTime()})
-			total += info.Size()
-		}
-		return nil
-	})
+	es, total := entries(c.dir)
 	budget := c.opts.MaxBytes
 	if budget <= 0 {
 		budget = total
@@ -718,8 +695,8 @@ func (c *Cache) sweepLRU() {
 		}
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	for _, e := range entries {
+	sort.Slice(es, func(i, j int) bool { return es[i].mtime.Before(es[j].mtime) })
+	for _, e := range es {
 		if total <= target {
 			break
 		}
@@ -737,38 +714,39 @@ func (c *Cache) sweepLRU() {
 // Len walks the cache directory and returns the number of entry files
 // (diagnostics; not on any hot path).
 func (c *Cache) Len() int {
-	n := 0
-	filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".rc") {
-			n++
-		}
-		return nil
-	})
-	return n
+	es, _ := entries(c.dir)
+	return len(es)
 }
 
 // WriteFileAtomic writes data to path via a PID-tagged temp file in the
 // same directory and an atomic rename, so readers never observe a
 // partial file and crash droppings are attributable to their writer.
 // Shared with the simd daemon's job-spec persistence.
-func WriteFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp."+strconv.Itoa(os.Getpid())+"-*")
+func WriteFileAtomic(path string, data []byte) error { return writeAtomic(path, data, nil) }
+
+// writeAtomic is the one way a file lands in the store: data goes to a
+// temp ".<base>.tmp.<pid>-*" beside path, which is closed, passed to
+// beforeRename (when non-nil) and renamed over path. The writer's PID
+// in the name lets the open sweep tell a live writer's temp (skip,
+// however old) from a dead one's (remove, however fresh). A failure at
+// any step, beforeRename's included, removes the temp.
+func writeAtomic(path string, data []byte, beforeRename func() error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp."+strconv.Itoa(os.Getpid())+"-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil && beforeRename != nil {
+		err = beforeRename()
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

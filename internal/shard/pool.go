@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -52,9 +53,10 @@ type PoolOptions struct {
 	// filled by local fallback executions. Workers sharing the same
 	// store make warm reruns zero-dispatch as well as zero-compute.
 	Cache *runcache.Cache
-	// InFlight bounds concurrently outstanding batches per worker
-	// (default 2: one on the wire while one computes keeps a worker
-	// busy without queueing work a failed worker would strand).
+	// InFlight bounds concurrently outstanding batches per worker,
+	// across every concurrent Run of the pool (default 2: one on the
+	// wire while one computes keeps a worker busy without queueing work
+	// a failed worker would strand). Local fallbacks take no slot.
 	InFlight int
 	// Timeout bounds one batch's round trip; an expired dispatch counts
 	// as a failure and the batch is requeued (default 2m). The batch the
@@ -117,8 +119,9 @@ type Pool struct {
 }
 
 type remoteWorker struct {
-	url string
-	br  *breaker
+	url   string
+	br    *breaker
+	slots chan struct{} // InFlight dispatch slots, shared by every Run
 }
 
 // UnitResult is one merged slot: the cache-entry payload plus whether
@@ -174,7 +177,7 @@ func NewPool(o PoolOptions) *Pool {
 	closes := o.Reg.Counter("shard/breaker/close")
 	deaths := o.Reg.Counter("shard/worker_deaths")
 	for _, u := range o.Workers {
-		p.workers = append(p.workers, &remoteWorker{url: u, br: &breaker{
+		p.workers = append(p.workers, &remoteWorker{url: u, slots: make(chan struct{}, o.InFlight), br: &breaker{
 			threshold:  o.DeadAfter,
 			probeAfter: o.ProbeAfter,
 			opens:      opens,
@@ -309,7 +312,9 @@ func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runStat
 		st.commit(b, p.runLocal(units, nil))
 		return
 	}
+	w.slots <- struct{}{} // the round trip and its timeout start once a slot is held
 	res, err := p.post(ctx, w, units)
+	<-w.slots
 	var refused *refusedError
 	if errors.As(err, &refused) {
 		w.br.success() // the worker is alive and answered
@@ -356,12 +361,9 @@ func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runStat
 // unitSeed hashes a unit key into the backoff jitter seed space
 // (FNV-1a; stable across runs and machines).
 func unitSeed(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
 }
 
 // runLocal is the coordinator-side fallback: execute the units in

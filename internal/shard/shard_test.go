@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -325,6 +326,42 @@ func TestNewPoolRequiresWorkers(t *testing.T) {
 		}
 	}()
 	NewPool(PoolOptions{})
+}
+
+// TestPoolInFlightBoundsConcurrentRuns: InFlight bounds a worker's
+// outstanding batches across every concurrent Run of the pool, not per
+// Run — three Runs at InFlight 1 never put two requests on the worker.
+func TestPoolInFlightBoundsConcurrentRuns(t *testing.T) {
+	units := mcUnits()[:4]
+	want := seqPayloads(t, units)
+	inner := NewWorker(testVersion, nil, nil).Handler()
+	var cur, peak atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		n := cur.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Millisecond) // hold the request so the Runs overlap
+		inner.ServeHTTP(rw, r)
+		cur.Add(-1)
+	}))
+	defer stub.Close()
+	p := NewPool(PoolOptions{Workers: []string{stub.URL}, InFlight: 1})
+	outs := make([][]UnitResult, 3)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = p.Run(units)
+		}(i)
+	}
+	wg.Wait()
+	for _, out := range outs {
+		checkMerged(t, units, out, want)
+	}
+	if got := peak.Load(); got > 1 {
+		t.Errorf("worker saw %d concurrent requests from three Runs at InFlight 1, want at most 1", got)
+	}
 }
 
 // TestPoolOrderedMergeByteIdentical: two workers over a shared cache

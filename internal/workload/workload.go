@@ -21,6 +21,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/xrand"
 )
@@ -180,12 +181,9 @@ func (p Profile) NewStream(seed uint64, instructions int64) *Stream {
 }
 
 func hashName(name string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
 }
 
 // Next returns the next trace event, or ok=false when the instruction
