@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race lint fmt vet analyze lint-fixtures alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke bench-harness ci
+.PHONY: all build test race stress-shard lint fmt vet analyze lint-fixtures alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench bench-compare bench-smoke bench-harness ci
 
 all: build test lint
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress-shard repeats the dispatch pool's race tests five times: every
+# batch runs on a goroutine of its own and draws slot tokens from one
+# pool-wide channel, so a leaked slot or a double commit must not pass
+# on one lucky interleaving.
+stress-shard:
+	$(GO) test -race -count=5 -run 'TestPool|TestFault|TestBreaker|TestRunContext' ./internal/shard
 
 # lint is the full static-analysis gate CI runs: formatting, vet, the
 # seven-analyzer lint suite (see "Static analysis" in README.md), and its
@@ -147,4 +154,4 @@ smoke-shard:
 smoke-chaos:
 	sh scripts/chaos_smoke.sh
 
-ci: build test race lint alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench-harness
+ci: build test race stress-shard lint alloc-gate fuzz check smoke-simd smoke-shard smoke-chaos bench-harness

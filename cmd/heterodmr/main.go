@@ -41,11 +41,16 @@ func run() int {
 		sh        = &shard.CLI{}
 	)
 	sh.Register(flag.CommandLine)
+	sh.RegisterWorker(flag.CommandLine)
 	ob := cliobs.Register()
 	flag.Parse()
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "heterodmr: invalid -workers %d: must be >= 0 (0 = GOMAXPROCS)\n", *workers)
+		return 2
+	}
+	if err := sh.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "heterodmr: %v\n", err)
 		return 2
 	}
 	if *list {

@@ -1,7 +1,7 @@
 // Command simd is the simulation daemon: a long-lived HTTP/JSON service
 // over the experiment engine. Clients POST an experiment spec to
 // /v1/jobs and get a deterministic job id (the content hash of the
-// normalized spec and the code version); progress is polled at
+// normalized spec and the code version); status is polled at
 // /v1/jobs/{id} or streamed at /v1/jobs/{id}/stream, and typed results
 // come from /v1/jobs/{id}/result — byte-identical no matter how often,
 // at what worker count, or on which side of a restart the job runs.
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/cliobs"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/simd"
@@ -41,20 +40,20 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8477", "listen address")
-	cacheDir := flag.String("cache-dir", "", "persistent run-cache directory (empty = in-memory coalescing only)")
 	workers := flag.Int("workers", 0, "per-job worker pool size (0 = GOMAXPROCS); results are identical for every value")
 	maxClientJobs := flag.Int("max-client-jobs", 2, "concurrent jobs allowed per client; further submissions queue")
-	shardURLs := flag.String("shard", "", "comma-separated shard worker base URLs to fan jobs out to")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "soft cap on run-cache bytes; oldest-read entries are evicted past it (0 = unbounded)")
-	faults := flag.String("faults", "", "deterministic fault-injection spec (default "+faultinject.EnvVar+" env; output stays byte-identical)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace window for in-flight connections and jobs")
+	sh := &shard.CLI{}
+	sh.Register(flag.CommandLine)
 	ob := cliobs.Register()
 	flag.Parse()
 
-	sh := &shard.CLI{Workers: *shardURLs, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Faults: *faults}
-
 	if *workers < 0 || *maxClientJobs < 1 {
 		fmt.Fprintln(os.Stderr, "simd: -workers must be >= 0 and -max-client-jobs >= 1")
+		return 2
+	}
+	if err := sh.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "simd: %v\n", err)
 		return 2
 	}
 	if ob.Check {

@@ -1,7 +1,8 @@
-// Command tracegen generates a Grizzly-like JSON job trace for the
-// cluster simulator behind Fig 17 (see internal/hpc's trace format), or
-// summarizes an existing trace file. Real Slurm accounting dumps converted to the same
-// JSON feed the Fig 17 simulation directly.
+// Command tracegen generates a Grizzly-like JSON job trace with the
+// generator behind Fig 17 (see internal/hpc's trace format), or
+// summarizes an existing trace file. Nothing reads a trace file into
+// Fig 17, which simulates the trace it generates in process:
+// hpc.ReadTrace serves only -summarize.
 //
 //	tracegen -jobs 58000 -nodes 1490 -months 4 -util 0.78 > trace.json
 //	tracegen -summarize trace.json

@@ -69,8 +69,7 @@ type Stats struct {
 
 // Core is the shared-state half of a simulated core: the LLC and memory
 // side of its accesses, the MLP window and the clock. It replays the
-// Records a Recorder produced for its private front end (Replay), or, for
-// unit tests, records and replays one event at a time (Step).
+// Records a Recorder produced for its private front end (Replay).
 type Core struct {
 	ID int
 
@@ -85,18 +84,12 @@ type Core struct {
 
 	t     int64 // core virtual time, ps
 	stats Stats
-
-	// Step's private front end; nil on replay-only cores.
-	rec  *Recorder
-	step Trace
 }
 
-// Config wires a core.
+// Config wires a core. Its private L1 and L2 live in the Recorder that
+// records its front end; the core needs only the L2 hit latency.
 type Config struct {
-	ID int
-	// L1 and L2 are the core's private levels. Only Step needs them: a
-	// replay-only core leaves both nil and sets L2LatencyPS instead.
-	L1, L2      *cache.Cache
+	ID          int
 	L2LatencyPS int64
 	L3          *cache.Cache
 	Mem         Memory
@@ -106,13 +99,16 @@ type Config struct {
 // New builds a core. It panics on missing pieces (construction-time
 // programmer errors).
 func New(cfg Config) *Core {
-	if cfg.L3 == nil || cfg.Mem == nil || (cfg.L1 == nil) != (cfg.L2 == nil) {
+	if cfg.L3 == nil || cfg.Mem == nil {
 		panic("cpu: incomplete core config")
 	}
 	if cfg.MLP <= 0 {
 		panic("cpu: non-positive MLP")
 	}
-	c := &Core{
+	if cfg.L2LatencyPS <= 0 {
+		panic("cpu: non-positive L2 latency")
+	}
+	return &Core{
 		ID:          cfg.ID,
 		l3:          cfg.L3,
 		mem:         cfg.Mem,
@@ -120,14 +116,6 @@ func New(cfg Config) *Core {
 		l3LatencyPS: cfg.L3.Config().LatencyPS,
 		mlp:         cfg.MLP,
 	}
-	if cfg.L2 != nil {
-		c.l2LatencyPS = cfg.L2.Config().LatencyPS
-		c.rec = NewRecorder(cfg.L1, cfg.L2)
-	}
-	if c.l2LatencyPS <= 0 {
-		panic("cpu: non-positive L2 latency")
-	}
-	return c
 }
 
 // Now returns the core's current virtual time.
@@ -135,17 +123,6 @@ func (c *Core) Now() int64 { return c.t }
 
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
-
-// Step consumes one trace event and advances the core's clock: it records
-// the event through the core's private levels, then replays the record.
-func (c *Core) Step(ev workload.Event) {
-	if c.rec == nil {
-		panic("cpu: Step on a replay-only core")
-	}
-	c.step.Reset()
-	c.rec.Record(ev, &c.step)
-	c.Replay(c.step.recs[0], c.step.ops)
-}
 
 // Replay plays one recorded event: its shared-state ops in recorded
 // order, then its timing. ops must be the ops recorded with rec.

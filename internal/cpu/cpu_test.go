@@ -25,13 +25,28 @@ func (s *singleChannel) SubmitWrite(addr uint64, at int64) { s.ch.SubmitWrite(ad
 func (s *singleChannel) WaitFor(r *memctrl.Request) int64  { return s.ch.WaitFor(r) }
 func (s *singleChannel) Release(r *memctrl.Request)        { s.ch.Release(r) }
 
-func testCore(t *testing.T) (*Core, *memctrl.Channel) {
+// stepCore feeds a core one event at a time: Step records the event
+// through the core's private L1/L2 and replays the record at once.
+type stepCore struct {
+	*Core
+	rec *Recorder
+	tr  Trace
+}
+
+func (c *stepCore) Step(ev workload.Event) {
+	c.tr.Reset()
+	c.rec.Record(ev, &c.tr)
+	c.Replay(c.tr.recs[0], c.tr.ops)
+}
+
+func testCore(t *testing.T) (*stepCore, *memctrl.Channel) {
 	t.Helper()
 	ch := testMem()
 	l1 := cache.New(cache.Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64, LatencyPS: 3 * ClockPS})
 	l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 12 * ClockPS})
 	l3 := cache.New(cache.Config{SizeBytes: 256 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 22 * dramspec.Nanosecond})
-	return New(Config{ID: 0, L1: l1, L2: l2, L3: l3, Mem: &singleChannel{ch}, MLP: 4}), ch
+	core := New(Config{ID: 0, L2LatencyPS: l2.Config().LatencyPS, L3: l3, Mem: &singleChannel{ch}, MLP: 4})
+	return &stepCore{Core: core, rec: NewRecorder(l1, l2)}, ch
 }
 
 func TestNewValidation(t *testing.T) {
@@ -258,17 +273,6 @@ func TestReplayMatchesStep(t *testing.T) {
 			t.Errorf("%s: degenerate replay %+v", name, replayed.Stats())
 		}
 	}
-}
-
-func TestStepPanicsOnReplayOnlyCore(t *testing.T) {
-	l3 := cache.New(cache.Config{SizeBytes: 256 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 1000})
-	c := New(Config{L2LatencyPS: 12 * ClockPS, L3: l3, Mem: &singleChannel{testMem()}, MLP: 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Step ran without private levels")
-		}
-	}()
-	c.Step(workload.Event{Kind: workload.Read, Addr: 0x40})
 }
 
 func TestRecordRangesPanic(t *testing.T) {

@@ -35,11 +35,14 @@ type Options struct {
 	// run-to-run variance of short measured regions (default: 1 in Quick
 	// mode, 3 otherwise).
 	Seeds int
-	// Workers bounds the worker pool all fan-out layers share: the
-	// front-end groups of Run's cell plan, the rendering of its entries,
-	// and the Monte-Carlo trial ranges (0 = GOMAXPROCS, 1 = fully
-	// sequential). Every experiment's randomness derives positionally
-	// from Seed, so output is byte-identical for every worker count.
+	// Workers sizes each fan-out layer (0 = GOMAXPROCS, 1 = fully
+	// sequential): the front-end groups of Run's cell plan, then the
+	// rendering of its entries. The layers share no pool: inside the
+	// rendering fan-out, the Monte-Carlo ranges of Figs 11 and 17 (and
+	// of the margin-aware ablation), Fig 17's cluster simulations and
+	// Fig 6's rows fan out again, each on up to Workers goroutines of
+	// its own. Every experiment's randomness derives positionally from
+	// Seed, so output is byte-identical for every worker count.
 	Workers int
 	// Check runs the conservation self-checks after every node and
 	// cluster simulation; violations accumulate on the Suite (read them
@@ -76,7 +79,8 @@ type Options struct {
 	// the persistent cache stores and committed in positional order, so
 	// rendered output is byte-identical to an in-process run at any
 	// worker count — including with workers failing mid-suite (the pool
-	// retries, requeues, and falls back to local execution).
+	// retries on whichever worker frees a slot and falls back to local
+	// execution).
 	Shard *shard.Pool
 }
 

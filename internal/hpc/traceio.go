@@ -8,9 +8,11 @@ import (
 	"repro/internal/memuse"
 )
 
-// Trace files let users feed real cluster logs (e.g. converted Slurm
-// accounting dumps) into the Fig 17 simulation instead of the synthetic
-// Grizzly-like generator. The format is a single JSON object:
+// Trace files hold a job trace outside the process: cmd/tracegen writes
+// the synthetic Grizzly-like trace and summarizes one read back. No
+// experiment reads a trace file, so a real cluster log (e.g. a
+// converted Slurm accounting dump) in this format does not drive Fig
+// 17. The format is a single JSON object:
 //
 //	{
 //	  "total_nodes": 1490,

@@ -164,13 +164,7 @@ func nodeShard(cfg Config, sel Selection, s int, out []float64) {
 // beyond the join is needed and the output is bit-identical to a
 // sequential run.
 func ChannelLevel(cfg Config, sel Selection) Result {
-	validate(cfg)
-	margins := make([]float64, cfg.Trials)
-	parallel.ForEach(0, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
-		lo, hi := parallel.ChunkRange(s, cfg.Trials, ShardTrials)
-		channelShard(cfg, sel, s, margins[lo:hi])
-	})
-	return Result{Margins: margins}
+	return Result{Margins: trials(channelShard, cfg, sel, 0, 0, cfg.Trials)}
 }
 
 // NodeLevel runs the Fig 11 node-level experiment: a node's margin is the
@@ -178,13 +172,7 @@ func ChannelLevel(cfg Config, sel Selection) Result {
 // channel the bandwidth bottleneck (§III-D2). Sharding follows
 // ChannelLevel's scheme on an offset seed stream.
 func NodeLevel(cfg Config, sel Selection) Result {
-	validate(cfg)
-	margins := make([]float64, cfg.Trials)
-	parallel.ForEach(0, parallel.Chunks(cfg.Trials, ShardTrials), func(s int) {
-		lo, hi := parallel.ChunkRange(s, cfg.Trials, ShardTrials)
-		nodeShard(cfg, sel, s, margins[lo:hi])
-	})
-	return Result{Margins: margins}
+	return Result{Margins: trials(nodeShard, cfg, sel, 0, 0, cfg.Trials)}
 }
 
 // ChannelLevelRange computes channel-level margins for trials [lo, hi)
@@ -194,31 +182,27 @@ func NodeLevel(cfg Config, sel Selection) Result {
 // which only drops tail draws. Concatenating the ranges of any shard-aligned
 // partition of [0, Trials) reproduces ChannelLevel bit for bit.
 func ChannelLevelRange(cfg Config, sel Selection, lo, hi int) []float64 {
-	validate(cfg)
-	checkRange(cfg, lo, hi)
-	out := make([]float64, hi-lo)
-	for s := lo / ShardTrials; s*ShardTrials < hi; s++ {
-		a, b := s*ShardTrials, (s+1)*ShardTrials
-		if b > hi {
-			b = hi
-		}
-		channelShard(cfg, sel, s, out[a-lo:b-lo])
-	}
-	return out
+	return trials(channelShard, cfg, sel, 1, lo, hi)
 }
 
 // NodeLevelRange is ChannelLevelRange's node-level counterpart.
 func NodeLevelRange(cfg Config, sel Selection, lo, hi int) []float64 {
+	return trials(nodeShard, cfg, sel, 1, lo, hi)
+}
+
+// trials fills trials [lo, hi) shard by shard, each shard's margins
+// drawn by draw (channelShard or nodeShard), on parallel.ForEach with
+// the given worker count (0 = GOMAXPROCS). Shard s always covers trials
+// [s*ShardTrials, (s+1)*ShardTrials), so the output is independent of
+// the worker count.
+func trials(draw func(Config, Selection, int, []float64), cfg Config, sel Selection, workers, lo, hi int) []float64 {
 	validate(cfg)
 	checkRange(cfg, lo, hi)
 	out := make([]float64, hi-lo)
-	for s := lo / ShardTrials; s*ShardTrials < hi; s++ {
-		a, b := s*ShardTrials, (s+1)*ShardTrials
-		if b > hi {
-			b = hi
-		}
-		nodeShard(cfg, sel, s, out[a-lo:b-lo])
-	}
+	parallel.ForEach(workers, parallel.Chunks(hi-lo, ShardTrials), func(c int) {
+		a, b := parallel.ChunkRange(c, hi-lo, ShardTrials)
+		draw(cfg, sel, lo/ShardTrials+c, out[a:b])
+	})
 	return out
 }
 

@@ -53,12 +53,15 @@ func (b *breaker) allow() bool {
 }
 
 // success records a completed dispatch: resets the failure streak and,
-// if this was the probe, closes the breaker.
+// if this was the probe, closes the breaker. A dispatch that was already
+// in flight when the breaker tripped leaves it open, so only a probe
+// returns a worker to the fleet and a late straggler cannot re-arm a
+// dying worker for a second death.
 func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
-	if b.open {
+	if b.probing {
 		b.open = false
 		b.probing = false
 		b.closes.Add(1)

@@ -21,12 +21,13 @@ import (
 	"repro/internal/runcache"
 )
 
-// CLI is the flag surface for coordinator and worker modes. Registering
-// it adds -worker/-worker-addr (worker mode), -shard/-shard-workers
-// (coordinator mode), -cache-dir/-cache-max-bytes (the store both sides
-// share), and -faults (the chaos harness). cmd/heterodmr registers it;
-// cmd/simd, a coordinator only, fills Workers, the cache fields and
-// Faults from flags of its own.
+// CLI is the flag surface for coordinator and worker modes, in two
+// sets. Register adds the flags every coordinator takes: -shard (worker
+// URLs), -cache-dir/-cache-max-bytes (the store coordinator and workers
+// share) and -faults (the chaos harness). RegisterWorker adds the flags
+// of a binary that can itself run as a worker: -worker/-worker-addr
+// (worker mode) and -shard-workers (spawn local workers). cmd/heterodmr
+// registers both sets, cmd/simd only the first.
 type CLI struct {
 	Worker        bool
 	WorkerAddr    string
@@ -41,15 +42,32 @@ type CLI struct {
 	planErr  error
 }
 
-// Register installs the shard flags on fs.
+// Register installs the coordinator and store flags on fs.
 func (c *CLI) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Worker, "worker", false, "run as a shard worker: serve the /shard/v1 batch API instead of running experiments")
-	fs.StringVar(&c.WorkerAddr, "worker-addr", "127.0.0.1:0", "listen address in -worker mode")
 	fs.StringVar(&c.Workers, "shard", "", "comma-separated shard worker base URLs (e.g. http://127.0.0.1:8481,http://10.0.0.2:8481)")
-	fs.IntVar(&c.Spawn, "shard-workers", 0, "spawn this many local shard worker subprocesses for this run")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "content-addressed run cache directory (shared with workers)")
 	fs.Int64Var(&c.CacheMaxBytes, "cache-max-bytes", 0, "soft cap on run-cache bytes; oldest-read entries are evicted past it (0 = unbounded)")
 	fs.StringVar(&c.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7;runcache/put/torn=0.2' (default "+faultinject.EnvVar+" env; output stays byte-identical)")
+}
+
+// RegisterWorker installs the worker-mode and spawn flags on fs.
+func (c *CLI) RegisterWorker(fs *flag.FlagSet) {
+	fs.BoolVar(&c.Worker, "worker", false, "run as a shard worker: serve the /shard/v1 batch API instead of running experiments")
+	fs.StringVar(&c.WorkerAddr, "worker-addr", "127.0.0.1:0", "listen address in -worker mode")
+	fs.IntVar(&c.Spawn, "shard-workers", 0, "spawn this many local shard worker subprocesses for this run")
+}
+
+// Validate refuses flag values no run can use, naming the flag. Call it
+// after parsing, before ServeWorker or Pool spawns a worker or opens
+// the cache.
+func (c *CLI) Validate() error {
+	if c.Spawn < 0 {
+		return fmt.Errorf("invalid -shard-workers %d: must be >= 0", c.Spawn)
+	}
+	if c.CacheMaxBytes < 0 {
+		return fmt.Errorf("invalid -cache-max-bytes %d: must be >= 0 (0 = unbounded)", c.CacheMaxBytes)
+	}
+	return nil
 }
 
 // FaultPlan resolves the fault-injection plan for this process: the

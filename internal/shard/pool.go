@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -53,13 +52,15 @@ type PoolOptions struct {
 	// filled by local fallback executions. Workers sharing the same
 	// store make warm reruns zero-dispatch as well as zero-compute.
 	Cache *runcache.Cache
-	// InFlight bounds concurrently outstanding batches per worker,
-	// across every concurrent Run of the pool (default 2: one on the
-	// wire while one computes keeps a worker busy without queueing work
-	// a failed worker would strand). Local fallbacks take no slot.
+	// InFlight is the number of slot tokens each worker puts in the
+	// pool's one dispatch bound, shared by every concurrent Run (default
+	// 2: one batch on the wire while one computes keeps a worker busy
+	// without queueing work a failed worker would strand). A batch holds
+	// a token while it posts to that worker and also while it executes
+	// locally in the worker's stead, so local work is bounded too.
 	InFlight int
 	// Timeout bounds one batch's round trip; an expired dispatch counts
-	// as a failure and the batch is requeued (default 2m). The batch the
+	// as a failure and the batch is retried (default 2m). The batch the
 	// straggler eventually finishes is discarded by the client — only
 	// the positional commit of the retried dispatch lands.
 	Timeout time.Duration
@@ -71,9 +72,9 @@ type PoolOptions struct {
 	// backoff defaults.
 	Backoff backoff.Policy
 	// DeadAfter opens a worker's circuit breaker after this many
-	// consecutive failures (default 3); its in-flight slots then execute
-	// batches locally, so progress is guaranteed even with every worker
-	// down.
+	// consecutive failures (default 3); a batch that then draws one of
+	// its slot tokens executes locally, so progress is guaranteed even
+	// with every worker down.
 	DeadAfter int
 	// ProbeAfter is how long an open breaker waits before admitting one
 	// probe dispatch (default 30s); a successful probe returns the
@@ -90,7 +91,9 @@ type PoolOptions struct {
 	// Reg receives the shard/* dispatch counters (nil-safe). Unit
 	// counters (units, completed, computed, cache_hits, local) count
 	// units; transport counters (dispatched, retries, requeued,
-	// timeouts) count batch dispatches.
+	// timeouts) count batch dispatches. A failed dispatch is one retry;
+	// requeued counts the retries that waited out their backoff and
+	// went back for a slot.
 	Reg *obs.Registry
 }
 
@@ -98,14 +101,17 @@ type PoolOptions struct {
 // merges results in positional order. It is safe for concurrent use;
 // each Run call is independent.
 type Pool struct {
-	workers  []*remoteWorker
-	cache    *runcache.Cache
-	client   *http.Client
-	inFlight int
-	timeout  time.Duration
-	retry    backoff.Policy
-	baseCtx  context.Context
-	faults   *faultinject.Plan
+	workers []*remoteWorker
+	// slots is the pool's one dispatch bound: InFlight tokens per
+	// worker, shared by every Run. A batch holds a token while it posts
+	// to the token's worker or executes locally in its stead.
+	slots   chan *remoteWorker
+	cache   *runcache.Cache
+	client  *http.Client
+	timeout time.Duration
+	retry   backoff.Policy
+	baseCtx context.Context
+	faults  *faultinject.Plan
 
 	unitsC     *obs.Counter
 	dispatched *obs.Counter
@@ -119,21 +125,20 @@ type Pool struct {
 }
 
 type remoteWorker struct {
-	url   string
-	br    *breaker
-	slots chan struct{} // InFlight dispatch slots, shared by every Run
+	url string
+	br  *breaker
 }
 
-// UnitResult is one merged slot: the cache-entry payload plus whether
-// any process in the fleet actually computed it for this Run.
+// UnitResult is one unit's merged result: the cache-entry payload plus
+// whether any process in the fleet actually computed it for this Run.
 type UnitResult struct {
 	Computed bool   `json:"computed"`
 	Payload  []byte `json:"payload"`
 }
 
 // NewPool returns a dispatch pool over the given workers. It panics
-// when there are none: a pool without workers would leave Run's slots
-// unfilled.
+// when there are none: a pool without workers would have no slot token
+// for a batch to draw.
 func NewPool(o PoolOptions) *Pool {
 	if len(o.Workers) == 0 {
 		panic("shard: NewPool needs at least one worker")
@@ -154,13 +159,13 @@ func NewPool(o PoolOptions) *Pool {
 		o.BaseContext = context.Background()
 	}
 	p := &Pool{
-		cache:    o.Cache,
-		client:   &http.Client{},
-		inFlight: o.InFlight,
-		timeout:  o.Timeout,
-		retry:    o.Backoff.Default(),
-		baseCtx:  o.BaseContext,
-		faults:   o.Faults,
+		slots:   make(chan *remoteWorker, o.InFlight*len(o.Workers)),
+		cache:   o.Cache,
+		client:  &http.Client{},
+		timeout: o.Timeout,
+		retry:   o.Backoff.Default(),
+		baseCtx: o.BaseContext,
+		faults:  o.Faults,
 
 		unitsC:     o.Reg.Counter("shard/units"),
 		dispatched: o.Reg.Counter("shard/dispatched"),
@@ -177,7 +182,7 @@ func NewPool(o PoolOptions) *Pool {
 	closes := o.Reg.Counter("shard/breaker/close")
 	deaths := o.Reg.Counter("shard/worker_deaths")
 	for _, u := range o.Workers {
-		p.workers = append(p.workers, &remoteWorker{url: u, slots: make(chan struct{}, o.InFlight), br: &breaker{
+		p.workers = append(p.workers, &remoteWorker{url: u, br: &breaker{
 			threshold:  o.DeadAfter,
 			probeAfter: o.ProbeAfter,
 			opens:      opens,
@@ -186,56 +191,24 @@ func NewPool(o PoolOptions) *Pool {
 			deaths:     deaths,
 		}})
 	}
+	// Round-robin, so the first draws spread across the fleet.
+	for s := 0; s < o.InFlight; s++ {
+		for _, w := range p.workers {
+			p.slots <- w
+		}
+	}
 	return p
-}
-
-// runState is the per-Run coordination block. Work moves in batches:
-// batches[b] lists the unit indexes batch b carries, and tasks carries
-// batch indexes. Requeues go back onto tasks (buffered to len(batches),
-// so a send never blocks: every batch is either in the channel or held
-// by exactly one goroutine); done closes when the last batch commits.
-type runState struct {
-	units    []Unit
-	batches  [][]int
-	out      []UnitResult
-	attempts []int // per batch
-	tasks    chan int
-	left     atomic.Int64
-	once     sync.Once
-	done     chan struct{}
-}
-
-// batch returns batch b's units.
-func (st *runState) batch(b int) []Unit {
-	units := make([]Unit, len(st.batches[b]))
-	for j, i := range st.batches[b] {
-		units[j] = st.units[i]
-	}
-	return units
-}
-
-// commit lands batch b's results in their units' slots. Each batch is
-// held by exactly one goroutine at a time (claimed from tasks, then
-// either committed or requeued, never both), so every slot commits
-// exactly once.
-func (st *runState) commit(b int, rs []UnitResult) {
-	for j, i := range st.batches[b] {
-		st.out[i] = rs[j]
-	}
-	if st.left.Add(-1) == 0 {
-		st.once.Do(func() { close(st.done) })
-	}
 }
 
 // Run executes the units and returns their results in input order —
 // the ordered merge. After a pass over the shared cache, the remaining
 // units are grouped into batches by front-end identity
-// (node.GroupByFrontEnd; every Monte-Carlo range is a batch of its own)
-// and each batch is one dispatch. Results are buffered into their
-// positional slots as batches arrive; callers consume the returned slice
-// sequentially, so downstream rendering is byte-identical to a
-// sequential run regardless of worker count, batch composition, arrival
-// order, or mid-run worker failures.
+// (node.GroupByFrontEnd; every Monte-Carlo range is a batch of its own),
+// and each batch runs on a goroutine of its own under the pool's slot
+// bound (runBatch). Each batch's results land in its units' positions;
+// callers consume the returned slice sequentially, so downstream
+// rendering is byte-identical to a sequential run regardless of worker
+// count, batch composition, arrival order, or mid-run worker failures.
 // Cancelling the pool's base context aborts in-flight dispatches and
 // completes the remaining batches locally: shutdown costs time, never
 // output — the returned slice is always complete and correct.
@@ -244,7 +217,7 @@ func (p *Pool) Run(units []Unit) []UnitResult {
 	out := make([]UnitResult, n)
 	p.unitsC.Add(uint64(n))
 
-	// Local cache pass: a warm shared store satisfies every slot here,
+	// Local cache pass: a warm shared store satisfies every unit here,
 	// making the rerun zero-dispatch fleet-wide.
 	remaining := make([]int, 0, n)
 	for i, u := range units {
@@ -259,103 +232,88 @@ func (p *Pool) Run(units []Unit) []UnitResult {
 		}
 		remaining = append(remaining, i)
 	}
-	if len(remaining) == 0 {
-		return out
-	}
 
-	batches := node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() })
-	st := &runState{
-		units:    units,
-		batches:  batches,
-		out:      out,
-		attempts: make([]int, len(batches)),
-		tasks:    make(chan int, len(batches)),
-		done:     make(chan struct{}),
-	}
-	st.left.Store(int64(len(batches)))
-	for b := range batches {
-		st.tasks <- b
-	}
 	var wg sync.WaitGroup
-	for _, w := range p.workers {
-		for s := 0; s < p.inFlight; s++ {
-			wg.Add(1)
-			go func(w *remoteWorker) {
-				defer wg.Done()
-				for {
-					select {
-					case <-st.done:
-						return
-					case b := <-st.tasks:
-						p.runBatch(p.baseCtx, w, b, st)
-					}
-				}
-			}(w)
-		}
+	for _, b := range node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() }) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]Unit, len(b))
+			for j, i := range b {
+				batch[j] = units[i]
+			}
+			for j, r := range p.runBatch(p.baseCtx, batch) {
+				out[b[j]] = r
+			}
+		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// runBatch processes one claimed batch on one worker slot: dispatch, and
-// on failure either requeue after a backoff (another worker will claim
-// it) or — once the retry budget is spent, the context is cancelled, or
-// the worker's breaker is open — execute locally, so every batch
-// completes even if the whole fleet is gone. A batch the worker refused
-// (400) is terminal: its units are malformed, so neither a retry nor
-// another worker can help. It executes locally once, and if that fails
-// too the panic carries the worker's refusal.
-func (p *Pool) runBatch(ctx context.Context, w *remoteWorker, b int, st *runState) {
-	units := st.batch(b)
-	if !w.br.allow() {
-		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units, nil))
-		return
+// runBatch drives one batch to its results: one attempt per drawn slot
+// token until an attempt succeeds. After a failed dispatch it backs off
+// and draws again, from whichever worker frees a slot first. Every
+// batch completes even if the whole fleet is gone, because an attempt
+// executes locally once the retry budget is spent or the context is
+// cancelled.
+func (p *Pool) runBatch(ctx context.Context, units []Unit) []UnitResult {
+	for attempts := 0; ; {
+		res, err := p.attempt(ctx, units, attempts)
+		if err == nil {
+			return res
+		}
+		attempts++
+		// The delay is a deterministic function of (batch key, attempt),
+		// so a retry storm spreads identically on every run. A spent
+		// budget skips the wait and a cancellation cuts it short; either
+		// way the next attempt executes locally.
+		if !p.retry.Exhausted(attempts) && p.retry.Wait(ctx, unitSeed(units[0].Key), attempts) {
+			p.requeuedC.Add(1)
+		}
 	}
-	w.slots <- struct{}{} // the round trip and its timeout start once a slot is held
+}
+
+// attempt draws a slot token and, holding it, tries the batch once. It
+// executes the batch locally when the retry budget is spent, the
+// context is cancelled, or the token's worker has an open breaker;
+// otherwise it posts the batch to that worker. It returns an error only
+// for a failed dispatch, which the caller retries. A batch the worker
+// refused (400) is terminal: its units are malformed, so neither a
+// retry nor another worker can help. It executes locally once, and if
+// that fails too the panic carries the worker's refusal.
+func (p *Pool) attempt(ctx context.Context, units []Unit, attempts int) ([]UnitResult, error) {
+	w := <-p.slots // the round trip and its timeout start once a slot is held
+	defer func() { p.slots <- w }()
+	if ctx.Err() != nil || p.retry.Exhausted(attempts) || !w.br.allow() {
+		p.faults.Recovered("shard/recover/local")
+		return p.runLocal(units, nil), nil
+	}
 	res, err := p.post(ctx, w, units)
-	<-w.slots
 	var refused *refusedError
 	if errors.As(err, &refused) {
 		w.br.success() // the worker is alive and answered
-		st.commit(b, p.runLocal(units, refused))
-		return
+		return p.runLocal(units, refused), nil
 	}
-	if err == nil {
-		w.br.success()
-		p.completed.Add(uint64(len(res)))
-		for _, r := range res {
-			if r.Computed {
-				p.computedC.Add(1)
-			}
+	if err != nil {
+		w.br.failure()
+		p.retriesC.Add(1)
+		if errors.Is(err, context.DeadlineExceeded) {
+			p.timeoutsC.Add(1)
 		}
-		if st.attempts[b] > 0 {
-			p.faults.Recovered("shard/recover/retry")
+		return nil, err
+	}
+	w.br.success()
+	p.completed.Add(uint64(len(res)))
+	for _, r := range res {
+		if r.Computed {
+			p.computedC.Add(1)
 		}
-		st.commit(b, res)
-		return
 	}
-	w.br.failure()
-	p.retriesC.Add(1)
-	if errors.Is(err, context.DeadlineExceeded) {
-		p.timeoutsC.Add(1)
+	if attempts > 0 {
+		p.faults.Recovered("shard/recover/retry")
 	}
-	st.attempts[b]++
-	if ctx.Err() != nil || p.retry.Exhausted(st.attempts[b]) {
-		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units, nil))
-		return
-	}
-	// Back off before the requeue — the delay is a deterministic function
-	// of (batch key, attempt), so a retry storm spreads identically on
-	// every run. A cancellation during the wait drains to local instead.
-	if !p.retry.Wait(ctx, unitSeed(units[0].Key), st.attempts[b]) {
-		p.faults.Recovered("shard/recover/local")
-		st.commit(b, p.runLocal(units, nil))
-		return
-	}
-	p.requeuedC.Add(1)
-	st.tasks <- b
+	return res, nil
 }
 
 // unitSeed hashes a unit key into the backoff jitter seed space

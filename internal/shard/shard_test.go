@@ -364,6 +364,31 @@ func TestPoolInFlightBoundsConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestPoolLocalFallbackHoldsASlot: a local execution draws a slot token
+// like a dispatch, so with the pool's only token held elsewhere a Run on
+// a cancelled context executes nothing until the token comes back.
+func TestPoolLocalFallbackHoldsASlot(t *testing.T) {
+	units := mcUnits()
+	want := seqPayloads(t, units)
+	srv, _ := newTestWorker(t, "")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	reg := obs.NewRegistry()
+	p := NewPool(PoolOptions{Workers: []string{srv.URL}, InFlight: 1, BaseContext: ctx, Reg: reg})
+	token := <-p.slots
+	done := make(chan []UnitResult, 1)
+	go func() { done <- p.Run(units) }()
+	time.Sleep(100 * time.Millisecond)
+	if n := reg.Snapshot().Counters["shard/local"]; n != 0 {
+		t.Fatalf("%d units executed locally while every slot was held", n)
+	}
+	p.slots <- token
+	checkMerged(t, units, <-done, want)
+	if n := reg.Snapshot().Counters["shard/local"]; n != uint64(len(units)) {
+		t.Errorf("local executions = %d, want %d", n, len(units))
+	}
+}
+
 // TestPoolOrderedMergeByteIdentical: two workers over a shared cache
 // produce the sequential byte sequence in input order, and a warm rerun
 // is all cache hits with zero dispatches and zero computation.
@@ -630,16 +655,8 @@ func TestPoolWorkerRefusalIsTerminal(t *testing.T) {
 		Spec: dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
 		Seed: 1,
 	}, streamless)}
-	p := newPool(obs.NewRegistry())
-	st := &runState{
-		units:    bad,
-		batches:  [][]int{{0}},
-		out:      make([]UnitResult, 1),
-		attempts: make([]int, 1),
-		tasks:    make(chan int, 1),
-		done:     make(chan struct{}),
-	}
-	st.left.Store(1)
+	reg = obs.NewRegistry()
+	p := newPool(reg)
 	func() {
 		defer func() {
 			msg, _ := recover().(string)
@@ -647,12 +664,15 @@ func TestPoolWorkerRefusalIsTerminal(t *testing.T) {
 				t.Errorf("panic %q does not name the worker's refusal and the batch", msg)
 			}
 		}()
-		p.runBatch(context.Background(), p.workers[0], 0, st)
+		p.runBatch(context.Background(), bad)
 	}()
 	if n := calls.Load(); n != 1 {
 		t.Errorf("refusing worker called %d times for the bad batch, want 1", n)
 	}
-	if len(st.tasks) != 0 {
-		t.Error("refused batch was requeued")
+	if snap := reg.Snapshot(); snap.Counters["shard/retries"] != 0 || snap.Counters["shard/requeued"] != 0 {
+		t.Errorf("refused batch was retried: %v", snap.Counters)
+	}
+	if len(p.slots) != cap(p.slots) {
+		t.Errorf("%d of %d slot tokens returned after the panic", len(p.slots), cap(p.slots))
 	}
 }

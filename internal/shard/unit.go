@@ -9,11 +9,13 @@
 // every Monte-Carlo range as a batch of one, over a small HTTP/JSON
 // protocol (POST /shard/v1/batch). A worker records each front end once
 // and replays it for every design in the batch, then Puts every cell
-// under its own key in a shared runcache store. The Pool dispatches with
-// bounded in-flight batches per worker, retries/requeues failed batches,
-// and commits results positionally so the merged output is
-// byte-identical to a sequential run regardless of worker count, batch
-// composition or arrival order.
+// under its own key in a shared runcache store. The Pool bounds dispatch
+// with one channel of slot tokens, InFlight per worker: a batch holds a
+// token while it posts to that worker or executes locally in its stead,
+// retries a failed dispatch on whichever worker frees a token next, and
+// commits results positionally so the merged output is byte-identical
+// to a sequential run regardless of worker count, batch composition or
+// arrival order.
 package shard
 
 import (

@@ -25,8 +25,8 @@ import (
 //	                               done; unknown ids with a persisted
 //	                               spec are replayed transparently
 //	GET  /v1/jobs/{id}/stream      JSONL status stream, one line per
-//	                               state/progress change, ends when the
-//	                               job is terminal
+//	                               state change, ends when the job is
+//	                               terminal
 //	GET  /v1/metrics               the service obs registry as JSON
 //	GET  /v1/cache                 persistent run-cache statistics
 //
@@ -163,8 +163,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStream writes one status line per (state, done) change until the
-// job is terminal — a poll-free progress feed for long jobs.
+// handleStream writes one status line per state change (queued, running,
+// then done or failed) until the job is terminal — a poll-free feed for
+// long jobs.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {

@@ -221,17 +221,12 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
-// advance records one completed experiment driver.
-func (j *Job) advance() {
-	j.mu.Lock()
-	j.done++
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
+// complete stores the result and marks every entry done: a job renders
+// through one Suite.Run, so done moves from 0 to total here.
 func (j *Job) complete(resultBytes []byte, computed, cached int) {
 	j.mu.Lock()
 	j.state = StateDone
+	j.done = j.total
 	j.resultBytes = resultBytes
 	j.computedRuns = computed
 	j.cachedRuns = cached
@@ -257,12 +252,11 @@ func (j *Job) Wait() Status {
 	return j.status()
 }
 
-// waitChange blocks until the job's (state, done) differs from the given
+// waitChange blocks until the job's state differs from the given
 // snapshot or the job is terminal, and returns the new status.
 func (j *Job) waitChange(prev Status) Status {
 	j.mu.Lock()
-	for j.state == prev.State && j.done == prev.Done &&
-		j.state != StateDone && j.state != StateFailed {
+	for j.state == prev.State && j.state != StateDone && j.state != StateFailed {
 		j.cond.Wait()
 	}
 	j.mu.Unlock()
@@ -425,9 +419,6 @@ func (s *Server) runJob(j *Job, sem chan struct{}) {
 	})
 	entries := j.Spec.entries()
 	tables := su.Run(entries)
-	for range tables {
-		j.advance()
-	}
 
 	res := Result{ID: j.ID, Spec: j.Spec, Tables: make([]TableJSON, len(tables))}
 	for i, t := range tables {

@@ -418,22 +418,22 @@ func TestJobListSorted(t *testing.T) {
 	}
 }
 
-// TestWaitChangeWakesOnAdvance guards the stream's blocking primitive
-// directly: waitChange must return on a progress tick, not only at
-// terminal states.
-func TestWaitChangeWakesOnAdvance(t *testing.T) {
+// TestWaitChangeWakesOnRunning guards the stream's blocking primitive
+// directly: waitChange must return on the queued→running change, not
+// only at terminal states.
+func TestWaitChangeWakesOnRunning(t *testing.T) {
 	j := newJob("x", JobSpec{Experiments: []string{"tab1", "fig1"}})
 	st := j.status()
 	done := make(chan Status, 1)
 	go func() { done <- j.waitChange(st) }()
 	time.Sleep(10 * time.Millisecond)
-	j.advance()
+	j.setRunning()
 	select {
 	case got := <-done:
-		if got.Done != 1 {
+		if got.State != StateRunning || got.Done != 0 {
 			t.Fatalf("woke with %+v", got)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("waitChange never woke on advance")
+		t.Fatal("waitChange never woke on the running state")
 	}
 }

@@ -10,8 +10,9 @@
 #      batches and Monte-Carlo ranges cross real HTTP;
 #   2. one worker is killed (SIGKILL, no goodbye), and a fresh-seed run
 #      must ride out the dead half of the fleet — the pool retries,
-#      marks the worker dead, requeues its units — and still merge the
-#      exact sequential bytes;
+#      marks the worker dead, and runs the batches that draw its slots
+#      on the live worker or locally — and still merge the exact
+#      sequential bytes;
 #   3. warm replay over the shared store — zero re-simulations
 #      ("computed 0 of" on stderr), byte-identical output;
 #   4. the same warm replay through -shard-workers, which spawns local
