@@ -1,29 +1,39 @@
 // Package cache implements the set-associative write-back caches of the
 // simulated node (Table IV of the paper): split L1, per-core L2, shared
 // L3, LRU replacement, stride and next-line prefetchers with auto
-// turn-off, and the LLC dirty-block cleaning hook Hetero-DMR's enlarged
-// write batches rely on (§III-E: clean the least-recently-used dirty
+// turn-off, and the LLC dirty-block cleaning hook that tops up the memory
+// controller's write batches (§III-E: clean the least-recently-used dirty
 // blocks first, as they are unlikely to be re-written before eviction).
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/obs"
 )
 
 // Line metadata is stored struct-of-arrays: the tag probe — the loop every
 // access runs — walks a dense []uint64 window (one or two cache lines for
-// an 8/16-way set) instead of striding through per-line structs, and the
-// LRU victim scan walks an equally dense lastUse window. Dirty/prefetched
-// bits live in a byte array touched only for the single way an operation
-// settles on. A way's validity is encoded in its tag: invalidTag is
+// an 8/16-way set) instead of striding through per-line structs.
+// Dirty/prefetched bits live in a byte array touched only for the single
+// way an operation settles on. Recency is kept as two orders: each set's
+// way order (one uint64) names its victim without a scan, and the dirty
+// lines form one list in recency order that cleaning walks from its least
+// recent end. A way's validity is encoded in its tag: invalidTag is
 // unreachable as a block address (block = addr/BlockBytes with
 // BlockBytes >= 2, so blocks fit in 63 bits), which lets the probe loop
 // compare tags alone with no validity test.
 const invalidTag = uint64(1) << 63
+
+// maxWays is the associativity a set's way order holds: sixteen 4-bit
+// fields of one uint64.
+const maxWays = 16
+
+// nibbles has a one in every 4-bit field; times a way index it repeats the
+// index in every field, the key of the way order's SWAR search.
+const nibbles = 0x1111111111111111
 
 // fastmodLimit bounds the set-index hashes the exact 32-bit Lemire
 // reduction covers; larger hashes (addresses beyond 256GB) fall back to %.
@@ -52,21 +62,27 @@ type Cache struct {
 	fastM      uint64 // Lemire reciprocal of nsets when it is not a power of two
 	hashShift  uint   // bits.Len(nsets): how far the index hash folds the upper bits
 	blockShift uint   // log2(BlockBytes)
-	tick       uint64
+	lastField  uint   // 4*(ways-1): the bit offset of a way order's victim field
 
 	// Flat per-line state, indexed by position p = set*ways + way.
-	tags    []uint64 // block address, or invalidTag
-	lastUse []uint64 // LRU timestamp
-	flags   []uint8  // flagDirty | flagPrefetched
+	tags  []uint64 // block address, or invalidTag
+	flags []uint8  // flagDirty | flagPrefetched
 
-	// Dirty-line index: dirtyList holds the position of every dirty
-	// resident line, dirtyPos maps a position back to its dirtyList slot
-	// (-1 when clean). DirtyCount and the proactive cleaning sweep read
-	// the list instead of scanning every line; order within the list is
-	// irrelevant because cleaning selects and sorts by the strictly
-	// unique lastUse ticks.
-	dirtyList []int32
-	dirtyPos  []int32
+	// order holds each set's way order: its ways as 4-bit fields, the most
+	// recently used in the lowest, the victim in the field at lastField.
+	// A use or fill moves a way to the front. Empty ways start at the
+	// victim end, lowest index last, and only a fill moves one, so the
+	// victim is the first empty way, else the least recently used.
+	order []uint64
+
+	// The dirty lines form one doubly-linked list through prev and next
+	// (line positions, -1 at either end), least recently used at
+	// dirtyHead. A line joins at the tail when dirtied, moves there when
+	// used, and leaves when evicted or cleaned, so the list holds the
+	// dirty lines in recency order.
+	prev, next           []int32
+	dirtyHead, dirtyTail int32
+	ndirty               int
 
 	// Stats.
 	Hits, Misses   uint64
@@ -76,12 +92,10 @@ type Cache struct {
 	Cleans         uint64
 	Fills          uint64 // lines allocated (demand + prefetch)
 	Evictions      uint64 // valid lines displaced by Fill (dirty or clean)
-	Invalidations  uint64 // valid lines dropped by Invalidate
 
 	// Scratch reused across CleanDirtyMatching calls; the slice that call
-	// returns aliases cleanOut and is valid until the next call.
-	cleanCands cleanCands
-	cleanOut   []uint64
+	// returns aliases it and is valid until the next call.
+	cleanOut []uint64
 }
 
 // pool is one typed backing store inside an Arena. alloc hands out a
@@ -137,54 +151,76 @@ func (a *Arena) Reset() {
 	a.i32.reset()
 }
 
-// New builds a cache level. It panics on invalid geometry so
-// misconfiguration fails fast at node construction.
+// Validate reports a geometry a cache level cannot have: a non-positive
+// size or way count, a block size below 2 bytes or not a power of two,
+// more than 16 ways, or a line count that is not a positive multiple of
+// the ways.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0:
+		// BlockBytes >= 2 keeps block addresses below invalidTag; a power
+		// of two lets Block shift instead of divide.
+		return fmt.Errorf("cache: invalid config %+v", cfg)
+	case cfg.Ways > maxWays:
+		return fmt.Errorf("cache: %d ways exceed the %d a set's way order holds", cfg.Ways, maxWays)
+	}
+	blocks := cfg.SizeBytes / cfg.BlockBytes
+	if blocks%cfg.Ways != 0 {
+		return fmt.Errorf("cache: %d blocks not divisible by %d ways", blocks, cfg.Ways)
+	}
+	if blocks == 0 {
+		return errors.New("cache: zero sets")
+	}
+	return nil
+}
+
+// New builds a cache level. It panics with Validate's message on an
+// invalid geometry; callers that take a geometry as input validate first.
 func New(cfg Config) *Cache { return NewIn(nil, cfg) }
 
 // NewIn is New with the state arrays carved out of arena (nil behaves
 // like New). Arena-backed caches cost no steady-state allocation when the
 // arena is recycled across hierarchies.
 func NewIn(arena *Arena, cfg Config) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
-		// BlockBytes >= 2 keeps block addresses below invalidTag; a power
-		// of two lets Block shift instead of divide.
-		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	blocks := cfg.SizeBytes / cfg.BlockBytes
-	if blocks%cfg.Ways != 0 {
-		panic(fmt.Sprintf("cache: %d blocks not divisible by %d ways", blocks, cfg.Ways))
-	}
 	nsets := blocks / cfg.Ways
-	if nsets == 0 {
-		panic("cache: zero sets")
-	}
 	c := &Cache{
 		cfg:        cfg,
 		nsets:      nsets,
 		ways:       cfg.Ways,
 		hashShift:  uint(bits.Len(uint(nsets))),
 		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		lastField:  uint(4 * (cfg.Ways - 1)),
+		dirtyHead:  -1,
+		dirtyTail:  -1,
 	}
 	if arena != nil {
 		c.tags = arena.u64.alloc(blocks)
-		c.lastUse = arena.u64.alloc(blocks)
+		c.order = arena.u64.alloc(nsets)
 		c.flags = arena.u8.alloc(blocks)
-		c.dirtyPos = arena.i32.alloc(blocks)
-		// The dirty list can never exceed one entry per line, so a
-		// full-capacity window makes append allocation-free for the
-		// cache's whole lifetime.
-		c.dirtyList = arena.i32.alloc(blocks)[:0]
+		c.prev = arena.i32.alloc(blocks)
+		c.next = arena.i32.alloc(blocks)
 	} else {
 		c.tags = make([]uint64, blocks)
-		c.lastUse = make([]uint64, blocks)
+		c.order = make([]uint64, nsets)
 		c.flags = make([]uint8, blocks)
-		c.dirtyPos = make([]int32, blocks)
+		c.prev = make([]int32, blocks)
+		c.next = make([]int32, blocks)
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	for i := range c.dirtyPos {
-		c.dirtyPos[i] = -1
+	// Every set starts empty: way 0 in the victim field, the highest way
+	// at the front.
+	var empty uint64
+	for w := uint(0); w < uint(cfg.Ways); w++ {
+		empty |= uint64(w) << (c.lastField - 4*w)
+	}
+	for i := range c.order {
+		c.order[i] = empty
 	}
 	c.setMask = -1
 	if nsets&(nsets-1) == 0 {
@@ -195,21 +231,53 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 	return c
 }
 
-// markDirty records position p (set*ways+way) as dirty.
-func (c *Cache) markDirty(p int) {
-	c.dirtyPos[p] = int32(len(c.dirtyList))
-	c.dirtyList = append(c.dirtyList, int32(p))
+// use records a use of way w of set, the line at position p: it moves
+// the way to the front of the set's order and, for a line that is or
+// becomes dirty (write), to the tail of the dirty list.
+func (c *Cache) use(set, w, p int, write bool) {
+	// SWAR search: x has a zero field exactly where the order holds w,
+	// and the lowest field the borrow trick flags is the first zero one.
+	o := c.order[set]
+	x := o ^ uint64(w)*nibbles
+	k := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	c.order[set] = o&^(uint64(1)<<(k+4)-1) | (o&(uint64(1)<<k-1))<<4 | uint64(w)
+	dirty := c.flags[p]&flagDirty != 0
+	if dirty {
+		c.unlinkDirty(int32(p))
+	}
+	if dirty || write {
+		c.flags[p] |= flagDirty
+		c.pushDirty(int32(p))
+	}
 }
 
-// markClean removes position p from the dirty index (swap-with-last).
-func (c *Cache) markClean(p int) {
-	i := c.dirtyPos[p]
-	last := len(c.dirtyList) - 1
-	moved := c.dirtyList[last]
-	c.dirtyList[i] = moved
-	c.dirtyPos[moved] = i
-	c.dirtyList = c.dirtyList[:last]
-	c.dirtyPos[p] = -1
+// pushDirty appends line p at the tail, the most recent end, of the
+// dirty list.
+func (c *Cache) pushDirty(p int32) {
+	c.prev[p], c.next[p] = c.dirtyTail, -1
+	if c.dirtyTail >= 0 {
+		c.next[c.dirtyTail] = p
+	} else {
+		c.dirtyHead = p
+	}
+	c.dirtyTail = p
+	c.ndirty++
+}
+
+// unlinkDirty removes line p from the dirty list.
+func (c *Cache) unlinkDirty(p int32) {
+	prev, next := c.prev[p], c.next[p]
+	if prev >= 0 {
+		c.next[prev] = next
+	} else {
+		c.dirtyHead = next
+	}
+	if next >= 0 {
+		c.prev[next] = prev
+	} else {
+		c.dirtyTail = prev
+	}
+	c.ndirty--
 }
 
 // Config returns the cache's configuration.
@@ -258,17 +326,13 @@ func (c *Cache) Lookup(addr uint64) bool {
 // does NOT allocate; the caller fetches the block from the next level and
 // then calls Fill.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	c.tick++
 	block := c.Block(addr)
-	base := c.index(block) * c.ways
+	set := c.index(block)
+	base := set * c.ways
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == block {
 			p := base + i
-			c.lastUse[p] = c.tick
-			if write && c.flags[p]&flagDirty == 0 {
-				c.flags[p] |= flagDirty
-				c.markDirty(p)
-			}
+			c.use(set, i, p, write)
 			if c.flags[p]&flagPrefetched != 0 {
 				c.flags[p] &^= flagPrefetched
 				c.PrefetchUseful++
@@ -286,115 +350,66 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // and whether that block was dirty (needing writeback). For a write miss
 // the filled line starts dirty (write-allocate).
 func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVictim bool) {
-	c.tick++
 	block := c.Block(addr)
-	base := c.index(block) * c.ways
+	set := c.index(block)
+	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
-	// Probe the tags alone: bail out if the block is already present
-	// (e.g. a racing prefetch), noting the first invalid way on the way.
-	vi := -1
+	// Bail out if the block is already present (e.g. a racing prefetch).
 	for i, t := range tags {
 		if t == block {
-			p := base + i
-			if write && c.flags[p]&flagDirty == 0 {
-				c.flags[p] |= flagDirty
-				c.markDirty(p)
-			}
-			c.lastUse[p] = c.tick
+			c.use(set, i, base+i, write)
 			return 0, false
 		}
-		if t == invalidTag && vi < 0 {
-			vi = i
-		}
 	}
-	// The victim is the first invalid way, else — only on a full set —
-	// the least-recently-used one.
-	viValid := vi < 0
-	if viValid {
-		lu := c.lastUse[base : base+c.ways]
-		vi = 0
-		oldest := lu[0]
-		for i := 1; i < len(lu); i++ {
-			if lu[i] < oldest {
-				vi, oldest = i, lu[i]
-			}
-		}
-	}
+	// The victim is the way in the order's last field: the first empty
+	// way, else the least recently used.
+	vi := int(c.order[set] >> c.lastField & 0xF)
 	vp := base + vi
 	vTag := tags[vi]
 	vDirty := c.flags[vp]&flagDirty != 0
+	if vDirty {
+		c.unlinkDirty(int32(vp))
+	}
 	tags[vi] = block
-	c.lastUse[vp] = c.tick
-	var nf uint8
-	if write {
-		nf = flagDirty
-	}
+	c.flags[vp] = 0
 	if prefetch {
-		nf |= flagPrefetched
+		c.flags[vp] = flagPrefetched
 	}
-	c.flags[vp] = nf
-	if viValid && vDirty {
-		if !write {
-			c.markClean(vp)
-		}
-	} else if write {
-		c.markDirty(vp)
-	}
+	c.use(set, vi, vp, write)
 	c.Fills++
 	if prefetch {
 		c.PrefetchFills++
 	}
-	if viValid {
+	if vTag != invalidTag {
 		c.Evictions++
 	}
-	if viValid && vDirty {
+	if vDirty {
 		c.Writebacks++
 		return vTag << c.blockShift, true
 	}
 	return 0, false
 }
 
-// CopyFrom makes c an exact copy of src: every line's tag, recency and
-// flags, the dirty index, the LRU clock and the statistics, so c behaves
-// bit for bit as src would from here on. Both must share one Config. The
-// experiment engine uses it to hand each memory design its own copy of a
-// prefilled LLC.
+// CopyFrom makes c an exact copy of src: every line's tag and flags, the
+// way orders, the dirty list and the statistics, so c behaves bit for bit
+// as src would from here on. Both must share one Config. The experiment
+// engine uses it to hand each memory design its own copy of a prefilled
+// LLC.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.cfg != src.cfg {
 		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))
 	}
-	c.tick = src.tick
 	copy(c.tags, src.tags)
-	copy(c.lastUse, src.lastUse)
 	copy(c.flags, src.flags)
-	copy(c.dirtyPos, src.dirtyPos)
-	c.dirtyList = append(c.dirtyList[:0], src.dirtyList...)
+	copy(c.order, src.order)
+	copy(c.prev, src.prev)
+	copy(c.next, src.next)
+	c.dirtyHead, c.dirtyTail, c.ndirty = src.dirtyHead, src.dirtyTail, src.ndirty
 	c.Hits, c.Misses = src.Hits, src.Misses
 	c.Writebacks = src.Writebacks
 	c.PrefetchFills, c.PrefetchUseful = src.PrefetchFills, src.PrefetchUseful
 	c.Cleans, c.Fills = src.Cleans, src.Fills
-	c.Evictions, c.Invalidations = src.Evictions, src.Invalidations
-}
-
-// Invalidate drops a block if present, returning whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	block := c.Block(addr)
-	base := c.index(block) * c.ways
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == block {
-			p := base + i
-			d := c.flags[p]&flagDirty != 0
-			if d {
-				c.markClean(p)
-			}
-			c.tags[p] = invalidTag
-			c.lastUse[p] = 0
-			c.flags[p] = 0
-			c.Invalidations++
-			return d
-		}
-	}
-	return false
+	c.Evictions = src.Evictions
 }
 
 // Resident returns the number of valid lines.
@@ -409,8 +424,8 @@ func (c *Cache) Resident() int {
 }
 
 // DirtyCount returns the number of dirty lines currently resident.
-// O(1): the dirty index tracks every transition.
-func (c *Cache) DirtyCount() int { return len(c.dirtyList) }
+// O(1): the dirty list counts its lines.
+func (c *Cache) DirtyCount() int { return c.ndirty }
 
 // CleanDirty implements §III-E's proactive LLC cleaning: it marks up to
 // max dirty blocks clean, least-recently-used first, and returns their
@@ -418,42 +433,6 @@ func (c *Cache) DirtyCount() int { return len(c.dirtyList) }
 // current write batch. It satisfies memctrl.CleanSource.
 func (c *Cache) CleanDirty(max int) []uint64 {
 	return c.CleanDirtyMatching(max, nil)
-}
-
-// cleanCand locates one dirty line considered for proactive cleaning.
-type cleanCand struct {
-	pos     int32
-	lastUse uint64
-}
-
-// cleanCands sorts candidates least-recently-used first. lastUse values
-// are unique (the tick advances on every access), so the order — and the
-// drained output — is deterministic.
-type cleanCands []cleanCand
-
-func (s cleanCands) Len() int           { return len(s) }
-func (s cleanCands) Less(i, j int) bool { return s[i].lastUse < s[j].lastUse }
-func (s cleanCands) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// siftDown restores the max-heap property (largest lastUse at the root)
-// at index i of h. Hand-rolled rather than container/heap because the
-// interface boxes every Push/Pop operand, and this runs on the write-mode
-// path.
-func siftDown(h []cleanCand, i int) {
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			return
-		}
-		if r := child + 1; r < len(h) && h[r].lastUse > h[child].lastUse {
-			child = r
-		}
-		if h[child].lastUse <= h[i].lastUse {
-			return
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
 }
 
 // CleanDirtyMatching is CleanDirty restricted to blocks whose address
@@ -465,44 +444,17 @@ func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint
 	if max <= 0 {
 		return nil
 	}
-	// Enumerate candidates from the dirty index instead of scanning every
-	// line. The index's order is arbitrary (swap-with-last removal), but
-	// the selection below keys on the strictly unique lastUse ticks, so
-	// the cleaned set and its order are independent of enumeration order.
-	cands := c.cleanCands[:0]
-	for _, p := range c.dirtyList {
-		if match != nil && !match(c.tags[p]<<c.blockShift) {
-			continue
-		}
-		cands = append(cands, cleanCand{p, c.lastUse[p]})
-	}
-	c.cleanCands = cands
-	if len(cands) > max {
-		// Bounded selection: keep the max least-recently-used candidates in
-		// a max-heap (root = youngest kept) and stream the rest through it,
-		// then sort just the survivors. Because lastUse values are unique,
-		// this yields exactly the same output as sorting every candidate and
-		// truncating — at O(n log max) instead of O(n log n), which matters
-		// when the LLC holds far more dirty lines than the batch cleans.
-		h := cands[:max]
-		for i := max/2 - 1; i >= 0; i-- {
-			siftDown(h, i)
-		}
-		for _, cd := range cands[max:] {
-			if cd.lastUse < h[0].lastUse {
-				h[0] = cd
-				siftDown(h, 0)
-			}
-		}
-		cands = h
-	}
-	sort.Sort(cands)
+	// The dirty list runs least recently used first, so its first max
+	// matching lines are the ones to clean, in order.
 	out := c.cleanOut[:0]
-	for _, cd := range cands {
-		p := int(cd.pos)
-		c.flags[p] &^= flagDirty
-		c.markClean(p)
-		out = append(out, c.tags[p]<<c.blockShift)
+	for p := c.dirtyHead; p >= 0 && len(out) < max; {
+		next := c.next[p]
+		if addr := c.tags[p] << c.blockShift; match == nil || match(addr) {
+			c.flags[p] &^= flagDirty
+			c.unlinkDirty(p)
+			out = append(out, addr)
+		}
+		p = next
 	}
 	c.cleanOut = out
 	c.Cleans += uint64(len(out))
@@ -510,39 +462,57 @@ func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint
 }
 
 // CheckConservation verifies the level's line accounting: every
-// allocated line is still resident, was evicted, or was invalidated; a
-// line only becomes useful-prefetch after being prefetch-filled.
+// allocated line is still resident or was evicted; a line only becomes
+// useful-prefetch after being prefetch-filled; every set's way order is a
+// permutation of its ways with the empty ones at the victim end, lowest
+// index last; and the dirty list links exactly the dirty resident lines.
 func (c *Cache) CheckConservation(source string) []obs.Violation {
 	ck := obs.NewChecker(source)
-	ck.CheckEq(int64(c.Fills), int64(c.Evictions+c.Invalidations)+int64(c.Resident()),
-		"fills==evictions+invalidations+resident")
+	resident := c.Resident()
+	ck.CheckEq(int64(c.Fills), int64(c.Evictions)+int64(resident), "fills==evictions+resident")
 	ck.Check(c.Evictions >= c.Writebacks, "evictions>=writebacks",
 		"%d evictions, %d writebacks", c.Evictions, c.Writebacks)
 	ck.Check(c.PrefetchUseful <= c.PrefetchFills, "prefetch-useful<=prefetch-fills",
 		"%d useful, %d fills", c.PrefetchUseful, c.PrefetchFills)
 	ck.Check(c.PrefetchFills <= c.Fills, "prefetch-fills<=fills",
 		"%d prefetch fills, %d fills", c.PrefetchFills, c.Fills)
-	ck.Check(c.Resident() <= c.nsets*c.ways, "resident<=capacity",
-		"%d resident, %d lines", c.Resident(), c.nsets*c.ways)
-	// The dirty index must mirror the line state exactly: same count as a
-	// full scan, and every indexed position a dirty resident line whose
-	// back-pointer round-trips.
+	ck.Check(resident <= c.nsets*c.ways, "resident<=capacity",
+		"%d resident, %d lines", resident, c.nsets*c.ways)
+	orderOK := true
+	for set, o := range c.order {
+		var seen uint32
+		empty := c.ways // the last empty way met walking toward the victim; c.ways: none yet
+		for k := uint(0); k <= c.lastField && orderOK; k += 4 {
+			w := int(o >> k & 0xF)
+			valid := w < c.ways && c.tags[set*c.ways+w] != invalidTag
+			orderOK = w < c.ways && seen&(1<<w) == 0 && (valid && empty == c.ways || !valid && w < empty)
+			seen |= 1 << w
+			if !valid {
+				empty = w
+			}
+		}
+		orderOK = orderOK && o>>(c.lastField+4) == 0
+	}
+	ck.Check(orderOK, "way-orders-valid",
+		"a set's way order is no permutation of its ways, or its empty ways are not last in descending order")
+	// The dirty list must hold exactly the dirty resident lines: as many
+	// as a full scan finds, each dirty and valid, every back link intact.
 	scan := 0
 	for p, t := range c.tags {
 		if t != invalidTag && c.flags[p]&flagDirty != 0 {
 			scan++
 		}
 	}
-	ck.CheckEq(int64(len(c.dirtyList)), int64(scan), "dirty-index==dirty-scan")
-	indexOK := true
-	for i, p := range c.dirtyList {
-		if c.tags[p] == invalidTag || c.flags[p]&flagDirty == 0 || c.dirtyPos[p] != int32(i) {
-			indexOK = false
+	ck.CheckEq(int64(c.ndirty), int64(scan), "dirty-count==dirty-scan")
+	n, last, p := 0, int32(-1), c.dirtyHead
+	for ; p >= 0 && int(p) < len(c.tags) && n < len(c.tags); p = c.next[p] {
+		if c.prev[p] != last || c.tags[p] == invalidTag || c.flags[p]&flagDirty == 0 {
 			break
 		}
+		n, last = n+1, p
 	}
-	ck.Check(indexOK, "dirty-index-entries-valid",
-		"a dirty-index entry points at a clean, invalid, or mis-linked line")
+	ck.Check(p == -1 && last == c.dirtyTail && n == scan, "dirty-list-valid",
+		"the dirty list holds %d lines of %d dirty, or links a clean, invalid or mis-linked line", n, scan)
 	return ck.Violations()
 }
 

@@ -17,19 +17,28 @@ func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, Ways: 4, BlockBytes: 64},
 		{SizeBytes: 8192, Ways: 0, BlockBytes: 64},
-		{SizeBytes: 8192, Ways: 3, BlockBytes: 64}, // 128 blocks / 3 ways
-		{SizeBytes: 32, Ways: 1, BlockBytes: 64},   // zero sets
-		{SizeBytes: 6144, Ways: 4, BlockBytes: 48}, // block size not a power of two
+		{SizeBytes: 8192, Ways: 3, BlockBytes: 64},     // 128 blocks / 3 ways
+		{SizeBytes: 32, Ways: 1, BlockBytes: 64},       // zero sets
+		{SizeBytes: 6144, Ways: 4, BlockBytes: 48},     // block size not a power of two
+		{SizeBytes: 64 * 17, Ways: 17, BlockBytes: 64}, // more ways than a way order holds
 	}
 	for i, cfg := range bad {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("bad config %d validates", i)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("bad config %d accepted", i)
+				if p := recover(); p != err.Error() {
+					t.Errorf("bad config %d: New panicked with %v, want %q", i, p, err)
 				}
 			}()
 			New(cfg)
 		}()
+	}
+	if err := (Config{SizeBytes: 64 * 16, Ways: 16, BlockBytes: 64}).Validate(); err != nil {
+		t.Errorf("16 ways rejected: %v", err)
 	}
 }
 
@@ -98,20 +107,6 @@ func TestLRUVictimSelection(t *testing.T) {
 		if !c.Lookup(uint64(i * 64)) {
 			t.Errorf("block %d missing after eviction", i)
 		}
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := small()
-	c.Fill(0x80, true, false)
-	if !c.Invalidate(0x80) {
-		t.Error("Invalidate lost dirtiness")
-	}
-	if c.Lookup(0x80) {
-		t.Error("block still present after invalidate")
-	}
-	if c.Invalidate(0x80) {
-		t.Error("second invalidate reported dirty")
 	}
 }
 
@@ -327,9 +322,9 @@ func TestFastmodMatchesModulo(t *testing.T) {
 	}
 }
 
-// TestCopyFromIsExact drives a cache through fills, accesses, cleaning
-// and invalidation, copies it, then applies one identical operation
-// sequence to both: every return value and the final state must agree.
+// TestCopyFromIsExact drives a cache through fills, accesses and
+// cleaning, copies it, then applies one identical operation sequence to
+// both: every return value and the final state must agree.
 func TestCopyFromIsExact(t *testing.T) {
 	cfg := Config{SizeBytes: 64 * 16 * 7, Ways: 16, BlockBytes: 64} // 7 sets: fastmod path
 	var arena Arena
@@ -338,7 +333,7 @@ func TestCopyFromIsExact(t *testing.T) {
 		var out []uint64
 		for i := 0; i < n; i++ {
 			addr := rng.Uint64n(1<<16) &^ 63
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0, 1:
 				v, d := c.Fill(addr, rng.Bool(0.3), rng.Bool(0.2))
 				if d {
@@ -350,10 +345,6 @@ func TestCopyFromIsExact(t *testing.T) {
 				}
 			case 3:
 				out = append(out, c.CleanDirty(rng.Intn(4))...)
-			case 4:
-				if c.Invalidate(addr) {
-					out = append(out, 2)
-				}
 			}
 		}
 		return out
@@ -366,11 +357,10 @@ func TestCopyFromIsExact(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("copy diverged from its source under identical operations")
 	}
-	// Compare every field except the cleaning scratch buffers.
+	// Compare every field except the cleaning scratch buffer.
 	strip := func(c *Cache) Cache {
 		x := *c
-		x.cleanCands, x.cleanOut = nil, nil
-		x.dirtyList = append([]int32{}, x.dirtyList...)
+		x.cleanOut = nil
 		return x
 	}
 	if !reflect.DeepEqual(strip(src), strip(dst)) {
@@ -401,5 +391,40 @@ func TestStridePrefetcherGrowsStreams(t *testing.T) {
 	}
 	if len(g9) != 1 || g9[0] != 62 || len(g0) != 1 || g0[0] != 11 {
 		t.Errorf("predictions: stream 9 %v, stream 0 %v", g9, g0)
+	}
+}
+
+// TestCheckConservationCatchesBrokenOrders: each way-order and
+// dirty-list invariant CheckConservation states is reported, not
+// panicked on, once it is broken.
+func TestCheckConservationCatchesBrokenOrders(t *testing.T) {
+	cfg := Config{SizeBytes: 64 * 8 * 2, Ways: 8, BlockBytes: 64} // 2 sets
+	for name, c := range map[string]struct {
+		want    string
+		corrupt func(c *Cache)
+	}{
+		"way out of range":            {"way-orders-valid", func(c *Cache) { c.order[1] |= 0xF }},
+		"way twice":                   {"way-orders-valid", func(c *Cache) { c.order[0] = c.order[0]&^0xF | c.order[0]>>4&0xF }},
+		"valid way behind empty ones": {"way-orders-valid", func(c *Cache) { c.order[0] = c.order[0]>>4 | c.order[0]&0xF<<28 }},
+		"dirty count":                 {"dirty-count==dirty-scan", func(c *Cache) { c.ndirty++ }},
+		"clean line listed":           {"dirty-list-valid", func(c *Cache) { c.flags[c.dirtyHead] &^= flagDirty; c.ndirty-- }},
+		"back link":                   {"dirty-list-valid", func(c *Cache) { c.prev[c.dirtyTail] = -1 }},
+		"wild link":                   {"dirty-list-valid", func(c *Cache) { c.next[c.dirtyTail] = 1 << 20 }},
+	} {
+		cache := New(cfg)
+		for i := 0; i < 6; i++ {
+			cache.Fill(uint64(i*64), true, false)
+		}
+		if vs := cache.CheckConservation("ok"); len(vs) != 0 {
+			t.Fatalf("%s: intact cache reports %v", name, vs)
+		}
+		c.corrupt(cache)
+		found := false
+		for _, v := range cache.CheckConservation(name) {
+			found = found || v.Name == c.want
+		}
+		if !found {
+			t.Errorf("%s: no %s violation in %v", name, c.want, cache.CheckConservation(name))
+		}
 	}
 }

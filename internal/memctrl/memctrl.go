@@ -74,8 +74,10 @@ func (r Replication) Fast() bool {
 }
 
 // CleanSource supplies dirty LLC blocks for proactive cleaning when a
-// channel enters write mode (§III-E: Hetero-DMR cleans least-recently
-// used dirty blocks to fill its 100x larger write batch).
+// channel enters write mode, whatever its replication: enterWriteMode
+// tops every spurt up to its remaining batch budget. §III-E cleans the
+// least recently used dirty blocks to fill Hetero-DMR's 100x larger write
+// batch; conventional designs clean into their smaller batches as well.
 type CleanSource interface {
 	// CleanDirty returns up to max block addresses that were dirty and
 	// have now been cleaned (written back); they become writes.
@@ -169,8 +171,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("memctrl: RowBytes=%d BlockBytes=%d invalid", c.RowBytes, c.BlockBytes)
 	case c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0 || c.WriteBatch <= 0:
 		return fmt.Errorf("memctrl: queue capacities must be positive")
+	case c.Spec.Rate <= 0:
+		return fmt.Errorf("memctrl: Spec data rate %v must be positive", c.Spec.Rate)
 	case c.Replication.Fast() && c.Fast == nil:
 		return fmt.Errorf("memctrl: %v requires a Fast operating point", c.Replication)
+	case c.Replication.Fast() && c.Fast.Rate <= 0:
+		return fmt.Errorf("memctrl: Fast data rate %v must be positive", c.Fast.Rate)
 	case c.Replication.Replicated() && c.Ranks < 2*c.RanksPerMod:
 		return fmt.Errorf("memctrl: replication needs at least two modules")
 	case c.WritebackCacheBlocks > 0 && (c.WritebackCacheWays <= 0 || c.WritebackCacheBlocks%c.WritebackCacheWays != 0):

@@ -39,6 +39,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RowBytes = 100 },
 		func(c *Config) { c.ReadQueueCap = 0 },
 		func(c *Config) { c.Replication = ReplicationHeteroDMR }, // no Fast point
+		func(c *Config) { c.Spec.Rate = 0 },
+		func(c *Config) {
+			fast := fastPoint()
+			fast.Rate = 0
+			c.Replication, c.Fast = ReplicationHeteroDMR, &fast
+		},
 		func(c *Config) { c.WritebackCacheBlocks = 100; c.WritebackCacheWays = 64 },
 	}
 	for i, mutate := range bad {

@@ -544,8 +544,9 @@ func (c *Channel) serveWrite() {
 
 // enterWriteMode starts a write-drain spurt: a cheap bus turnaround for
 // every design (a Hetero-DMR channel is already at specification in its
-// slow phase — see transitionToSlow). The spurt is topped up from the
-// writeback cache and, for Hetero-DMR, proactive LLC cleaning (§III-E).
+// slow phase — see transitionToSlow). In every design the spurt is
+// topped up from the writeback cache and then, when a CleanSource is
+// attached and batch budget remains, by proactive LLC cleaning (§III-E).
 func (c *Channel) enterWriteMode() {
 	if c.writeMode {
 		panic("memctrl: already in write mode")

@@ -416,13 +416,19 @@ type FrontEnd struct {
 // running prof. Only the fields FrontEndKeyOf reads matter. The private
 // caches never change once a core is recorded, so their conservation
 // checks run then and the caches are dropped. It returns an error for
-// an invalid hierarchy and for a profile that, scaled to cfg.ScaleShift,
-// fails workload.Profile.Validate.
+// an invalid hierarchy, for a cache level that cfg.ScaleShift leaves
+// without a valid geometry (cache.Config.Validate), and for a profile
+// that, scaled to cfg.ScaleShift, fails workload.Profile.Validate.
 func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
 		return nil, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
 	}
 	cfg = withDefaults(cfg)
+	for _, level := range []cache.Config{l1Config(), l2Config(cfg.H, cfg.ScaleShift), l3Config(cfg.H, cfg.ScaleShift)} {
+		if err := level.Validate(); err != nil {
+			return nil, fmt.Errorf("node: %s at scale shift %d: %w", cfg.H.Name, cfg.ScaleShift, err)
+		}
+	}
 	key := FrontEndKeyOf(cfg, prof)
 	scale := uint64(1) << cfg.ScaleShift
 	prof.FootprintBytes /= scale

@@ -162,6 +162,46 @@ func TestRunInvalidProfile(t *testing.T) {
 	}
 }
 
+// TestRunImpossibleConfig: a scale shift that leaves a cache level with
+// fewer blocks than ways (11 on Hierarchy1: each 16-way L2 holds 8) or
+// with no bytes (25), a zero Spec data rate, and a Hetero-DMR Fast point
+// with a zero rate are errors from Run, never panics. The scale errors
+// come from Record already; the rates matter only to the replay.
+func TestRunImpossibleConfig(t *testing.T) {
+	scaled := func(shift uint) Config {
+		cfg := short(Hierarchy1(), memctrl.ReplicationNone, nil)
+		cfg.ScaleShift = shift
+		return cfg
+	}
+	zeroSpec := short(Hierarchy1(), memctrl.ReplicationNone, nil)
+	zeroSpec.Spec = dramspec.Config{}
+	zeroFast := fastPoint()
+	zeroFast.Rate = 0
+	for name, c := range map[string]struct {
+		cfg    Config
+		record bool // Record rejects it too
+	}{
+		"scale-11":  {scaled(11), true},
+		"scale-25":  {scaled(25), true},
+		"zero-spec": {zeroSpec, false},
+		"zero-fast": {short(Hierarchy1(), memctrl.ReplicationHeteroDMR, &zeroFast), false},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if _, err := Record(c.cfg, workload.ByName("hpcg")); (err != nil) != c.record {
+				t.Errorf("%s: Record returned %v", name, err)
+			}
+			if _, err := Run(c.cfg, workload.ByName("hpcg")); err == nil {
+				t.Errorf("%s: Run accepted the config", name)
+			}
+		}()
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	cfg := short(Hierarchy1(), memctrl.ReplicationNone, nil)
 	a := MustRun(cfg, workload.ByName("hpcg"))

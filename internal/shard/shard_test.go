@@ -305,7 +305,17 @@ func TestWorkerHandler(t *testing.T) {
 		Spec: dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
 		Seed: 1,
 	}, streamless)
-	for name, bad := range map[string]Unit{"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless, "bad-profile": badProfile} {
+	badScale := NewNodeUnit(testVersion, node.Config{
+		H:          node.Hierarchy1(),
+		Spec:       dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed:       1,
+		ScaleShift: 11, // leaves each 16-way L2 8 blocks
+	}, workload.ByName("hpcg"))
+	zeroRate := NewNodeUnit(testVersion, node.Config{H: node.Hierarchy1(), Seed: 1}, workload.ByName("hpcg"))
+	for name, bad := range map[string]Unit{
+		"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless, "bad-profile": badProfile,
+		"bad-scale": badScale, "zero-rate": zeroRate,
+	} {
 		resp, _, msg := post(batch(u, bad))
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, bad.Key) {
 			t.Errorf("%s unit answered %s %q, want 400 naming %s", name, resp.Status, msg, bad.Key)
@@ -462,11 +472,12 @@ func (h *heldUntil) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 }
 
 // TestPoolWorkerDeathMidRun kills one of two workers after two served
-// units: the pool must mark it dead after DeadAfter consecutive
-// failures, requeue its claimed units, and still merge the exact
-// sequential bytes. The healthy worker is held until the coordinator has
-// declared the death, so the healthy worker can never drain the queue
-// before the dying one has failed DeadAfter times in a row.
+// units: the pool must open the dying worker's breaker after DeadAfter
+// consecutive failures, retry each batch that failed there on whichever
+// worker frees a slot next, and still merge the exact sequential bytes.
+// The healthy worker is held until the coordinator has declared the
+// death, so it cannot finish every batch before the dying one has failed
+// DeadAfter times in a row.
 func TestPoolWorkerDeathMidRun(t *testing.T) {
 	units := mcUnits()
 	want := seqPayloads(t, units)
@@ -507,15 +518,17 @@ func TestPoolWorkerDeathMidRun(t *testing.T) {
 	if snap.Counters["shard/retries"] == 0 {
 		t.Error("no retries counted despite a dying worker")
 	}
-	// Every counted retry put its unit back on the queue (local
-	// fallbacks and dead-worker slot commits account for the rest), and
-	// the dying worker's in-flight units were in fact requeued.
+	// A failed dispatch is one retry, and requeued counts the retries
+	// that waited out their backoff before drawing another slot. A retry
+	// whose budget was spent runs locally without waiting, so requeued
+	// cannot exceed retries; with a worker dying mid-run, some retry
+	// must have waited.
 	if snap.Counters["shard/requeued"] > snap.Counters["shard/retries"] {
 		t.Errorf("requeued %d exceeds retries %d",
 			snap.Counters["shard/requeued"], snap.Counters["shard/retries"])
 	}
 	if snap.Counters["shard/requeued"] == 0 {
-		t.Error("no units requeued despite a worker dying mid-run")
+		t.Error("no retry waited out its backoff despite a worker dying mid-run")
 	}
 }
 
