@@ -427,18 +427,13 @@ func (c *Cache) Resident() int {
 // O(1): the dirty list counts its lines.
 func (c *Cache) DirtyCount() int { return c.ndirty }
 
-// CleanDirty implements §III-E's proactive LLC cleaning: it marks up to
-// max dirty blocks clean, least-recently-used first, and returns their
-// addresses so the memory controller writes them back as part of the
-// current write batch. It satisfies memctrl.CleanSource.
-func (c *Cache) CleanDirty(max int) []uint64 {
-	return c.CleanDirtyMatching(max, nil)
-}
-
-// CleanDirtyMatching is CleanDirty restricted to blocks whose address
-// satisfies match (nil matches everything); multi-channel nodes use it so
-// each channel's write batch cleans only blocks homed on that channel.
-// The returned slice aliases internal scratch valid until the next call;
+// CleanDirtyMatching implements §III-E's proactive LLC cleaning: it
+// marks up to max dirty blocks whose address satisfies match (nil
+// matches everything) clean, least-recently-used first, and returns
+// their addresses so the memory controller writes them back as part of
+// the current write batch. Multi-channel nodes pass a match so each
+// channel's write batch cleans only blocks homed on that channel. The
+// returned slice aliases internal scratch valid until the next call;
 // callers consume it immediately (memctrl moves it into its write queue).
 func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint64 {
 	if max <= 0 {
@@ -514,13 +509,4 @@ func (c *Cache) CheckConservation(source string) []obs.Violation {
 	ck.Check(p == -1 && last == c.dirtyTail && n == scan, "dirty-list-valid",
 		"the dirty list holds %d lines of %d dirty, or links a clean, invalid or mis-linked line", n, scan)
 	return ck.Violations()
-}
-
-// MissRate returns misses / (hits + misses), or 0 with no accesses.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
 }

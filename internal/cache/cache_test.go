@@ -120,7 +120,7 @@ func TestCleanDirtyLRUFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Access(uint64(i*64), true)
 	}
-	cleaned := c.CleanDirty(4)
+	cleaned := c.CleanDirtyMatching(4, nil)
 	if len(cleaned) != 4 {
 		t.Fatalf("cleaned %d, want 4", len(cleaned))
 	}
@@ -133,15 +133,15 @@ func TestCleanDirtyLRUFirst(t *testing.T) {
 	if c.DirtyCount() != 4 {
 		t.Errorf("DirtyCount after clean = %d", c.DirtyCount())
 	}
-	if c.CleanDirty(0) != nil {
-		t.Error("CleanDirty(0) returned blocks")
+	if c.CleanDirtyMatching(0, nil) != nil {
+		t.Error("CleanDirtyMatching(0, nil) returned blocks")
 	}
 }
 
 func TestCleanedBlocksStayResident(t *testing.T) {
 	c := small()
 	c.Fill(0x100, true, false)
-	c.CleanDirty(10)
+	c.CleanDirtyMatching(10, nil)
 	if !c.Lookup(0x100) {
 		t.Error("cleaning evicted the block (must only mark clean)")
 	}
@@ -161,19 +161,6 @@ func TestPrefetchAccounting(t *testing.T) {
 	c.Access(0x200, false)
 	if c.PrefetchUseful != 1 {
 		t.Errorf("PrefetchUseful double-counted: %d", c.PrefetchUseful)
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	c := small()
-	if c.MissRate() != 0 {
-		t.Error("empty cache MissRate != 0")
-	}
-	c.Access(0, false)
-	c.Fill(0, false, false)
-	c.Access(0, false)
-	if c.MissRate() != 0.5 {
-		t.Errorf("MissRate = %v", c.MissRate())
 	}
 }
 
@@ -208,7 +195,7 @@ func TestStridePrefetcherDetectsStride(t *testing.T) {
 	p := NewStridePrefetcher(2)
 	var got []uint64
 	for i := uint64(0); i < 6; i++ {
-		got = p.Observe(1, 100+i*4)
+		got = p.AppendObserve(nil, 1, 100+i*4)
 	}
 	if len(got) != 2 || got[0] != 124 || got[1] != 128 {
 		t.Errorf("stride predictions = %v, want [124 128]", got)
@@ -219,7 +206,7 @@ func TestStridePrefetcherIgnoresRandom(t *testing.T) {
 	p := NewStridePrefetcher(2)
 	seq := []uint64{5, 100, 3, 77, 12, 9000}
 	for _, b := range seq {
-		if out := p.Observe(2, b); out != nil {
+		if out := p.AppendObserve(nil, 2, b); out != nil {
 			t.Errorf("random stream produced prefetch %v", out)
 		}
 	}
@@ -230,8 +217,8 @@ func TestStridePrefetcherPerStream(t *testing.T) {
 	// Interleaved streams with different strides must both be detected.
 	var g1, g2 []uint64
 	for i := uint64(0); i < 6; i++ {
-		g1 = p.Observe(1, i*2)
-		g2 = p.Observe(2, 1000+i*8)
+		g1 = p.AppendObserve(nil, 1, i*2)
+		g2 = p.AppendObserve(nil, 2, 1000+i*8)
 	}
 	if len(g1) != 1 || g1[0] != 12 {
 		t.Errorf("stream1 prediction %v", g1)
@@ -257,12 +244,12 @@ func TestNextLineAutoTurnOff(t *testing.T) {
 	}
 	// Issue a window's worth with zero usefulness: must turn off.
 	for i := uint64(0); i < 16; i++ {
-		p.Observe(i * 100)
+		p.AppendObserve(nil, i*100)
 	}
 	if p.Enabled() {
 		t.Error("useless next-line prefetcher did not turn off")
 	}
-	if p.Observe(5) != nil {
+	if p.AppendObserve(nil, 5) != nil {
 		t.Error("disabled prefetcher still predicting")
 	}
 }
@@ -270,7 +257,7 @@ func TestNextLineAutoTurnOff(t *testing.T) {
 func TestNextLineStaysOnWhenUseful(t *testing.T) {
 	p := NewNextLinePrefetcher(16, 0.5)
 	for i := uint64(0); i < 64; i++ {
-		p.Observe(i)
+		p.AppendObserve(nil, i)
 		p.CreditUseful()
 	}
 	if !p.Enabled() {
@@ -344,7 +331,7 @@ func TestCopyFromIsExact(t *testing.T) {
 					out = append(out, 1)
 				}
 			case 3:
-				out = append(out, c.CleanDirty(rng.Intn(4))...)
+				out = append(out, c.CleanDirtyMatching(rng.Intn(4), nil)...)
 			}
 		}
 		return out
@@ -386,8 +373,8 @@ func TestStridePrefetcherGrowsStreams(t *testing.T) {
 	p := NewStridePrefetcher(1)
 	var g9, g0 []uint64
 	for i := uint64(0); i < 4; i++ {
-		g9 = p.Observe(9, 50+i*3)
-		g0 = p.Observe(0, 7+i)
+		g9 = p.AppendObserve(nil, 9, 50+i*3)
+		g0 = p.AppendObserve(nil, 0, 7+i)
 	}
 	if len(g9) != 1 || g9[0] != 62 || len(g0) != 1 || g0[0] != 11 {
 		t.Errorf("predictions: stream 9 %v, stream 0 %v", g9, g0)

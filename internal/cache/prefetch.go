@@ -29,17 +29,11 @@ func NewStridePrefetcher(degree int) *StridePrefetcher {
 	return &StridePrefetcher{degree: degree}
 }
 
-// Observe records a demand block address on a stream and returns the block
-// addresses to prefetch (empty until the stride is confident). It
-// allocates the returned slice; hot paths use AppendObserve instead.
-func (p *StridePrefetcher) Observe(stream int, block uint64) []uint64 {
-	return p.AppendObserve(nil, stream, block)
-}
-
-// AppendObserve is Observe appending its predictions to dst, so a caller
-// reusing one scratch buffer observes without allocating. Stream ids are
-// small non-negative integers (the workload numbers its sequential
-// streams from 1); a negative id panics.
+// AppendObserve records a demand block address on a stream and appends
+// the block addresses to prefetch to dst (none until the stride is
+// confident), so a caller reusing one scratch buffer observes without
+// allocating. Stream ids are small non-negative integers (the workload
+// numbers its sequential streams from 1); a negative id panics.
 func (p *StridePrefetcher) AppendObserve(dst []uint64, stream int, block uint64) []uint64 {
 	if stream < 0 {
 		panic("cache: negative prefetch stream id")
@@ -100,15 +94,9 @@ func NewNextLinePrefetcher(window uint64, minAccuracy float64) *NextLinePrefetch
 // Enabled reports whether the prefetcher is currently active.
 func (p *NextLinePrefetcher) Enabled() bool { return p.enabled }
 
-// Observe returns the next-line prediction for a demand miss, or nothing
-// when turned off. It allocates the returned slice; hot paths use
-// AppendObserve instead.
-func (p *NextLinePrefetcher) Observe(block uint64) []uint64 {
-	return p.AppendObserve(nil, block)
-}
-
-// AppendObserve is Observe appending its prediction to dst, so a caller
-// reusing one scratch buffer observes without allocating.
+// AppendObserve appends the next-line prediction for a demand miss to
+// dst, or nothing when turned off, so a caller reusing one scratch
+// buffer observes without allocating.
 func (p *NextLinePrefetcher) AppendObserve(dst []uint64, block uint64) []uint64 {
 	if !p.enabled {
 		return dst

@@ -29,7 +29,7 @@ func (s *singleChannel) Release(r *memctrl.Request)        { s.ch.Release(r) }
 // through the core's private L1/L2 and replays the record at once.
 type stepCore struct {
 	*Core
-	rec *Recorder
+	rec Recorder
 	tr  Trace
 }
 
@@ -46,7 +46,9 @@ func testCore(t *testing.T) (*stepCore, *memctrl.Channel) {
 	l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 12 * ClockPS})
 	l3 := cache.New(cache.Config{SizeBytes: 256 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 22 * dramspec.Nanosecond})
 	core := New(Config{ID: 0, L2LatencyPS: l2.Config().LatencyPS, L3: l3, Mem: &singleChannel{ch}, MLP: 4})
-	return &stepCore{Core: core, rec: NewRecorder(l1, l2)}, ch
+	sc := &stepCore{Core: core}
+	sc.rec.Reset(l1, l2)
+	return sc, ch
 }
 
 func TestNewValidation(t *testing.T) {
@@ -237,7 +239,8 @@ func TestReplayMatchesStep(t *testing.T) {
 		stepped, _ := testCore(t)
 		l1 := cache.New(cache.Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64, LatencyPS: 3 * ClockPS})
 		l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64, LatencyPS: 12 * ClockPS})
-		rec := NewRecorder(l1, l2)
+		var rec Recorder
+		rec.Reset(l1, l2)
 		var tr Trace
 		stream := prof.NewStream(9, 60_000)
 		for {
@@ -289,8 +292,10 @@ func TestRecordRangesPanic(t *testing.T) {
 			}()
 			l1 := cache.New(cache.Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64})
 			l2 := cache.New(cache.Config{SizeBytes: 64 << 10, Ways: 16, BlockBytes: 64})
+			var rec Recorder
+			rec.Reset(l1, l2)
 			var tr Trace
-			NewRecorder(l1, l2).Record(ev, &tr)
+			rec.Record(ev, &tr)
 		}()
 	}
 }

@@ -162,6 +162,7 @@ func (s *nlSet) remove(block uint64) bool {
 }
 
 // Recorder runs one core's private front end and records its outcomes.
+// The zero Recorder is ready once Reset gives it its private levels.
 type Recorder struct {
 	l1, l2   *cache.Cache
 	strideL1 *cache.StridePrefetcher
@@ -170,16 +171,6 @@ type Recorder struct {
 	nl       nlSet
 	predBuf  []uint64 // prefetch-prediction scratch, reused every miss
 	tr       *Trace   // the trace the current event records into
-}
-
-// NewRecorder returns a recorder over fresh private levels l1 and l2.
-func NewRecorder(l1, l2 *cache.Cache) *Recorder {
-	if l1 == nil || l2 == nil {
-		panic("cpu: recorder needs both private levels")
-	}
-	r := &Recorder{}
-	r.Reset(l1, l2)
-	return r
 }
 
 // Reset readies the recorder for another core with fresh private levels

@@ -77,8 +77,7 @@ type siteState struct {
 	seed      uint64
 	hits      atomic.Uint64 // total Should calls (the positional draw index)
 	fired     atomic.Uint64 // Count-gate claims (may exceed Count by racing losers)
-	injectedN atomic.Uint64 // actual fires
-	injected  *obs.Counter
+	injected  *obs.Counter  // actual fires
 	recovered *obs.Counter
 }
 
@@ -90,12 +89,14 @@ type Plan struct {
 
 	mu    sync.RWMutex
 	sites map[Site]*siteState
-	reg   *obs.Registry
+	// reg holds every site's counters: a registry of the plan's own
+	// until Observe moves them into an exported one.
+	reg *obs.Registry
 }
 
 // New returns an empty plan with the given seed; arm sites with Arm.
 func New(seed uint64) *Plan {
-	return &Plan{seed: seed, sites: map[Site]*siteState{}}
+	return &Plan{seed: seed, sites: map[Site]*siteState{}, reg: obs.NewRegistry()}
 }
 
 // Seed returns the plan's seed.
@@ -125,17 +126,30 @@ func (p *Plan) Arm(site Site, rule Rule) *Plan {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := &siteState{rule: rule, seed: xrand.SplitMix(p.seed, fnv64a(string(site)))}
-	if p.reg != nil {
-		st.injected = p.reg.Counter("fault/injected/" + string(site))
-		st.recovered = p.reg.Counter("fault/recovered/" + string(site))
-	}
-	p.sites[site] = st
+	p.newSite(site, rule)
 	return p
 }
 
-// Observe mirrors the plan's fire and recovery counts into reg as
-// fault/injected/<site> and fault/recovered/<site>.
+// newSite installs site's state under rule. Called with p.mu held.
+func (p *Plan) newSite(site Site, rule Rule) *siteState {
+	st := &siteState{rule: rule, seed: xrand.SplitMix(p.seed, fnv64a(string(site)))}
+	p.bindCounters(site, st)
+	p.sites[site] = st
+	return st
+}
+
+// bindCounters binds site's fire and recovery counters to p.reg, as
+// fault/injected/<site> and fault/recovered/<site>. A replaced rule
+// keeps counting where the site's counters stand. Called with p.mu held.
+func (p *Plan) bindCounters(site Site, st *siteState) {
+	p.reg.Move(&st.injected, "fault/injected/"+string(site))
+	p.reg.Move(&st.recovered, "fault/recovered/"+string(site))
+}
+
+// Observe moves the plan's fire and recovery counters into reg, as
+// fault/injected/<site> and fault/recovered/<site>: each of reg's
+// counters gains the count so far, and the plan counts on it from then
+// on. A nil reg changes nothing. Call it before the plan is shared.
 func (p *Plan) Observe(reg *obs.Registry) *Plan {
 	if p == nil || reg == nil {
 		return p
@@ -144,8 +158,7 @@ func (p *Plan) Observe(reg *obs.Registry) *Plan {
 	defer p.mu.Unlock()
 	p.reg = reg
 	for site, st := range p.sites {
-		st.injected = reg.Counter("fault/injected/" + string(site))
-		st.recovered = reg.Counter("fault/recovered/" + string(site))
+		p.bindCounters(site, st)
 	}
 	return p
 }
@@ -194,7 +207,6 @@ func (p *Plan) Should(site Site) bool {
 	if st.rule.Count > 0 && st.fired.Add(1) > uint64(st.rule.Count) {
 		return false
 	}
-	st.injectedN.Add(1)
 	st.injected.Add(1)
 	return true
 }
@@ -221,19 +233,15 @@ func (p *Plan) Recovered(site Site) {
 	if st == nil {
 		p.mu.Lock()
 		if st = p.sites[site]; st == nil {
-			st = &siteState{seed: xrand.SplitMix(p.seed, fnv64a(string(site)))}
-			if p.reg != nil {
-				st.injected = p.reg.Counter("fault/injected/" + string(site))
-				st.recovered = p.reg.Counter("fault/recovered/" + string(site))
-			}
-			p.sites[site] = st
+			st = p.newSite(site, Rule{})
 		}
 		p.mu.Unlock()
 	}
 	st.recovered.Add(1)
 }
 
-// Injected returns how many times site has actually fired.
+// Injected returns how many times site has actually fired: the count
+// fault/injected/<site> holds.
 func (p *Plan) Injected(site Site) uint64 {
 	if p == nil {
 		return 0
@@ -242,7 +250,7 @@ func (p *Plan) Injected(site Site) uint64 {
 	if st == nil {
 		return 0
 	}
-	return st.injectedN.Load()
+	return st.injected.Value()
 }
 
 // Parse builds a plan from a spec string:

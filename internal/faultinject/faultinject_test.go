@@ -109,6 +109,36 @@ func TestObserveCounters(t *testing.T) {
 	}
 }
 
+// TestInjectedReadsTheObservedCounter: Injected and the registry read
+// one counter, whether the plan is observed before its site is armed or
+// after the site has fired (the fires so far carry over), and a nil
+// registry changes nothing.
+func TestInjectedReadsTheObservedCounter(t *testing.T) {
+	const name = "fault/injected/test/site"
+	before, after := obs.NewRegistry(), obs.NewRegistry()
+	early := New(1).Observe(before).Arm(testSite, Rule{P: 1})
+	late := New(1).Arm(testSite, Rule{P: 1})
+	for _, p := range []*Plan{early, late} {
+		p.Should(testSite)
+		p.Should(testSite)
+	}
+	late.Observe(after)
+	for _, p := range []*Plan{early, late} {
+		p.Should(testSite)
+		p.Observe(nil)
+		p.Should(testSite)
+	}
+	for label, c := range map[string]struct {
+		p   *Plan
+		reg *obs.Registry
+	}{"observed before arming": {early, before}, "observed after firing": {late, after}} {
+		got, want := c.p.Injected(testSite), c.reg.Snapshot().Counters[name]
+		if got != 4 || want != 4 {
+			t.Errorf("%s: Injected = %d, %s = %d, want 4 and 4", label, got, name, want)
+		}
+	}
+}
+
 func TestSleepInjectsDelay(t *testing.T) {
 	p := New(1).Arm(testSite, Rule{P: 1, Count: 1, Delay: 10 * time.Millisecond})
 	start := time.Now()

@@ -62,9 +62,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Position resolves a token.Pos against the pass's file set.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
 // IsTestFile reports whether the file enclosing pos is a _test.go file.
 // Several analyzers in the determinism suite exempt test-only code, where
 // sequential execution makes loop-carried randomness harmless.

@@ -15,8 +15,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -136,10 +134,4 @@ func collectWants(t *testing.T, units []*loader.Package) []expectation {
 		}
 	}
 	return out
-}
-
-// Position formats a token.Position relative to the fixture root for
-// stable messages (exported for reuse in analyzer unit tests).
-func Position(p token.Position) string {
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

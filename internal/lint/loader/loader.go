@@ -104,9 +104,6 @@ func findModule(dir string) (root, path string, err error) {
 	}
 }
 
-// Fset exposes the loader's file set (positions of every loaded file).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves the given package patterns ("./...", "dir/...", plain
 // directories) into type-checked analysis units, sorted by import path.
 // Walked patterns skip testdata, vendor, hidden, and underscore

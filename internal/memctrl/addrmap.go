@@ -25,27 +25,24 @@ func (c *Channel) decode(addr uint64) (rank, bank int, row int64) {
 	row = int64(ba)
 	// XOR-based bank hashing against the low row bits.
 	bank ^= int(uint64(row) & uint64(c.cfg.BanksPerRank-1))
-	// Fold the rank into the in-use portion of the channel.
+	return c.foldRank(rank), bank, row
+}
+
+// foldRank maps a software-visible rank to the rank holding its
+// original, in the in-use portion of the channel. decode calls it on
+// every request, so it must stay inlinable.
+func (c *Channel) foldRank(rank int) int {
 	switch c.cfg.Replication {
 	case ReplicationFMR, ReplicationHeteroDMR:
-		rank &= c.cfg.Ranks/2 - 1 // originals confined to the first module(s)
+		return rank & (c.cfg.Ranks/2 - 1) // originals confined to the first module(s)
 	case ReplicationHeteroDMRFMR:
-		rank = 0 // <25% utilization: originals fit one rank
+		return 0 // <25% utilization: originals fit one rank
 	}
-	return rank, bank, row
+	return rank
 }
 
-// copyRanksOf returns the rank indices holding copies of the block whose
-// original lives in origRank. Empty for the baseline. It allocates; the
-// hot path uses appendCopyRanks into per-channel scratch instead.
-func (c *Channel) copyRanksOf(origRank int) []int {
-	if !c.cfg.Replication.Replicated() {
-		return nil
-	}
-	return c.appendCopyRanks(make([]int, 0, 2), origRank)
-}
-
-// appendCopyRanks appends the copy ranks of origRank to dst.
+// appendCopyRanks appends the copy ranks of origRank to dst. Empty for
+// the baseline.
 func (c *Channel) appendCopyRanks(dst []int, origRank int) []int {
 	half := c.cfg.Ranks / 2
 	switch c.cfg.Replication {

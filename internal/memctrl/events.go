@@ -44,30 +44,17 @@ func (c *Channel) initSchedIndexes() {
 	nb := c.cfg.Ranks * c.cfg.BanksPerRank
 	c.readChains = make([]reqChain, nb)
 	c.writeChains = make([]reqChain, nb)
+	// Invert the layout: each decoded rank's original and copies serve
+	// its chain, and a rank that no address folds to or is copied onto
+	// serves none.
 	c.chainRank = make([]int, c.cfg.Ranks)
-	half := c.cfg.Ranks / 2
 	for ri := range c.chainRank {
-		switch c.cfg.Replication {
-		case ReplicationNone:
-			c.chainRank[ri] = ri
-		case ReplicationFMR, ReplicationHeteroDMR:
-			// Originals fold into the first half; the second half holds
-			// the same blocks' copies at the mirrored position.
-			if ri < half {
-				c.chainRank[ri] = ri
-			} else {
-				c.chainRank[ri] = ri - half
-			}
-		case ReplicationHeteroDMRFMR:
-			// All originals fold into rank 0 with copies in the first two
-			// ranks of the free module; every other rank is unused.
-			if ri == 0 || ri == half || ri == half+1 {
-				c.chainRank[ri] = 0
-			} else {
-				c.chainRank[ri] = -1
-			}
-		default:
-			c.chainRank[ri] = -1
+		c.chainRank[ri] = -1
+	}
+	for r := range c.chainRank {
+		orig := c.foldRank(r)
+		for _, ri := range c.ranksServing(orig) {
+			c.chainRank[ri] = orig
 		}
 	}
 	if c.cfg.PageTimeout > 0 {

@@ -80,7 +80,7 @@ func FuzzAddrMapBijective(f *testing.F) {
 // drains it. The genome picks the replication mode, the seed (channel
 // errors, addresses and the stub cleaner), the write share, the maximum
 // arrival gap and the read/write queue capacities, bounded to [8, 256]
-// and [5, 128]: 5 is the smallest write queue Config.validate accepts
+// and [5, 128]: 5 is the smallest write queue Config.Validate accepts
 // (below it the write-pressure and read-preemption watermarks coincide
 // and the channel would flip modes forever). The channel is the
 // node-shaped one, so

@@ -159,8 +159,13 @@ func DefaultConfig(repl Replication, spec dramspec.Config, fast *dramspec.Config
 	}
 }
 
-func (c *Config) validate() error {
+// Validate reports a configuration that cannot run: an impossible
+// geometry, queue or writeback cache, a missing or zero-rate operating
+// point, or a replica layout the channel cannot hold.
+func (c Config) Validate() error {
 	switch {
+	case c.Replication < ReplicationNone || c.Replication > ReplicationHeteroDMRFMR:
+		return fmt.Errorf("memctrl: unknown replication %v", c.Replication)
 	case c.Ranks <= 0 || c.Ranks&(c.Ranks-1) != 0:
 		return fmt.Errorf("memctrl: Ranks=%d must be a positive power of two", c.Ranks)
 	case c.RanksPerMod <= 0 || c.Ranks%c.RanksPerMod != 0:
@@ -179,6 +184,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("memctrl: Fast data rate %v must be positive", c.Fast.Rate)
 	case c.Replication.Replicated() && c.Ranks < 2*c.RanksPerMod:
 		return fmt.Errorf("memctrl: replication needs at least two modules")
+	case c.Replication == ReplicationHeteroDMRFMR && c.Ranks/2 < 2:
+		return fmt.Errorf("memctrl: %v keeps two copies in the free half of the channel, but Ranks=%d leaves it %d rank(s)",
+			c.Replication, c.Ranks, c.Ranks/2)
 	case c.WritebackCacheBlocks > 0 && (c.WritebackCacheWays <= 0 || c.WritebackCacheBlocks%c.WritebackCacheWays != 0):
 		return fmt.Errorf("memctrl: writeback cache %d blocks not divisible by %d ways",
 			c.WritebackCacheBlocks, c.WritebackCacheWays)
@@ -194,7 +202,7 @@ func (c *Config) validate() error {
 // channel between read and write mode: read mode switches to write mode
 // once the queue holds pressure writes, and waiting reads end write mode
 // once it holds preempt or fewer. Unless pressure exceeds preempt, a
-// channel with reads waiting flips modes forever, so validate rejects
+// channel with reads waiting flips modes forever, so Validate rejects
 // such caps (1 to 4).
 func writeWatermarks(writeQueueCap int) (pressure, preempt int) {
 	return writeQueueCap * 7 / 8, writeQueueCap * 3 / 4
@@ -335,13 +343,14 @@ type Channel struct {
 	minTRCD int64
 	servBuf [3]int // scratch for ranksServing (distinct from candBuf/targBuf)
 
-	// Scratch buffers for the per-pick rank lists (see addrmap.go) and
-	// the per-transition rank sets; the returned slices alias these and
-	// are valid until the next call.
+	// Scratch buffers for the per-pick rank lists (see addrmap.go); the
+	// returned slices alias these and are valid until the next call.
 	candBuf [3]int
 	targBuf [3]int
-	origBuf []int
-	copyBuf []*dram.Rank
+	// origRanks and copyRanks split a fast design's ranks into module
+	// halves: read mode parks the originals in self-refresh and runs the
+	// copies at the fast point. Both alias ranks; nil for other designs.
+	origRanks, copyRanks []*dram.Rank
 
 	stats Stats
 	consv Conservation
@@ -361,7 +370,7 @@ const ControllerOverhead = 10 * dramspec.Nanosecond
 // NewChannel builds a channel from cfg. It returns an error if the
 // configuration is invalid.
 func NewChannel(cfg Config) (*Channel, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Channel{
@@ -373,8 +382,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 		colBits:    bits.TrailingZeros64(uint64(cfg.RowBytes / cfg.BlockBytes)),
 		bankBits:   bits.TrailingZeros64(uint64(cfg.BanksPerRank)),
 		rankBits:   bits.TrailingZeros64(uint64(cfg.Ranks)),
-		origBuf:    make([]int, 0, cfg.Ranks),
-		copyBuf:    make([]*dram.Rank, 0, cfg.Ranks),
 		wqBlocks:   newBlockTable(cfg.WriteQueueCap),
 	}
 	for i := 0; i < cfg.Ranks; i++ {
@@ -392,6 +399,8 @@ func NewChannel(cfg Config) (*Channel, error) {
 	// Replicated fast designs start in read mode at the fast point with
 	// originals parked in self-refresh.
 	if cfg.Replication.Fast() {
+		half := cfg.Ranks / 2
+		c.origRanks, c.copyRanks = c.ranks[:half], c.ranks[half:]
 		c.transitionToFast()
 	}
 	c.reindexTiming()

@@ -615,13 +615,12 @@ func (c *Channel) transitionToSlow() {
 	c.consv.ToSlow++
 	c.rec.Emit(start, "freq", "to-slow")
 	ready := start
-	for _, ri := range c.origRanks() {
-		if end := c.ranks[ri].ExitSelfRefresh(start); end > ready {
+	for _, r := range c.origRanks {
+		if end := r.ExitSelfRefresh(start); end > ready {
 			ready = end
 		}
 	}
-	copies := c.copyRankModels()
-	if end := dram.FrequencySwitch(copies, start, c.cfg.Spec.Timing, c.cfg.Spec.Rate.ClockPS(), c.cfg.FreqSwitchPS); end > ready {
+	if end := dram.FrequencySwitch(c.copyRanks, start, c.cfg.Spec.Timing, c.cfg.Spec.Rate.ClockPS(), c.cfg.FreqSwitchPS); end > ready {
 		ready = end
 	}
 	c.now = ready
@@ -649,16 +648,14 @@ func (c *Channel) transitionToFast() {
 	start := maxI64(c.now, c.busFreeAt)
 	c.rec.Emit(start, "freq", "to-fast")
 	ready := start
-	for _, ri := range c.origRanks() {
-		r := c.ranks[ri]
+	for _, r := range c.origRanks {
 		quiesced := r.PrechargeAll(start)
 		r.EnterSelfRefresh(quiesced)
 		if quiesced > ready {
 			ready = quiesced
 		}
 	}
-	copies := c.copyRankModels()
-	if end := dram.FrequencySwitch(copies, start, c.cfg.Fast.Timing, c.cfg.Fast.Rate.ClockPS(), c.cfg.FreqSwitchPS); end > ready {
+	if end := dram.FrequencySwitch(c.copyRanks, start, c.cfg.Fast.Timing, c.cfg.Fast.Rate.ClockPS(), c.cfg.FreqSwitchPS); end > ready {
 		ready = end
 	}
 	c.now = ready
@@ -669,33 +666,6 @@ func (c *Channel) transitionToFast() {
 	// changed; rebuild the scheduling indexes.
 	c.recountAllRows()
 	c.reindexTiming()
-}
-
-// origRanks returns the indices of ranks holding original blocks. The
-// slice aliases per-channel scratch valid until the next call.
-func (c *Channel) origRanks() []int {
-	n := c.cfg.Ranks
-	if c.cfg.Replication.Replicated() {
-		n = c.cfg.Ranks / 2
-	}
-	out := c.origBuf[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
-// copyRankModels returns the rank models of the free (copy) module(s).
-// The slice aliases per-channel scratch valid until the next call.
-func (c *Channel) copyRankModels() []*dram.Rank {
-	if !c.cfg.Replication.Replicated() {
-		return nil
-	}
-	out := c.copyBuf[:0]
-	for i := c.cfg.Ranks / 2; i < c.cfg.Ranks; i++ {
-		out = append(out, c.ranks[i])
-	}
-	return out
 }
 
 func maxI64(a, b int64) int64 {

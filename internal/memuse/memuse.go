@@ -161,14 +161,3 @@ func Generate(cfg GeneratorConfig) []JobUsage {
 	}
 	return jobs
 }
-
-// MeasurementCount returns how many raw per-node measurements the
-// population represents at the given sampling interval, for the Table I
-// style scale statement (the LANL dataset has ~3e9 measurements).
-func MeasurementCount(jobs []JobUsage, samplesPerHour float64) float64 {
-	var total float64
-	for i := range jobs {
-		total += float64(jobs[i].Nodes) * jobs[i].DurationH * samplesPerHour
-	}
-	return total
-}

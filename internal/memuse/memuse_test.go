@@ -103,15 +103,3 @@ func TestMaxPeak(t *testing.T) {
 		t.Errorf("MaxPeak = %v", j.MaxPeak())
 	}
 }
-
-func TestMeasurementCountScale(t *testing.T) {
-	jobs := Generate(GeneratorConfig{Jobs: 58_000, Seed: 2})
-	n := MeasurementCount(jobs, 360) // one sample per 10 seconds
-	if n <= 0 {
-		t.Fatal("no measurements")
-	}
-	// Sanity: tens of millions to billions for a Grizzly-scale trace.
-	if n < 1e6 {
-		t.Errorf("measurement count %v implausibly small", n)
-	}
-}

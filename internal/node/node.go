@@ -488,11 +488,7 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 // Run executes one benchmark on one machine+design and returns the
 // measurements. It returns an error on invalid configuration.
 func Run(cfg Config, prof workload.Profile) (Result, error) {
-	fe, err := Record(cfg, prof)
-	if err != nil {
-		return Result{}, err
-	}
-	return fe.Run(cfg)
+	return NewReplayer(prof).Run(cfg)
 }
 
 // MustRun is Run that panics on error, for experiment drivers with static
@@ -520,9 +516,16 @@ type Replayer struct {
 func NewReplayer(prof workload.Profile) *Replayer { return &Replayer{prof: prof} }
 
 // Run returns Run(cfg, prof) for the Replayer's profile, recording the
-// front end only on the first call.
+// front end only on the first call. A memory design whose channels
+// cannot be built is refused before anything is recorded.
 func (r *Replayer) Run(cfg Config) (Result, error) {
 	if r.fe == nil {
+		full := withDefaults(cfg)
+		for i := 0; i < full.H.Channels; i++ {
+			if err := channelConfig(full, i).Validate(); err != nil {
+				return Result{}, err
+			}
+		}
 		fe, err := Record(cfg, r.prof)
 		if err != nil {
 			return Result{}, err
@@ -534,6 +537,30 @@ func (r *Replayer) Run(cfg Config) (Result, error) {
 
 // Recorded reports whether a Run has recorded the front end.
 func (r *Replayer) Recorded() bool { return r.fe != nil }
+
+// channelConfig derives channel i of cfg's memory design (cfg with
+// defaults applied). The writeback cache and Hetero-DMR's write batch
+// are sized relative to the LLC, so they scale with it (ScaleShift).
+func channelConfig(cfg Config, i int) memctrl.Config {
+	ch := memctrl.DefaultConfig(cfg.Replication, cfg.Spec, cfg.Fast)
+	ch.CopyErrorRate = cfg.CopyErrorRate
+	ch.Seed = cfg.Seed + uint64(i)*7919
+	ch.WritebackCacheBlocks = 2048 >> cfg.ScaleShift
+	if ch.WritebackCacheBlocks < ch.WritebackCacheWays {
+		ch.WritebackCacheWays = ch.WritebackCacheBlocks
+	}
+	if cfg.Replication.Fast() {
+		ch.WriteBatch = dramspec.HeteroDMRWriteBatch >> cfg.ScaleShift
+		if ch.WriteBatch < dramspec.ConventionalWriteBatch {
+			ch.WriteBatch = dramspec.ConventionalWriteBatch
+		}
+		// Scale the per-transition latencies with the batch so the
+		// switch-overhead-to-work ratio matches the full-size system.
+		ch.FreqSwitchPS = dramspec.FrequencySwitchLatency >> cfg.ScaleShift
+		ch.SRExitPS = (cfg.Spec.Timing.TRFC + 10*dramspec.Nanosecond) >> cfg.ScaleShift
+	}
+	return ch
+}
 
 // Run replays the recorded front end against cfg's memory design and
 // returns the measurements, exactly as Run(cfg, prof) would. cfg must
@@ -561,27 +588,7 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 
 	rt := &router{chans: scr.chans[:0]}
 	for i := 0; i < cfg.H.Channels; i++ {
-		ch := memctrl.DefaultConfig(cfg.Replication, cfg.Spec, cfg.Fast)
-		ch.CopyErrorRate = cfg.CopyErrorRate
-		ch.Seed = cfg.Seed + uint64(i)*7919
-		// The writeback cache and Hetero-DMR's write batch are sized
-		// relative to the LLC, so they scale with it (ScaleShift).
-		ch.WritebackCacheBlocks = 2048 >> cfg.ScaleShift
-		if ch.WritebackCacheBlocks < ch.WritebackCacheWays {
-			ch.WritebackCacheWays = ch.WritebackCacheBlocks
-		}
-		if cfg.Replication.Fast() {
-			ch.WriteBatch = dramspec.HeteroDMRWriteBatch >> cfg.ScaleShift
-			if ch.WriteBatch < dramspec.ConventionalWriteBatch {
-				ch.WriteBatch = dramspec.ConventionalWriteBatch
-			}
-			// Scale the per-transition latencies with the batch so the
-			// switch-overhead-to-work ratio matches the full-size system.
-			ch.FreqSwitchPS = dramspec.FrequencySwitchLatency >> cfg.ScaleShift
-			specT := cfg.Spec.Timing
-			ch.SRExitPS = (specT.TRFC + 10*dramspec.Nanosecond) >> cfg.ScaleShift
-		}
-		chn, err := memctrl.NewChannel(ch)
+		chn, err := memctrl.NewChannel(channelConfig(cfg, i))
 		if err != nil {
 			return Result{}, err
 		}

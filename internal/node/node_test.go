@@ -164,9 +164,10 @@ func TestRunInvalidProfile(t *testing.T) {
 
 // TestRunImpossibleConfig: a scale shift that leaves a cache level with
 // fewer blocks than ways (11 on Hierarchy1: each 16-way L2 holds 8) or
-// with no bytes (25), a zero Spec data rate, and a Hetero-DMR Fast point
-// with a zero rate are errors from Run, never panics. The scale errors
-// come from Record already; the rates matter only to the replay.
+// with no bytes (25), a zero Spec data rate, a Hetero-DMR Fast point
+// with a zero rate, and an unknown replication are errors from Run,
+// never panics. The scale errors come from Record already; Record
+// ignores the memory design, but a Replayer refuses it before recording.
 func TestRunImpossibleConfig(t *testing.T) {
 	scaled := func(shift uint) Config {
 		cfg := short(Hierarchy1(), memctrl.ReplicationNone, nil)
@@ -185,6 +186,7 @@ func TestRunImpossibleConfig(t *testing.T) {
 		"scale-25":  {scaled(25), true},
 		"zero-spec": {zeroSpec, false},
 		"zero-fast": {short(Hierarchy1(), memctrl.ReplicationHeteroDMR, &zeroFast), false},
+		"bad-repl":  {short(Hierarchy1(), memctrl.Replication(9), nil), false},
 	} {
 		func() {
 			defer func() {
@@ -197,6 +199,13 @@ func TestRunImpossibleConfig(t *testing.T) {
 			}
 			if _, err := Run(c.cfg, workload.ByName("hpcg")); err == nil {
 				t.Errorf("%s: Run accepted the config", name)
+			}
+			rp := NewReplayer(workload.ByName("hpcg"))
+			if _, err := rp.Run(c.cfg); err == nil {
+				t.Errorf("%s: Replayer.Run accepted the config", name)
+			}
+			if rp.Recorded() {
+				t.Errorf("%s: Replayer.Run recorded a front end it cannot replay", name)
 			}
 		}()
 	}

@@ -113,7 +113,6 @@ type Registry struct {
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 	recs     map[string]*Recorder
-	traceCap int
 }
 
 // DefaultTraceCap bounds each source's event ring (see Recorder).
@@ -121,16 +120,11 @@ const DefaultTraceCap = 1024
 
 // NewRegistry returns an empty registry whose recorders keep up to
 // DefaultTraceCap events per source.
-func NewRegistry() *Registry { return NewRegistryCap(DefaultTraceCap) }
-
-// NewRegistryCap returns a registry with an explicit per-source trace
-// capacity. cap <= 0 disables event recording (recorders drop everything).
-func NewRegistryCap(cap int) *Registry {
+func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
 		recs:     make(map[string]*Recorder),
-		traceCap: cap,
 	}
 }
 
@@ -148,6 +142,20 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Move rebinds the counter handle *h to the named counter, which gains
+// the count *h held so far, so a component can count in a registry of
+// its own and export to r later. No-op on a nil registry or when *h
+// already is that counter.
+func (r *Registry) Move(h **Counter, name string) {
+	if r == nil {
+		return
+	}
+	if next := r.Counter(name); next != *h {
+		next.Add((*h).Value())
+		*h = next
+	}
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -183,7 +191,7 @@ func (r *Registry) Recorder(source string) *Recorder {
 	defer r.mu.Unlock()
 	rec, ok := r.recs[source]
 	if !ok {
-		rec = &Recorder{source: source, cap: r.traceCap}
+		rec = &Recorder{source: source}
 		r.recs[source] = rec
 	}
 	return rec
@@ -287,8 +295,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // Merge adds another registry's Snapshot and Trace as if its run had
 // reported here: counters and histogram buckets add, and each event joins
 // its source's recorder numbered after the events already there, so
-// numbering, ring eviction, Emitted and Dropped match direct reporting
-// if the other registry's trace capacity is at least r's. Nil-safe.
+// numbering, ring eviction, Emitted and Dropped match direct reporting.
+// Nil-safe.
 func (r *Registry) Merge(m Metrics, events []Event) {
 	if r == nil {
 		return

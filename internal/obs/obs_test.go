@@ -90,21 +90,45 @@ func TestCounterConcurrentAddsDeterministicTotal(t *testing.T) {
 	}
 }
 
+// TestMoveCarriesTheCount: Move rebinds a handle to the named counter,
+// which gains the handle's count; moving onto the counter the handle
+// already is, or into a nil registry, changes nothing.
+func TestMoveCarriesTheCount(t *testing.T) {
+	own, exported := NewRegistry(), NewRegistry()
+	h := own.Counter("hits")
+	h.Add(3)
+	exported.Counter("x/hits").Add(1)
+	exported.Move(&h, "x/hits")
+	h.Add(1)
+	exported.Move(&h, "x/hits")
+	var nilReg *Registry
+	nilReg.Move(&h, "x/hits")
+	if h != exported.Counter("x/hits") || h.Value() != 5 || own.Counter("hits").Value() != 3 {
+		t.Fatalf("after Move: handle %d (exported %v), own counter %d; want 5 on the exported counter, own 3",
+			h.Value(), h == exported.Counter("x/hits"), own.Counter("hits").Value())
+	}
+	var fresh *Counter
+	exported.Move(&fresh, "y")
+	if fresh == nil || fresh.Value() != 0 {
+		t.Fatalf("moving a nil handle: %v", fresh)
+	}
+}
+
 func TestRecorderRingBounded(t *testing.T) {
-	r := NewRegistryCap(4)
+	r := NewRegistry()
 	rec := r.Recorder("chan0")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultTraceCap+6; i++ {
 		rec.Emit(int64(i*100), "tick", "")
 	}
-	if rec.Emitted() != 10 {
-		t.Fatalf("emitted = %d, want 10", rec.Emitted())
+	if rec.Emitted() != DefaultTraceCap+6 {
+		t.Fatalf("emitted = %d, want %d", rec.Emitted(), DefaultTraceCap+6)
 	}
 	if rec.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", rec.Dropped())
 	}
 	evs := rec.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
+	if len(evs) != DefaultTraceCap {
+		t.Fatalf("retained = %d, want %d", len(evs), DefaultTraceCap)
 	}
 	for i, ev := range evs {
 		wantSeq := uint64(6 + i)

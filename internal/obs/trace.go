@@ -25,11 +25,10 @@ type Event struct {
 // what makes the exported trace deterministic.
 type Recorder struct {
 	source  string
-	cap     int
 	seq     uint64
 	dropped uint64
 	events  []Event
-	next    int // ring cursor, valid once len(events) == cap
+	next    int // ring cursor, valid once len(events) == DefaultTraceCap
 }
 
 // Emit appends an event, evicting the oldest if the ring is full. Safe on
@@ -44,17 +43,14 @@ func (r *Recorder) Emit(timePS int64, kind, detail string) {
 // push appends ev, evicting the oldest event once the ring is full; seqs
 // it skips count as emitted and dropped (a merged run's ring evicted them).
 func (r *Recorder) push(ev Event) {
-	if r.cap <= 0 {
-		return
-	}
 	r.dropped += ev.Seq - r.seq
 	r.seq = ev.Seq + 1
-	if len(r.events) < r.cap {
+	if len(r.events) < DefaultTraceCap {
 		r.events = append(r.events, ev)
 		return
 	}
 	r.events[r.next] = ev
-	r.next = (r.next + 1) % r.cap
+	r.next = (r.next + 1) % DefaultTraceCap
 	r.dropped++
 }
 

@@ -280,11 +280,9 @@ type Cache struct {
 	flightMu sync.Mutex
 	flights  map[Key]*flight // Do calls in progress, by key
 
-	hits, misses, corrupt, puts, putErrors, enospc, evictions, coalesced obs.Counter
-
-	// Optional obs mirrors (nil-safe handles): wired by Observe so the
-	// daemon's exported metrics show cache traffic live.
-	obsHits, obsMisses, obsCorrupt, obsPuts, obsPutErrors, obsENOSPC, obsEvictions, obsCoalesced *obs.Counter
+	// Traffic counters, which Stats reads. They start in a registry of
+	// the cache's own; Observe moves them into an exported one.
+	hits, misses, corrupt, puts, putErrors, enospc, evictions, coalesced *obs.Counter
 }
 
 // flight is one Do call's lookup and computation of a key. Waiters block
@@ -317,6 +315,7 @@ func OpenOptions(dir string, opts Options) (*Cache, error) {
 	}
 	sweepStaleTemps(dir)
 	c := &Cache{dir: dir, opts: opts, faults: opts.Faults, flights: map[Key]*flight{}}
+	c.Observe(obs.NewRegistry(), "runcache")
 	if opts.MaxBytes > 0 {
 		_, total := entries(dir)
 		c.size.Store(total)
@@ -421,22 +420,25 @@ func entries(dir string) ([]entryFile, int64) {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Observe mirrors the cache's counters into a registry under
-// scope+"/hits", "/misses", "/corrupt", "/puts", "/put_errors",
-// "/enospc", "/evictions", and "/coalesced", so cache traffic appears in
-// exported metrics as it happens.
+// Observe moves the cache's counters into reg, as scope+"/hits",
+// "/misses", "/corrupt", "/puts", "/put_errors", "/enospc", "/evictions"
+// and "/coalesced", so cache traffic appears in exported metrics as it
+// happens: each of reg's counters gains the count so far, and the cache
+// counts on it from then on. A nil reg changes nothing. Call it before
+// the cache is shared.
 func (c *Cache) Observe(reg *obs.Registry, scope string) {
-	c.obsHits = reg.Counter(scope + "/hits")
-	c.obsMisses = reg.Counter(scope + "/misses")
-	c.obsCorrupt = reg.Counter(scope + "/corrupt")
-	c.obsPuts = reg.Counter(scope + "/puts")
-	c.obsPutErrors = reg.Counter(scope + "/put_errors")
-	c.obsENOSPC = reg.Counter(scope + "/enospc")
-	c.obsEvictions = reg.Counter(scope + "/evictions")
-	c.obsCoalesced = reg.Counter(scope + "/coalesced")
+	reg.Move(&c.hits, scope+"/hits")
+	reg.Move(&c.misses, scope+"/misses")
+	reg.Move(&c.corrupt, scope+"/corrupt")
+	reg.Move(&c.puts, scope+"/puts")
+	reg.Move(&c.putErrors, scope+"/put_errors")
+	reg.Move(&c.enospc, scope+"/enospc")
+	reg.Move(&c.evictions, scope+"/evictions")
+	reg.Move(&c.coalesced, scope+"/coalesced")
 }
 
-// Stats returns a snapshot of the cache's counters.
+// Stats returns a snapshot of the cache's counters: the ones Observe
+// exports, if it was called.
 func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Value(),
@@ -484,7 +486,6 @@ func (c *Cache) Do(k Key, compute func() ([]byte, error)) (payload []byte, compu
 		<-f.done
 		if f.ok {
 			c.coalesced.Add(1)
-			c.obsCoalesced.Add(1)
 			return f.payload, false, nil
 		}
 	}
@@ -541,7 +542,6 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 	if err != nil {
 		c.faults.Recovered(FaultGetRead)
 		c.misses.Add(1)
-		c.obsMisses.Add(1)
 		return nil, false
 	}
 	if c.faults.Should(FaultGetCorrupt) && len(data) > 0 {
@@ -554,8 +554,6 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 		c.faults.Recovered(FaultGetCorrupt)
 		c.misses.Add(1)
 		c.corrupt.Add(1)
-		c.obsMisses.Add(1)
-		c.obsCorrupt.Add(1)
 		return nil, false
 	}
 	if c.opts.MaxBytes > 0 {
@@ -565,7 +563,6 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 		os.Chtimes(c.path(k), now, now)
 	}
 	c.hits.Add(1)
-	c.obsHits.Add(1)
 	return payload, true
 }
 
@@ -622,17 +619,14 @@ func (c *Cache) Put(k Key, payload []byte) error {
 		if errors.Is(err, syscall.ENOSPC) {
 			c.faults.Recovered(FaultPutENOSPC)
 			c.enospc.Add(1)
-			c.obsENOSPC.Add(1)
 			c.sweepLRU()
 			return nil
 		}
 		c.faults.Recovered(FaultPutRename)
 		c.putErrors.Add(1)
-		c.obsPutErrors.Add(1)
 		return err
 	}
 	c.puts.Add(1)
-	c.obsPuts.Add(1)
 	if c.opts.MaxBytes > 0 && c.size.Load() > c.opts.MaxBytes {
 		c.sweepLRU()
 	}
@@ -703,7 +697,6 @@ func (c *Cache) sweepLRU() {
 		if os.Remove(e.path) == nil {
 			total -= e.size
 			c.evictions.Add(1)
-			c.obsEvictions.Add(1)
 		}
 	}
 	if c.opts.MaxBytes > 0 {

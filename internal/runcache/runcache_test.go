@@ -218,6 +218,49 @@ func TestObserveMirrorsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsReadTheObservedCounters: Stats and the registry read one set
+// of counters. Traffic before Observe carries over into the registry,
+// traffic after it reaches both, and a nil registry changes nothing.
+func TestStatsReadTheObservedCounters(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := func() ([]byte, error) { return []byte("q"), nil }
+	traffic := func(name string) {
+		k := KeyOf("v1", name)
+		c.Get(k)
+		c.Put(k, []byte("p"))
+		c.Get(k)
+		leaderAndWaiters(t, c, KeyOf("v1", name+"/do"), 1, q, q)
+	}
+	// Each round: 1 hit, 2 misses, 2 puts, 1 coalesced wait.
+	round := Stats{Hits: 1, Misses: 2, Puts: 2, Coalesced: 1}
+	reg := obs.NewRegistry()
+	check := func(when string, rounds uint64) {
+		t.Helper()
+		st := c.Stats()
+		want := Stats{Hits: rounds * round.Hits, Misses: rounds * round.Misses, Puts: rounds * round.Puts, Coalesced: rounds * round.Coalesced}
+		if st != want {
+			t.Errorf("%s: Stats %+v, want %+v", when, st, want)
+		}
+		snap := reg.Snapshot()
+		for name, v := range map[string]uint64{"hits": st.Hits, "misses": st.Misses, "puts": st.Puts, "coalesced": st.Coalesced} {
+			if got := snap.Counters["simd/runcache/"+name]; got != v {
+				t.Errorf("%s: simd/runcache/%s = %d, Stats says %d", when, name, got, v)
+			}
+		}
+	}
+	traffic("before")
+	c.Observe(reg, "simd/runcache")
+	check("after Observe", 1)
+	traffic("after")
+	check("after more traffic", 2)
+	c.Observe(nil, "elsewhere")
+	traffic("after nil")
+	check("after Observe(nil)", 3)
+}
+
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("Open(\"\") succeeded")

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -207,7 +208,7 @@ func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanu
 		}
 	}
 	if c.Spawn > 0 {
-		spawned, stop, err := SpawnLocal(c.Spawn, c.CacheDir)
+		spawned, stop, err := SpawnLocal(c.Spawn, c.CacheDir, c.CacheMaxBytes)
 		if err != nil {
 			return nil, nil, cleanup, fmt.Errorf("spawn workers: %w", err)
 		}
@@ -233,13 +234,13 @@ func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanu
 	return pool, cache, cleanup, nil
 }
 
-// SpawnLocal starts n copies of the current executable in -worker mode
-// on ephemeral ports, sharing cacheDir when non-empty, and returns their
-// base URLs plus a stop function (SIGTERM, then kill after a grace
-// period). The worker address is scraped from each child's announced
-// "listening on http://..." stdout line. Children inherit the
-// environment, REPRO_FAULTS included.
-func SpawnLocal(n int, cacheDir string) (urls []string, stop func(), err error) {
+// SpawnLocal starts n copies of the current executable with
+// workerArgs(cacheDir, cacheMaxBytes) and returns their base URLs plus a
+// stop function (SIGTERM, then kill after a grace period). The worker
+// address is scraped from each child's announced "listening on
+// http://..." stdout line. Children inherit the environment,
+// REPRO_FAULTS included.
+func SpawnLocal(n int, cacheDir string, cacheMaxBytes int64) (urls []string, stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, err
@@ -260,11 +261,8 @@ func SpawnLocal(n int, cacheDir string) (urls []string, stop func(), err error) 
 			}
 		}
 	}
+	args := workerArgs(cacheDir, cacheMaxBytes)
 	for i := 0; i < n; i++ {
-		args := []string{"-worker", "-worker-addr", "127.0.0.1:0"}
-		if cacheDir != "" {
-			args = append(args, "-cache-dir", cacheDir)
-		}
 		cmd := exec.Command(exe, args...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
@@ -285,6 +283,21 @@ func SpawnLocal(n int, cacheDir string) (urls []string, stop func(), err error) 
 		urls = append(urls, url)
 	}
 	return urls, stop, nil
+}
+
+// workerArgs returns the flags of a spawned local worker: -worker mode
+// on an ephemeral port and, when cacheDir is set, the coordinator's
+// store with its size cap. Workers do every Put of a fleet run, so an
+// uncapped worker would leave a capped store unbounded.
+func workerArgs(cacheDir string, cacheMaxBytes int64) []string {
+	args := []string{"-worker", "-worker-addr", "127.0.0.1:0"}
+	if cacheDir != "" {
+		args = append(args, "-cache-dir", cacheDir)
+		if cacheMaxBytes > 0 {
+			args = append(args, "-cache-max-bytes", strconv.FormatInt(cacheMaxBytes, 10))
+		}
+	}
+	return args
 }
 
 // scanWorkerURL reads the child's stdout until the announce line.

@@ -55,3 +55,36 @@ func TestCLIRegisterLeavesWorkerFlagsOut(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerArgsCarryTheStore: a spawned worker parses its arguments
+// into worker mode on an ephemeral port, with the coordinator's
+// -cache-dir and, when set, its -cache-max-bytes, so a capped store
+// stays capped under -shard-workers. No process is started.
+func TestWorkerArgsCarryTheStore(t *testing.T) {
+	for _, tc := range []struct {
+		dir      string
+		maxBytes int64
+	}{
+		{"", 0},
+		{"", 4096}, // no store, so no cap to pass
+		{"store", 0},
+		{"store", 4096},
+	} {
+		args := workerArgs(tc.dir, tc.maxBytes)
+		var c CLI
+		fs := flag.NewFlagSet("heterodmr", flag.ContinueOnError)
+		c.Register(fs)
+		c.RegisterWorker(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		wantMax := tc.maxBytes
+		if tc.dir == "" {
+			wantMax = 0
+		}
+		if !c.Worker || c.WorkerAddr != "127.0.0.1:0" || c.CacheDir != tc.dir || c.CacheMaxBytes != wantMax || c.Spawn != 0 {
+			t.Errorf("workerArgs(%q, %d) = %v parses to worker=%v addr=%q dir=%q max=%d spawn=%d",
+				tc.dir, tc.maxBytes, args, c.Worker, c.WorkerAddr, c.CacheDir, c.CacheMaxBytes, c.Spawn)
+		}
+	}
+}

@@ -7,15 +7,21 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/dramspec"
+	"repro/internal/memctrl"
 	"repro/internal/montecarlo"
+	"repro/internal/node"
+	"repro/internal/workload"
 )
 
 // FuzzWorkerBatch fuzzes the worker's batch endpoint with raw request
 // bodies. The worker must never panic, must answer only 200, 400, 409 or
 // 413, and a 200 must answer exactly the units sent, in order. The seeds
-// are one valid single-range Monte-Carlo batch, a version-skewed copy
-// and a truncated copy; no valid node unit is seeded, because each input
-// that kept one would run a node simulation.
+// are one valid single-range Monte-Carlo batch, a version-skewed copy, a
+// truncated copy, and a correctly keyed node unit whose replication no
+// channel implements. The worker refuses that unit before recording its
+// front end, and a mutation of it keeps the bad design, breaks the key
+// or fails an earlier check, so no input runs a node simulation.
 func FuzzWorkerBatch(f *testing.F) {
 	cfg := mcConfig()
 	cfg.Trials = montecarlo.ShardTrials
@@ -30,9 +36,20 @@ func FuzzWorkerBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	badNode := NewNodeUnit(testVersion, node.Config{
+		H:           node.Hierarchy1(),
+		Replication: memctrl.Replication(9),
+		Spec:        dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed:        1,
+	}, workload.ByName("hpcg"))
+	badNodeBody, err := json.Marshal(batchRequest{Key: badNode.Key, Units: []Unit{badNode}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(skewedBody)
 	f.Add(valid[:len(valid)/2])
+	f.Add(badNodeBody)
 
 	h := NewWorker(testVersion, nil, nil).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -312,9 +312,15 @@ func TestWorkerHandler(t *testing.T) {
 		ScaleShift: 11, // leaves each 16-way L2 8 blocks
 	}, workload.ByName("hpcg"))
 	zeroRate := NewNodeUnit(testVersion, node.Config{H: node.Hierarchy1(), Seed: 1}, workload.ByName("hpcg"))
+	badReplication := NewNodeUnit(testVersion, node.Config{
+		H:           node.Hierarchy1(),
+		Replication: memctrl.Replication(9),
+		Spec:        dramspec.TableII(dramspec.SettingSpec, dramspec.DDR4_3200, 800),
+		Seed:        1,
+	}, workload.ByName("hpcg"))
 	for name, bad := range map[string]Unit{
 		"mis-keyed": misKeyed, "bodyless": bodyless, "fast-less": fastless, "bad-profile": badProfile,
-		"bad-scale": badScale, "zero-rate": zeroRate,
+		"bad-scale": badScale, "zero-rate": zeroRate, "bad-replication": badReplication,
 	} {
 		resp, _, msg := post(batch(u, bad))
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, bad.Key) {

@@ -2,7 +2,7 @@
 // paper's characterization and evaluation sections use: means, standard
 // deviations, normal-approximation confidence intervals (Fig 3a computes
 // 99% CIs "using the normal distribution similar to prior work"),
-// percentiles, histograms, and weighted averages.
+// percentiles, extremes and threshold fractions.
 package stats
 
 import (
@@ -106,54 +106,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// GeoMean returns the geometric mean of xs. All elements must be positive;
-// it panics otherwise. It returns 0 for an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sumLog float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}
-
-// WeightedMean returns sum(w_i * x_i) / sum(w_i). It panics if the slices
-// differ in length or the total weight is not positive.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den <= 0 {
-		panic("stats: WeightedMean with non-positive total weight")
-	}
-	return num / den
-}
-
-// FractionBelow returns the fraction of xs that is strictly below
-// threshold. It returns 0 for an empty slice.
-func FractionBelow(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x < threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // FractionAtLeast returns the fraction of xs that is >= threshold.
 func FractionAtLeast(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {
@@ -166,38 +118,6 @@ func FractionAtLeast(xs []float64, threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// Histogram counts xs into equal-width bins spanning [lo, hi). Values
-// outside the range are clamped into the first/last bin: -Inf lands in
-// the first bin, +Inf in the last, and NaN is skipped (it belongs to no
-// bin). The special cases are tested before the float-to-int conversion,
-// whose behaviour on NaN/out-of-range values is platform-dependent in
-// Go. It panics if bins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid Histogram parameters")
-	}
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case math.IsNaN(x):
-			continue
-		case x < lo || math.IsInf(x, -1):
-			counts[0]++
-			continue
-		case x >= hi || math.IsInf(x, 1):
-			counts[bins-1]++
-			continue
-		}
-		i := int((x - lo) / width)
-		if i >= bins { // float rounding at the upper edge
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }
 
 // Summary bundles the descriptive statistics the characterization

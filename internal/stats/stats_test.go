@@ -67,78 +67,13 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); !approx(got, 4, 1e-9) {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 2}, []float64{1, 3})
-	if !approx(got, 1.75, 1e-12) {
-		t.Errorf("WeightedMean = %v, want 1.75", got)
-	}
-}
-
-func TestWeightedMeanMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
 func TestFractions(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if f := FractionBelow(xs, 3); f != 0.5 {
-		t.Errorf("FractionBelow = %v", f)
-	}
 	if f := FractionAtLeast(xs, 3); f != 0.5 {
 		t.Errorf("FractionAtLeast = %v", f)
 	}
-	if FractionBelow(nil, 1) != 0 || FractionAtLeast(nil, 1) != 0 {
+	if FractionAtLeast(nil, 1) != 0 {
 		t.Error("empty-slice fractions should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 5, -3}
-	h := Histogram(xs, 0, 2, 4)
-	// -3 clamps to bin0; 5 clamps to bin3; 1.0 falls in bin2.
-	want := []int{2, 1, 1, 2}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("Histogram bin %d = %d, want %d (all: %v)", i, h[i], want[i], h)
-		}
-	}
-}
-
-// TestHistogramNonFinite pins the deterministic handling of NaN and ±Inf:
-// the old code fed them straight into a float-to-int conversion, whose
-// result for NaN/out-of-range values is platform-dependent.
-func TestHistogramNonFinite(t *testing.T) {
-	nan := math.NaN()
-	xs := []float64{nan, math.Inf(-1), math.Inf(1), 0.5, nan}
-	h := Histogram(xs, 0, 2, 4)
-	want := []int{1, 1, 0, 1} // -Inf → bin0, 0.5 → bin1, +Inf → bin3, NaNs skipped
-	total := 0
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h[i], want[i], h)
-		}
-		total += h[i]
-	}
-	if total != len(xs)-2 {
-		t.Errorf("counted %d values, want %d (NaNs must be skipped)", total, len(xs)-2)
-	}
-	// Upper edge: hi itself clamps into the last bin, never out of range.
-	h = Histogram([]float64{2, math.Nextafter(2, 0)}, 0, 2, 4)
-	if h[3] != 2 {
-		t.Errorf("upper-edge values landed in %v, want both in bin3", h)
 	}
 }
 

@@ -12,13 +12,9 @@ const (
 	gb = 1 << 30
 )
 
-// Suites returns the paper's six suites in presentation order.
-func Suites() []string {
-	return []string{"Linpack", "HPCG", "Graph500", "CORAL2", "LULESH", "NPB"}
-}
-
-// Profiles returns every benchmark profile, grouped by suite in the order
-// of Suites().
+// Profiles returns every benchmark profile, grouped by suite in the
+// paper's presentation order: Linpack, HPCG, Graph500, CORAL2, LULESH,
+// NPB.
 func Profiles() []Profile {
 	return []Profile{
 		{
@@ -106,21 +102,6 @@ func Profiles() []Profile {
 			FootprintBytes: 512 * mb, Streams: 5, CommShare: 0.12,
 		},
 	}
-}
-
-// BySuite returns the profiles of one suite. It panics on an unknown
-// suite name so experiment tables fail loudly.
-func BySuite(suite string) []Profile {
-	var out []Profile
-	for _, p := range Profiles() {
-		if p.Suite == suite {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		panic("workload: unknown suite " + suite)
-	}
-	return out
 }
 
 // ByName returns a single benchmark profile. It panics on an unknown name.

@@ -265,6 +265,3 @@ func (s *Stream) advanceStream(i int) uint64 {
 	}
 	return s.seqAddrs[i]
 }
-
-// Remaining returns the unemitted instruction budget.
-func (s *Stream) Remaining() int64 { return s.remaining }

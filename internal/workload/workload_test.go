@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -13,18 +14,31 @@ func TestProfilesValid(t *testing.T) {
 	}
 }
 
+// bySuite groups Profiles() by suite, the suites in first-appearance
+// order.
+func bySuite() (suites []string, profs map[string][]Profile) {
+	profs = map[string][]Profile{}
+	for _, p := range Profiles() {
+		if profs[p.Suite] == nil {
+			suites = append(suites, p.Suite)
+		}
+		profs[p.Suite] = append(profs[p.Suite], p)
+	}
+	return suites, profs
+}
+
 func TestSuiteCoverage(t *testing.T) {
-	suites := Suites()
-	if len(suites) != 6 {
-		t.Fatalf("suites = %v, want the paper's six", suites)
+	suites, profs := bySuite()
+	if want := []string{"Linpack", "HPCG", "Graph500", "CORAL2", "LULESH", "NPB"}; !slices.Equal(suites, want) {
+		t.Fatalf("suites = %v, want the paper's six in order %v", suites, want)
 	}
 	for _, s := range suites {
-		if len(BySuite(s)) == 0 {
+		if len(profs[s]) == 0 {
 			t.Errorf("suite %s has no benchmarks", s)
 		}
 	}
-	if len(BySuite("CORAL2")) != 4 {
-		t.Errorf("CORAL2 must have four benchmarks (§II-B), has %d", len(BySuite("CORAL2")))
+	if len(profs["CORAL2"]) != 4 {
+		t.Errorf("CORAL2 must have four benchmarks (§II-B), has %d", len(profs["CORAL2"]))
 	}
 }
 
@@ -35,15 +49,6 @@ func TestByNamePanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	ByName("doom")
-}
-
-func TestBySuitePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown suite accepted")
-		}
-	}()
-	BySuite("SPEC")
 }
 
 func TestStreamDeterminism(t *testing.T) {
@@ -99,8 +104,8 @@ func TestStreamExhaustsBudget(t *testing.T) {
 	if instr != 20_000 {
 		t.Errorf("emitted %d compute instructions, want exactly 20000", instr)
 	}
-	if s.Remaining() != 0 {
-		t.Errorf("Remaining = %d after exhaustion", s.Remaining())
+	if s.remaining != 0 {
+		t.Errorf("remaining = %d after exhaustion", s.remaining)
 	}
 }
 
@@ -229,9 +234,10 @@ func TestNewStreamPanicsOnBadBudget(t *testing.T) {
 func TestAverageWriteShareNearFifteenPercent(t *testing.T) {
 	// Fig 15: writes are ~15% of memory traffic on average across suites.
 	var suiteShares []float64
-	for _, suite := range Suites() {
+	suites, profs := bySuite()
+	for _, suite := range suites {
 		var shares []float64
-		for _, p := range BySuite(suite) {
+		for _, p := range profs[suite] {
 			shares = append(shares, p.WriteFraction)
 		}
 		var sum float64

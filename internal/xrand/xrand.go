@@ -193,14 +193,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and normal approximation for large ones.
 func (r *Rand) Poisson(mean float64) int {

@@ -203,19 +203,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(14)
-	s := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 21 {
-		t.Errorf("shuffle changed multiset, sum=%d", sum)
-	}
-}
-
 func TestSplitMixPositional(t *testing.T) {
 	// Positional derivation: SplitMix(seed, i) depends only on (seed, i).
 	if SplitMix(9, 3) != SplitMix(9, 3) {
