@@ -70,7 +70,8 @@ alloc-gate:
 	            "internal/memctrl BenchmarkChannelWriteDrain" \
 	            "internal/heterodmr BenchmarkHeteroDMRReadMode" \
 	            "internal/rs BenchmarkRSDetect" \
-	            "internal/cache BenchmarkCacheLLC"; do \
+	            "internal/cache BenchmarkCacheLLC" \
+	            "internal/cpu BenchmarkCoreReplay"; do \
 		set -- $$spec; \
 		out=$$($(GO) test -run '^$$' -bench "$$2"'$$' -benchmem "./$$1") || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
@@ -104,6 +105,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkHeteroDMRReadMode -benchmem ./internal/heterodmr
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheLLC$$' -benchmem ./internal/cache
+	$(GO) test -run '^$$' -bench 'BenchmarkCoreReplay$$' -benchmem ./internal/cpu
 	$(GO) test -run '^$$' -bench BenchmarkSimulateGrizzly -benchmem ./internal/hpc
 	$(GO) test -run '^$$' -bench 'BenchmarkNode(Record|Replay)$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .

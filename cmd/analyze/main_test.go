@@ -19,7 +19,7 @@ func TestListSuite(t *testing.T) {
 	want := "detrand      forbid math/rand and time-seeded RNG construction outside internal/xrand\n" +
 		"faultsite    require every declared fault-injection site to be exercised by an in-package test\n" +
 		"maporder     flag map iteration in output-producing packages\n" +
-		"poolsafe     flag lifetime violations of pooled requests, arenas, and intrusive chains\n" +
+		"poolsafe     flag lifetime violations of pooled requests and intrusive chains\n" +
 		"seedflow     require positional RNG derivation (xrand.NewAt/SplitMix) for per-item generators\n" +
 		"sharedwrite  flag unsynchronized writes to captured state in goroutines and parallel bodies\n" +
 		"unitflow     flag arithmetic that mixes picosecond and cycle quantities outside *PS helpers\n"

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkCacheLLC times the scaled Hierarchy1 LLC (1792 sets of 16
-// ways) in the state node.Record leaves it: prefilled with twice its
+// ways) in the state a node recording leaves it: prefilled with twice its
 // lines of seeded fills, a quarter of them dirty, over a footprint four
 // times its size. Each op is a seeded Access, a quarter of them writes,
 // with a Fill on a miss; every 256 ops one of two channels' write batches

@@ -98,59 +98,6 @@ type Cache struct {
 	cleanOut []uint64
 }
 
-// pool is one typed backing store inside an Arena. alloc hands out a
-// zeroed window of n elements; when the current backing is exhausted a
-// larger one is allocated, and windows carved earlier keep pointing at
-// the old backing, which dies with the hierarchy using it.
-type pool[T any] struct {
-	buf []T
-	off int
-}
-
-func (p *pool[T]) alloc(n int) []T {
-	if p.off+n > len(p.buf) {
-		size := 2 * len(p.buf)
-		if size < n {
-			size = n
-		}
-		p.buf = make([]T, size)
-		p.off = 0
-	}
-	s := p.buf[p.off : p.off+n : p.off+n]
-	p.off += n
-	return s
-}
-
-func (p *pool[T]) reset() {
-	var zero T
-	used := p.buf[:p.off]
-	for i := range used {
-		used[i] = zero
-	}
-	p.off = 0
-}
-
-// Arena is a reusable backing store for cache state arrays. A caller that
-// builds many short-lived hierarchies back to back (the experiment
-// engine's cell plan) keeps one Arena per worker: NewIn carves each
-// cache's arrays out of it, and Reset zeroes the used portions so the
-// next hierarchy starts from the exact state a fresh allocation would
-// have. The zero value is ready to use. An Arena must not be Reset while
-// any cache built from it is still in use.
-type Arena struct {
-	u64 pool[uint64]
-	u8  pool[uint8]
-	i32 pool[int32]
-}
-
-// Reset zeroes the windows handed out since the last Reset, readying the
-// Arena for the next hierarchy.
-func (a *Arena) Reset() {
-	a.u64.reset()
-	a.u8.reset()
-	a.i32.reset()
-}
-
 // Validate reports a geometry a cache level cannot have: a non-positive
 // size or way count, a block size below 2 bytes or not a power of two,
 // more than 16 ways, or a line count that is not a positive multiple of
@@ -176,12 +123,7 @@ func (cfg Config) Validate() error {
 
 // New builds a cache level. It panics with Validate's message on an
 // invalid geometry; callers that take a geometry as input validate first.
-func New(cfg Config) *Cache { return NewIn(nil, cfg) }
-
-// NewIn is New with the state arrays carved out of arena (nil behaves
-// like New). Arena-backed caches cost no steady-state allocation when the
-// arena is recycled across hierarchies.
-func NewIn(arena *Arena, cfg Config) *Cache {
+func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -194,21 +136,13 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 		hashShift:  uint(bits.Len(uint(nsets))),
 		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		lastField:  uint(4 * (cfg.Ways - 1)),
+		tags:       make([]uint64, blocks),
+		flags:      make([]uint8, blocks),
+		order:      make([]uint64, nsets),
+		prev:       make([]int32, blocks),
+		next:       make([]int32, blocks),
 		dirtyHead:  -1,
 		dirtyTail:  -1,
-	}
-	if arena != nil {
-		c.tags = arena.u64.alloc(blocks)
-		c.order = arena.u64.alloc(nsets)
-		c.flags = arena.u8.alloc(blocks)
-		c.prev = arena.i32.alloc(blocks)
-		c.next = arena.i32.alloc(blocks)
-	} else {
-		c.tags = make([]uint64, blocks)
-		c.order = make([]uint64, nsets)
-		c.flags = make([]uint8, blocks)
-		c.prev = make([]int32, blocks)
-		c.next = make([]int32, blocks)
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -392,9 +326,8 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 
 // CopyFrom makes c an exact copy of src: every line's tag and flags, the
 // way orders, the dirty list and the statistics, so c behaves bit for bit
-// as src would from here on. Both must share one Config. The experiment
-// engine uses it to hand each memory design its own copy of a prefilled
-// LLC.
+// as src would from here on. Both must share one Config. A node replay
+// uses it to refill its LLC from the recorded, prefilled one.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.cfg != src.cfg {
 		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))

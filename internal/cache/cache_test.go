@@ -314,7 +314,6 @@ func TestFastmodMatchesModulo(t *testing.T) {
 // both: every return value and the final state must agree.
 func TestCopyFromIsExact(t *testing.T) {
 	cfg := Config{SizeBytes: 64 * 16 * 7, Ways: 16, BlockBytes: 64} // 7 sets: fastmod path
-	var arena Arena
 	src := New(cfg)
 	ops := func(c *Cache, rng *xrand.Rand, n int) []uint64 {
 		var out []uint64
@@ -337,7 +336,7 @@ func TestCopyFromIsExact(t *testing.T) {
 		return out
 	}
 	ops(src, xrand.New(1), 3000)
-	dst := NewIn(&arena, cfg)
+	dst := New(cfg)
 	dst.Fill(0x40, true, false) // stale state CopyFrom must overwrite
 	dst.CopyFrom(src)
 	a, b := ops(src, xrand.New(2), 3000), ops(dst, xrand.New(2), 3000)

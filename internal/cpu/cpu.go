@@ -79,6 +79,8 @@ type Core struct {
 	l2LatencyPS int64
 	l3LatencyPS int64
 
+	// outstanding is the MLP window: the overlapped misses in issue
+	// order, at most mlp of them, in storage sized once by New.
 	mlp         int
 	outstanding []*memctrl.Request
 
@@ -115,6 +117,7 @@ func New(cfg Config) *Core {
 		l2LatencyPS: cfg.L2LatencyPS,
 		l3LatencyPS: cfg.L3.Config().LatencyPS,
 		mlp:         cfg.MLP,
+		outstanding: make([]*memctrl.Request, 0, cfg.MLP),
 	}
 }
 
@@ -207,9 +210,12 @@ func (c *Core) access(rec Record, ops []uint32, write bool) {
 		c.retire(miss) // the stall covers the full remaining latency
 	default:
 		c.outstanding = append(c.outstanding, miss)
-		if len(c.outstanding) >= c.mlp {
+		if n := len(c.outstanding); n >= c.mlp {
+			// Shift the window down in place so it never outgrows its
+			// storage.
 			oldest := c.outstanding[0]
-			c.outstanding = c.outstanding[1:]
+			copy(c.outstanding, c.outstanding[1:])
+			c.outstanding = c.outstanding[:n-1]
 			c.retire(oldest)
 		}
 	}

@@ -69,8 +69,8 @@ func (t *Trace) Reset() {
 	t.ops = t.ops[:0]
 }
 
-// Clone returns a copy of t sized to its contents, so a recording made
-// into reused scratch keeps no spare capacity.
+// Clone returns a copy of t sized to its contents, so a trace recorded
+// into a buffer reused across cores keeps no spare capacity.
 func (t *Trace) Clone() Trace {
 	c := Trace{recs: make([]Record, len(t.recs)), ops: make([]uint32, len(t.ops))}
 	copy(c.recs, t.recs)
@@ -174,8 +174,7 @@ type Recorder struct {
 }
 
 // Reset readies the recorder for another core with fresh private levels
-// l1 and l2, keeping its scratch storage. Reset(nil, nil) detaches a
-// pooled recorder from the caches it last recorded through.
+// l1 and l2, keeping its scratch storage.
 func (r *Recorder) Reset(l1, l2 *cache.Cache) {
 	r.l1, r.l2 = l1, l2
 	r.strideL1 = cache.NewStridePrefetcher(2)

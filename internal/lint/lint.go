@@ -21,8 +21,7 @@
 //
 //   - poolsafe: pooled request handles may not be used after Release,
 //     parked in state outliving their run scope (package-level variables,
-//     sync.Pool scratch), or leaked through intrusive chain links; arena
-//     backed objects may not escape the arena's Reset boundary.
+//     sync.Pool scratch), or leaked through intrusive chain links.
 //   - unitflow: picosecond quantities and cycle counts may not meet in
 //     additive arithmetic, and may meet multiplicatively only inside a
 //     *PS-named conversion helper.

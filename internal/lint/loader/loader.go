@@ -8,6 +8,11 @@
 // importer rooted at GOROOT, and no subprocess or network access is ever
 // needed. That keeps `go run ./cmd/analyze ./...` usable in the same
 // hermetic environments the experiments themselves target.
+//
+// A `/...` walk does not stop at a nested go.mod: a module nested under
+// the root, such as the benchmark harness in bench/, is loaded as part
+// of this one (bench/ as repro/bench), so `go run ./cmd/analyze ./...`
+// from the root lints it too.
 package loader
 
 import (
@@ -107,8 +112,10 @@ func findModule(dir string) (root, path string, err error) {
 // Load resolves the given package patterns ("./...", "dir/...", plain
 // directories) into type-checked analysis units, sorted by import path.
 // Walked patterns skip testdata, vendor, hidden, and underscore
-// directories; naming a testdata directory explicitly loads it, which is
-// how analyzer fixtures are checked.
+// directories, but not nested modules: a directory with its own go.mod
+// is walked and gets an import path under this module's. Naming a
+// testdata directory explicitly loads it, which is how analyzer fixtures
+// are checked.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.expand(patterns)
 	if err != nil {

@@ -3,7 +3,9 @@ package loader
 import (
 	"go/ast"
 	"go/token"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +79,30 @@ func TestWalkSkipsTestdata(t *testing.T) {
 		if filepath.Base(filepath.Dir(p.Dir)) == "src" {
 			t.Errorf("testdata fixture %s loaded by walk", p.Dir)
 		}
+	}
+}
+
+// TestWalkEntersNestedModules pins that a walk from the module root
+// does not stop at a nested go.mod: the benchmark harness, a module of
+// its own, is walked and keyed under this module as repro/bench.
+func TestWalkEntersNestedModules(t *testing.T) {
+	l, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := filepath.Join(l.modRoot, "bench")
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err != nil {
+		t.Fatalf("bench/ is not a nested module: %v", err)
+	}
+	ds, err := l.expand([]string{filepath.Join(l.modRoot, "...")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ds.walked, bench) {
+		t.Fatalf("walk from %s skipped the nested module %s", l.modRoot, bench)
+	}
+	if path, err := l.importPathFor(bench); err != nil || path != "repro/bench" {
+		t.Errorf("bench/ keyed as %q (%v), want repro/bench", path, err)
 	}
 }
 

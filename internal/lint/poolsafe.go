@@ -9,20 +9,16 @@ import (
 )
 
 // PoolSafe enforces the lifetime discipline of the manually managed
-// memory the hot path introduced (request freelists, typed arenas,
-// intrusive chains — DESIGN.md "Hot path & allocation discipline"):
+// memory the hot path introduced (the request freelist and the intrusive
+// chains — DESIGN.md "Hot path & allocation discipline"):
 //
 //  1. Use after release: once a pooled handle is passed to Release, no
 //     later statement on the same straight-line path may touch it — the
 //     channel may recycle it into an unrelated access at any moment.
 //  2. Pool-scope escape: pooled handles must not be parked in state that
 //     outlives the run that owns their freelist — package-level
-//     variables, or fields of a sync.Pool-recycled scratch type (the
-//     runScratch reset boundary).
-//  3. Arena escape: an arena-backed object (cache.NewIn with a non-nil
-//     arena) dies at the arena's Reset; returning one or storing one in
-//     a package-level variable lets it outlive that boundary.
-//  4. Chain-node escape: intrusive next/prev chain links may be
+//     variables, or fields of a type recycled through a sync.Pool.
+//  3. Chain-node escape: intrusive next/prev chain links may be
 //     traversed only inside the owning package's scheduler; a chain read
 //     must never be returned or stored into package-level state.
 //
@@ -32,13 +28,12 @@ import (
 // works unchanged on its fixtures.
 var PoolSafe = &analysis.Analyzer{
 	Name: "poolsafe",
-	Doc: `flag lifetime violations of pooled requests, arenas, and intrusive chains
+	Doc: `flag lifetime violations of pooled requests and intrusive chains
 
-The request freelist, the typed cache arenas, and the per-bank intrusive
-chains trade garbage collection for manual lifetime rules. This analyzer
-enforces them: no use of a handle after Release, no pooled handle or
-arena-backed object stored where it outlives its run scope, no intrusive
-chain node escaping the owning scheduler.`,
+The request freelist and the per-bank intrusive chains trade garbage
+collection for manual lifetime rules. This analyzer enforces them: no use
+of a handle after Release, no pooled handle stored where it outlives its
+run scope, no intrusive chain node escaping the owning scheduler.`,
 	Run: runPoolSafe,
 }
 
@@ -111,28 +106,6 @@ func isChainLinkSelector(info *types.Info, e ast.Expr) bool {
 		(tv.Type != nil && isPooledHandleType(types.NewPointer(tv.Type)))
 }
 
-// isArenaBackedCall reports whether call constructs an arena-backed
-// object: a call to a function named NewIn whose first argument is a
-// non-nil *Arena.
-func isArenaBackedCall(info *types.Info, call *ast.CallExpr) bool {
-	if calleeBaseName(call.Fun) != "NewIn" || len(call.Args) == 0 {
-		return false
-	}
-	if id, ok := call.Args[0].(*ast.Ident); ok && id.Name == "nil" {
-		return false
-	}
-	tv, ok := info.Types[call.Args[0]]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Arena"
-}
-
 func runPoolSafe(pass *analysis.Pass) (interface{}, error) {
 	pooledGlobals(pass)
 	poolScratchFields(pass)
@@ -146,7 +119,6 @@ func runPoolSafe(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			checkUseAfterRelease(pass, fn.Body)
-			checkArenaEscape(pass, fn)
 			checkChainEscape(pass, fn)
 		}
 	}
@@ -187,10 +159,10 @@ func pooledGlobals(pass *analysis.Pass) {
 }
 
 // poolScratchFields flags pooled-handle fields inside structs that are
-// recycled through a sync.Pool in the same package (the runScratch
-// pattern): everything in such scratch must be resettable, and a raw
-// request handle is not — its channel dies with the run while the
-// scratch survives into the next one.
+// recycled through a sync.Pool in the same package: everything in such
+// scratch must be resettable, and a raw request handle is not — its
+// channel dies with the run while the scratch survives into the next
+// one.
 func poolScratchFields(pass *analysis.Pass) {
 	// Collect the names of struct types used as sync.Pool elements:
 	// sync.Pool{New: func() any { return new(T) / &T{} }}.
@@ -357,64 +329,6 @@ func reportReleasedUses(pass *analysis.Pass, stmt ast.Stmt, released map[types.O
 			pass.Reportf(id.Pos(),
 				"use of %s after Release: the channel may recycle the handle into an unrelated request at any time", id.Name)
 			delete(released, obj) // one report per release is enough
-		}
-		return true
-	})
-}
-
-// checkArenaEscape flags arena-backed constructions whose result leaves
-// the function that owns the arena: returned, or stored in a
-// package-level variable. Locals within the function tracked by direct
-// assignment.
-func checkArenaEscape(pass *analysis.Pass, fn *ast.FuncDecl) {
-	// arenaBacked holds locals assigned directly from a NewIn(arena, ...)
-	// call; populated in source order, which is sufficient for the
-	// straight-line construction code this guards.
-	arenaBacked := map[types.Object]bool{}
-	fromArena := func(e ast.Expr) bool {
-		switch e := e.(type) {
-		case *ast.CallExpr:
-			return isArenaBackedCall(pass.TypesInfo, e)
-		case *ast.Ident:
-			return arenaBacked[pass.TypesInfo.Uses[e]]
-		}
-		return false
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) || !fromArena(rhs) {
-					continue
-				}
-				switch lhs := n.Lhs[i].(type) {
-				case *ast.Ident:
-					if obj := pass.TypesInfo.Defs[lhs]; obj != nil {
-						arenaBacked[obj] = true
-					} else if obj := pass.TypesInfo.Uses[lhs]; obj != nil {
-						if obj.Parent() == pass.Pkg.Scope() {
-							pass.Reportf(rhs.Pos(),
-								"arena-backed object stored in package-level variable %s outlives the arena's Reset", lhs.Name)
-						} else {
-							arenaBacked[obj] = true
-						}
-					}
-				case *ast.SelectorExpr:
-					if root := rootIdent(lhs); root != nil {
-						if obj := pass.TypesInfo.Uses[root]; obj != nil && obj.Parent() == pass.Pkg.Scope() {
-							pass.Reportf(rhs.Pos(),
-								"arena-backed object stored through package-level variable %s outlives the arena's Reset", root.Name)
-						}
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if fromArena(res) {
-					pass.Reportf(res.Pos(),
-						"arena-backed object returned from %s escapes the arena's Reset boundary", fn.Name.Name)
-				}
-			}
 		}
 		return true
 	})

@@ -1,7 +1,7 @@
 // Fixture for the poolsafe analyzer: pooled handles (structs with
 // intrusive next/prev self-links) may not be used after Release, parked
 // in state that outlives their run scope, or leaked out of the owning
-// scheduler; arena-backed objects may not escape the arena's Reset.
+// scheduler.
 package poolsafe
 
 import "sync"
@@ -31,16 +31,6 @@ func (p *Pool) Get() *Req {
 
 func (p *Pool) Release(r *Req) {
 	p.free = append(p.free, r)
-}
-
-// Arena is a stand-in for cache.Arena; NewIn(arena, ...) objects die at
-// the arena's Reset.
-type Arena struct{ off int }
-
-type Table struct{ rows []uint64 }
-
-func NewIn(a *Arena, n int) *Table {
-	return &Table{rows: make([]uint64, n)}
 }
 
 // --- use after release -------------------------------------------------
@@ -98,8 +88,8 @@ var okCounter int64
 //lint:allow poolsafe nil sentinel terminator, never a live pooled handle
 var allowedSentinel *Req
 
-// scratch is recycled through a sync.Pool (the runScratch pattern), so
-// any pooled handle parked in it survives across runs.
+// scratch is recycled through a sync.Pool, so any pooled handle parked
+// in it survives across runs.
 type scratch struct {
 	ids  []uint64
 	held *Req // want `sync.Pool scratch type scratch holds pooled request handles`
@@ -109,36 +99,6 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
 func useScratch() *scratch {
 	return scratchPool.Get().(*scratch)
-}
-
-// --- arena escapes -----------------------------------------------------
-
-var globalTable *Table
-
-func badArenaReturn(a *Arena) *Table {
-	t := NewIn(a, 64)
-	return t // want `arena-backed object returned from badArenaReturn`
-}
-
-func badArenaDirectReturn(a *Arena) *Table {
-	return NewIn(a, 64) // want `arena-backed object returned from badArenaDirectReturn`
-}
-
-func badArenaGlobal(a *Arena) {
-	globalTable = NewIn(a, 64) // want `arena-backed object stored in package-level variable globalTable`
-}
-
-// goodHeapReturn passes a nil arena, so the table is heap-allocated and
-// may escape freely.
-func goodHeapReturn() *Table {
-	return NewIn(nil, 64)
-}
-
-// goodArenaLocal keeps the arena-backed table inside the run that owns
-// the arena.
-func goodArenaLocal(a *Arena) uint64 {
-	t := NewIn(a, 64)
-	return t.rows[0]
 }
 
 // --- chain escapes -----------------------------------------------------

@@ -42,7 +42,8 @@ func (c *Channel) foldRank(rank int) int {
 }
 
 // appendCopyRanks appends the copy ranks of origRank to dst. Empty for
-// the baseline.
+// the baseline. It is the one statement of the copy map: NewChannel
+// builds the replicas table from it.
 func (c *Channel) appendCopyRanks(dst []int, origRank int) []int {
 	half := c.cfg.Ranks / 2
 	switch c.cfg.Replication {
@@ -55,36 +56,16 @@ func (c *Channel) appendCopyRanks(dst []int, origRank int) []int {
 	}
 }
 
-// readCandidateRanks returns the ranks a read may be served from. The
-// slice aliases per-channel scratch (candBuf) and is valid until the next
-// call — pickRead consumes each list before requesting the next.
+// readCandidateRanks returns the ranks a read may be served from: every
+// replica, so FMR and Hetero-DMR's slow phase (everything at
+// specification, originals awake) pick the best one. Fast read mode must
+// not touch the originals (they are in self-refresh), so only the copies
+// are candidates.
 func (c *Channel) readCandidateRanks(origRank int) []int {
-	buf := c.candBuf[:0]
-	switch c.cfg.Replication {
-	case ReplicationNone:
-		return append(buf, origRank)
-	case ReplicationFMR:
-		// FMR reads whichever replica is in the faster state.
-		return c.appendCopyRanks(append(buf, origRank), origRank)
-	case ReplicationHeteroDMR, ReplicationHeteroDMRFMR:
-		if c.fastMode {
-			// Fast read mode must not touch originals (they are in
-			// self-refresh); only copies are candidates.
-			return c.appendCopyRanks(buf, origRank)
-		}
-		// Slow phase: everything runs at specification with the originals
-		// awake, so reads pick the best replica like FMR.
-		return c.appendCopyRanks(append(buf, origRank), origRank)
-	default:
-		return nil
+	if c.fastMode {
+		return c.replicas[origRank][1:]
 	}
-}
-
-// writeTargetRanks returns every rank a write must update; broadcast
-// writes hit all of them in one bus transaction. The slice aliases
-// per-channel scratch (targBuf) and is valid until the next call.
-func (c *Channel) writeTargetRanks(origRank int) []int {
-	return c.appendCopyRanks(append(c.targBuf[:0], origRank), origRank)
+	return c.replicas[origRank]
 }
 
 // globalBank flattens (rank, bank) for per-bank bookkeeping.

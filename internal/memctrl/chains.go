@@ -58,13 +58,6 @@ func (ch *reqChain) remove(r *Request) {
 	r.next, r.prev = nil, nil
 }
 
-// ranksServing returns the ranks that can serve requests of decoded rank
-// origRank: the original plus every copy. The slice aliases per-channel
-// scratch (servBuf) valid until the next call.
-func (c *Channel) ranksServing(origRank int) []int {
-	return c.appendCopyRanks(append(c.servBuf[:0], origRank), origRank)
-}
-
 // bankHits is one queue's row-hit index: per serving bank, the number
 // of queued requests whose row matches the bank's open row; their total;
 // and the dense list of banks with a non-zero count (pos holds each
@@ -114,7 +107,7 @@ func (h *bankHits) set(gb int, n int32) {
 // counters of every bank that could serve it.
 func (c *Channel) chainPushRead(req *Request) {
 	c.readChains[c.globalBank(req.rank, req.bank)].push(req)
-	for _, ri := range c.ranksServing(req.rank) {
+	for _, ri := range c.replicas[req.rank] {
 		if c.ranks[ri].Bank(req.bank).OpenRow() == req.row {
 			gb := c.globalBank(ri, req.bank)
 			c.rHits.set(gb, c.rHits.n[gb]+1)
@@ -127,7 +120,7 @@ func (c *Channel) chainPushRead(req *Request) {
 // already recounted with the request still chained).
 func (c *Channel) chainRemoveRead(req *Request) {
 	c.readChains[c.globalBank(req.rank, req.bank)].remove(req)
-	for _, ri := range c.ranksServing(req.rank) {
+	for _, ri := range c.replicas[req.rank] {
 		if c.ranks[ri].Bank(req.bank).OpenRow() == req.row {
 			gb := c.globalBank(ri, req.bank)
 			c.rHits.set(gb, c.rHits.n[gb]-1)

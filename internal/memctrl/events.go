@@ -53,7 +53,7 @@ func (c *Channel) initSchedIndexes() {
 	}
 	for r := range c.chainRank {
 		orig := c.foldRank(r)
-		for _, ri := range c.ranksServing(orig) {
+		for _, ri := range c.replicas[orig] {
 			c.chainRank[ri] = orig
 		}
 	}

@@ -341,12 +341,10 @@ type Channel struct {
 	// operating points: a lower bound on any projected row miss, used to
 	// stop the write projection pass early.
 	minTRCD int64
-	servBuf [3]int // scratch for ranksServing (distinct from candBuf/targBuf)
-
-	// Scratch buffers for the per-pick rank lists (see addrmap.go); the
-	// returned slices alias these and are valid until the next call.
-	candBuf [3]int
-	targBuf [3]int
+	// replicas[r] lists the ranks holding decoded rank r's data: r, then
+	// its copies (appendCopyRanks). The layout is fixed at NewChannel, so
+	// reads, writes and the chain counters share this one table.
+	replicas [][]int
 	// origRanks and copyRanks split a fast design's ranks into module
 	// halves: read mode parks the originals in self-refresh and runs the
 	// copies at the fast point. Both alias ranks; nil for other designs.
@@ -395,6 +393,10 @@ func NewChannel(cfg Config) (*Channel, error) {
 		c.wb = newWBCache(cfg.WritebackCacheBlocks, cfg.WritebackCacheWays)
 	}
 	c.lastUse = make([]int64, cfg.Ranks*cfg.BanksPerRank)
+	c.replicas = make([][]int, cfg.Ranks)
+	for r := range c.replicas {
+		c.replicas[r] = c.appendCopyRanks([]int{r}, r)
+	}
 	c.initSchedIndexes()
 	// Replicated fast designs start in read mode at the fast point with
 	// originals parked in self-refresh.

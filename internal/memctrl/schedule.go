@@ -496,9 +496,9 @@ func (c *Channel) advance(colAt int64) {
 func (c *Channel) serveWrite() {
 	req := c.pickWrite()
 	c.writeQHist.Observe(int64(c.writeQ.len()))
-	targets := c.writeTargetRanks(req.rank)
-	// Bring the target row up in every participating rank; the broadcast
-	// column command issues when all of them are ready.
+	// Bring the target row up in every replica; the broadcast column
+	// command issues when all of them are ready.
+	targets := c.replicas[req.rank]
 	colAt := c.now
 	for _, t := range targets {
 		ready, outcome := c.openRowFor(t, req.bank, req.row)

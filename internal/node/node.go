@@ -8,7 +8,6 @@ package node
 import (
 	"fmt"
 	"reflect"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -225,50 +224,6 @@ func (cc *channelCleaner) CleanDirty(max int) []uint64 {
 	return cc.l3.CleanDirtyMatching(max, cc.match)
 }
 
-// runScratch is the per-replay working state Run reuses across
-// simulations. The experiment engine's cell plan executes thousands of
-// node runs back to back; without reuse, rebuilding the LLC's line arrays
-// and the scheduler's bookkeeping slices for every run dominated the
-// engine's allocation profile. Everything here is either fully
-// overwritten (the object slices) or explicitly zeroed (the arena, the
-// bool slices) before reuse, so a pooled run is state-identical to a
-// fresh one and simulation output is unchanged.
-type runScratch struct {
-	arena    cache.Arena
-	chans    []*memctrl.Channel
-	cores    []*cpu.Core
-	readers  []cpu.Reader
-	coreHeap []int32
-	warmed   []bool
-	warmCore []cpu.Stats
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// recordScratch is the per-recording working state: the arena the
-// private L1/L2 of each core are carved from (they are dropped once the
-// core is recorded), the recorder itself, and the trace each core records
-// into before it is copied out at its exact size.
-type recordScratch struct {
-	arena cache.Arena
-	rec   cpu.Recorder
-	tr    cpu.Trace
-}
-
-var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
-
-// boolScratch returns s resized to n with every element false.
-func boolScratch(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
 // coreLess orders the interleaving heap by (virtual time, core index);
 // the index tie-break reproduces the legacy scan's "first strictly
 // smaller wins" selection bit for bit.
@@ -294,14 +249,6 @@ func coreSiftDown(h []int32, i int, cores []*cpu.Core) {
 		h[s], h[i] = h[i], h[s]
 		i = s
 	}
-}
-
-// objScratch returns s resized to n; callers overwrite every element.
-func objScratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // withDefaults fills cfg's zero run-length, scale and seed fields with
@@ -351,10 +298,10 @@ func l3Config(h Hierarchy, shift uint) cache.Config {
 	}
 }
 
-// FrontEndKey is the identity of a node front end: everything Record
-// reads, after defaults are applied. Cells with equal keys can share one
-// recording whatever their memory designs, checked or not. The key is
-// comparable, so it serves as a map key.
+// FrontEndKey is the identity of a node front end: everything a
+// recording reads, after defaults are applied. Cells with equal keys can
+// share one recording whatever their memory designs, checked or not. The
+// key is comparable, so it serves as a map key.
 type FrontEndKey struct {
 	H             Hierarchy
 	Prof          workload.Profile
@@ -397,14 +344,14 @@ func GroupByFrontEnd[T any](items []T, key func(T) (FrontEndKey, bool)) [][]T {
 	return groups
 }
 
-// FrontEnd is the memory-design-independent half of a node simulation:
+// frontEnd is the memory-design-independent half of a node simulation:
 // the prefilled LLC and every core's recorded private front end (see
 // cpu.Recorder). It is a pure function of its FrontEndKey, so one
-// recording serves every memory design of that cell: FrontEnd.Run
-// replays it against a fresh copy of the LLC and the design's own memory
-// channels, and Run is exactly Record followed by that replay. A
-// FrontEnd is read-only once recorded and safe for concurrent Runs.
-type FrontEnd struct {
+// recording serves every memory design of that cell: replay runs it
+// against a copy of the LLC and the design's own memory channels. A
+// frontEnd is read-only once recorded, so replays into distinct LLCs
+// may run concurrently.
+type frontEnd struct {
 	key     FrontEndKey
 	prof    workload.Profile // key.Prof with footprints scaled
 	llc     *cache.Cache
@@ -412,14 +359,14 @@ type FrontEnd struct {
 	private [][]obs.Violation // per core: its L1/L2 violations, sources like core3/l1
 }
 
-// Record simulates the design-independent front end of cfg's machine
+// record simulates the design-independent front end of cfg's machine
 // running prof. Only the fields FrontEndKeyOf reads matter. The private
 // caches never change once a core is recorded, so their conservation
 // checks run then and the caches are dropped. It returns an error for
 // an invalid hierarchy, for a cache level that cfg.ScaleShift leaves
 // without a valid geometry (cache.Config.Validate), and for a profile
 // that, scaled to cfg.ScaleShift, fails workload.Profile.Validate.
-func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
+func record(cfg Config, prof workload.Profile) (*frontEnd, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
 		return nil, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
 	}
@@ -442,7 +389,7 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 
-	fe := &FrontEnd{
+	fe := &frontEnd{
 		key:     key,
 		prof:    prof,
 		traces:  make([]cpu.Trace, cfg.H.Cores),
@@ -454,34 +401,30 @@ func Record(cfg Config, prof workload.Profile) (*FrontEnd, error) {
 	fe.llc = cache.New(l3Config(cfg.H, cfg.ScaleShift))
 	prefillL3(fe.llc, prof.FootprintBytes, cfg.Seed)
 
-	scr := recordPool.Get().(*recordScratch)
-	defer func() {
-		// The arena-backed L1/L2 never leave this function.
-		scr.arena.Reset()
-		recordPool.Put(scr)
-	}()
+	// One recorder and one trace buffer serve every core; each core's
+	// trace is copied out at its exact size.
+	var rec cpu.Recorder
+	var tr cpu.Trace
 	instr := cfg.WarmupInstructions + cfg.InstructionsPerCore
 	for i := range fe.traces {
-		scr.arena.Reset()
-		l1 := cache.NewIn(&scr.arena, l1Config())
-		l2 := cache.NewIn(&scr.arena, l2Config(cfg.H, cfg.ScaleShift))
-		scr.rec.Reset(l1, l2)
+		l1 := cache.New(l1Config())
+		l2 := cache.New(l2Config(cfg.H, cfg.ScaleShift))
+		rec.Reset(l1, l2)
 		// Each core runs one MPI rank of the benchmark: same profile,
 		// distinct address-space slice via the seed.
 		stream := prof.NewStream(cfg.Seed+uint64(i)*104729, instr)
-		scr.tr.Reset()
+		tr.Reset()
 		for {
 			ev, ok := stream.Next()
 			if !ok {
 				break
 			}
-			scr.rec.Record(ev, &scr.tr)
+			rec.Record(ev, &tr)
 		}
-		fe.traces[i] = scr.tr.Clone()
+		fe.traces[i] = tr.Clone()
 		fe.private[i] = append(l1.CheckConservation(fmt.Sprintf("core%d/l1", i)),
 			l2.CheckConservation(fmt.Sprintf("core%d/l2", i))...)
 	}
-	scr.rec.Reset(nil, nil)
 	return fe, nil
 }
 
@@ -503,13 +446,15 @@ func MustRun(cfg Config, prof workload.Profile) Result {
 
 // Replayer runs the cells of one front-end identity (FrontEndKeyOf):
 // its first Run records the front end, and every Run replays that
-// recording against its config's memory design. Callers group cells with
-// GroupByFrontEnd and use one Replayer per group, dropping it with the
-// group, so no recording outlives the cells that share it. A Replayer is
-// not safe for concurrent use.
+// recording against its config's memory design, refilling the
+// Replayer's one LLC from the recorded one first. Callers group cells
+// with GroupByFrontEnd and use one Replayer per group, dropping it with
+// the group, so no recording outlives the cells that share it. A
+// Replayer is not safe for concurrent use.
 type Replayer struct {
 	prof workload.Profile
-	fe   *FrontEnd
+	fe   *frontEnd
+	l3   *cache.Cache // the LLC every replay runs in
 }
 
 // NewReplayer returns a Replayer for cells running prof.
@@ -526,13 +471,13 @@ func (r *Replayer) Run(cfg Config) (Result, error) {
 				return Result{}, err
 			}
 		}
-		fe, err := Record(cfg, r.prof)
+		fe, err := record(cfg, r.prof)
 		if err != nil {
 			return Result{}, err
 		}
-		r.fe = fe
+		r.fe, r.l3 = fe, cache.New(fe.llc.Config())
 	}
-	return r.fe.Run(cfg)
+	return r.fe.replay(cfg, r.l3)
 }
 
 // Recorded reports whether a Run has recorded the front end.
@@ -562,11 +507,12 @@ func channelConfig(cfg Config, i int) memctrl.Config {
 	return ch
 }
 
-// Run replays the recorded front end against cfg's memory design and
-// returns the measurements, exactly as Run(cfg, prof) would. cfg must
-// name the hierarchy, seed, run lengths and scale shift the front end was
-// recorded with.
-func (fe *FrontEnd) Run(cfg Config) (Result, error) {
+// replay runs the recorded front end against cfg's memory design in l3,
+// which it first refills from the recorded LLC, and returns the
+// measurements, exactly as Run(cfg, prof) would. cfg must name the
+// hierarchy, seed, run lengths and scale shift the front end was
+// recorded with, and l3 must have the recorded LLC's geometry.
+func (fe *frontEnd) replay(cfg Config, l3 *cache.Cache) (Result, error) {
 	cfg = withDefaults(cfg)
 	if FrontEndKeyOf(cfg, fe.key.Prof) != fe.key {
 		return Result{}, fmt.Errorf("node: config (%s, seed %d, %d+%d instructions, shift %d) does not match the front end (%s, seed %d, %d+%d, shift %d)",
@@ -575,18 +521,7 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	}
 	prof := fe.prof
 
-	scr := scratchPool.Get().(*runScratch)
-	defer func() {
-		// Nothing built below outlives Run (Result holds only copied
-		// stats), so the arena and bookkeeping slices recycle safely. The
-		// readers point into the front end: drop them so a pooled scratch
-		// never keeps a released front end alive.
-		clear(scr.readers)
-		scr.arena.Reset()
-		scratchPool.Put(scr)
-	}()
-
-	rt := &router{chans: scr.chans[:0]}
+	rt := &router{chans: make([]*memctrl.Channel, 0, cfg.H.Channels)}
 	for i := 0; i < cfg.H.Channels; i++ {
 		chn, err := memctrl.NewChannel(channelConfig(cfg, i))
 		if err != nil {
@@ -594,7 +529,6 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 		}
 		rt.chans = append(rt.chans, chn)
 	}
-	scr.chans = rt.chans
 	rt.seal()
 	scope := fmt.Sprintf("%s/%s/%s/seed%d", cfg.H.Name, cfg.Replication, prof.Name, cfg.Seed)
 	if cfg.Obs != nil {
@@ -603,16 +537,14 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 		}
 	}
 
-	l3 := cache.NewIn(&scr.arena, l3Config(cfg.H, cfg.ScaleShift))
 	l3.CopyFrom(fe.llc)
 	// Wire proactive cleaning (the §III-E hook) per channel.
 	for _, chn := range rt.chans {
 		chn.AttachCleanSource(newChannelCleaner(l3, rt, chn))
 	}
 
-	scr.cores = objScratch(scr.cores, cfg.H.Cores)
-	scr.readers = objScratch(scr.readers, cfg.H.Cores)
-	cores, readers := scr.cores, scr.readers
+	cores := make([]*cpu.Core, cfg.H.Cores)
+	readers := make([]cpu.Reader, cfg.H.Cores)
 	l2Latency := l2Config(cfg.H, cfg.ScaleShift).LatencyPS
 	for i := range cores {
 		cores[i] = cpu.New(cpu.Config{ID: i, L2LatencyPS: l2Latency, L3: l3, Mem: rt, MLP: prof.MLP})
@@ -626,10 +558,8 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	// virtual time wins, ties go to the lowest index), and only the root
 	// ever changes — Replay advances the root's clock and Finish retires
 	// it — so each iteration is one sift-down instead of an O(cores) sweep.
-	scr.warmed = boolScratch(scr.warmed, len(cores))
-	warmed := scr.warmed
-	h := objScratch(scr.coreHeap, len(cores))
-	scr.coreHeap = h
+	warmed := make([]bool, len(cores))
+	h := make([]int32, len(cores))
 	for i := range h {
 		h[i] = int32(i)
 	}
@@ -638,7 +568,7 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 	}
 	warmLeft := len(cores)
 	var warmEndPS int64
-	warmCore := scr.warmCore[:0]
+	var warmCore []cpu.Stats
 	var warmMem memctrl.Stats
 	var warmActs uint64
 	for len(h) > 0 {
@@ -664,7 +594,6 @@ func (fe *FrontEnd) Run(cfg Config) (Result, error) {
 					}
 					warmCore = append(warmCore, c.Stats())
 				}
-				scr.warmCore = warmCore
 				warmMem, warmActs = gather(rt)
 			}
 		}

@@ -124,7 +124,7 @@ func TestRunInvalidHierarchy(t *testing.T) {
 }
 
 // TestRunInvalidProfile: every class of malformed profile that survives
-// the footprint scaling is an error from Record and Run, not a panic in
+// the footprint scaling is an error from record and Run, not a panic in
 // the stream generator. A footprint below 1MB is not among them: the
 // scaling clamps it, so it runs.
 func TestRunInvalidProfile(t *testing.T) {
@@ -147,8 +147,8 @@ func TestRunInvalidProfile(t *testing.T) {
 					t.Errorf("%s: panicked: %v", name, r)
 				}
 			}()
-			if _, err := Record(cfg, prof); err == nil {
-				t.Errorf("%s: Record accepted the profile", name)
+			if _, err := record(cfg, prof); err == nil {
+				t.Errorf("%s: record accepted the profile", name)
 			}
 			if _, err := Run(cfg, prof); err == nil {
 				t.Errorf("%s: Run accepted the profile", name)
@@ -157,7 +157,7 @@ func TestRunInvalidProfile(t *testing.T) {
 	}
 	prof := workload.ByName("hpcg")
 	prof.FootprintBytes = 1 << 19
-	if _, err := Record(cfg, prof); err != nil {
+	if _, err := record(cfg, prof); err != nil {
 		t.Errorf("sub-1MB footprint is clamped, not rejected: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestRunInvalidProfile(t *testing.T) {
 // fewer blocks than ways (11 on Hierarchy1: each 16-way L2 holds 8) or
 // with no bytes (25), a zero Spec data rate, a Hetero-DMR Fast point
 // with a zero rate, and an unknown replication are errors from Run,
-// never panics. The scale errors come from Record already; Record
+// never panics. The scale errors come from record already; record
 // ignores the memory design, but a Replayer refuses it before recording.
 func TestRunImpossibleConfig(t *testing.T) {
 	scaled := func(shift uint) Config {
@@ -180,7 +180,7 @@ func TestRunImpossibleConfig(t *testing.T) {
 	zeroFast.Rate = 0
 	for name, c := range map[string]struct {
 		cfg    Config
-		record bool // Record rejects it too
+		record bool // record rejects it too
 	}{
 		"scale-11":  {scaled(11), true},
 		"scale-25":  {scaled(25), true},
@@ -194,8 +194,8 @@ func TestRunImpossibleConfig(t *testing.T) {
 					t.Errorf("%s: panicked: %v", name, r)
 				}
 			}()
-			if _, err := Record(c.cfg, workload.ByName("hpcg")); (err != nil) != c.record {
-				t.Errorf("%s: Record returned %v", name, err)
+			if _, err := record(c.cfg, workload.ByName("hpcg")); (err != nil) != c.record {
+				t.Errorf("%s: record returned %v", name, err)
 			}
 			if _, err := Run(c.cfg, workload.ByName("hpcg")); err == nil {
 				t.Errorf("%s: Run accepted the config", name)
