@@ -18,9 +18,10 @@ import (
 //  2. Pool-scope escape: pooled handles must not be parked in state that
 //     outlives the run that owns their freelist — package-level
 //     variables, or fields of a type recycled through a sync.Pool.
-//  3. Chain-node escape: intrusive next/prev chain links may be
-//     traversed only inside the owning package's scheduler; a chain read
-//     must never be returned or stored into package-level state.
+//  3. Chain-node escape: intrusive links — the per-bank chains' next/prev
+//     and the queues' qnext/qprev — may be traversed only inside the
+//     owning package's scheduler; a link read must never be returned or
+//     stored into package-level state.
 //
 // Pooled handles are recognized structurally — a pointer to a named
 // struct carrying intrusive `next`/`prev` links of its own type (the
@@ -30,10 +31,11 @@ var PoolSafe = &analysis.Analyzer{
 	Name: "poolsafe",
 	Doc: `flag lifetime violations of pooled requests and intrusive chains
 
-The request freelist and the per-bank intrusive chains trade garbage
-collection for manual lifetime rules. This analyzer enforces them: no use
-of a handle after Release, no pooled handle stored where it outlives its
-run scope, no intrusive chain node escaping the owning scheduler.`,
+The request freelist, the request queues and the per-bank intrusive
+chains trade garbage collection for manual lifetime rules. This analyzer
+enforces them: no use of a handle after Release, no pooled handle stored
+where it outlives its run scope, no intrusive chain or queue node
+escaping the owning scheduler.`,
 	Run: runPoolSafe,
 }
 
@@ -91,11 +93,16 @@ func containsPooledHandle(t types.Type) bool {
 	return false
 }
 
-// isChainLinkSelector reports whether e reads the next/prev link of a
-// pooled node.
+// isChainLinkSelector reports whether e reads an intrusive link of a
+// pooled node: its chain's next/prev or its queue's qnext/qprev.
 func isChainLinkSelector(info *types.Info, e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "next" && sel.Sel.Name != "prev") {
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "next", "prev", "qnext", "qprev":
+	default:
 		return false
 	}
 	tv, ok := info.Types[sel.X]

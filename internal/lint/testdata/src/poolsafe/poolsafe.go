@@ -1,18 +1,21 @@
 // Fixture for the poolsafe analyzer: pooled handles (structs with
 // intrusive next/prev self-links) may not be used after Release, parked
 // in state that outlives their run scope, or leaked out of the owning
-// scheduler.
+// scheduler through a chain (next/prev) or queue (qnext/qprev) link.
 package poolsafe
 
 import "sync"
 
 // Req is the pooled handle shape: a named struct with intrusive
-// next/prev links of its own type, exactly like memctrl.Request.
+// next/prev chain links and qnext/qprev queue links of its own type,
+// exactly like memctrl.Request.
 type Req struct {
-	Addr uint64
-	Done int64
-	next *Req
-	prev *Req
+	Addr  uint64
+	Done  int64
+	qnext *Req
+	qprev *Req
+	next  *Req
+	prev  *Req
 }
 
 // Pool is a stand-in for the channel-owned freelist.
@@ -111,6 +114,26 @@ func badChainReturn(r *Req) *Req {
 
 func badChainStore(r *Req) {
 	chainHead = r.prev // want `intrusive chain node stored into package-level variable chainHead`
+}
+
+func badQueueReturn(r *Req) *Req {
+	return r.qnext // want `intrusive chain node returned from badQueueReturn`
+}
+
+func badQueueStore(r *Req) {
+	chainHead = r.qprev // want `intrusive chain node stored into package-level variable chainHead`
+}
+
+// window is scheduler-owned state, like a channel's write-window edge.
+type window struct {
+	edge *Req
+}
+
+// advance moves the edge one queue link on, as a channel does when a
+// write at or before its edge retires: a link read stored into state
+// reached through a local stays legal.
+func (w *window) advance() {
+	w.edge = w.edge.qnext
 }
 
 // push is the sanctioned in-scheduler chain manipulation: link writes

@@ -31,9 +31,9 @@ func benchStream(b *testing.B, c *Channel) {
 }
 
 // BenchmarkChannelReadStream measures the event-driven scheduler (the
-// default): clock jumps to the ring head, gated refresh/lazy-close, and
-// chain-indexed row-hit picks. Run with -benchmem; the steady state
-// should not allocate.
+// default): clock jumps to the read queue's head, gated
+// refresh/lazy-close, and chain-indexed row-hit picks. Run with
+// -benchmem; the steady state should not allocate.
 func BenchmarkChannelReadStream(b *testing.B) {
 	benchStream(b, hdmrChannel())
 }

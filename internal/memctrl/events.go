@@ -4,7 +4,7 @@ package memctrl
 //
 // The controller never polls for its next actionable moment: every step
 // would otherwise rescan all ranks for due refreshes, walk every bank of
-// every rank for page timeouts, and sweep the read ring for the earliest
+// every rank for page timeouts, and walk the read queue for the earliest
 // arrival. The indexes here make each of those checks O(1) (amortized)
 // in the nothing-to-do case, without changing a scheduling decision:
 //
@@ -23,8 +23,8 @@ package memctrl
 //     scheduling semantics the clock only ever jumps to the oldest
 //     pending arrival (refresh/timeout/timing expiries are evaluated
 //     lazily at that instant), and because SubmitRead arrivals are
-//     non-decreasing the oldest pending arrival is simply the ring head —
-//     no sweep.
+//     non-decreasing the oldest pending arrival is simply the read
+//     queue's head — no walk.
 //
 // The per-bank request chains and row-hit counters the FR-FCFS picks
 // use live in chains.go. testdata/schedule.golden (channel level) and
@@ -158,12 +158,12 @@ func (c *Channel) siftDown(i int) {
 }
 
 // nextEventTime returns the instant the idle scheduler clock should jump
-// to: the oldest pending read arrival, i.e. the ring head (arrivals are
-// non-decreasing and reqRing.remove keeps the head slot live). The other
+// to: the oldest pending read arrival, i.e. the read queue's head
+// (arrivals are non-decreasing, so push order is arrival order). The other
 // event classes — refresh deadlines, page timeouts, bank timing expiries,
 // mode boundaries — never advance the clock on their own in the pinned
 // scheduling semantics; they are evaluated lazily once the clock lands
 // here.
 func (c *Channel) nextEventTime() int64 {
-	return c.readQ.at(c.readQ.head).Arrive
+	return c.readQ.head.Arrive
 }
