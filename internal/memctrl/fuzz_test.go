@@ -132,10 +132,10 @@ func FuzzChannelTraffic(f *testing.F) {
 		for _, v := range c.CheckConservation("fuzz") {
 			t.Errorf("violation: %s", v)
 		}
-		if n := c.wqBlocks.len(); n != 0 {
+		if n := c.wqBlocks.Len(); n != 0 {
 			t.Errorf("write-queue block table holds %d blocks after Drain", n)
 		}
-		if n := c.wb.index.len(); n != 0 {
+		if n := c.wb.index.Len(); n != 0 {
 			t.Errorf("writeback cache index holds %d blocks after Drain", n)
 		}
 	})

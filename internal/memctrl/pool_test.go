@@ -179,79 +179,3 @@ func TestRequestPoolStress(t *testing.T) {
 		})
 	}
 }
-
-// TestBlockTableMatchesMap drives the pending-write block table against
-// a Go map of counts: every count must agree after each operation. The
-// first phase keeps the 32-slot table at most half full with key sets
-// half homed in its last two slots, so probe runs wrap past the end and
-// backward-shift deletion pulls entries across it; the second lets
-// occupancy climb through several doublings.
-func TestBlockTableMatchesMap(t *testing.T) {
-	rng := xrand.New(3)
-	tab := newBlockTable(16)
-	m := map[uint64]uint32{}
-	op := func(i int, block uint64) {
-		if m[block] == 0 || rng.Bool(0.5) {
-			tab.inc(block)
-			m[block]++
-		} else {
-			tab.dec(block)
-			if m[block]--; m[block] == 0 {
-				delete(m, block)
-			}
-		}
-		if got, want := tab.count(block), m[block]; got != want {
-			t.Fatalf("op %d: count(%d) = %d, want %d", i, block, got, want)
-		}
-		if tab.len() != len(m) {
-			t.Fatalf("op %d: table holds %d blocks, map %d", i, tab.len(), len(m))
-		}
-	}
-	drain := func() {
-		for k, n := range m {
-			if got := tab.count(k); got != n {
-				t.Fatalf("block %d: count %d, want %d", k, got, n)
-			}
-			for ; n > 0; n-- {
-				tab.dec(k)
-			}
-			delete(m, k)
-		}
-		if tab.len() != 0 {
-			t.Fatalf("%d blocks left after removing all", tab.len())
-		}
-	}
-
-	for round := uint64(0); round < 100; round++ {
-		var keys []uint64
-		for k := round << 20; len(keys) < 16; k++ {
-			if (tab.home(k+1) >= 30) == (len(keys) < 8) {
-				keys = append(keys, k)
-			}
-		}
-		for i := 0; i < 2000; i++ {
-			op(i, keys[rng.Intn(len(keys))])
-		}
-		drain()
-	}
-	if len(tab.keys) != 32 {
-		t.Fatalf("the half-full phase grew the table to %d slots", len(tab.keys))
-	}
-
-	for i := 0; i < 200000; i++ {
-		block := rng.Uint64n(3000)
-		if rng.Bool(0.01) {
-			block = rng.Uint64() >> 6 // cover the whole hash spread
-		}
-		op(i, block)
-	}
-	if len(tab.keys) <= 1024 {
-		t.Fatalf("table only grew to %d slots; growth untested", len(tab.keys))
-	}
-	drain()
-	tab.inc(7)
-	tab.reset()
-	if tab.len() != 0 || tab.count(7) != 0 {
-		t.Error("reset left entries behind")
-	}
-}

@@ -1,5 +1,7 @@
 package memctrl
 
+import "repro/internal/blocktab"
+
 // wbCache is the per-channel victim writeback cache of §III-E: 128 KB,
 // 64-way (2048 blocks in 32 sets). Evicted dirty LLC blocks park here
 // instead of the small write buffer so the write buffer does not fill
@@ -16,7 +18,7 @@ package memctrl
 type wbCache struct {
 	blocks   []uint64 // nsets*ways flat backing store
 	setLen   []int    // occupied entries per set
-	index    blockTable
+	index    *blocktab.Table
 	nsets    int
 	ways     int
 	count    int
@@ -37,7 +39,7 @@ func newWBCache(blocks, ways int) *wbCache {
 	return &wbCache{
 		blocks:   make([]uint64, nsets*ways),
 		setLen:   make([]int, nsets),
-		index:    newBlockTable(nsets * ways),
+		index:    blocktab.New(nsets * ways),
 		nsets:    nsets,
 		ways:     ways,
 		drainBuf: make([]uint64, 0, nsets*ways),
@@ -61,7 +63,7 @@ const (
 // insert records a dirty block. The caller falls back to the write buffer
 // on wbRejected.
 func (w *wbCache) insert(blockAddr uint64) wbInsert {
-	if w.index.count(blockAddr) != 0 {
+	if w.index.Count(blockAddr) != 0 {
 		return wbCoalesced // coalesced with an earlier writeback
 	}
 	si := w.setIndex(blockAddr)
@@ -71,13 +73,13 @@ func (w *wbCache) insert(blockAddr uint64) wbInsert {
 	}
 	w.blocks[si*w.ways+n] = blockAddr
 	w.setLen[si] = n + 1
-	w.index.inc(blockAddr)
+	w.index.Inc(blockAddr)
 	w.count++
 	return wbParked
 }
 
 // contains reports whether the block is parked in the cache.
-func (w *wbCache) contains(blockAddr uint64) bool { return w.index.count(blockAddr) != 0 }
+func (w *wbCache) contains(blockAddr uint64) bool { return w.index.Count(blockAddr) != 0 }
 
 // len returns the number of parked blocks.
 func (w *wbCache) len() int { return w.count }
@@ -96,117 +98,7 @@ func (w *wbCache) drain() []uint64 {
 		w.setLen[si] = 0
 	}
 	w.count = 0
-	w.index.reset()
+	w.index.Reset()
 	w.drainBuf = out
 	return out
-}
-
-// blockTable counts entries per block address: a fixed open-addressing
-// table (linear probing, backward-shift delete) keyed by block+1, so a
-// zero key marks an empty slot. It indexes the write queue (queued
-// writes per block) and the writeback cache (parked blocks), making the
-// read path's pending-write check a probe or two. The table is sized
-// for its owner's nominal capacity at a load factor of at most one half
-// and doubles only if occupancy passes that (write mode tops the write
-// queue up past WriteQueueCap), so the steady state never allocates.
-type blockTable struct {
-	keys   []uint64 // block+1 per slot; 0 = empty
-	counts []uint32 // entries per occupied slot
-	shift  uint     // 64 - log2(len(keys)), for Fibonacci hashing
-	n      int      // occupied slots
-}
-
-func newBlockTable(capHint int) blockTable {
-	size, bits := 8, uint(3)
-	for size < 2*capHint {
-		size <<= 1
-		bits++
-	}
-	return blockTable{keys: make([]uint64, size), counts: make([]uint32, size), shift: 64 - bits}
-}
-
-func (t *blockTable) home(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
-}
-
-// find returns the slot holding key, or the empty slot ending its probe
-// run.
-func (t *blockTable) find(key uint64) int {
-	mask := len(t.keys) - 1
-	i := t.home(key)
-	for t.keys[i] != key && t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// count returns the block's entry count (0 when absent).
-func (t *blockTable) count(block uint64) uint32 {
-	if i := t.find(block + 1); t.keys[i] != 0 {
-		return t.counts[i]
-	}
-	return 0
-}
-
-// inc adds one entry for block.
-func (t *blockTable) inc(block uint64) {
-	k := block + 1
-	i := t.find(k)
-	if t.keys[i] != 0 {
-		t.counts[i]++
-		return
-	}
-	t.keys[i], t.counts[i] = k, 1
-	t.n++
-	if 2*t.n > len(t.keys) {
-		t.grow()
-	}
-}
-
-// dec removes one entry for block, which must be present, and frees its
-// slot when the count reaches zero.
-func (t *blockTable) dec(block uint64) {
-	i := t.find(block + 1)
-	if t.keys[i] == 0 {
-		panic("memctrl: blockTable.dec of an absent block")
-	}
-	if t.counts[i] > 1 {
-		t.counts[i]--
-		return
-	}
-	// Backward-shift deletion: pull later entries of the probe run into
-	// the hole unless their home slot lies cyclically in (hole, j].
-	mask := len(t.keys) - 1
-	for j := (i + 1) & mask; t.keys[j] != 0; j = (j + 1) & mask {
-		h := t.home(t.keys[j])
-		if (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
-			t.keys[i], t.counts[i] = t.keys[j], t.counts[j]
-			i = j
-		}
-	}
-	t.keys[i] = 0
-	t.n--
-}
-
-// len returns the number of distinct blocks held.
-func (t *blockTable) len() int { return t.n }
-
-// reset empties the table, keeping its storage.
-func (t *blockTable) reset() {
-	clear(t.keys)
-	t.n = 0
-}
-
-// grow doubles the table and rehashes every entry.
-func (t *blockTable) grow() {
-	keys, counts := t.keys, t.counts
-	t.keys = make([]uint64, 2*len(keys))
-	t.counts = make([]uint32, 2*len(keys))
-	t.shift--
-	for i, k := range keys {
-		if k != 0 {
-			j := t.find(k)
-			t.keys[j], t.counts[j] = k, counts[i]
-		}
-	}
 }
