@@ -151,10 +151,11 @@ smoke-shard:
 	sh scripts/shard_smoke.sh
 
 # smoke-chaos drives the whole degradation ladder over real binaries:
-# a coordinator and workers with transport/cache faults armed, a cache
-# entry corrupted on disk behind the store's back, one worker SIGKILLed,
-# and a daemon SIGTERMed with a job in flight then restarted — every
-# output byte-compared against the clean run.
+# a coordinator and workers with transport/cache faults armed, a spawned
+# fleet armed by -faults alone, a cache entry corrupted on disk behind
+# the store's back, one worker SIGKILLed, and a daemon SIGTERMed with a
+# job in flight then restarted — every output byte-compared against the
+# clean run.
 smoke-chaos:
 	sh scripts/chaos_smoke.sh
 

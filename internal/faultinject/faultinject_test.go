@@ -188,18 +188,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "seed=3;a/b=1")
-	p, err := FromEnv()
-	if err != nil || p == nil || p.Seed() != 3 {
-		t.Fatalf("FromEnv: %v %v", p, err)
-	}
-	t.Setenv(EnvVar, "")
-	if p, err := FromEnv(); p != nil || err != nil {
-		t.Fatalf("unset env: %v %v", p, err)
-	}
-}
-
 // TestConcurrentShould: concurrent hits race-cleanly and the fire count
 // respects the Count bound.
 func TestConcurrentShould(t *testing.T) {

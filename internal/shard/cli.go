@@ -48,7 +48,7 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Workers, "shard", "", "comma-separated shard worker base URLs (e.g. http://127.0.0.1:8481,http://10.0.0.2:8481)")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "content-addressed run cache directory (shared with workers)")
 	fs.Int64Var(&c.CacheMaxBytes, "cache-max-bytes", 0, "soft cap on run-cache bytes; oldest-read entries are evicted past it (0 = unbounded)")
-	fs.StringVar(&c.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7;runcache/put/torn=0.2' (default "+faultinject.EnvVar+" env; output stays byte-identical)")
+	fs.StringVar(&c.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7;runcache/put/torn=0.2' (spawned workers get it too; output stays byte-identical)")
 }
 
 // RegisterWorker installs the worker-mode and spawn flags on fs.
@@ -71,23 +71,17 @@ func (c *CLI) Validate() error {
 	return nil
 }
 
-// FaultPlan resolves the fault-injection plan for this process: the
-// -faults flag when set, otherwise the REPRO_FAULTS environment variable
-// (which spawned workers inherit, so one setting arms a whole local
-// fleet). Nil — inject nothing — is the production result. Resolved
-// once: the cache, the pool, and the daemon all share one schedule.
+// FaultPlan resolves the fault-injection plan for this process from the
+// -faults flag, which spawned workers receive too, so one flag arms a
+// whole local fleet. Nil — inject nothing — is the production result.
+// Resolved once: the cache, the pool, and the daemon all share one
+// schedule.
 func (c *CLI) FaultPlan(reg *obs.Registry) (*faultinject.Plan, error) {
 	c.planOnce.Do(func() {
 		plan, err := faultinject.Parse(c.Faults)
 		if err != nil {
 			c.planErr = err
 			return
-		}
-		if plan == nil {
-			if plan, err = faultinject.FromEnv(); err != nil {
-				c.planErr = err
-				return
-			}
 		}
 		c.plan = plan.Observe(reg)
 	})
@@ -181,8 +175,8 @@ func Serve(name, addr string, h http.Handler, writeTimeout, grace time.Duration,
 }
 
 // Pool builds the coordinator side from the flags: parse -shard URLs,
-// spawn -shard-workers local subprocesses sharing -cache-dir, open the
-// cache. pool is nil when no sharding was requested (the cache may still
+// spawn -shard-workers local subprocesses sharing -cache-dir and
+// -faults, open the cache. pool is nil when no sharding was requested (the cache may still
 // be non-nil: -cache-dir alone enables the persistent layer). The pool's
 // dispatches run under a SIGINT/SIGTERM-bound context, so shutdown
 // cancels in-flight HTTP calls and drains the rest locally. cleanup
@@ -208,7 +202,7 @@ func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanu
 		}
 	}
 	if c.Spawn > 0 {
-		spawned, stop, err := SpawnLocal(c.Spawn, c.CacheDir, c.CacheMaxBytes)
+		spawned, stop, err := SpawnLocal(c.Spawn, c.workerArgs())
 		if err != nil {
 			return nil, nil, cleanup, fmt.Errorf("spawn workers: %w", err)
 		}
@@ -234,13 +228,12 @@ func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanu
 	return pool, cache, cleanup, nil
 }
 
-// SpawnLocal starts n copies of the current executable with
-// workerArgs(cacheDir, cacheMaxBytes) and returns their base URLs plus a
-// stop function (SIGTERM, then kill after a grace period). The worker
-// address is scraped from each child's announced "listening on
-// http://..." stdout line. Children inherit the environment,
-// REPRO_FAULTS included.
-func SpawnLocal(n int, cacheDir string, cacheMaxBytes int64) (urls []string, stop func(), err error) {
+// SpawnLocal starts n copies of the current executable with args (a
+// CLI's workerArgs) and returns their base URLs plus a stop function
+// (SIGTERM, then kill after a grace period). The worker address is
+// scraped from each child's announced "listening on http://..." stdout
+// line.
+func SpawnLocal(n int, args []string) (urls []string, stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, err
@@ -261,7 +254,6 @@ func SpawnLocal(n int, cacheDir string, cacheMaxBytes int64) (urls []string, sto
 			}
 		}
 	}
-	args := workerArgs(cacheDir, cacheMaxBytes)
 	for i := 0; i < n; i++ {
 		cmd := exec.Command(exe, args...)
 		cmd.Stderr = os.Stderr
@@ -286,16 +278,21 @@ func SpawnLocal(n int, cacheDir string, cacheMaxBytes int64) (urls []string, sto
 }
 
 // workerArgs returns the flags of a spawned local worker: -worker mode
-// on an ephemeral port and, when cacheDir is set, the coordinator's
-// store with its size cap. Workers do every Put of a fleet run, so an
-// uncapped worker would leave a capped store unbounded.
-func workerArgs(cacheDir string, cacheMaxBytes int64) []string {
+// on an ephemeral port; when -cache-dir is set, the coordinator's store
+// with its size cap; and the coordinator's -faults plan. Workers do
+// every Put of a fleet run, so an uncapped worker would leave a capped
+// store unbounded, and a fault plan that skipped them would leave the
+// fleet's cache writes unfaulted.
+func (c *CLI) workerArgs() []string {
 	args := []string{"-worker", "-worker-addr", "127.0.0.1:0"}
-	if cacheDir != "" {
-		args = append(args, "-cache-dir", cacheDir)
-		if cacheMaxBytes > 0 {
-			args = append(args, "-cache-max-bytes", strconv.FormatInt(cacheMaxBytes, 10))
+	if c.CacheDir != "" {
+		args = append(args, "-cache-dir", c.CacheDir)
+		if c.CacheMaxBytes > 0 {
+			args = append(args, "-cache-max-bytes", strconv.FormatInt(c.CacheMaxBytes, 10))
 		}
+	}
+	if c.Faults != "" {
+		args = append(args, "-faults", c.Faults)
 	}
 	return args
 }

@@ -59,18 +59,23 @@ func TestCLIRegisterLeavesWorkerFlagsOut(t *testing.T) {
 // TestWorkerArgsCarryTheStore: a spawned worker parses its arguments
 // into worker mode on an ephemeral port, with the coordinator's
 // -cache-dir and, when set, its -cache-max-bytes, so a capped store
-// stays capped under -shard-workers. No process is started.
+// stays capped under -shard-workers, and with the coordinator's -faults
+// plan, so one flag arms the whole local fleet. No process is started.
 func TestWorkerArgsCarryTheStore(t *testing.T) {
 	for _, tc := range []struct {
 		dir      string
 		maxBytes int64
+		faults   string
 	}{
-		{"", 0},
-		{"", 4096}, // no store, so no cap to pass
-		{"store", 0},
-		{"store", 4096},
+		{"", 0, ""},
+		{"", 4096, ""}, // no store, so no cap to pass
+		{"store", 0, ""},
+		{"store", 4096, ""},
+		{"", 0, "seed=5;runcache/put/torn=1:count=1"},
+		{"store", 4096, "seed=7;shard/post/refuse=1:count=2"},
 	} {
-		args := workerArgs(tc.dir, tc.maxBytes)
+		coord := &CLI{CacheDir: tc.dir, CacheMaxBytes: tc.maxBytes, Faults: tc.faults}
+		args := coord.workerArgs()
 		var c CLI
 		fs := flag.NewFlagSet("heterodmr", flag.ContinueOnError)
 		c.Register(fs)
@@ -82,9 +87,10 @@ func TestWorkerArgsCarryTheStore(t *testing.T) {
 		if tc.dir == "" {
 			wantMax = 0
 		}
-		if !c.Worker || c.WorkerAddr != "127.0.0.1:0" || c.CacheDir != tc.dir || c.CacheMaxBytes != wantMax || c.Spawn != 0 {
-			t.Errorf("workerArgs(%q, %d) = %v parses to worker=%v addr=%q dir=%q max=%d spawn=%d",
-				tc.dir, tc.maxBytes, args, c.Worker, c.WorkerAddr, c.CacheDir, c.CacheMaxBytes, c.Spawn)
+		if !c.Worker || c.WorkerAddr != "127.0.0.1:0" || c.CacheDir != tc.dir || c.CacheMaxBytes != wantMax ||
+			c.Faults != tc.faults || c.Spawn != 0 {
+			t.Errorf("workerArgs of %+v = %v parses to worker=%v addr=%q dir=%q max=%d faults=%q spawn=%d",
+				tc, args, c.Worker, c.WorkerAddr, c.CacheDir, c.CacheMaxBytes, c.Faults, c.Spawn)
 		}
 	}
 }

@@ -12,12 +12,17 @@
 #      (refused posts, dropped response bodies) drives two workers, one
 #      of them armed with cache-read corruption, and must still merge
 #      bytes identical to the sequential run;
-#   2. real disk corruption — an on-disk cache entry is truncated to
+#   2. one flag arms a spawned fleet — a -shard-workers 2 run with
+#      -faults tears each spawned worker's first cache write and must
+#      still match the sequential run; a clean warm rerun on the same
+#      store must then recompute the torn cells, which proves the plan
+#      reached the workers (they do every Put of a fleet run);
+#   3. real disk corruption — an on-disk cache entry is truncated to
 #      half its bytes behind the store's back; the next run detects the
 #      bad digest, recomputes that cell, and stays byte-identical;
-#   3. worker death — one worker is SIGKILLed and a fresh-seed faulted
+#   4. worker death — one worker is SIGKILLed and a fresh-seed faulted
 #      run rides out the half-dead fleet;
-#   4. daemon lifecycle — cmd/simd runs with cache and stream faults
+#   5. daemon lifecycle — cmd/simd runs with cache and stream faults
 #      armed, serves bytes identical to a clean daemon, then is
 #      SIGTERMed with a job in flight: the drain window lets the job
 #      finish persisting, so the restarted daemon replays both jobs
@@ -41,6 +46,8 @@ CO_FAULTS='seed=7;shard/post/refuse=1:count=2;shard/post/drop=0.2;runcache/put/t
 # Worker-side faults: corrupt the first two cache reads (the digest
 # check must catch them and recompute).
 WK_FAULTS='seed=5;runcache/get/corrupt=1:count=2'
+# Spawned-fleet faults: tear each process's first cache write.
+SPAWN_FAULTS='seed=5;runcache/put/torn=1:count=1'
 # Daemon faults: a torn cache write, a corrupted read, and a status
 # stream cut mid-feed.
 SIMD_FAULTS='seed=9;runcache/put/torn=1:count=1;runcache/get/corrupt=1:count=1;simd/stream/drop=1:count=1'
@@ -101,6 +108,21 @@ cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/cold.txt" \
     || fail "faulted fleet output differs from sequential run"
 COLD=$(computed "$WORKDIR/cold.err")
 [ -n "$COLD" ] && [ "$COLD" -gt 0 ] || fail "cold run computed nothing: $(cat "$WORKDIR/cold.err")"
+
+echo "chaos_smoke: spawned fleet armed by -faults alone (torn first write per worker)"
+SPAWN_CACHE="$WORKDIR/spawn-cache"
+"$HBIN" -exp fig14 -quick -seed 1 -shard-workers 2 -cache-dir "$SPAWN_CACHE" \
+    -faults "$SPAWN_FAULTS" \
+    > "$WORKDIR/spawn-cold.txt" 2> "$WORKDIR/spawn-cold.err"
+cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/spawn-cold.txt" \
+    || fail "faulted spawned fleet output differs from sequential run"
+"$HBIN" -exp fig14 -quick -seed 1 -shard-workers 2 -cache-dir "$SPAWN_CACHE" \
+    > "$WORKDIR/spawn-warm.txt" 2> "$WORKDIR/spawn-warm.err"
+cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/spawn-warm.txt" \
+    || fail "warm rerun after a faulted spawned fleet differs from sequential run"
+SPAWN_WARM=$(computed "$WORKDIR/spawn-warm.err")
+[ -n "$SPAWN_WARM" ] && [ "$SPAWN_WARM" -gt 0 ] \
+    || fail "warm rerun recomputed nothing: the spawned workers never saw -faults: $(cat "$WORKDIR/spawn-warm.err")"
 
 echo "chaos_smoke: corrupting one cache entry on disk (truncated to half)"
 VICTIM=$(find "$CACHE" -name '*.rc' -not -path '*/jobs/*' | sort | head -1)
@@ -189,4 +211,4 @@ WARM2=$(curl -fsS "$BASE/v1/jobs/$ID2")
     || fail "drain lost cells; replay re-simulated: $WARM2"
 kill "$DPID"; wait "$DPID" 2>/dev/null || true; DPID=
 
-echo "chaos_smoke: PASS (faulted fleet, disk corruption, worker SIGKILL, daemon drain+restart — all byte-identical)"
+echo "chaos_smoke: PASS (faulted fleet, faulted spawned fleet, disk corruption, worker SIGKILL, daemon drain+restart — all byte-identical)"
