@@ -81,16 +81,19 @@ alloc-gate:
 	done; \
 	exit $$fail
 
+# fuzz runs every fuzz target in the module for $(FUZZTIME) each. The
+# (package, target) pairs come from `go test -list`, so a new target
+# cannot be left out and a deleted one cannot pass as an empty run; the
+# rule fails when the listing fails or finds no target.
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzGF256MulInverse -fuzztime $(FUZZTIME) ./internal/gf256
-	$(GO) test -run NONE -fuzz FuzzRSRoundTrip -fuzztime $(FUZZTIME) ./internal/rs
-	$(GO) test -run NONE -fuzz FuzzDetectWordEquivalence -fuzztime $(FUZZTIME) ./internal/rs
-	$(GO) test -run NONE -fuzz FuzzAddrMapBijective -fuzztime $(FUZZTIME) ./internal/memctrl
-	$(GO) test -run NONE -fuzz FuzzChannelTraffic -fuzztime $(FUZZTIME) ./internal/memctrl
-	$(GO) test -run NONE -fuzz FuzzWorkerBatch -fuzztime $(FUZZTIME) ./internal/shard
-	$(GO) test -run NONE -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) ./internal/simd
-	$(GO) test -run NONE -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/runcache
-	$(GO) test -run NONE -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/hpc
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	pairs=$$(echo "$$list" | awk '/^Fuzz/ { names = names " " $$1; next } \
+		/^ok/ { n = split(names, a, " "); for (i = 1; i <= n; i++) print $$2, a[i]; names = "" }'); \
+	if [ -z "$$pairs" ]; then echo "fuzz: go test -list found no fuzz target"; exit 1; fi; \
+	echo "$$pairs" | while read pkg name; do \
+		echo "fuzz: $$name in $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the

@@ -1,7 +1,7 @@
 // Package repro's integration tests check repository-level coherence: the
-// experiment registry matches DESIGN.md's per-experiment index, the
-// umbrella suite runs end to end at reduced scale, and the headline shape
-// claims hold.
+// experiment registry matches DESIGN.md's per-experiment index, the docs
+// name only paths that exist, the umbrella suite runs end to end at
+// reduced scale, and the headline shape claims hold.
 package repro
 
 import (
@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -33,6 +34,32 @@ func TestRegistryMatchesDesignDoc(t *testing.T) {
 		}
 		if !strings.Contains(doc, "`"+e.ID+"`") {
 			t.Errorf("experiment %s missing from DESIGN.md's index", e.ID)
+		}
+	}
+}
+
+// docPath matches a backticked repository path: a top-level source
+// directory followed by path characters only, so globs (`cmd/*`) and
+// command lines (`bench/run.sh -smoke`) do not match.
+var docPath = regexp.MustCompile("`((?:internal|cmd|examples|scripts|bench)/[A-Za-z0-9_./-]*)`")
+
+// TestDocsNameExistingPaths ensures every repository path that README.md,
+// DESIGN.md and EXPERIMENTS.md name in backticks exists, so a deleted or
+// renamed package cannot stay documented.
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, m := range docPath.FindAllStringSubmatch(string(body), -1) {
+			if p := m[1]; !seen[p] {
+				seen[p] = true
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s names %s, which does not exist", doc, p)
+				}
+			}
 		}
 	}
 }

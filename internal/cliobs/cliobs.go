@@ -1,8 +1,8 @@
-// Package cliobs registers the shared observability flags every cmd/
-// binary exposes (-check, -metrics, -trace, -cpuprofile, -memprofile)
-// and finalizes them after the run: metrics, trace, and profile files
-// are written where requested, and conservation violations go to stderr
-// with a non-zero exit code. Violations and profiles never touch stdout,
+// Package cliobs registers the observability flags that cmd/heterodmr
+// and cmd/simd share (-check, -metrics, -trace, -cpuprofile,
+// -memprofile) and finalizes them after the run: metrics, trace, and
+// profile files are written where requested, and conservation
+// violations go to stderr with a non-zero exit code. Violations and profiles never touch stdout,
 // so the byte-identical-output contract the experiment drivers maintain
 // is unaffected by observability.
 package cliobs

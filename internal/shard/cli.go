@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -68,7 +69,27 @@ func (c *CLI) Validate() error {
 	if c.CacheMaxBytes < 0 {
 		return fmt.Errorf("invalid -cache-max-bytes %d: must be >= 0 (0 = unbounded)", c.CacheMaxBytes)
 	}
-	return nil
+	_, err := c.workerURLs()
+	return err
+}
+
+// workerURLs parses -shard into worker base URLs. Spaces, empty entries
+// and one trailing slash are trimmed; an entry that is not an http or
+// https URL with a host is refused, since every dispatch to it would
+// fail and the run would quietly compute everything locally.
+func (c *CLI) workerURLs() ([]string, error) {
+	var urls []string
+	for _, u := range strings.Split(c.Workers, ",") {
+		if u = strings.TrimSpace(u); u == "" {
+			continue
+		}
+		p, err := url.Parse(u)
+		if err != nil || (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" {
+			return nil, fmt.Errorf("invalid -shard entry %q: want an http:// or https:// URL with a host", u)
+		}
+		urls = append(urls, strings.TrimSuffix(u, "/"))
+	}
+	return urls, nil
 }
 
 // FaultPlan resolves the fault-injection plan for this process from the
@@ -183,6 +204,10 @@ func Serve(name, addr string, h http.Handler, writeTimeout, grace time.Duration,
 // stops any spawned workers and must be called even on error-free runs.
 func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanup func(), err error) {
 	cleanup = func() {}
+	urls, err := c.workerURLs()
+	if err != nil {
+		return nil, nil, cleanup, err
+	}
 	faults, err := c.FaultPlan(reg)
 	if err != nil {
 		return nil, nil, cleanup, err
@@ -191,14 +216,6 @@ func (c *CLI) Pool(reg *obs.Registry) (pool *Pool, cache *runcache.Cache, cleanu
 		cache, err = c.openCache(faults)
 		if err != nil {
 			return nil, nil, cleanup, fmt.Errorf("open cache: %w", err)
-		}
-	}
-	var urls []string
-	if c.Workers != "" {
-		for _, u := range strings.Split(c.Workers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, strings.TrimSuffix(u, "/"))
-			}
 		}
 	}
 	if c.Spawn > 0 {

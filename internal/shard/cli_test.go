@@ -2,23 +2,33 @@ package shard
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestCLIValidateRefusesNegativeCounts: a negative -shard-workers or
-// -cache-max-bytes parses but fails Validate with an error naming the
-// flag, so a binary refuses it before any worker spawns or cache opens.
-// Validate itself starts nothing.
-func TestCLIValidateRefusesNegativeCounts(t *testing.T) {
+// TestCLIValidateRefusesBadFlags: a negative -shard-workers or
+// -cache-max-bytes, or a -shard entry that is not an http or https URL
+// with a host, parses but fails Validate with an error naming the flag
+// (and the bad entry), so a binary refuses it before any worker spawns
+// or cache opens. Validate itself starts nothing. An accepted -shard
+// list is trimmed of spaces, empty entries and one trailing slash.
+func TestCLIValidateRefusesBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string // named in the error; "" = accepted
+		want []string // named in the error; nil = accepted
+		urls []string // the accepted -shard list
 	}{
-		{nil, ""},
-		{[]string{"-shard-workers", "2", "-cache-max-bytes", "4096"}, ""},
-		{[]string{"-shard-workers", "-1"}, "-shard-workers"},
-		{[]string{"-cache-max-bytes", "-5"}, "-cache-max-bytes"},
+		{nil, nil, nil},
+		{[]string{"-shard-workers", "2", "-cache-max-bytes", "4096"}, nil, nil},
+		{[]string{"-shard", "http://127.0.0.1:8481, https://10.0.0.2:8481/,"}, nil,
+			[]string{"http://127.0.0.1:8481", "https://10.0.0.2:8481"}},
+		{[]string{"-shard-workers", "-1"}, []string{"-shard-workers"}, nil},
+		{[]string{"-cache-max-bytes", "-5"}, []string{"-cache-max-bytes"}, nil},
+		{[]string{"-shard", "localhost:8481"}, []string{"-shard", "localhost:8481"}, nil},
+		{[]string{"-shard", "http://127.0.0.1:8481,10.0.0.2:8481"}, []string{"-shard", `"10.0.0.2:8481"`}, nil},
+		{[]string{"-shard", "ftp://10.0.0.2"}, []string{"-shard", "ftp://10.0.0.2"}, nil},
+		{[]string{"-shard", "http://"}, []string{"-shard", `"http://"`}, nil},
 	} {
 		var c CLI
 		fs := flag.NewFlagSet("heterodmr", flag.ContinueOnError)
@@ -28,11 +38,18 @@ func TestCLIValidateRefusesNegativeCounts(t *testing.T) {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
 		err := c.Validate()
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("%v refused: %v", tc.args, err)
-		case tc.flag != "" && (err == nil || !strings.Contains(err.Error(), tc.flag)):
-			t.Errorf("%v: error %v does not name %s", tc.args, err, tc.flag)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%v refused: %v", tc.args, err)
+			} else if urls, _ := c.workerURLs(); !slices.Equal(urls, tc.urls) {
+				t.Errorf("%v: -shard parses to %q, want %q", tc.args, urls, tc.urls)
+			}
+			continue
+		}
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%v: error %v does not name %s", tc.args, err, w)
+			}
 		}
 	}
 }
