@@ -97,8 +97,9 @@ fuzz:
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks (which must stay at 0 allocs/op), the
-# Grizzly-scale cluster scheduler, the node front end's record and replay
-# halves, and the full-suite BenchmarkRunAllSeq. The end-to-end
+# Grizzly-scale cluster scheduler and the two generators that feed it
+# (the job trace and the Fig 1 fractions), the node front end's record
+# and replay halves, and the full-suite BenchmarkRunAllSeq. The end-to-end
 # benchmark is the harness under bench/ (sh bench/run.sh); CHANGES.md
 # records each change's measured effect.
 bench:
@@ -109,7 +110,8 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheLLC$$' -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreReplay$$' -benchmem ./internal/cpu
-	$(GO) test -run '^$$' -bench BenchmarkSimulateGrizzly -benchmem ./internal/hpc
+	$(GO) test -run '^$$' -bench 'Benchmark(SimulateGrizzly|GenerateGrizzlyTrace)$$' -benchmem ./internal/hpc
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerateFractions$$' -benchmem ./internal/memuse
 	$(GO) test -run '^$$' -bench 'BenchmarkNode(Record|Replay)$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 

@@ -106,5 +106,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "heterodmr: computed %d of %d node simulations\n",
 			s.ComputedRuns(), s.CachedRuns())
 	}
+	if pool != nil {
+		if local, units := pool.Fallbacks(); local > 0 {
+			fmt.Fprintf(os.Stderr, "heterodmr: shard: %d of %d units ran locally after failed dispatches\n", local, units)
+		}
+	}
 	return ob.Finish("heterodmr", reg, s.Violations())
 }

@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation; every cmd/ binary, example, and benchmark
-// regenerates paper artifacts through this package. Results are rendered
-// as report.Tables whose rows mirror the rows/series the paper reports.
+// paper's evaluation; heterodmr, simd (through internal/simd), the root
+// benchmarks and the bench harness regenerate paper artifacts through
+// this package. Results are rendered as report.Tables whose rows mirror
+// the rows/series the paper reports.
 //
 // The per-experiment index in DESIGN.md maps each driver to the paper
 // artifact and the modules it exercises; EXPERIMENTS.md records

@@ -2,7 +2,10 @@ package hpc
 
 import "testing"
 
-var benchSink *Result
+var (
+	benchSink *Result
+	traceSink *Trace
+)
 
 // BenchmarkSimulateGrizzly runs the seed-1 Grizzly-scale trace (1490
 // nodes, 58K jobs) through the four Fig 17 systems; one op is all four
@@ -16,5 +19,14 @@ func BenchmarkSimulateGrizzly(b *testing.B) {
 		for _, d := range defs {
 			benchSink = Simulate(tr, d.cluster, d.policy, d.model, 1)
 		}
+	}
+}
+
+// BenchmarkGenerateGrizzlyTrace synthesizes the seed-1 Grizzly-scale
+// trace (58K jobs on 1490 nodes) that BenchmarkSimulateGrizzly schedules.
+func BenchmarkGenerateGrizzlyTrace(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		traceSink = GenerateGrizzlyTrace(testFrac, 1)
 	}
 }

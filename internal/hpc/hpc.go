@@ -59,7 +59,9 @@ func (t *Trace) NodeUtilization() float64 {
 // GenerateTrace synthesizes a Grizzly-like trace: Poisson arrivals over
 // the period, heavy-tailed node counts and runtimes, and memory buckets
 // drawn from the Fig 1 job fractions. Runtimes are rescaled exactly to
-// the target overall utilization.
+// the target overall utilization. It panics on non-positive parameters
+// and on a cluster of 16 nodes or fewer, where the wide jobs' extra
+// nodes (4 to totalNodes/4) have no range.
 func GenerateTrace(jobs, totalNodes int, periodS, targetUtil float64, frac memuse.Fractions, seed uint64) *Trace {
 	if jobs <= 0 || totalNodes <= 0 || periodS <= 0 {
 		panic("hpc: non-positive trace parameters")
@@ -73,6 +75,8 @@ func GenerateTrace(jobs, totalNodes int, periodS, targetUtil float64, frac memus
 	for i := range campaigns {
 		campaigns[i] = rng.Float64() * periodS
 	}
+	wide := xrand.NewPareto(1.3, 4, float64(totalNodes)/4)
+	runtime := xrand.NewPareto(1.05, 120, 14*SecondsPerDay)
 	var nodeSeconds float64
 	for i := 0; i < jobs; i++ {
 		submit := rng.Float64() * periodS
@@ -85,12 +89,12 @@ func GenerateTrace(jobs, totalNodes int, periodS, targetUtil float64, frac memus
 		j := Job{ID: i + 1, SubmitS: submit}
 		j.Nodes = 1 + rng.Poisson(2)
 		if rng.Bool(0.08) {
-			j.Nodes += int(rng.BoundedPareto(1.3, 4, float64(totalNodes)/4))
+			j.Nodes += int(wide.Sample(rng))
 		}
 		if j.Nodes > totalNodes {
 			j.Nodes = totalNodes
 		}
-		j.BaseS = rng.BoundedPareto(1.05, 120, 14*SecondsPerDay)
+		j.BaseS = runtime.Sample(rng)
 		switch u := rng.Float64(); {
 		case u < frac.Under25:
 			j.Bucket = memuse.BucketUnder25

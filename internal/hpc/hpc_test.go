@@ -214,10 +214,11 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestShadowComputation(t *testing.T) {
-	// Three running jobs ending at t=10,20,30 with 2 nodes each; 1 free
-	// node now; head needs 4: the head can start when the second job ends
-	// (1+2+2 >= 4) with 1 node spare.
-	run := []running{{endS: 10, nodes: 2}, {endS: 20, nodes: 2}, {endS: 30, nodes: 2}}
+	// Three running jobs ending at t=10,20,30 with 2 nodes each, latest
+	// end first as the scheduler keeps them; 1 free node now; head needs
+	// 4: the head can start when the second job ends (1+2+2 >= 4) with 1
+	// node spare.
+	run := []running{{endS: 30, nodes: 2}, {endS: 20, nodes: 2}, {endS: 10, nodes: 2}}
 	shadowT, extra := shadow(run, 1, 4)
 	if shadowT != 20 || extra != 1 {
 		t.Errorf("shadow = (%v, %v), want (20, 1)", shadowT, extra)

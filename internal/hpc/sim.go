@@ -101,12 +101,13 @@ func (r *Result) finalize() {
 	for i := range r.Jobs {
 		waits[i] = r.Jobs[i].WaitS
 	}
-	r.P50WaitS = stats.Percentile(waits, 50)
-	r.P95WaitS = stats.Percentile(waits, 95)
+	p := stats.Percentiles(waits, 50, 95)
+	r.P50WaitS, r.P95WaitS = p[0], p[1]
 }
 
-// running is one started job in the end-ordered running list. It holds
-// no pointers, so shifting the list with copy costs no write barriers.
+// running is one started job in the running list, which is ordered
+// latest end first. It holds no pointers, so shifting the list with copy
+// costs no write barriers.
 type running struct {
 	endS  float64
 	nodes int
@@ -151,7 +152,11 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	freeTotal := nodes
 	allocs := make([]int, len(tr.Jobs)*groups) // each job's group counts, by trace index
 
-	var run []running // started jobs by end time, equal ends in start order
+	// run holds the started jobs latest end first, and among equal ends
+	// the later start first: the next completion is its tail, so a
+	// completion pops the tail and a start shifts only the jobs that end
+	// no later than it does.
+	var run []running
 	res := &Result{Jobs: make([]JobMetrics, 0, len(tr.Jobs))}
 	var queue []int // FCFS, trace indices
 	next := 0       // next arrival index
@@ -167,7 +172,16 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 		freeTotal -= j.Nodes
 		exec := j.BaseS / model(min, j.Bucket)
 		end := t + exec
-		i := sort.Search(len(run), func(k int) bool { return run[k].endS > end })
+		// Insert ahead of the first job that ends no later than this one.
+		i, hi := 0, len(run)
+		for i < hi {
+			m := int(uint(i+hi) >> 1)
+			if run[m].endS > end {
+				i = m + 1
+			} else {
+				hi = m
+			}
+		}
 		run = append(run, running{})
 		copy(run[i+1:], run[i:])
 		run[i] = running{endS: end, nodes: j.Nodes, slot: slot}
@@ -177,25 +191,50 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 		})
 	}
 
+	// A settled pass skips the jobs an earlier pass already refused.
+	// Suppose a pass's backfill loop started nothing. Then every job still
+	// queued behind the head was refused against a free-node count, a
+	// running set and a queue head that all still hold: the FCFS starts
+	// came before the shadow was computed, and nothing started after. An
+	// arrival changes none of the three, so the head still does not fit,
+	// and shadowT and extra come out the same. A refused job either did
+	// not fit in the free nodes, which still holds, or had
+	// now+estimate > shadowT and more nodes than extra; now only grows
+	// and rounded addition is monotone, so neither test can newly pass.
+	// So the pass after an arrival need only check the jobs queued since
+	// the last full pass. Any start in the backfill loop, and any
+	// completion, makes the next pass a full one. settled counts the
+	// queue prefix that the last pass refused (0 forces a full pass);
+	// shadowT and extra are that pass's reservation.
+	settled := 0
+	var shadowT float64
+	var extra int
 	schedule := func() {
-		// FCFS: start queue heads while they fit.
-		n := 0
-		for n < len(queue) && tr.Jobs[queue[n]].Nodes <= freeTotal {
-			start(queue[n], now)
-			n++
+		from := settled
+		if from == 0 {
+			// FCFS: start queue heads while they fit.
+			n := 0
+			for n < len(queue) && tr.Jobs[queue[n]].Nodes <= freeTotal {
+				start(queue[n], now)
+				n++
+			}
+			if n > 0 {
+				queue = append(queue[:0], queue[n:]...)
+			}
+			if len(queue) == 0 {
+				return
+			}
+			// EASY backfill: reserve for the head, let later jobs jump
+			// ahead if they do not delay it (runtimes are known exactly
+			// here).
+			need := tr.Jobs[queue[0]].Nodes
+			var freedAtShadow int
+			shadowT, freedAtShadow = shadow(run, freeTotal, need)
+			extra = freeTotal + freedAtShadow - need
+			from = 1
 		}
-		if n > 0 {
-			queue = append(queue[:0], queue[n:]...)
-		}
-		if len(queue) == 0 {
-			return
-		}
-		// EASY backfill: reserve for the head, let later jobs jump ahead
-		// if they do not delay it (runtimes are known exactly here).
-		need := tr.Jobs[queue[0]].Nodes
-		shadowT, freedAtShadow := shadow(run, freeTotal, need)
-		extra := freeTotal + freedAtShadow - need
-		for i := 1; i < len(queue) && freeTotal > 0; i++ {
+		settled = len(queue)
+		for i := from; i < len(queue) && freeTotal > 0; i++ {
 			j := &tr.Jobs[queue[i]]
 			if j.Nodes > freeTotal {
 				continue
@@ -206,6 +245,7 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 			estimate := 2 * j.BaseS
 			if now+estimate <= shadowT || j.Nodes <= extra {
 				start(queue[i], now)
+				settled = 0
 				if j.Nodes > extra {
 					extra = 0
 				} else if now+estimate > shadowT {
@@ -224,7 +264,7 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 			tArr = tr.Jobs[next].SubmitS
 		}
 		if len(run) > 0 {
-			tEnd = run[0].endS
+			tEnd = run[len(run)-1].endS
 		}
 		if tArr >= 0 && (tEnd < 0 || tArr <= tEnd) {
 			now = tArr
@@ -232,12 +272,13 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 			next++
 		} else {
 			now = tEnd
-			done := run[0]
-			run = run[1:]
+			done := run[len(run)-1]
+			run = run[:len(run)-1]
 			for g, n := range allocs[done.slot*groups : (done.slot+1)*groups] {
 				free[g] += n
 			}
 			freeTotal += done.nodes
+			settled = 0
 		}
 		queueHist.Observe(int64(len(queue)))
 		schedule()
@@ -269,19 +310,19 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	return res, ck.Violations()
 }
 
-// shadow computes when the queue head could start (running jobs finish in
-// list order until enough nodes are free) and how many nodes will be free
-// then beyond the head's need. run is end-ordered, so this walks only the
-// prefix that frees the head's nodes.
+// shadow computes when the queue head could start (running jobs finish
+// from the tail of run until enough nodes are free) and how many nodes
+// will be free then beyond the head's need. run is latest-end first, so
+// this walks only the suffix that frees the head's nodes.
 func shadow(run []running, freeNow, need int) (shadowT float64, freedAtShadow int) {
 	if freeNow >= need {
 		return 0, 0
 	}
 	acc := freeNow
-	for _, r := range run {
-		acc += r.nodes
+	for i := len(run) - 1; i >= 0; i-- {
+		acc += run[i].nodes
 		if acc >= need {
-			return r.endS, acc - need
+			return run[i].endS, acc - need
 		}
 	}
 	return 1e18, 0

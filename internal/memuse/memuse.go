@@ -125,17 +125,19 @@ func Generate(cfg GeneratorConfig) []JobUsage {
 		panic("memuse: non-positive job count")
 	}
 	rng := xrand.New(cfg.Seed)
+	wide := xrand.NewPareto(1.2, 4, 512)
+	duration := xrand.NewPareto(1.3, 0.05, 200)
 	jobs := make([]JobUsage, cfg.Jobs)
 	for i := range jobs {
 		nodes := 1 + rng.Poisson(3)
 		if rng.Bool(0.1) {
-			nodes += int(rng.BoundedPareto(1.2, 4, 512))
+			nodes += int(wide.Sample(rng))
 		}
 		j := JobUsage{
 			JobID:     i + 1,
 			Nodes:     nodes,
 			PeakUtil:  make([]float64, nodes),
-			DurationH: rng.BoundedPareto(1.3, 0.05, 200),
+			DurationH: duration.Sample(rng),
 		}
 		// A job-level base utilization; nodes vary around it.
 		var base float64

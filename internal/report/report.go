@@ -1,6 +1,8 @@
 // Package report renders experiment results as aligned ASCII tables, the
-// form every cmd/ binary and EXPERIMENTS.md use to present the
-// reproduction of the paper's tables and figures.
+// form EXPERIMENTS.md and the experiments package's callers — heterodmr,
+// simd (through internal/simd), the root benchmarks and the bench
+// harness — use to present the reproduction of the paper's tables and
+// figures.
 package report
 
 import (

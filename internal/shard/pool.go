@@ -88,12 +88,12 @@ type PoolOptions struct {
 	// Faults arms the dispatch-transport fault sites; nil (production)
 	// injects nothing.
 	Faults *faultinject.Plan
-	// Reg receives the shard/* dispatch counters (nil-safe). Unit
-	// counters (units, completed, computed, cache_hits, local) count
-	// units; transport counters (dispatched, retries, requeued,
-	// timeouts) count batch dispatches. A failed dispatch is one retry;
-	// requeued counts the retries that waited out their backoff and
-	// went back for a slot.
+	// Reg receives the shard/* dispatch counters; nil gives the pool a
+	// registry of its own, so Fallbacks can always answer. Unit counters
+	// (units, completed, computed, cache_hits, local) count units;
+	// transport counters (dispatched, retries, requeued, timeouts) count
+	// batch dispatches. A failed dispatch is one retry; requeued counts
+	// the retries that waited out their backoff and went back for a slot.
 	Reg *obs.Registry
 }
 
@@ -157,6 +157,9 @@ func NewPool(o PoolOptions) *Pool {
 	}
 	if o.BaseContext == nil {
 		o.BaseContext = context.Background()
+	}
+	if o.Reg == nil {
+		o.Reg = obs.NewRegistry()
 	}
 	p := &Pool{
 		slots:   make(chan *remoteWorker, o.InFlight*len(o.Workers)),
@@ -249,6 +252,15 @@ func (p *Pool) Run(units []Unit) []UnitResult {
 	}
 	wg.Wait()
 	return out
+}
+
+// Fallbacks reports how many units this pool executed in process
+// instead of on a worker (its retry budget spent, every breaker open,
+// its context cancelled or its batch refused), out of all the units
+// handed to Run so far. A run that asked for a fleet and reads local > 0
+// did that much of its work without one.
+func (p *Pool) Fallbacks() (local, units uint64) {
+	return p.localC.Value(), p.unitsC.Value()
 }
 
 // runBatch drives one batch to its results: one attempt per drawn slot

@@ -561,6 +561,34 @@ func TestPoolAllWorkersDead(t *testing.T) {
 	}
 }
 
+// TestPoolFallbacksCountLocalUnits: Fallbacks tells a run that never
+// reached its fleet apart from one that did, with or without a registry.
+// A pool whose only worker refuses connections runs every unit locally;
+// a pool over a live worker runs none.
+func TestPoolFallbacksCountLocalUnits(t *testing.T) {
+	units := mcUnits()[:4]
+	want := seqPayloads(t, units)
+	refused := httptest.NewServer(http.NotFoundHandler())
+	refused.Close() // its port now refuses connections
+
+	p := NewPool(PoolOptions{Workers: []string{refused.URL}, Backoff: backoff.Policy{Budget: 1}, DeadAfter: 1})
+	checkMerged(t, units, p.Run(units), want)
+	if local, n := p.Fallbacks(); local != uint64(len(units)) || n != uint64(len(units)) {
+		t.Errorf("refused fleet: Fallbacks() = %d of %d, want %d of %d", local, n, len(units), len(units))
+	}
+
+	live, _ := newTestWorker(t, "")
+	reg := obs.NewRegistry()
+	p = NewPool(PoolOptions{Workers: []string{live.URL}, Reg: reg})
+	checkMerged(t, units, p.Run(units), want)
+	if local, n := p.Fallbacks(); local != 0 || n != uint64(len(units)) {
+		t.Errorf("live fleet: Fallbacks() = %d of %d, want 0 of %d", local, n, len(units))
+	}
+	if got := reg.Snapshot().Counters["shard/units"]; got != uint64(len(units)) {
+		t.Errorf("live fleet: shard/units = %d, want %d", got, len(units))
+	}
+}
+
 // TestPoolStragglerTimeout: a worker that accepts units and never
 // answers must not stall the suite — the dispatch times out, the unit is
 // retried elsewhere (or locally), and the merge still matches.

@@ -57,25 +57,36 @@ func CI99(xs []float64) float64 {
 // linear interpolation between closest ranks. It panics on empty input
 // or p outside [0, 100].
 func Percentile(xs []float64, p float64) float64 {
+	return Percentiles(xs, p)[0]
+}
+
+// Percentiles returns the ps-th percentiles of xs, each as Percentile
+// computes it, from one sorted copy of xs. It panics on empty input or
+// any p outside [0, 100].
+func Percentiles(xs []float64, ps ...float64) []float64 {
 	if len(xs) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
-	if p < 0 || p > 100 {
-		panic("stats: percentile out of [0,100]")
+	for _, p := range ps {
+		if p < 0 || p > 100 {
+			panic("stats: percentile out of [0,100]")
+		}
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		rank := p / 100 * float64(len(s)-1)
+		lo := int(math.Floor(rank))
+		hi := int(math.Ceil(rank))
+		if lo == hi {
+			out[i] = s[lo]
+			continue
+		}
+		frac := rank - float64(lo)
+		out[i] = s[lo]*(1-frac) + s[hi]*frac
 	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return out
 }
 
 // Min returns the smallest element of xs. It panics on empty input.

@@ -60,6 +60,28 @@ func TestPercentilePanics(t *testing.T) {
 	Percentile(nil, 50)
 }
 
+// TestPercentiles: one sorted copy answers every rank exactly as a
+// Percentile call per rank does, and the input keeps its order.
+func TestPercentiles(t *testing.T) {
+	xs := []float64{9, 1, 7, 3, 3, 8, 2, 6, 0.5, 4}
+	ps := []float64{0, 5, 25, 50, 95, 99.9, 100}
+	got := Percentiles(xs, ps...)
+	for i, p := range ps {
+		if want := Percentile(xs, p); got[i] != want {
+			t.Errorf("Percentiles rank %v = %v, Percentile gives %v", p, got[i], want)
+		}
+	}
+	if xs[0] != 9 || xs[9] != 4 {
+		t.Error("Percentiles reordered its input")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Percentiles with p = 101 did not panic")
+		}
+	}()
+	Percentiles(xs, 50, 101)
+}
+
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {

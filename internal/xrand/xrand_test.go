@@ -119,13 +119,56 @@ func TestBoundedParetoRange(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BoundedPareto(1,0,1) did not panic")
+// TestParetoMatchesFormula pins the prepared sampler to the inverse-CDF
+// expression computed from scratch on every draw, bit for bit.
+func TestParetoMatchesFormula(t *testing.T) {
+	for _, c := range []struct{ alpha, lo, hi float64 }{
+		{1.05, 120, 14 * 86_400}, {1.3, 4, 372.5}, {1.2, 4, 512}, {1.3, 0.05, 200},
+	} {
+		p := NewPareto(c.alpha, c.lo, c.hi)
+		r, ref := New(5), New(5)
+		for i := 0; i < 1000; i++ {
+			u := ref.Float64()
+			la, ha := math.Pow(c.lo, c.alpha), math.Pow(c.hi, c.alpha)
+			want := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/c.alpha)
+			if got := p.Sample(r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Pareto(%v, %v, %v) draw %d = %v, formula gives %v", c.alpha, c.lo, c.hi, i, got, want)
+			}
 		}
-	}()
-	New(1).BoundedPareto(1, 0, 1)
+	}
+}
+
+// TestBoundedParetoPanics: parameters without a distribution are refused
+// instead of sampled. Sampled, alpha = 0 would return 1 whatever the
+// bounds, a negative alpha would draw from a distribution that is not
+// Pareto, and a NaN or infinite parameter would return NaN.
+func TestBoundedParetoPanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name          string
+		alpha, lo, hi float64
+	}{
+		{"lo-zero", 1, 0, 1},
+		{"hi-below-lo", 1, 5, 4},
+		{"hi-equals-lo", 1, 4, 4},
+		{"alpha-zero", 0, 120, 1000},
+		{"alpha-negative", -1, 120, 1000},
+		{"alpha-nan", nan, 120, 1000},
+		{"alpha-inf", inf, 120, 1000},
+		{"lo-nan", 1.3, nan, 1000},
+		{"hi-nan", 1.3, 120, nan},
+		{"lo-inf", 1.3, inf, inf},
+		{"hi-inf", 1.3, 120, inf},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BoundedPareto(%v, %v, %v) did not panic", c.alpha, c.lo, c.hi)
+				}
+			}()
+			New(1).BoundedPareto(c.alpha, c.lo, c.hi)
+		})
+	}
 }
 
 func TestBoolProbabilities(t *testing.T) {
