@@ -151,7 +151,8 @@ smoke-simd:
 # coordinator fanning the experiment matrix out to two local worker
 # processes over a shared content-addressed cache, one worker killed
 # mid-suite, output compared byte for byte against the sequential run,
-# then a warm-cache replay that must recompute nothing.
+# then warm-cache replays that must recompute nothing and add no store
+# entry.
 smoke-shard:
 	sh scripts/shard_smoke.sh
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/runcache"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -258,7 +259,7 @@ func TestUndecodablePayloadRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	cold, s1, store := renderFig14And11(t, dir, 2)
 
-	groups := node.GroupByFrontEnd(s1.plan([]Entry{entry(t, "fig14")}), func(c cell) (node.FrontEndKey, bool) {
+	groups := parallel.GroupBy(s1.plan([]Entry{entry(t, "fig14")}), func(c cell) (node.FrontEndKey, bool) {
 		return node.FrontEndKeyOf(s1.nodeConfig(c), c.prof), true
 	})
 	if len(groups[0]) < 2 {

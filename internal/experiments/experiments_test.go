@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/memctrl"
 	"repro/internal/node"
+	"repro/internal/parallel"
 	"repro/internal/runcache"
 )
 
@@ -29,7 +30,7 @@ func entry(t *testing.T, id string) Entry {
 // frontEnds counts the distinct front ends among the cells entries
 // declare.
 func frontEnds(s *Suite, entries []Entry) int {
-	return len(node.GroupByFrontEnd(s.plan(entries), func(c cell) (node.FrontEndKey, bool) {
+	return len(parallel.GroupBy(s.plan(entries), func(c cell) (node.FrontEndKey, bool) {
 		return node.FrontEndKeyOf(s.nodeConfig(c), c.prof), true
 	}))
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/runcache"
 	"repro/internal/shard"
 )
@@ -163,7 +164,7 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 // without simulating anything.
 func TestLargestPlannedBatchFitsWorkerLimit(t *testing.T) {
 	s := New(Options{Seed: 1})
-	groups := node.GroupByFrontEnd(s.plan(append(Registry(), Ablations()...)), func(c cell) (node.FrontEndKey, bool) {
+	groups := parallel.GroupBy(s.plan(append(Registry(), Ablations()...)), func(c cell) (node.FrontEndKey, bool) {
 		return node.FrontEndKeyOf(s.nodeConfig(c), c.prof), true
 	})
 	largest := groups[0]

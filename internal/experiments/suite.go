@@ -40,35 +40,40 @@ type Options struct {
 	// sequential): the front-end groups of Run's cell plan, then the
 	// rendering of its entries. The layers share no pool: inside the
 	// rendering fan-out, the Monte-Carlo ranges of Figs 11 and 17 (and
-	// of the margin-aware ablation), Fig 17's cluster simulations and
-	// Fig 6's rows fan out again, each on up to Workers goroutines of
-	// its own. Every experiment's randomness derives positionally from
-	// Seed, so output is byte-identical for every worker count.
+	// of the margin-aware ablation) and Fig 6's rows fan out again, and
+	// Fig 17's cluster simulations that miss the store run on up to
+	// Workers goroutines inside their trace batch (shard.Execute). With
+	// Shard set, a fleet worker runs each batch on one goroutine. Every
+	// experiment's randomness derives positionally from Seed, so output
+	// is byte-identical for every worker count.
 	Workers int
 	// Check runs the conservation self-checks after every node and
 	// cluster simulation; violations accumulate on the Suite (read them
 	// with Violations). Checks run after each simulation's measurements
-	// are taken, so they never change rendered output. A checked cell is
-	// keyed apart from an unchecked one and carries its violations, and
-	// what its run observed, in its payload, so checked runs replay from
-	// Cache and run on Shard like any other.
+	// are taken, so they never change rendered output. A checked cell or
+	// cluster simulation is keyed apart from an unchecked one and
+	// carries its violations, and what its run observed, in its payload,
+	// so checked runs replay from Cache and run on Shard like any other.
 	Check bool
 	// Obs, when non-nil, collects counters, histograms, and trace events
 	// from every simulation the suite runs, plus the suite's own
 	// run-table counters (experiments/runcache/*) and its count of
 	// in-process front-end recordings (experiments/recordings). Its node
-	// cells run checked, and each cell's payload carries what its run
-	// recorded, merged here in plan order as the cell lands, wherever it
-	// ran; only the traffic counters above and shard/* depend on where.
+	// cells and cluster simulations run checked, and each payload
+	// carries what its run recorded, merged here as the cell or
+	// simulation lands, wherever it ran; only the traffic counters above
+	// and shard/* depend on where.
 	Obs *obs.Registry
-	// Cache, when non-nil, persists node-simulation results and
-	// Monte-Carlo trial ranges across processes: the suite's cells are
-	// looked up in the content-addressed store (keyed by the fully
-	// resolved node config, the profile, and CacheVersion; a range by its
-	// trial configuration, selection, level and bounds) before they are
-	// computed, and every fresh result is written back. Decoded results
-	// are bit-exact, so rendered tables are byte-identical whether a cell
-	// was simulated or replayed.
+	// Cache, when non-nil, persists node-simulation results, Monte-Carlo
+	// trial ranges and Fig 17's cluster-simulation summaries across
+	// processes: each is looked up in the content-addressed store (keyed
+	// under CacheVersion by the fully resolved node config and the
+	// profile; a range by its trial configuration, selection, level and
+	// bounds; a cluster simulation by its trace spec, resolved node
+	// counts, policy, speedups and seed) before it is computed, and every
+	// fresh result is written back. Decoded results are bit-exact, so
+	// rendered tables are byte-identical whether a unit was simulated or
+	// replayed, and a warm Fig 17 simulates nothing.
 	Cache *runcache.Cache
 	// CacheVersion is the code-version component of persistent cache
 	// keys. Empty defaults to runcache.CodeVersion().
@@ -76,8 +81,9 @@ type Options struct {
 	// Shard, when non-nil, sends Run's cell plan to worker processes
 	// through the dispatch pool, every missing cell in one Pool.Run (one
 	// batch per front-end group), and fans the Monte-Carlo trial ranges
-	// out the same way. Results are decoded from the same gob payloads
-	// the persistent cache stores and committed in positional order, so
+	// and Fig 17's cluster simulations (one batch per trace) out the
+	// same way. Results are decoded from the same gob payloads the
+	// persistent cache stores and committed in positional order, so
 	// rendered output is byte-identical to an in-process run at any
 	// worker count — including with workers failing mid-suite (the pool
 	// retries on whichever worker frees a slot and falls back to local
@@ -200,11 +206,13 @@ func (s *Suite) Population() *margin.Population {
 
 // Fractions lazily computes the Fig 1 job memory-utilization fractions.
 func (s *Suite) Fractions() memuse.Fractions {
-	s.fracOnce.Do(func() {
-		jobs := s.opt.jobCount()
-		s.frac = memuse.Analyze(memuse.Generate(memuse.GeneratorConfig{Jobs: jobs, Seed: s.opt.Seed}))
-	})
+	s.fracOnce.Do(func() { s.frac = memuse.Analyze(memuse.Generate(s.usageConfig())) })
 	return s.frac
+}
+
+// usageConfig is the suite's Fig 1 usage population.
+func (s *Suite) usageConfig() memuse.GeneratorConfig {
+	return memuse.GeneratorConfig{Jobs: s.opt.jobCount(), Seed: s.opt.Seed}
 }
 
 func (o Options) jobCount() int {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/montecarlo"
 	"repro/internal/node"
-	"repro/internal/parallel"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/shard"
 )
@@ -39,42 +39,56 @@ func (s *Suite) Fig11() *report.Table {
 	return t
 }
 
-// fig17Scale returns the trace scale (full Grizzly, or reduced in Quick
-// mode).
-func (s *Suite) fig17Scale() (jobs, nodes int, periodS float64) {
-	if s.opt.Quick {
-		return 6_000, 256, hpc.TracePeriodS / 8
+// fig17Trace returns the spec of Fig 17's trace: the full Grizzly scale,
+// or reduced in Quick mode, with buckets drawn from the Fig 1 fractions
+// of the suite's usage population.
+func (s *Suite) fig17Trace() hpc.TraceSpec {
+	spec := hpc.TraceSpec{
+		Jobs: hpc.GrizzlyJobs, Nodes: hpc.GrizzlyNodes, PeriodS: hpc.TracePeriodS, TargetUtil: hpc.TargetNodeUtil,
+		Usage: s.usageConfig(), Seed: s.opt.Seed,
 	}
-	return hpc.GrizzlyJobs, hpc.GrizzlyNodes, hpc.TracePeriodS
+	if s.opt.Quick {
+		spec.Jobs, spec.Nodes, spec.PeriodS = 6_000, 256, hpc.TracePeriodS/8
+	}
+	return spec
 }
 
 // fig17Cells lists the cells Fig 17's speedup model reads.
 func (s *Suite) fig17Cells() []cell { return s.weightedSpeedupCells(node.Hierarchies()...) }
 
-// Fig17 reproduces Fig 17: system-wide job execution time, queuing delay,
-// and turnaround time of Hetero-DMR normalized to a conventional HPC
-// system, per hierarchy, plus the margin-aware vs default scheduler
-// comparison and the +17%-nodes control experiment.
-func (s *Suite) Fig17() *report.Table {
-	jobs, nodes, period := s.fig17Scale()
-	tr := hpc.GenerateTrace(jobs, nodes, period, hpc.TargetNodeUtil, s.Fractions(), s.opt.Seed)
+// fig17Sim is one of Fig 17's cluster simulations as it lands: its
+// summary and, for a checked unit, its violations and observations.
+type fig17Sim struct {
+	res hpc.Result
+	vs  []obs.Violation
+	ob  shard.Observed
+}
+
+// fig17Units lists Fig 17's cluster simulations as units keyed by
+// everything each reads, so they replay from the store, and all six
+// share one trace batch: the trace is generated at most once, and only
+// if one of them runs. Slots: conv, +17% control, then per-hierarchy
+// (aware, default) pairs. A conventional system is the Hetero-DMR model
+// at speedups (1, 1), which gives every job speedup 1 as
+// ConventionalModel does. It reads the Fig 11 node groups and the
+// weighted node speedups, so the suite's cells must be warm.
+func (s *Suite) fig17Units() []shard.Unit {
+	spec := s.fig17Trace()
+	nodes := spec.Nodes
 	// The margin-aware node groups (§III-D3's 62% / 36% / 2% example).
 	groups := s.monteCarlo(shard.LevelNode, s.monteCarloConfig(), montecarlo.MarginAware).Groups()
-
-	// Describe all cluster simulations up front, then fan them out: the
-	// trace and clusters are read-only inside hpc.Simulate, and each
-	// simulation reseeds from Options.Seed, so the fan-out is
-	// order-independent. Slots: conv, +17% control, then per-hierarchy
-	// (aware, default) pairs.
-	type simDef struct {
-		cluster *hpc.Cluster
-		policy  hpc.Policy
-		model   hpc.SpeedupModel
+	check := s.opt.Check || s.opt.Obs != nil // a checked payload carries the observations
+	var units []shard.Unit
+	add := func(clusterNodes map[int]int, policy hpc.Policy, at800, at600 float64) {
+		m := shard.HPCMaterial{Trace: spec, Nodes: clusterNodes, Policy: policy,
+			At800: at800, At600: at600, Seed: s.opt.Seed, Check: check}
+		if check {
+			m.Scope = fmt.Sprintf("fig17/sim%d/%s", len(units), policy)
+		}
+		units = append(units, shard.NewHPCUnit(s.opt.CacheVersion, m))
 	}
-	defs := []simDef{
-		{hpc.UniformCluster(nodes, 0), hpc.PolicyDefault, hpc.ConventionalModel},
-		{hpc.UniformCluster(nodes+nodes*17/100, 0), hpc.PolicyDefault, hpc.ConventionalModel},
-	}
+	add(map[int]int{0: nodes}, hpc.PolicyDefault, 1, 1)
+	add(map[int]int{0: nodes + nodes*17/100}, hpc.PolicyDefault, 1, 1)
 	for _, h := range node.Hierarchies() {
 		at800, at600 := s.HeteroDMRWeightedSpeedup(h)
 		if at800 < 1 {
@@ -86,22 +100,33 @@ func (s *Suite) Fig17() *report.Table {
 		if at600 > at800 {
 			at600 = at800
 		}
-		model := hpc.HeteroDMRModel(at800, at600)
-		cluster := hpc.GroupedCluster(nodes, groups.At800, groups.At600)
-		defs = append(defs,
-			simDef{cluster, hpc.PolicyMarginAware, model},
-			simDef{cluster, hpc.PolicyDefault, model})
+		grouped := hpc.GroupedNodes(nodes, groups.At800, groups.At600)
+		add(grouped, hpc.PolicyMarginAware, at800, at600)
+		add(grouped, hpc.PolicyDefault, at800, at600)
 	}
-	sims := parallel.MapN(s.opt.Workers, len(defs), func(i int) *hpc.Result {
-		d := defs[i]
-		scope := fmt.Sprintf("fig17/sim%d/%s", i, d.policy)
-		res, vs := hpc.SimulateObserved(tr, d.cluster, d.policy, d.model, s.opt.Seed, s.opt.Obs, scope)
-		if s.opt.Check {
-			s.addViolations(vs)
+	return units
+}
+
+// Fig17 reproduces Fig 17: system-wide job execution time, queuing delay,
+// and turnaround time of Hetero-DMR normalized to a conventional HPC
+// system, per hierarchy, plus the margin-aware vs default scheduler
+// comparison and the +17%-nodes control experiment.
+func (s *Suite) Fig17() *report.Table {
+	sims, _ := materialize(s, s.fig17Units(), func(u shard.Unit, p []byte) (sim fig17Sim, err error) {
+		if u.HPC.Check {
+			sim.res, sim.vs, sim.ob, err = shard.DecodeCheckedHPC(p)
+		} else {
+			sim.res, err = shard.DecodeHPCResult(p)
 		}
-		return res
+		return sim, err
 	})
-	conv, more := sims[0], sims[1]
+	for _, sim := range sims {
+		if s.opt.Check {
+			s.addViolations(sim.vs)
+		}
+		s.opt.Obs.Merge(sim.ob.Metrics, sim.ob.Events)
+	}
+	conv, more := &sims[0].res, &sims[1].res
 
 	t := report.New("Fig 17 — system-wide speedups over a conventional HPC system",
 		"hierarchy", "system", "exec-time speedup", "queue-delay reduction", "turnaround speedup")
@@ -116,8 +141,8 @@ func (s *Suite) Fig17() *report.Table {
 			conv.MeanTurnaround/r.MeanTurnaround)
 	}
 	for i, h := range node.Hierarchies() {
-		addRow(h.Name, "Hetero-DMR (margin-aware sched)", sims[2+2*i])
-		addRow(h.Name, "Hetero-DMR (default sched)", sims[3+2*i])
+		addRow(h.Name, "Hetero-DMR (margin-aware sched)", &sims[2+2*i].res)
+		addRow(h.Name, "Hetero-DMR (default sched)", &sims[3+2*i].res)
 	}
 	addRow("-", "conventional +17% nodes (control)", more)
 	t.Note("paper: 1.17x execution, ~34%% queue-delay reduction, 1.4x turnaround; +17%% nodes cuts queuing ~33%%")

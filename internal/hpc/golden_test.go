@@ -105,3 +105,19 @@ func TestResultGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestUnitModelMatchesConventional: the Hetero-DMR model at speedups
+// (1, 1), which is how a cluster-simulation unit encodes a conventional
+// system, gives every job the runtime ConventionalModel does, so its
+// results match bit for bit on both Fig 17 conventional clusters.
+func TestUnitModelMatchesConventional(t *testing.T) {
+	const nodes = 256
+	tr := GenerateTrace(6_000, nodes, TracePeriodS/8, TargetNodeUtil, testFrac, 1)
+	for _, c := range []*Cluster{UniformCluster(nodes, 0), UniformCluster(nodes+nodes*17/100, 0)} {
+		conv := Simulate(tr, c, PolicyDefault, ConventionalModel, 1)
+		unit := Simulate(tr, c, PolicyDefault, HeteroDMRModel(1, 1), 1)
+		if a, b := resultDigest(conv), resultDigest(unit); a != b {
+			t.Errorf("%d nodes: HeteroDMRModel(1, 1) digest %s, ConventionalModel %s", c.Nodes(), b, a)
+		}
+	}
+}

@@ -14,6 +14,7 @@ package hpc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/memuse"
@@ -28,6 +29,17 @@ const (
 	SecondsPerDay  = 86_400
 	TracePeriodS   = GrizzlyMonths * 30 * SecondsPerDay
 	TargetNodeUtil = 0.78
+)
+
+// Trace scale bounds. A trace needs MinTraceNodes nodes, because its wide
+// jobs draw 4 to nodes/4 extra nodes. The caps sit far above the Grizzly
+// scale (17x its jobs, 67x its nodes) and bound what one spec can make a
+// process allocate: a job costs a few hundred bytes across its usage
+// record, its trace entry and its metrics.
+const (
+	MinTraceNodes = 17
+	MaxTraceJobs  = 1_000_000
+	MaxTraceNodes = 100_000
 )
 
 // Job is one trace entry.
@@ -56,15 +68,61 @@ func (t *Trace) NodeUtilization() float64 {
 	return ns / (float64(t.TotalNodes) * t.PeriodS)
 }
 
+// TraceSpec is everything a synthetic trace is generated from:
+// GenerateTrace's inputs, with the Fig 1 usage population (Usage) whose
+// fractions draw each job's memory bucket. Equal specs generate equal
+// traces, and a spec is comparable, so it names the trace that the
+// simulations of one shard batch share.
+type TraceSpec struct {
+	Jobs       int
+	Nodes      int
+	PeriodS    float64
+	TargetUtil float64
+	Usage      memuse.GeneratorConfig
+	Seed       uint64
+}
+
+// Validate refuses a spec that Generate cannot turn into a trace the
+// scheduler accepts: job counts (trace and usage population) outside 1 to
+// MaxTraceJobs, node counts outside MinTraceNodes to MaxTraceNodes, a
+// period that is not finite and positive, or a target utilization outside
+// (0, 1].
+func (s TraceSpec) Validate() error {
+	switch {
+	case s.Jobs <= 0 || s.Jobs > MaxTraceJobs:
+		return fmt.Errorf("hpc: trace of %d jobs, want 1 to %d", s.Jobs, MaxTraceJobs)
+	case s.Usage.Jobs <= 0 || s.Usage.Jobs > MaxTraceJobs:
+		return fmt.Errorf("hpc: usage population of %d jobs, want 1 to %d", s.Usage.Jobs, MaxTraceJobs)
+	case s.Nodes < MinTraceNodes || s.Nodes > MaxTraceNodes:
+		return fmt.Errorf("hpc: trace of %d nodes, want %d to %d", s.Nodes, MinTraceNodes, MaxTraceNodes)
+	case !(s.PeriodS > 0) || math.IsInf(s.PeriodS, 1):
+		return fmt.Errorf("hpc: trace period %v s, want finite and positive", s.PeriodS)
+	case !(s.TargetUtil > 0 && s.TargetUtil <= 1):
+		return fmt.Errorf("hpc: target utilization %v, want (0, 1]", s.TargetUtil)
+	}
+	return nil
+}
+
+// Generate synthesizes the spec's trace: the Fig 1 fractions of its usage
+// population, then GenerateTrace. It panics on a spec Validate refuses.
+func (s TraceSpec) Generate() *Trace {
+	frac := memuse.Analyze(memuse.Generate(s.Usage))
+	return GenerateTrace(s.Jobs, s.Nodes, s.PeriodS, s.TargetUtil, frac, s.Seed)
+}
+
 // GenerateTrace synthesizes a Grizzly-like trace: Poisson arrivals over
 // the period, heavy-tailed node counts and runtimes, and memory buckets
 // drawn from the Fig 1 job fractions. Runtimes are rescaled exactly to
-// the target overall utilization. It panics on non-positive parameters
-// and on a cluster of 16 nodes or fewer, where the wide jobs' extra
+// the target overall utilization. It panics on a non-positive job count,
+// period or utilization, on a non-finite period or utilization (every
+// comparison with a NaN is false, so a NaN is refused too), and on a
+// cluster of fewer than MinTraceNodes nodes, where the wide jobs' extra
 // nodes (4 to totalNodes/4) have no range.
 func GenerateTrace(jobs, totalNodes int, periodS, targetUtil float64, frac memuse.Fractions, seed uint64) *Trace {
-	if jobs <= 0 || totalNodes <= 0 || periodS <= 0 {
-		panic("hpc: non-positive trace parameters")
+	if jobs <= 0 || totalNodes < MinTraceNodes || !(periodS > 0) || math.IsInf(periodS, 1) ||
+		!(targetUtil > 0) || math.IsInf(targetUtil, 1) {
+		panic(fmt.Sprintf("hpc: trace needs jobs > 0, nodes >= %d and a finite positive period and utilization (jobs %d, nodes %d, period %v s, utilization %v)",
+			MinTraceNodes, jobs, totalNodes, periodS, targetUtil))
 	}
 	rng := xrand.New(seed)
 	tr := &Trace{TotalNodes: totalNodes, PeriodS: periodS}

@@ -1,7 +1,9 @@
 package hpc
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,13 +49,75 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
+// TestTracePanicsOnBadInput: GenerateTrace refuses, naming itself, every
+// input it cannot turn into a trace the scheduler accepts. Before it did,
+// a NaN period gave NaN submit times that Simulate died on, an infinite
+// utilization gave infinite runtimes, and 16 nodes panicked in
+// xrand.NewPareto.
 func TestTracePanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero jobs accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, f := range map[string]func(){
+		"zero jobs":            func() { GenerateTrace(0, 64, 100, 0.5, testFrac, 1) },
+		"16 nodes":             func() { GenerateTrace(100, 16, 100, 0.5, testFrac, 1) },
+		"zero period":          func() { GenerateTrace(100, 64, 0, 0.5, testFrac, 1) },
+		"NaN period":           func() { GenerateTrace(100, 64, nan, 0.5, testFrac, 1) },
+		"infinite period":      func() { GenerateTrace(100, 64, inf, 0.5, testFrac, 1) },
+		"zero utilization":     func() { GenerateTrace(100, 64, 100, 0, testFrac, 1) },
+		"NaN utilization":      func() { GenerateTrace(100, 64, 100, nan, testFrac, 1) },
+		"infinite utilization": func() { GenerateTrace(100, 64, 100, inf, testFrac, 1) },
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.HasPrefix(fmt.Sprint(p), "hpc: ") {
+					t.Errorf("%s: GenerateTrace panicked with %v, want an hpc refusal", name, p)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestTraceSpecValidate: Validate accepts the quick and Grizzly specs and
+// refuses each malformed field, and Generate is GenerateTrace over the
+// fractions of the spec's usage population.
+func TestTraceSpecValidate(t *testing.T) {
+	quick := TraceSpec{Jobs: 6_000, Nodes: 256, PeriodS: TracePeriodS / 8, TargetUtil: TargetNodeUtil,
+		Usage: memuse.GeneratorConfig{Jobs: 5_000, Seed: 1}, Seed: 1}
+	grizzly := TraceSpec{Jobs: GrizzlyJobs, Nodes: GrizzlyNodes, PeriodS: TracePeriodS, TargetUtil: TargetNodeUtil,
+		Usage: memuse.GeneratorConfig{Jobs: GrizzlyJobs, Seed: 1}, Seed: 1}
+	for _, ok := range []TraceSpec{quick, grizzly} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", ok, err)
 		}
-	}()
-	GenerateTrace(0, 10, 100, 0.5, testFrac, 1)
+	}
+	for name, mutate := range map[string]func(*TraceSpec){
+		"zero jobs":            func(s *TraceSpec) { s.Jobs = 0 },
+		"too many jobs":        func(s *TraceSpec) { s.Jobs = MaxTraceJobs + 1 },
+		"zero usage jobs":      func(s *TraceSpec) { s.Usage.Jobs = 0 },
+		"too many usage jobs":  func(s *TraceSpec) { s.Usage.Jobs = MaxTraceJobs + 1 },
+		"16 nodes":             func(s *TraceSpec) { s.Nodes = MinTraceNodes - 1 },
+		"too many nodes":       func(s *TraceSpec) { s.Nodes = MaxTraceNodes + 1 },
+		"zero period":          func(s *TraceSpec) { s.PeriodS = 0 },
+		"NaN period":           func(s *TraceSpec) { s.PeriodS = math.NaN() },
+		"infinite period":      func(s *TraceSpec) { s.PeriodS = math.Inf(1) },
+		"zero utilization":     func(s *TraceSpec) { s.TargetUtil = 0 },
+		"NaN utilization":      func(s *TraceSpec) { s.TargetUtil = math.NaN() },
+		"utilization above 1":  func(s *TraceSpec) { s.TargetUtil = 1.01 },
+		"infinite utilization": func(s *TraceSpec) { s.TargetUtil = math.Inf(1) },
+	} {
+		bad := quick
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, bad)
+		}
+	}
+
+	small := TraceSpec{Jobs: 500, Nodes: 64, PeriodS: TracePeriodS / 32, TargetUtil: TargetNodeUtil,
+		Usage: memuse.GeneratorConfig{Jobs: 400, Seed: 3}, Seed: 2}
+	frac := memuse.Analyze(memuse.Generate(small.Usage))
+	if got, want := small.Generate(), GenerateTrace(500, 64, TracePeriodS/32, TargetNodeUtil, frac, 2); !reflect.DeepEqual(got, want) {
+		t.Error("Generate differs from GenerateTrace over the usage population's fractions")
+	}
 }
 
 func TestGrizzlyTraceScale(t *testing.T) {

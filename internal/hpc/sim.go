@@ -47,12 +47,17 @@ func UniformCluster(nodes, marginMTs int) *Cluster {
 	return NewCluster(map[int]int{marginMTs: nodes})
 }
 
-// GroupedCluster splits `nodes` per the Fig 11 node-margin shares.
-func GroupedCluster(nodes int, at800, at600 float64) *Cluster {
+// GroupedNodes splits `nodes` per the Fig 11 node-margin shares: the node
+// count per margin, with the nodes neither share claims at margin 0.
+func GroupedNodes(nodes int, at800, at600 float64) map[int]int {
 	n800 := int(float64(nodes) * at800)
 	n600 := int(float64(nodes) * at600)
-	rest := nodes - n800 - n600
-	return NewCluster(map[int]int{800: n800, 600: n600, 0: rest})
+	return map[int]int{800: n800, 600: n600, 0: nodes - n800 - n600}
+}
+
+// GroupedCluster is the cluster of GroupedNodes(nodes, at800, at600).
+func GroupedCluster(nodes int, at800, at600 float64) *Cluster {
+	return NewCluster(GroupedNodes(nodes, at800, at600))
 }
 
 // Nodes returns the total node count.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -155,7 +156,7 @@ func TestGroupByFrontEnd(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	got := GroupByFrontEnd(idx, func(i int) (FrontEndKey, bool) {
+	got := parallel.GroupBy(idx, func(i int) (FrontEndKey, bool) {
 		return FrontEndKeyOf(cells[i].cfg, cells[i].prof), !cells[i].mc
 	})
 	if want := [][]int{{0, 2}, {1, 4}, {3}, {5}}; !reflect.DeepEqual(got, want) {

@@ -285,7 +285,8 @@ func l3Config(h Hierarchy, shift uint) cache.Config {
 // FrontEndKey is the identity of a node front end: everything a
 // recording reads, after defaults are applied. Cells with equal keys can
 // share one recording whatever their memory designs, checked or not. The
-// key is comparable, so it serves as a map key.
+// key is comparable, so it serves as a map key and as a parallel.GroupBy
+// key.
 type FrontEndKey struct {
 	H             Hierarchy
 	Prof          workload.Profile
@@ -305,27 +306,6 @@ func FrontEndKeyOf(cfg Config, prof workload.Profile) FrontEndKey {
 		Warmup: cfg.WarmupInstructions,
 		Shift:  cfg.ScaleShift,
 	}
-}
-
-// GroupByFrontEnd partitions items by front-end identity, keeping the
-// first-appearance order of groups and of items within each group. key
-// reports false for an item without a front end (a Monte-Carlo range);
-// such an item forms a group of its own.
-func GroupByFrontEnd[T any](items []T, key func(T) (FrontEndKey, bool)) [][]T {
-	index := map[FrontEndKey]int{}
-	var groups [][]T
-	for _, it := range items {
-		k, ok := key(it)
-		if ok {
-			if i, seen := index[k]; seen {
-				groups[i] = append(groups[i], it)
-				continue
-			}
-			index[k] = len(groups)
-		}
-		groups = append(groups, []T{it})
-	}
-	return groups
 }
 
 // frontEnd is the memory-design-independent half of a node simulation:
@@ -432,7 +412,7 @@ func MustRun(cfg Config, prof workload.Profile) Result {
 // its first Run records the front end, and every Run replays that
 // recording against its config's memory design, refilling the
 // Replayer's one LLC from the recorded one first. Callers group cells
-// with GroupByFrontEnd and use one Replayer per group, dropping it with
+// by FrontEndKeyOf and use one Replayer per group, dropping it with
 // the group, so no recording outlives the cells that share it. A
 // Replayer is not safe for concurrent use.
 type Replayer struct {

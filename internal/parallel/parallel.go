@@ -93,6 +93,27 @@ func MapN[R any](workers, n int, fn func(i int) R) []R {
 	return out
 }
 
+// GroupBy partitions items into the groups a fan-out runs as units,
+// keeping the first-appearance order of groups and of items within each
+// group. Items with equal keys share a group; key reports false for an
+// item that forms a group of its own.
+func GroupBy[T any, K comparable](items []T, key func(T) (K, bool)) [][]T {
+	index := map[K]int{}
+	var groups [][]T
+	for _, it := range items {
+		k, ok := key(it)
+		if ok {
+			if i, seen := index[k]; seen {
+				groups[i] = append(groups[i], it)
+				continue
+			}
+			index[k] = len(groups)
+		}
+		groups = append(groups, []T{it})
+	}
+	return groups
+}
+
 // Chunks splits n items into fixed-size chunks and returns the chunk
 // count. Fixed-size (rather than workers-sized) chunking is what keeps
 // chunked computations independent of the worker count: chunk c always

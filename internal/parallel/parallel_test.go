@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -117,4 +118,15 @@ func TestChunksPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	Chunks(10, 0)
+}
+
+// TestGroupBy: items with equal keys share a group, keyless items stand
+// alone, and groups and their items keep first-appearance order.
+func TestGroupBy(t *testing.T) {
+	items := []string{"a1", "b1", "-", "a2", "c1", "-", "b2"}
+	got := GroupBy(items, func(s string) (byte, bool) { return s[0], s != "-" })
+	want := [][]string{{"a1", "a2"}, {"b1", "b2"}, {"-"}, {"c1"}, {"-"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("groups %v, want %v", got, want)
+	}
 }

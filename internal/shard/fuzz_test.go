@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/dramspec"
+	"repro/internal/hpc"
 	"repro/internal/memctrl"
+	"repro/internal/memuse"
 	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/workload"
@@ -18,10 +20,12 @@ import (
 // bodies. The worker must never panic, must answer only 200, 400, 409 or
 // 413, and a 200 must answer exactly the units sent, in order. The seeds
 // are one valid single-range Monte-Carlo batch, a version-skewed copy, a
-// truncated copy, and a correctly keyed node unit whose replication no
-// channel implements. The worker refuses that unit before recording its
-// front end, and a mutation of it keeps the bad design, breaks the key
-// or fails an earlier check, so no input runs a node simulation.
+// truncated copy, a correctly keyed node unit whose replication no
+// channel implements, and a correctly keyed cluster simulation on a
+// trace of 16 nodes. The worker refuses each of the last two before
+// recording a front end or generating a trace, and a mutation of either
+// keeps the bad field, breaks the key or fails an earlier check, so no
+// input runs a node or cluster simulation.
 func FuzzWorkerBatch(f *testing.F) {
 	cfg := mcConfig()
 	cfg.Trials = montecarlo.ShardTrials
@@ -46,10 +50,23 @@ func FuzzWorkerBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	badHPC := NewHPCUnit(testVersion, HPCMaterial{
+		Trace:  hpc.TraceSpec{Jobs: 100, Nodes: 16, PeriodS: 1e5, TargetUtil: 0.5, Usage: memuse.GeneratorConfig{Jobs: 100, Seed: 1}, Seed: 1},
+		Nodes:  map[int]int{0: 16},
+		Policy: hpc.PolicyDefault,
+		At800:  1,
+		At600:  1,
+		Seed:   1,
+	})
+	badHPCBody, err := json.Marshal(batchRequest{Key: badHPC.Key, Units: []Unit{badHPC}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(skewedBody)
 	f.Add(valid[:len(valid)/2])
 	f.Add(badNodeBody)
+	f.Add(badHPCBody)
 
 	h := NewWorker(testVersion, nil, nil).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/faultinject"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 )
@@ -97,8 +96,8 @@ type PoolOptions struct {
 	Reg *obs.Registry
 }
 
-// Pool dispatches units to a worker fleet in front-end batches and
-// merges results in positional order. It is safe for concurrent use;
+// Pool dispatches units to a worker fleet in batches (Run) and merges
+// results in positional order. It is safe for concurrent use;
 // each Run call is independent.
 type Pool struct {
 	workers []*remoteWorker
@@ -205,10 +204,11 @@ func NewPool(o PoolOptions) *Pool {
 
 // Run executes the units and returns their results in input order —
 // the ordered merge. After a pass over the shared cache, the remaining
-// units are grouped into batches by front-end identity
-// (node.GroupByFrontEnd; every Monte-Carlo range is a batch of its own),
-// and each batch runs on a goroutine of its own under the pool's slot
-// bound (runBatch). Each batch's results land in its units' positions;
+// units are grouped into batches by the batch key Execute groups by (a
+// node cell's front end, a cluster simulation's trace; every Monte-Carlo
+// range is a batch of its own), and each batch runs on a goroutine of
+// its own under the pool's slot bound (runBatch). A worker runs each
+// batch it receives on one goroutine. Each batch's results land in its units' positions;
 // callers consume the returned slice sequentially, so downstream
 // rendering is byte-identical to a sequential run regardless of worker
 // count, batch composition, arrival order, or mid-run worker failures.
@@ -237,7 +237,7 @@ func (p *Pool) Run(units []Unit) []UnitResult {
 	}
 
 	var wg sync.WaitGroup
-	for _, b := range node.GroupByFrontEnd(remaining, func(i int) (node.FrontEndKey, bool) { return units[i].frontEnd() }) {
+	for _, b := range batches(units, remaining) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -17,7 +17,9 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/dramspec"
+	"repro/internal/hpc"
 	"repro/internal/memctrl"
+	"repro/internal/memuse"
 	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -122,7 +124,8 @@ func TestUnitKeyRoundTripsJSON(t *testing.T) {
 }
 
 // TestUnitWireAndKeyPinned pins the wire JSON, key included, of one
-// checked node unit and one Monte-Carlo unit to testdata/units.golden.
+// checked node unit, one Monte-Carlo unit and one checked cluster
+// simulation to testdata/units.golden.
 // The material types are both the wire bodies and what the keys hash
 // (runcache.Canonical hashes type and field names, not json tags), so
 // renaming either moves every stored entry or breaks mixed-version
@@ -142,6 +145,17 @@ func TestUnitWireAndKeyPinned(t *testing.T) {
 			Check:               true,
 		}, workload.ByName("hpcg")),
 		NewMCUnit(testVersion, mcConfig(), montecarlo.MarginAware, LevelChannel, montecarlo.ShardTrials, 2*montecarlo.ShardTrials),
+		NewHPCUnit(testVersion, HPCMaterial{
+			Trace: hpc.TraceSpec{Jobs: 6_000, Nodes: 256, PeriodS: hpc.TracePeriodS / 8, TargetUtil: hpc.TargetNodeUtil,
+				Usage: memuse.GeneratorConfig{Jobs: 5_000, Seed: 1}, Seed: 1},
+			Nodes:  hpc.GroupedNodes(256, 0.62, 0.36),
+			Policy: hpc.PolicyMarginAware,
+			At800:  1.21,
+			At600:  1.17,
+			Seed:   1,
+			Check:  true,
+			Scope:  "fig17/sim2/margin-aware",
+		}),
 	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "units.golden"))
 	if err != nil {

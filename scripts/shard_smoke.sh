@@ -13,15 +13,18 @@
 #      marks the worker dead, and runs the batches that draw its slots
 #      on the live worker or locally — and still merge the exact
 #      sequential bytes;
-#   3. warm replay over the shared store — zero re-simulations
-#      ("computed 0 of" on stderr), byte-identical output;
-#   4. the same warm replay through -shard-workers, which spawns local
+#   3. warm replays over the shared store, Fig 14 and then the whole
+#      quick suite — zero re-simulations ("computed 0 of" on stderr), no
+#      new store entry, byte-identical output;
+#   4. the fig14 warm replay through -shard-workers, which spawns local
 #      worker subprocesses and scrapes their announced addresses;
-#   5. observed runs (-metrics, -trace): in process, then through
-#      -shard-workers on a fresh store, cold and warm. Stdout and trace
-#      must be byte-identical to the in-process run, and so must the
-#      metrics once the counters of where cells ran are dropped
-#      (experiments/recordings, experiments/runcache/computed, shard/*).
+#   5. observed runs (-metrics, -trace) of Figs 14 and 17: in process,
+#      then through -shard-workers on a fresh store, cold and warm.
+#      Stdout and trace must be byte-identical to the in-process run, and
+#      so must the metrics once the counters of where cells ran are
+#      dropped (experiments/recordings, experiments/runcache/computed,
+#      shard/*). The warm run must add no store entry: Fig 17's cluster
+#      simulations replay from the store like the cells and ranges.
 #
 # The in-repo tests cover the same paths with httptest; this script is
 # the real-binary, real-HTTP, real-process-death version. Requires only
@@ -63,6 +66,18 @@ computed() {
     sed -n 's/.*computed \([0-9]*\) of .*/\1/p' "$1" | head -1
 }
 
+# entries <store-dir> — count the store's *.rc entries.
+entries() {
+    find "$1" -name '*.rc' | wc -l | tr -d ' '
+}
+
+# stored_nothing <before> <store-dir> <what> — fail if the store holds
+# more entries than before: a warm replay must read, never store.
+stored_nothing() {
+    after=$(entries "$2")
+    [ "$after" -eq "$1" ] || fail "$3 added $(( after - $1 )) store entries ($1 before, $after after)"
+}
+
 echo "shard_smoke: building cmd/heterodmr"
 go build -o "$BIN" ./cmd/heterodmr
 
@@ -102,13 +117,22 @@ WPID_B=
 cmp -s "$WORKDIR/seq2.txt" "$WORKDIR/dead.txt" \
     || fail "output with a dead worker differs from sequential run"
 
-echo "shard_smoke: warm replay on the surviving worker"
+echo "shard_smoke: warm replays on the surviving worker (fig14 seed 1, whole suite seed 3)"
+BEFORE=$(entries "$CACHE")
 "$BIN" -exp fig14 -quick -seed 1 -shard "$URL_A" -cache-dir "$CACHE" \
     > "$WORKDIR/warm.txt" 2> "$WORKDIR/warm.err"
 cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/warm.txt" \
     || fail "warm sharded output differs from sequential run"
 [ "$(computed "$WORKDIR/warm.err")" = "0" ] \
     || fail "warm replay re-simulated: $(cat "$WORKDIR/warm.err")"
+stored_nothing "$BEFORE" "$CACHE" "warm fig14 replay"
+"$BIN" -all -quick -seed 3 -shard "$URL_A" -cache-dir "$CACHE" \
+    > "$WORKDIR/warm-all.txt" 2> "$WORKDIR/warm-all.err"
+cmp -s "$WORKDIR/seq3.txt" "$WORKDIR/warm-all.txt" \
+    || fail "warm sharded whole-suite output differs from sequential run"
+[ "$(computed "$WORKDIR/warm-all.err")" = "0" ] \
+    || fail "warm whole-suite replay re-simulated: $(cat "$WORKDIR/warm-all.err")"
+stored_nothing "$BEFORE" "$CACHE" "warm whole-suite replay"
 
 echo "shard_smoke: warm replay via -shard-workers (spawned subprocesses)"
 "$BIN" -exp fig14 -quick -seed 1 -shard-workers 2 -cache-dir "$CACHE" \
@@ -117,6 +141,7 @@ cmp -s "$WORKDIR/seq1.txt" "$WORKDIR/spawn.txt" \
     || fail "spawned-worker output differs from sequential run"
 [ "$(computed "$WORKDIR/spawn.err")" = "0" ] \
     || fail "spawned-worker replay re-simulated: $(cat "$WORKDIR/spawn.err")"
+stored_nothing "$BEFORE" "$CACHE" "spawned-worker replay"
 
 # placed <metrics-file> — the metrics without the counters of where cells
 # ran, trailing commas stripped so the last kept line compares equal.
@@ -131,6 +156,7 @@ mkdir -p "$OBS"
 "$BIN" -exp fig14,fig17 -quick -seed 4 -metrics "$OBS/m0.json" -trace "$OBS/t0.jsonl" > "$OBS/out0.txt"
 placed "$OBS/m0.json" > "$OBS/p0.json"
 for leg in cold warm; do
+    [ "$leg" = cold ] || BEFORE=$(entries "$OBS/cache")
     "$BIN" -exp fig14,fig17 -quick -seed 4 -metrics "$OBS/m-$leg.json" -trace "$OBS/t-$leg.jsonl" \
         -shard-workers 2 -cache-dir "$OBS/cache" > "$OBS/out-$leg.txt" 2> "$OBS/$leg.err" \
         || fail "observed $leg run failed: $(cat "$OBS/$leg.err")"
@@ -139,9 +165,10 @@ for leg in cold warm; do
     placed "$OBS/m-$leg.json" > "$OBS/p-$leg.json"
     cmp -s "$OBS/p0.json" "$OBS/p-$leg.json" \
         || fail "observed $leg metrics differ from the in-process run beyond the placement counters"
+    [ "$leg" = cold ] || stored_nothing "$BEFORE" "$OBS/cache" "warm observed replay"
 done
 OBSCOLD=$(computed "$OBS/cold.err")
 [ -n "$OBSCOLD" ] && [ "$OBSCOLD" -gt 0 ] || fail "cold observed run computed nothing: $(cat "$OBS/cold.err")"
 grep -q "computed 0 of" "$OBS/warm.err" || fail "warm observed replay re-simulated: $(cat "$OBS/warm.err")"
 
-echo "shard_smoke: PASS (cold computed $COLD + $ALL + $OBSCOLD observed, worker death survived, warm replays computed 0, all byte-identical)"
+echo "shard_smoke: PASS (cold computed $COLD + $ALL + $OBSCOLD observed, worker death survived, warm replays computed 0 and stored nothing, all byte-identical)"
